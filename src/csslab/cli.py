@@ -30,11 +30,16 @@ from . import grid as G
 from . import linops as L
 from . import modulation as MOD
 from . import profiles as PR
-from .evolve import SolverConfig, run, validate_exact
+from .evolve import SolverConfig, StabilityGuardTripped, run, validate_exact
 from .grid import RadialField
-from .soliton import blowup_s, soliton_q
+from .soliton import ScaleOutOfRange, blowup_s, soliton_q
 
 ENV_OUTPUT_ROOT = "CSSLAB_OUTPUT_ROOT"
+
+# typed numerical failures that end a run with a clean CLI error
+DECOMPOSE_FAILURES = (ScaleOutOfRange, MOD.NotInTube, MOD.NoConvergence,
+                      MOD.DegenerateGauge)
+RUN_FAILURES = (StabilityGuardTripped,) + DECOMPOSE_FAILURES
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +158,8 @@ def output_dir(out: str) -> Path:
 
 
 def write_manifest(outdir: Path, command: str, config: dict, grid: G.Grid | None,
-                   seed: int | None, t_start: float) -> None:
+                   seed: int | None, t_start: float,
+                   error: str | None = None) -> None:
     manifest = {
         "command": command,
         "config": config,
@@ -162,7 +168,21 @@ def write_manifest(outdir: Path, command: str, config: dict, grid: G.Grid | None
         "version": __version__,
         "wall_time_s": time.perf_counter() - t_start,
     }
+    if error is not None:
+        manifest["error"] = error
     write_json(outdir / "manifest.json", manifest)
+
+
+def fail(exc: Exception, out: str | None, command: str, config: dict,
+         grid: G.Grid | None, t_start: float, usage: bool = False):
+    """End the command on a typed failure with a one-line error (exit 2 for
+    a usage error, 1 otherwise); with --out the manifest still records the
+    command and the error."""
+    msg = f"{type(exc).__name__}: {exc}"
+    if out is not None:
+        write_manifest(output_dir(out), command, config, grid, None, t_start,
+                       error=msg)
+    raise (click.UsageError if usage else click.ClickException)(msg) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -520,16 +540,23 @@ def cmd_evolve(data, m, t0, tend, dt, grid_spec, monitor_stride,
                              default=20)
     tube_radius = resolve("tube_radius", tube_radius, cfg, float, default=0.5)
     grid = parse_grid(grid_spec)
-    if data == "S":
-        u0 = blowup_s(m, t0, grid)
-    else:
-        u0 = soliton_q(m, grid)
-    config = SolverConfig(grid=grid, dt=dt, t_end=tend,
-                          lambda_min=lambda_min,
-                          monitor_stride=monitor_stride,
-                          decompose_flag=do_decompose,
-                          tube_radius=tube_radius)
-    traj = run(u0, config, t0=t0)
+    manifest_cfg = {"data": data, "m": m, "t0": t0, "tend": tend, "dt": dt,
+                    "grid": grid_spec, "monitor_stride": monitor_stride,
+                    "decompose": do_decompose, "tube_radius": tube_radius,
+                    "lambda_min": lambda_min}
+    try:
+        u0 = blowup_s(m, t0, grid) if data == "S" else soliton_q(m, grid)
+        config = SolverConfig(grid=grid, dt=dt, t_end=tend,
+                              lambda_min=lambda_min,
+                              monitor_stride=monitor_stride,
+                              decompose_flag=do_decompose,
+                              tube_radius=tube_radius)
+    except ValueError as exc:
+        fail(exc, out, "evolve", manifest_cfg, grid, t_start, usage=True)
+    try:
+        traj = run(u0, config, t0=t0)
+    except RUN_FAILURES as exc:
+        fail(exc, out, "evolve", manifest_cfg, grid, t_start)
     meta = {"data": data, "m": m, "t0": t0, "t_end": tend, "dt": dt,
             "stop_reason": traj.stop_reason,
             "mass_drift": float(np.max(np.abs(
@@ -569,14 +596,7 @@ def cmd_evolve(data, m, t0, tend, dt, grid_spec, monitor_stride,
         snap_times = write_snapshots(outdir, traj.snapshots)
         meta["snapshot_times"] = snap_times
         write_json(outdir / "meta.json", meta)
-        write_manifest(outdir, "evolve",
-                       {"data": data, "m": m, "t0": t0, "tend": tend,
-                        "dt": dt, "grid": grid_spec,
-                        "monitor_stride": monitor_stride,
-                        "decompose": do_decompose,
-                        "tube_radius": tube_radius,
-                        "lambda_min": lambda_min},
-                       grid, None, t_start)
+        write_manifest(outdir, "evolve", manifest_cfg, grid, None, t_start)
 
 
 @main.command("decompose")
@@ -599,8 +619,12 @@ def cmd_decompose(field_path, m, tube_radius, config_path, out):
     if not np.allclose(grid.r, r, rtol=1e-9):
         raise click.UsageError("field radii are not a geometric grid")
     u = RadialField(m, vals, grid)
+    manifest_cfg = {"field": field_path, "m": m, "tube_radius": tube_radius}
     ortho = MOD.build_ortho_profiles(m, grid)
-    d = MOD.decompose(u, ortho, tube_radius=tube_radius)
+    try:
+        d = MOD.decompose(u, ortho, tube_radius=tube_radius)
+    except DECOMPOSE_FAILURES as exc:
+        fail(exc, out, "decompose", manifest_cfg, grid, t_start)
     report = {
         "state": {"lambda": d.state.lam, "gamma": d.state.gamma,
                   "b": d.state.b, "eta": d.state.eta},
@@ -614,9 +638,8 @@ def cmd_decompose(field_path, m, tube_radius, config_path, out):
     if out is not None:
         outdir = output_dir(out)
         write_json(outdir / "report.json", report)
-        write_manifest(outdir, "decompose",
-                       {"field": field_path, "m": m,
-                        "tube_radius": tube_radius}, grid, None, t_start)
+        write_manifest(outdir, "decompose", manifest_cfg, grid, None,
+                       t_start)
 
 
 @main.command("report")

@@ -35,15 +35,15 @@ def a_theta_pol(f: RadialField, g: RadialField) -> np.ndarray:
     """Polarized potential A_theta[f, g] = -1/2 int_0^r Re(conj(f) g) r' dr'."""
     G.check_same_grid(f, g)
     dens = np.real(np.conj(f.values) * g.values)
-    return np.real(-0.5 * G.cumulative_rdr(f.grid, dens))
+    return -0.5 * G.cumulative_rdr(f.grid, dens)
 
 
 def gauge_fields(u: RadialField) -> GaugeFields:
     dens = np.abs(u.values) ** 2
-    a_theta = np.real(-0.5 * G.cumulative_rdr(u.grid, dens))
+    a_theta = -0.5 * G.cumulative_rdr(u.grid, dens)
     integrand = (u.m + a_theta) * dens / u.grid.r
     tail_p = None if u.decay is None else 2.0 * u.decay + 1.0
-    a_t = -np.real(G.backward_dy(u.grid, integrand, tail_power=tail_p))
+    a_t = -G.backward_dy(u.grid, integrand, tail_power=tail_p)
     return GaugeFields(a_theta=a_theta, a_t=a_t, m=u.m)
 
 

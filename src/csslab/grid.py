@@ -305,18 +305,23 @@ def auto_tail_integrate(grid: Grid, vals: np.ndarray) -> float:
 
 def smart_unwrap(vals: np.ndarray) -> np.ndarray:
     """Unwrap the phase of a zero-free complex field, choosing each branch
-    nearest to a linear extrapolation of the previous increments. Tolerates
-    per-node phase increments far beyond pi as long as their second
-    difference stays below pi (true for quadratic radial phases on the
-    default log grid out to r ~ 500)."""
+    nearest to a linear extrapolation of the previous two increments (the
+    first ones extrapolate from zero).
+
+    That rule makes the second difference of the increments d the
+    representative of the second difference of the principal increments
+    raw, mod 2 pi, nearest zero (Itoh's argument applied one difference
+    up). So d is the double cumulative sum of wrap(Delta^2 raw), with raw
+    padded by two leading zeros; the sum only picks the branch, and
+    d = raw + 2 pi k exactly. The true phase is recovered whenever its
+    padded second differences of increments satisfy |Delta^2 phase| < pi,
+    which tolerates per-node increments far beyond pi (true for quadratic
+    radial phases on the default log grid out to r ~ 500)."""
     ang = np.angle(vals)
     raw = np.angle(vals[1:] * np.conj(vals[:-1]))  # principal increments
-    d = np.empty_like(raw)
-    prev1 = prev2 = 0.0
-    for k in range(raw.size):
-        pred = 2.0 * prev1 - prev2
-        d[k] = raw[k] + TWO_PI * round((pred - raw[k]) / TWO_PI)
-        prev2, prev1 = prev1, d[k]
+    d2 = np.diff(raw, 2, prepend=(0.0, 0.0))
+    pred = np.cumsum(np.cumsum(d2 - TWO_PI * np.round(d2 / TWO_PI)))
+    d = raw + TWO_PI * np.round((pred - raw) / TWO_PI)
     out = np.empty(vals.size)
     out[0] = ang[0]
     np.cumsum(d, out=out[1:])
@@ -372,9 +377,9 @@ def l2(f: RadialField) -> float:
 
 def _interval_increments(grid: Grid, gvals: np.ndarray) -> np.ndarray:
     """4th-order per-interval integrals of g(x) dx on the uniform log grid."""
-    g = np.asarray(gvals, dtype=np.complex128)
+    g = np.asarray(gvals)
     n, h = g.size, grid.h
-    inc = np.empty(n - 1, dtype=np.complex128)
+    inc = np.empty(n - 1, dtype=np.result_type(g, np.float64))
     # interior intervals [j, j+1] use nodes j-1..j+2
     inc[1:-1] = (h / 24.0) * (-g[:-3] + 13.0 * g[1:-2] + 13.0 * g[2:-1] - g[3:])
     inc[0] = (h / 24.0) * (9.0 * g[0] + 19.0 * g[1] - 5.0 * g[2] + g[3])
@@ -385,7 +390,7 @@ def _interval_increments(grid: Grid, gvals: np.ndarray) -> np.ndarray:
 def cumulative_dx(grid: Grid, gvals: np.ndarray) -> np.ndarray:
     """Cumulative integral of g over x from x_min, 4th-order on uniform h."""
     inc = _interval_increments(grid, gvals)
-    out = np.empty(inc.size + 1, dtype=np.complex128)
+    out = np.empty(inc.size + 1, dtype=inc.dtype)
     out[0] = 0.0
     np.cumsum(inc, out=out[1:])
     return out
@@ -395,7 +400,7 @@ def backward_cumulative_dx(grid: Grid, gvals: np.ndarray) -> np.ndarray:
     """B(x_j) = int_{x_j}^{x_max} g dx, summed from the far end so the tail
     values are not lost to cancellation against the bulk."""
     inc = _interval_increments(grid, gvals)
-    out = np.empty(inc.size + 1, dtype=np.complex128)
+    out = np.empty(inc.size + 1, dtype=inc.dtype)
     out[-1] = 0.0
     np.cumsum(inc[::-1], out=out[:-1][::-1])
     return out
@@ -404,12 +409,14 @@ def backward_cumulative_dx(grid: Grid, gvals: np.ndarray) -> np.ndarray:
 def cumulative_rdr(grid: Grid, vals: np.ndarray, include_origin: bool = True) -> np.ndarray:
     """C(r_j) = int_0^{r_j} vals r' dr'. The [0, r_min] piece is completed by a
     local power-law model fitted on the first nodes (negligible for smooth
-    equivariant data, but kept for exactness of closed-form comparisons)."""
-    c = cumulative_dx(grid, np.asarray(vals, dtype=np.complex128) * grid.r**2)
+    equivariant data, but kept for exactness of closed-form comparisons).
+    Real input gives a real result."""
+    vals = np.asarray(vals)
+    c = cumulative_dx(grid, vals * grid.r**2)
     if include_origin:
-        v0 = complex(vals[0])
+        v0 = vals[0].item()
         if v0 != 0.0:
-            v1 = complex(vals[1])
+            v1 = vals[1].item()
             q = 0.0
             if abs(v1) > 0 and abs(v0) > 0:
                 ratio = abs(v1) / abs(v0)
@@ -421,12 +428,14 @@ def cumulative_rdr(grid: Grid, vals: np.ndarray, include_origin: bool = True) ->
 
 
 def cumulative_dy(grid: Grid, vals: np.ndarray, include_origin: bool = True) -> np.ndarray:
-    """C(r_j) = int_0^{r_j} vals dr' (plain measure)."""
-    c = cumulative_dx(grid, np.asarray(vals, dtype=np.complex128) * grid.r)
+    """C(r_j) = int_0^{r_j} vals dr' (plain measure); real input gives a
+    real result."""
+    vals = np.asarray(vals)
+    c = cumulative_dx(grid, vals * grid.r)
     if include_origin:
-        v0 = complex(vals[0])
+        v0 = vals[0].item()
         if v0 != 0.0:
-            v1 = complex(vals[1])
+            v1 = vals[1].item()
             q = 0.0
             if abs(v1) > 0 and abs(v0) > 0:
                 ratio = abs(v1) / abs(v0)
@@ -439,10 +448,12 @@ def cumulative_dy(grid: Grid, vals: np.ndarray, include_origin: bool = True) -> 
 
 def backward_dy(grid: Grid, vals: np.ndarray, tail_power: float | None = None) -> np.ndarray:
     """B(r_j) = int_{r_j}^{r_max} vals dr', plus an algebraic tail beyond
-    r_max when vals ~ c r^{-p} with p = tail_power > 1."""
-    out = backward_cumulative_dx(grid, np.asarray(vals, dtype=np.complex128) * grid.r)
+    r_max when vals ~ c r^{-p} with p = tail_power > 1. Real input gives a
+    real result."""
+    vals = np.asarray(vals)
+    out = backward_cumulative_dx(grid, vals * grid.r)
     if tail_power is not None and tail_power > 1.0:
-        out = out + complex(vals[-1]) * grid.r_max / (tail_power - 1.0)
+        out = out + vals[-1].item() * grid.r_max / (tail_power - 1.0)
     return out
 
 
@@ -498,17 +509,6 @@ def abs_minus_k(f: RadialField, k: int) -> np.ndarray:
     if k > 3:
         raise ValueError("|f|_{-k} supported for k <= 3")
     stack = [np.abs(derivs[j]) / r ** (k - j) for j in range(k + 1)]
-    return np.max(np.stack(stack), axis=0)
-
-
-def abs_plus_k(f: RadialField, k: int) -> np.ndarray:
-    """|f|_k = max(|f|, |(r d_r) f|, ..., |(r d_r)^k f|) pointwise."""
-    vals = f.values
-    stack = [np.abs(vals)]
-    cur = vals
-    for _ in range(k):
-        cur = dx(f.grid, cur, 1)
-        stack.append(np.abs(cur))
     return np.max(np.stack(stack), axis=0)
 
 

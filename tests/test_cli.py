@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from csslab import grid as G
 from csslab.cli import dumps17, fmt17, main
-from csslab.soliton import SymmetryParams, modulate, soliton_q
+from csslab.soliton import SymmetryParams, blowup_s, modulate, soliton_q
 
 
 @pytest.fixture()
@@ -233,6 +233,38 @@ def test_evolve_refuses_missing_grid(runner):
     assert "--grid" in res.output
 
 
+def _error_manifest(outroot, name):
+    return json.loads((outroot / name / "manifest.json").read_text())["error"]
+
+
+@pytest.mark.parametrize("args, error", [
+    (["--t0", "-1", "--lambda-min", "0.5", "--no-decompose"],
+     "ValueError: lambda_min stop rule requires decompose_flag"),
+    (["--t0", "0.1"], "ScaleOutOfRange: blow-up snapshot needs t < 0"),
+])
+def test_evolve_bad_config_is_usage_error(runner, outroot, args, error):
+    res = runner.invoke(main, ["evolve", "--data", "S", "--m", "1",
+                               "--tend", "0.2", "--grid", "default",
+                               "--out", "bad"] + args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Error: " + error in res.output
+    assert "Traceback" not in res.output
+    assert _error_manifest(outroot, "bad").startswith(error)
+
+
+def test_evolve_stability_guard_is_clean_error(runner, outroot):
+    res = runner.invoke(main, ["evolve", "--data", "S", "--m", "1",
+                               "--t0", "-0.4", "--tend", "-0.3", "--dt", "0.5",
+                               "--grid", "default", "--out", "guard"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "Error: StabilityGuardTripped: stability-guard-tripped" in res.output
+    assert "Traceback" not in res.output
+    assert _error_manifest(outroot, "guard").startswith("StabilityGuardTripped")
+    assert not (outroot / "guard" / "meta.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # decompose
 
@@ -256,3 +288,24 @@ def test_decompose_field_file(runner, tmp_path, outroot):
     assert abs(rep["state"]["b"]) < 1e-6
     assert rep["eps_l2"] < 1e-6
     assert max(abs(x) for x in rep["ortho_residuals"]) < 1e-8
+
+
+def test_decompose_scale_out_of_range_is_clean_error(runner, tmp_path,
+                                                     outroot):
+    # a stored S(-1.1) (declared decay unknown): Newton pushes lambda to
+    # where the shrink check of soliton.modulate refuses the chart
+    grid = G.default_grid()
+    u = blowup_s(1, -1.1, grid)
+    rows = ["r,re,im"]
+    for r, v in zip(grid.r, u.values):
+        rows.append(f"{r:.17g},{v.real:.17g},{v.imag:.17g}")
+    path = tmp_path / "field.csv"
+    path.write_text("\n".join(rows) + "\n")
+    res = runner.invoke(main, ["decompose", "--field", str(path), "--m", "1",
+                               "--out", "dec"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "Error: ScaleOutOfRange: scale-out-of-range" in res.output
+    assert "Traceback" not in res.output
+    assert _error_manifest(outroot, "dec").startswith("ScaleOutOfRange")
+    assert not (outroot / "dec" / "report.json").exists()

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from csslab import grid as G
 from csslab.evolve import (KineticSolver, SolverConfig, StabilityGuardTripped,
@@ -61,6 +62,15 @@ def test_stability_guard(pde_grid):
         step(u, 0.5)
 
 
+def test_stability_guard_trips_on_nonfinite_potential(grid):
+    # |u|^2 overflows, so the potential is NaN and dt*max|V| > 1 is False
+    u = RadialField(1, np.full(grid.n, 1e200 + 0j), grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(potential(u)).any()
+        with pytest.raises(StabilityGuardTripped):
+            step(u, 1e-3)
+
+
 def test_potential_substep_preserves_modulus(grid, rng):
     y = grid.r
     vals = (rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)) \
@@ -79,6 +89,37 @@ def test_kinetic_step_conserves_mass(grid):
     before = G.l2_samples(grid, q.values)
     after = G.l2_samples(grid, kin.solve(q.values.copy()))
     assert abs(after - before) / before < 1e-10
+
+
+def _dense_cn_lhs(kin):
+    """I - (i dt / 2) Delta^(m) from the Laplacian bands, with the
+    regularity row u_0 = e^{-m h} u_1 and the Dirichlet row u_{n-1} = 0."""
+    n = kin.grid.n
+    a = np.eye(n, dtype=complex)
+    for off in range(-2, 3):
+        i = np.arange(max(0, -off), min(n, n - off))
+        a[i, i + off] -= 0.5j * kin.dt * kin.a_bands[2 + off, i]
+    a[0] = a[-1] = 0.0
+    a[0, 0] = a[-1, -1] = 1.0
+    a[0, 1] = -math.exp(-kin.m * kin.grid.h)
+    return a
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_kinetic_solve_matches_solve_banded(m, rng):
+    g = G.build_grid(n=256)
+    kin = KineticSolver(g, m, 1e-3)
+    a = _dense_cn_lhs(kin)
+    # solve_banded layout ab[2 + i - j, j] = a[i, j]
+    ab = np.zeros((5, g.n), dtype=complex)
+    for off in range(-2, 3):
+        ab[2 - off] = np.pad(np.diagonal(a, off), (max(off, 0), max(-off, 0)))
+    for _ in range(3):
+        v = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
+        rhs = kin._rhs_apply(v)
+        x = kin.solve(v)
+        assert np.array_equal(x, solve_banded((2, 2), ab, rhs))
+        np.testing.assert_allclose(a @ x, rhs, rtol=0, atol=1e-12 * np.abs(rhs).max())
 
 
 def test_q_run_mass_energy_drift(grid):

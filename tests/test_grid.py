@@ -181,6 +181,14 @@ def test_cumulative_rdr(grid):
     c = G.cumulative_rdr(grid, vals.astype(complex))
     expect = 1.0 - (1.0 + grid.r) * np.exp(-grid.r)
     assert np.max(np.abs(c - expect)) < 1e-9
+    # real input stays real and equals the real part of the complex result
+    for fn in (G.cumulative_rdr, G.cumulative_dy):
+        for origin in (True, False):
+            real = fn(grid, vals, include_origin=origin)
+            assert real.dtype == np.float64
+            assert np.array_equal(
+                real, np.real(fn(grid, vals.astype(complex),
+                                 include_origin=origin)))
 
 
 def test_backward_dy(grid):
@@ -190,6 +198,73 @@ def test_backward_dy(grid):
     expect = grid.r**-2.0 / 2.0
     rel = np.abs(b - expect) / expect
     assert rel.max() < 1e-6
+    real = G.backward_dy(grid, vals, tail_power=3.0)
+    assert real.dtype == np.float64
+    assert np.array_equal(real, np.real(b))
+
+
+# ---------------------------------------------------------------------------
+# phase unwrap
+
+
+def loop_unwrap(vals):
+    """Reference node-by-node unwrap: each increment takes the branch
+    nearest the linear extrapolation of the previous two."""
+    ang = np.angle(vals)
+    raw = np.angle(vals[1:] * np.conj(vals[:-1]))
+    d = np.empty_like(raw)
+    prev1 = prev2 = 0.0
+    for k in range(raw.size):
+        pred = 2.0 * prev1 - prev2
+        d[k] = raw[k] + G.TWO_PI * round((pred - raw[k]) / G.TWO_PI)
+        prev2, prev1 = prev1, d[k]
+    out = np.empty(vals.size)
+    out[0] = ang[0]
+    np.cumsum(d, out=out[1:])
+    out[1:] += ang[0]
+    return out
+
+
+# quadratic phases beta r^2 + alpha r + phi0 plus node noise; on this grid
+# the third difference in the node index stays below ~0.6 < pi while the
+# per-node increments reach several thousand radians
+UNWRAP_GRID = G.build_grid(r_min=1e-3, r_max=100.0, n=4096)
+quadratic_phase = st.tuples(
+    st.floats(min_value=-100.0, max_value=100.0),   # beta
+    st.floats(min_value=-50.0, max_value=50.0),     # alpha
+    st.floats(min_value=-10.0, max_value=10.0),     # phi0
+    st.floats(min_value=0.0, max_value=0.05),       # noise amplitude
+    st.integers(min_value=0, max_value=2**31))      # seed
+
+
+def _phase(params):
+    beta, alpha, phi0, noise, seed = params
+    r = UNWRAP_GRID.r
+    rng = np.random.default_rng(seed)
+    return beta * r**2 + alpha * r + phi0 + noise * rng.standard_normal(r.size)
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=quadratic_phase)
+def test_smart_unwrap_matches_loop(params):
+    vals = np.exp(1j * _phase(params)) / (1.0 + UNWRAP_GRID.r**2)
+    assert np.array_equal(G.smart_unwrap(vals), loop_unwrap(vals))
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=quadratic_phase, shift_seed=st.integers(min_value=0, max_value=2**31))
+def test_smart_unwrap_ignores_node_branch_shifts(params, shift_seed):
+    phi = _phase(params)
+    k = np.random.default_rng(shift_seed).integers(-1000, 1001, phi.size)
+    out = G.smart_unwrap(np.exp(1j * phi))
+    shifted = G.smart_unwrap(np.exp(1j * (phi + G.TWO_PI * k)))
+    scale = 1.0 + np.max(np.abs(phi))
+    np.testing.assert_allclose(shifted, out, rtol=0, atol=1e-9 * scale)
+    # and the unwrap recovers the phase itself up to one global 2 pi k_0
+    k0 = np.round((out - phi) / G.TWO_PI)
+    assert np.all(k0 == k0[0])
+    np.testing.assert_allclose(out - G.TWO_PI * k0, phi, rtol=0,
+                               atol=1e-9 * scale)
 
 
 # ---------------------------------------------------------------------------
