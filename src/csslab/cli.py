@@ -37,8 +37,7 @@ from .soliton import ScaleOutOfRange, blowup_s, soliton_q
 ENV_OUTPUT_ROOT = "CSSLAB_OUTPUT_ROOT"
 
 # typed numerical failures that end a run with a clean CLI error
-DECOMPOSE_FAILURES = (ScaleOutOfRange, MOD.NotInTube, MOD.NoConvergence,
-                      MOD.DegenerateGauge)
+DECOMPOSE_FAILURES = (ScaleOutOfRange, MOD.NotInTube, MOD.NoConvergence)
 RUN_FAILURES = (StabilityGuardTripped,) + DECOMPOSE_FAILURES
 
 
