@@ -132,16 +132,28 @@ def parse_grid(spec: str) -> G.Grid:
     if spec == "default":
         return G.default_grid()
     kw = {}
-    for part in spec.split(","):
-        key, val = part.split("=")
-        key = key.strip()
-        if key == "n":
-            kw["n"] = int(val)
-        elif key in ("r_min", "r_max"):
-            kw[key] = float(val)
-        else:
-            raise click.UsageError(f"unknown grid key {key!r}")
-    return G.build_grid(**kw)
+    try:
+        for part in spec.split(","):
+            key, _, val = part.partition("=")
+            key = key.strip()
+            if key not in ("n", "r_min", "r_max"):
+                raise click.UsageError(f"unknown grid key {key!r}")
+            kw[key] = int(val) if key == "n" else float(val)
+        return G.build_grid(**kw)
+    except ValueError as exc:  # a malformed number or a GridError
+        raise click.UsageError(f"bad grid {spec!r}: {exc}") from None
+
+
+def parse_floats(option: str, text: str, count: int | None = None) -> list[float]:
+    """The comma-separated numbers of --option, exactly `count` if it is set."""
+    try:
+        vals = [float(x) for x in text.split(",")]
+        if count is None or len(vals) == count:
+            return vals
+    except ValueError:
+        pass
+    raise click.UsageError(f"--{option} needs {count or 'some'} comma-separated "
+                           f"numbers, got {text!r}")
 
 
 def grid_id(grid: G.Grid) -> str:
@@ -422,10 +434,12 @@ def cmd_profiles(m, betas, direction, with_t4, grid_spec, config_path, out):
     direction = resolve("direction", direction, cfg, str, default="1,0")
     grid_spec = resolve("grid", grid_spec, cfg, str, required=True)
     grid = parse_grid(grid_spec)
-    beta_list = [float(x) for x in betas.split(",")]
-    if any(b >= 0.1 for b in beta_list):
-        raise click.UsageError("betas must be < 1/10")
-    db, de = (float(x) for x in direction.split(","))
+    beta_list = parse_floats("betas", betas)
+    if not all(0.0 < b < 0.1 for b in beta_list):
+        raise click.UsageError("betas must lie in (0, 1/10)")
+    db, de = parse_floats("direction", direction, 2)
+    if not 0.0 < math.hypot(db, de) < math.inf:
+        raise click.UsageError(f"--direction must be a finite nonzero vector, got {direction!r}")
     sweep = PR.scaling_sweep(m, beta_list, (db, de), grid=grid,
                              include_t4=with_t4)
     report = {"m": m, "betas": beta_list, "direction": [db, de],
@@ -473,7 +487,7 @@ def cmd_ode(m, eta0, lam0, b0, window, use_p3, phase, lam_min, grid_spec,
     window = resolve("window", window, cfg, str, default="-100,100")
     lam_min = resolve("lam_min", lam_min, cfg, float, default=1e-3)
     grid_spec = resolve("grid", grid_spec, cfg, str, default="default")
-    t0, t1 = (float(x) for x in window.split(","))
+    t0, t1 = parse_floats("window", window, 2)
     if b0 is None:
         b0 = -t0
     if lam0 is None:
@@ -600,6 +614,7 @@ def cmd_evolve(data, m, t0, tend, dt, grid_spec, monitor_stride,
 
 @main.command("decompose")
 @click.option("--field", "field_path", default=None,
+              type=click.Path(exists=True, dir_okay=False),
               help="CSV with columns r,re,im on a geometric grid.")
 @click.option("--m", "m", type=int, default=None)
 @click.option("--tube-radius", type=float, default=None)
@@ -612,13 +627,18 @@ def cmd_decompose(field_path, m, tube_radius, config_path, out):
     field_path = resolve("field", field_path, cfg, str, required=True)
     m = resolve("m", m, cfg, int, required=True)
     tube_radius = resolve("tube_radius", tube_radius, cfg, float, default=0.2)
-    raw = np.loadtxt(field_path, delimiter=",", skiprows=1)
-    r, vals = raw[:, 0], raw[:, 1] + 1j * raw[:, 2]
-    grid = G.build_grid(r_min=float(r[0]), r_max=float(r[-1]), n=r.size)
-    if not np.allclose(grid.r, r, rtol=1e-9):
-        raise click.UsageError("field radii are not a geometric grid")
-    u = RadialField(m, vals, grid)
     manifest_cfg = {"field": field_path, "m": m, "tube_radius": tube_radius}
+    try:
+        raw = np.loadtxt(field_path, delimiter=",", skiprows=1, ndmin=2)
+        if raw.shape[1] != 3:
+            raise ValueError("field CSV needs the three columns r,re,im")
+        r, vals = raw[:, 0], raw[:, 1] + 1j * raw[:, 2]
+        grid = G.build_grid(r_min=float(r[0]), r_max=float(r[-1]), n=r.size)
+        if not np.allclose(grid.r, r, rtol=1e-9):
+            raise G.GridError("field radii are not a geometric grid")
+        u = RadialField(m, vals, grid)
+    except (OSError, ValueError) as exc:
+        fail(exc, out, "decompose", manifest_cfg, None, t_start, usage=True)
     ortho = MOD.build_ortho_profiles(m, grid)
     try:
         d = MOD.decompose(u, ortho, tube_radius=tube_radius)

@@ -52,6 +52,8 @@ class SolverConfig:
             raise ValueError("stop rule required: t_end or lambda_min")
         if self.lambda_min is not None and not self.decompose_flag:
             raise ValueError("lambda_min stop rule requires decompose_flag")
+        if self.monitor_stride < 1 or self.snapshot_stride < 1:
+            raise ValueError("monitor_stride and snapshot_stride must be >= 1")
 
 
 @dataclass
@@ -155,8 +157,9 @@ def sponge_profile(grid: Grid, strength: float) -> np.ndarray:
 
 
 def step(u: RadialField, dt: float, kinetic: KineticSolver | None = None,
-         sponge: np.ndarray | None = None) -> RadialField:
-    """One Strang-split step of size dt."""
+         sponge_factor: np.ndarray | None = None) -> RadialField:
+    """One Strang-split step of size dt; sponge_factor is the damping
+    exp(-dt * sponge_profile) applied at the end of the step."""
     if kinetic is None or kinetic.dt != dt:
         kinetic = KineticSolver(u.grid, u.m, dt)
     v_pot = potential(u)
@@ -171,8 +174,8 @@ def step(u: RadialField, dt: float, kinetic: KineticSolver | None = None,
     if not (dt * float(np.max(np.abs(v_pot2))) <= 1.0):
         raise StabilityGuardTripped("stability-guard-tripped after kinetic step")
     vals = np.exp(-0.5j * dt * v_pot2) * vals
-    if sponge is not None:
-        vals = np.exp(-dt * sponge) * vals
+    if sponge_factor is not None:
+        vals = sponge_factor * vals
     return u.with_values(vals, decay=None)
 
 
@@ -183,7 +186,7 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
     if u0.grid != config.grid:
         raise G.GridError("initial datum not on the solver grid")
     kin = KineticSolver(config.grid, u0.m, config.dt)
-    sponge = sponge_profile(config.grid, config.sponge_strength)
+    damping = np.exp(-config.dt * sponge_profile(config.grid, config.sponge_strength))
 
     mod_table = None
     ortho = None
@@ -237,7 +240,7 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
             stop = "lambda_min"
             break
         for _ in range(config.monitor_stride):
-            u = step(u, config.dt, kinetic=kin, sponge=sponge)
+            u = step(u, config.dt, kinetic=kin, sponge_factor=damping)
             t += config.dt
             if config.t_end is not None and t >= config.t_end - 1e-12:
                 break

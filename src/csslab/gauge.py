@@ -88,22 +88,22 @@ def energy_mass(u: RadialField) -> tuple[float, float, float]:
     gf = gauge_fields(u)
     r = u.grid.r
     dens = np.abs(u.values) ** 2
-    grad2 = G.grad_sq(u.grid, u.values)
+    # |d_r u|^2 and |D_u u|^2 via amplitude/phase so oscillatory tails stay
+    # accurate: D_u u = (a' - (m+A_theta) a / r) e^{i phi} + i a phi' e^{i phi}
+    polar = G.polar_derivs(u.grid, u.values)
+    if polar is None:
+        grad2 = np.abs(G.d_dr(u.grid, u.values, 1)) ** 2
+        dsq = np.abs(cov_d(u, u, gf).values) ** 2
+    else:
+        a, da, dphi = polar
+        grad2 = da**2 + a**2 * dphi**2
+        dsq = (da - (u.m + gf.a_theta) * a / r) ** 2 + (a * dphi) ** 2
     kinetic = 0.5 * (grad2 + ((u.m + gf.a_theta) / r) ** 2 * dens)
     E = G.auto_tail_integrate(u.grid, kinetic) \
         - 0.25 * float(np.real(G.integrate_samples(
             u.grid, dens**2, None if u.decay is None else 4 * u.decay)[0]))
     M = float(np.real(G.integrate_samples(u.grid, dens,
                                           None if u.decay is None else 2 * u.decay)[0]))
-    # |D_u u|^2 via amplitude/phase so oscillatory tails stay accurate:
-    # D_u u = (a' - (m+A_theta) a / r) e^{i phi} + i a phi' e^{i phi}
-    a = np.abs(u.values)
-    if a.min() > 0.0:
-        da = np.real(G.d_dr(u.grid, a.astype(np.complex128), 1))
-        dphi = np.real(G.d_dr(u.grid, G.smart_unwrap(u.values).astype(np.complex128), 1))
-        dsq = (da - (u.m + gf.a_theta) * a / r) ** 2 + (a * dphi) ** 2
-    else:
-        dsq = np.abs(cov_d(u, u, gf).values) ** 2
     E_sd = 0.5 * G.auto_tail_integrate(u.grid, dsq)
     return E, M, E_sd
 
@@ -114,8 +114,13 @@ def virial(u: RadialField) -> tuple[float, float]:
     dens = np.abs(u.values) ** 2
     d1 = None if u.decay is None else 2.0 * u.decay - 2.0
     v1 = float(np.real(G.integrate_samples(u.grid, r**2 * dens, d1)[0]))
-    v2 = float(np.real(G.integrate_samples(u.grid, r * G.im_conj_grad(u.grid, u.values),
-                                           d1)[0]))
+    # Im(conj(u) d_r u) = a^2 d_r phi for a zero-free field
+    polar = G.polar_derivs(u.grid, u.values)
+    if polar is None:
+        im_grad = np.imag(np.conj(u.values) * G.d_dr(u.grid, u.values, 1))
+    else:
+        im_grad = polar[0] ** 2 * polar[2]
+    v2 = float(np.real(G.integrate_samples(u.grid, r * im_grad, d1)[0]))
     return v1, v2
 
 

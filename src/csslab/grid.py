@@ -1,8 +1,8 @@
 """Radial grids on (0, infinity), equivariant field storage, calculus, and norms.
 
-Everything downstream works on a fixed logarithmic (geometric) grid. The
-mapped coordinate is x = log r, in which the grid is uniform; derivatives
-and quadrature are built once per grid and cached.
+Everything works on one kind of grid, the geometric one: nodes uniform
+in the mapped coordinate x = log r, with spacing h. Derivatives and
+quadrature are stencils and weights in x, built once per grid and cached.
 
 Integral conventions: the plain integral sign over fields means
 2*pi * int f(r) r dr, and (f, g)_r = 2*pi * int Re(conj(f) g) r dr.
@@ -11,7 +11,7 @@ Integral conventions: the plain integral sign over fields means
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -37,12 +37,11 @@ class IndexMismatch(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Strictly increasing positive radii, uniform in the mapped coordinate."""
+    """Strictly increasing positive radii r = e^x, uniform in x with step h."""
 
     r: np.ndarray
-    mapping: str
-    x: np.ndarray = field(repr=False, default=None)
-    h: float = 0.0
+    x: np.ndarray = field(repr=False)
+    h: float
 
     @property
     def n(self) -> int:
@@ -58,7 +57,7 @@ class Grid:
 
     @property
     def key(self):
-        return (self.r_min, self.r_max, self.n, self.mapping)
+        return (self.r_min, self.r_max, self.n)
 
     def __eq__(self, other):
         return isinstance(other, Grid) and self.key == other.key
@@ -68,25 +67,15 @@ class Grid:
 
 
 def build_grid(r_min: float = DEFAULT_R_MIN, r_max: float = DEFAULT_R_MAX,
-               n: int = DEFAULT_N, mapping: str = "geometric") -> Grid:
-    if not (0.0 < r_min < r_max):
-        raise GridError(f"invalid-range: need 0 < r_min < r_max, got ({r_min}, {r_max})")
+               n: int = DEFAULT_N) -> Grid:
+    if not (0.0 < r_min < r_max < math.inf):
+        raise GridError(f"invalid-range: need 0 < r_min < r_max < inf, got ({r_min}, {r_max})")
     if n < 16:
         raise GridError(f"too-coarse: n = {n} < 16")
-    if mapping == "geometric":
-        x = np.linspace(math.log(r_min), math.log(r_max), n)
-    elif mapping == "sinh":
-        # sinh stretching of the log coordinate: mildly concentrates nodes
-        # around r = 1 while keeping the spacing ratio bounded.
-        s = np.linspace(-1.0, 1.0, n)
-        a, b = math.log(r_min), math.log(r_max)
-        x = 0.5 * (a + b) + 0.5 * (b - a) * np.sinh(1.0 * s) / math.sinh(1.0)
-    else:
-        raise GridError(f"unknown mapping {mapping!r}")
+    x = np.linspace(math.log(r_min), math.log(r_max), n)
     r = np.exp(x)
     r[0], r[-1] = r_min, r_max
-    h = float(x[1] - x[0]) if mapping == "geometric" else 0.0
-    g = Grid(r=r, mapping=mapping, x=x, h=h)
+    g = Grid(r=r, x=x, h=float(x[1] - x[0]))
     ratio = np.diff(r)[1:] / np.diff(r)[:-1]
     if ratio.size and (ratio.max() > 1.2 or ratio.min() < 1 / 1.2):
         raise GridError("adjacent spacing ratio exceeds 1.2")
@@ -208,8 +197,6 @@ def _apply_stencil(vals: np.ndarray, h: float, k: int, width: int) -> np.ndarray
 
 def dx(grid: Grid, vals: np.ndarray, k: int = 1, width: int = 5) -> np.ndarray:
     """k-th derivative with respect to x = log r (formal order width - k)."""
-    if grid.mapping != "geometric":
-        raise GridError("derivatives require the geometric (uniform-log) mapping")
     return _apply_stencil(np.ascontiguousarray(vals, dtype=np.complex128), grid.h, k, width)
 
 
@@ -251,24 +238,13 @@ def _gregory_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def _xweights(grid: Grid) -> np.ndarray:
-    if grid.mapping == "geometric":
-        return _gregory_weights(grid.n, grid.h)
-    x = grid.x
-    w = np.empty_like(x)
-    w[1:-1] = 0.5 * (x[2:] - x[:-2])
-    w[0] = 0.5 * (x[1] - x[0])
-    w[-1] = 0.5 * (x[-1] - x[-2])
-    return w
-
-
 def integrate_samples(grid: Grid, vals: np.ndarray, decay: float | None = None):
     """2*pi * int vals r dr over the grid, plus a tail estimate.
 
     Returns (value, tail) where tail was already added to value when a
     decay exponent p > 2 is supplied (integrand ~ r^{1-p} beyond r_max).
     """
-    w = _xweights(grid)
+    w = _gregory_weights(grid.n, grid.h)
     core = TWO_PI * np.sum(w * vals * grid.r**2)
     tail = 0.0
     if decay is not None and decay > 2.0:
@@ -284,7 +260,7 @@ def integrate(f: RadialField) -> complex:
 
 def integrate_dy(grid: Grid, vals: np.ndarray, decay: float | None = None) -> complex:
     """Plain-measure integral int vals dr over the grid (no 2*pi, no r weight)."""
-    w = _xweights(grid)
+    w = _gregory_weights(grid.n, grid.h)
     core = np.sum(w * vals * grid.r)
     if decay is not None and decay > 1.0:
         core = core + complex(vals[-1]) * grid.r_max / (decay - 1.0)
@@ -329,25 +305,17 @@ def smart_unwrap(vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def grad_sq(grid: Grid, vals: np.ndarray) -> np.ndarray:
-    """|d_r f|^2 computed through amplitude and unwrapped phase when the
-    field has no zeros; keeps oscillatory tails (quadratic phases) accurate
-    far beyond the pointwise Nyquist limit of the log grid."""
+def polar_derivs(grid: Grid, vals: np.ndarray):
+    """(a, d_r a, d_r phi) of a zero-free field f = a e^{i phi}, or None
+    when f vanishes somewhere on the grid. Derivatives built from these keep
+    oscillatory tails (quadratic phases) accurate far beyond the pointwise
+    Nyquist limit of the log grid."""
     a = np.abs(vals)
-    if a.min() > 0.0:
-        da = np.real(d_dr(grid, a.astype(np.complex128), 1))
-        dphi = np.real(d_dr(grid, smart_unwrap(vals).astype(np.complex128), 1))
-        return da**2 + a**2 * dphi**2
-    return np.abs(d_dr(grid, vals, 1)) ** 2
-
-
-def im_conj_grad(grid: Grid, vals: np.ndarray) -> np.ndarray:
-    """Im(conj(f) d_r f), via a^2 d_r(phase) for zero-free fields."""
-    a = np.abs(vals)
-    if a.min() > 0.0:
-        dphi = np.real(d_dr(grid, smart_unwrap(vals).astype(np.complex128), 1))
-        return a**2 * dphi
-    return np.imag(np.conj(vals) * d_dr(grid, vals, 1))
+    if not a.min() > 0.0:
+        return None
+    da = np.real(d_dr(grid, a.astype(np.complex128), 1))
+    dphi = np.real(d_dr(grid, smart_unwrap(vals).astype(np.complex128), 1))
+    return a, da, dphi
 
 
 def inner(f: RadialField, g: RadialField) -> float:
@@ -406,55 +374,58 @@ def backward_cumulative_dx(grid: Grid, gvals: np.ndarray) -> np.ndarray:
     return out
 
 
-def cumulative_rdr(grid: Grid, vals: np.ndarray, include_origin: bool = True) -> np.ndarray:
-    """C(r_j) = int_0^{r_j} vals r' dr'. The [0, r_min] piece is completed by a
-    local power-law model fitted on the first nodes (negligible for smooth
-    equivariant data, but kept for exactness of closed-form comparisons).
-    Real input gives a real result."""
+def _forward(grid: Grid, vals: np.ndarray, k: int, include_origin: bool) -> np.ndarray:
+    """C(r_j) = int_0^{r_j} vals r'^{k-1} dr'. The [0, r_min] piece is
+    completed by a local power law vals ~ r^q fitted on the first two
+    nodes, q clamped to [0.1 - k, 40] so that the piece stays finite
+    (negligible for smooth equivariant data, but kept for exactness of
+    closed-form comparisons)."""
     vals = np.asarray(vals)
-    c = cumulative_dx(grid, vals * grid.r**2)
-    if include_origin:
-        v0 = vals[0].item()
-        if v0 != 0.0:
-            v1 = vals[1].item()
-            q = 0.0
-            if abs(v1) > 0 and abs(v0) > 0:
-                ratio = abs(v1) / abs(v0)
-                if ratio > 0:
-                    q = math.log(ratio) / grid.h
-            q = min(max(q, -1.9), 40.0)
-            c = c + v0 * grid.r_min**2 / (q + 2.0)
+    c = cumulative_dx(grid, vals * grid.r**k)
+    v0 = vals[0].item()
+    if include_origin and v0 != 0.0:
+        v1 = vals[1].item()
+        q = 0.0
+        if abs(v1) > 0 and abs(v0) > 0:
+            ratio = abs(v1) / abs(v0)
+            if ratio > 0:
+                q = math.log(ratio) / grid.h
+        q = min(max(q, 0.1 - k), 40.0)
+        c = c + v0 * grid.r_min**k / (q + k)
     return c
+
+
+def _backward(grid: Grid, vals: np.ndarray, k: int, tail_power: float | None) -> np.ndarray:
+    """B(r_j) = int_{r_j}^{r_max} vals r'^{k-1} dr', plus the algebraic tail
+    beyond r_max when vals ~ c r^{-p} with p = tail_power > k."""
+    vals = np.asarray(vals)
+    out = backward_cumulative_dx(grid, vals * grid.r**k)
+    if tail_power is not None and tail_power > k:
+        out = out + vals[-1].item() * grid.r_max**k / (tail_power - k)
+    return out
+
+
+def cumulative_rdr(grid: Grid, vals: np.ndarray, include_origin: bool = True) -> np.ndarray:
+    """C(r_j) = int_0^{r_j} vals r' dr'; real input gives a real result."""
+    return _forward(grid, vals, 2, include_origin)
 
 
 def cumulative_dy(grid: Grid, vals: np.ndarray, include_origin: bool = True) -> np.ndarray:
     """C(r_j) = int_0^{r_j} vals dr' (plain measure); real input gives a
     real result."""
-    vals = np.asarray(vals)
-    c = cumulative_dx(grid, vals * grid.r)
-    if include_origin:
-        v0 = vals[0].item()
-        if v0 != 0.0:
-            v1 = vals[1].item()
-            q = 0.0
-            if abs(v1) > 0 and abs(v0) > 0:
-                ratio = abs(v1) / abs(v0)
-                if ratio > 0:
-                    q = math.log(ratio) / grid.h
-            q = min(max(q, -0.9), 40.0)
-            c = c + v0 * grid.r_min / (q + 1.0)
-    return c
+    return _forward(grid, vals, 1, include_origin)
+
+
+def backward_rdr(grid: Grid, vals: np.ndarray, tail_power: float | None = None) -> np.ndarray:
+    """B(r_j) = int_{r_j}^{r_max} vals r' dr', plus the tail beyond r_max
+    when tail_power > 2; real input gives a real result."""
+    return _backward(grid, vals, 2, tail_power)
 
 
 def backward_dy(grid: Grid, vals: np.ndarray, tail_power: float | None = None) -> np.ndarray:
-    """B(r_j) = int_{r_j}^{r_max} vals dr', plus an algebraic tail beyond
-    r_max when vals ~ c r^{-p} with p = tail_power > 1. Real input gives a
-    real result."""
-    vals = np.asarray(vals)
-    out = backward_cumulative_dx(grid, vals * grid.r)
-    if tail_power is not None and tail_power > 1.0:
-        out = out + vals[-1].item() * grid.r_max / (tail_power - 1.0)
-    return out
+    """B(r_j) = int_{r_j}^{r_max} vals dr', plus the tail beyond r_max when
+    tail_power > 1; real input gives a real result."""
+    return _backward(grid, vals, 1, tail_power)
 
 
 # ---------------------------------------------------------------------------

@@ -172,21 +172,11 @@ def _kernel_pair_htd(grid: Grid, m: int):
     q = q_values(m, y)
     yq2 = (y * q) ** 2
     fwd = np.real(G.cumulative_rdr(grid, yq2))
-    back = np.real(G.backward_cumulative_dx(grid, yq2 * y**2))
-    back = back + yq2[-1] * grid.r_max**2 / (2 * m + 2 - 2.0)
+    back = G.backward_rdr(grid, yq2, tail_power=2 * m + 2)
     p = p_const(m)
     h1 = fwd / (y**2 * q)
     h2 = back / (y**2 * q * p)
     return h1, h2
-
-
-def _backward_rdr(grid: Grid, vals: np.ndarray, tail_power: float | None = None):
-    """int_y^{inf} vals y' dy' with optional algebraic tail vals ~ c r^{-p}."""
-    out = G.backward_cumulative_dx(grid, np.asarray(vals, dtype=np.complex128)
-                                   * grid.r**2)
-    if tail_power is not None and tail_power > 2.0:
-        out = out + complex(vals[-1]) * grid.r_max**2 / (tail_power - 2.0)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +222,7 @@ def right_inverse(kind: OperatorKind, f: RadialField,
         if branch == "orthogonal":
             _require_yq_orthogonal(kind, f, ortho_tol)
             tail_p = None if f.decay is None else f.decay + m + 1
-            vals = _backward_rdr(g, y * q * f.values, tail_p) / (y**2 * q)
+            vals = G.backward_rdr(g, y * q * f.values, tail_p) / (y**2 * q)
         else:
             vals = -G.cumulative_rdr(g, y * q * f.values) / (y**2 * q)
     elif tag == "HQ":
@@ -241,7 +231,7 @@ def right_inverse(kind: OperatorKind, f: RadialField,
         i2 = G.cumulative_rdr(g, h2 * f.values, include_origin=False)
         if branch == "orthogonal":
             _require_yq_orthogonal(kind, f, ortho_tol)
-            j2 = _backward_rdr(g, h2 * f.values)
+            j2 = G.backward_rdr(g, h2 * f.values)
             vals = -h2 * i1 - h1 * j2
         else:
             vals = h1 * i2 - h2 * i1
@@ -253,17 +243,14 @@ def right_inverse(kind: OperatorKind, f: RadialField,
             if integ[-1] > 4.0 * integ[-8]:
                 raise TailDivergent(
                     "inner HtdQ inverse: h2~*f not integrable at infinity")
-            j2 = _backward_rdr(g, h2 * f.values)
+            j2 = G.backward_rdr(g, h2 * f.values)
             vals = h2 * i1 + h1 * j2
         else:
             i2 = G.cumulative_rdr(g, h2 * f.values, include_origin=False)
             vals = h2 * i1 - h1 * i2
     else:
         raise ValueError("L_Q* has no implemented right inverse")
-    out = RadialField(kind.domain_index, vals, g)
-    if not kind.complex_linear:
-        return out
-    return out
+    return RadialField(kind.domain_index, vals, g)
 
 
 def _check_range(kind: OperatorKind, f: RadialField):

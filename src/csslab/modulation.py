@@ -288,13 +288,8 @@ def _phase_integral(m: int, b: float, eta: float, table: TTable) -> float:
     y = grid.r
     b_eff = min(1.0 / beta, grid.r_max / 4.0)
     chi = G.smooth_bump(y / b_eff)
-    n = grid.n
-    e = table.entries
-    v0 = PR._peval(PR._padd(*[e[k] for k in ("T1_0", "T2_0", "T3_0") if e[k]]),
-                   b, eta, n)
-    v1 = PR._peval(PR._padd(e["T1_1"], e["T2_1"], e["T3_1"]), b, eta, n)
-    p_vals = q_values(m, y) + chi * v0
-    dens = np.real(np.conj(p_vals) * (chi * v1))
+    p_vals = q_values(m, y) + chi * PR.expansion(table, 0, b, eta)
+    dens = np.real(np.conj(p_vals) * (chi * PR.expansion(table, 1, b, eta)))
     return float(np.real(G.integrate_dy(grid, dens)))
 
 

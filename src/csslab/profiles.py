@@ -2,14 +2,21 @@
 the cubic modulation corrections, the quartic correction T4, and the
 profile-equation residuals with beta-scaling sweeps.
 
-Every T-field is a polynomial in the real parameters (b, eta) with complex
-coefficient fields,
+Every T-field is a homogeneous polynomial of degree j in the real
+parameters (b, eta) with complex coefficient fields,
 
-    T_j^{(k)}(y; b, eta) = sum_{j1+j2=j} b^{j1} eta^{j2} T^{(k)}_{j1,j2}(y),
+    T_j^{(k)}(y; b, eta) = sum_{l=0}^{j} b^{j-l} eta^l T^{(k)}_{j,l}(y),
 
-stored as a dict {(j1, j2): samples}. Real-linear operators (the L_Q
-inverse) act entrywise on the coefficients, which is valid because the
-monomials are real.
+stored as an array of j + 1 coefficient rows, row l multiplying
+b^{j-l} eta^l (T3_0 has no rows unless m = 2). Real-linear operators (the
+L_Q inverse) act row by row on the coefficients, which is valid because
+the monomials are real.
+
+Summation order is part of the output: every sum over rows runs l in
+ascending order over the entries in T1, T2, T3 order and accumulates
+`out = out + w * c` from zero, and a product stores its first term as is.
+Contractions that reorder these sums (tensordot, einsum) change the last
+bits of every profile and hence of the data files.
 """
 
 from __future__ import annotations
@@ -73,69 +80,36 @@ def p3(m: int, params: ProfileParams) -> tuple[float, float]:
 # Polynomial-in-(b, eta) algebra over complex coefficient fields
 
 
-def _padd(*polys):
-    out: dict = {}
+def _pmul(pa, pb, pair=np.multiply):
+    """Product of two homogeneous polynomials: the rows convolve, each
+    pair of rows combined by `pair` (the plain product by default)."""
+    out = [None] * (len(pa) + len(pb) - 1)
+    for la, a in enumerate(pa):
+        for lb, c in enumerate(pb):
+            term = pair(a, c)
+            out[la + lb] = term if out[la + lb] is None else out[la + lb] + term
+    return np.array(out)
+
+
+# bbeta = i b + eta and bbeta^2 as coefficient rows
+_BBETA = np.array([1j, 1.0 + 0j])
+_BBETA2 = _pmul(_BBETA, _BBETA)
+
+
+def _peval(polys, b: float, eta: float, wrt: str | None = None):
+    """Sum of the polynomials at (b, eta), or of their b- or
+    eta-derivatives, accumulated term by term in row order."""
+    out = np.zeros(polys[0].shape[1:], dtype=np.complex128)
     for p in polys:
-        for key, arr in p.items():
-            if key in out:
-                out[key] = out[key] + arr
-            else:
-                out[key] = arr
-    return out
-
-
-def _pneg(p):
-    return {k: -v for k, v in p.items()}
-
-
-def _pscale(p, c):
-    """Multiply every coefficient by a scalar or sample array."""
-    return {k: v * c for k, v in p.items()}
-
-
-def _pmul(pa, pb):
-    out: dict = {}
-    for (i1, j1), a in pa.items():
-        for (i2, j2), b in pb.items():
-            key = (i1 + i2, j1 + j2)
-            term = a * b
-            if key in out:
-                out[key] = out[key] + term
-            else:
-                out[key] = term
-    return out
-
-
-def _pderiv(p, wrt: str):
-    out: dict = {}
-    for (i, j), arr in p.items():
-        if wrt == "b" and i > 0:
-            out[(i - 1, j)] = i * arr
-        elif wrt == "eta" and j > 0:
-            out[(i, j - 1)] = j * arr
-    return out
-
-
-def _peval(p, b: float, eta: float, n: int):
-    out = np.zeros(n, dtype=np.complex128)
-    for (i, j), arr in p.items():
-        out = out + (b**i * eta**j) * arr
-    return out
-
-
-def _ath_pol(grid: Grid, pa, pb):
-    """Polarized gauge potential A_theta[f, g] of two field polynomials:
-    -1/2 int_0^y Re(conj(f) g) y' dy', expanded over the real monomials."""
-    out: dict = {}
-    for (i1, j1), a in pa.items():
-        for (i2, j2), b in pb.items():
-            key = (i1 + i2, j1 + j2)
-            dens = np.real(np.conj(a) * b)
-            term = -0.5 * np.real(G.cumulative_rdr(grid, dens))
-            if key in out:
-                out[key] = out[key] + term
-            else:
-                out[key] = term
+        j = len(p) - 1
+        for l, c in enumerate(p):
+            i = j - l
+            if wrt is None:
+                out = out + (b**i * eta**l) * c
+            elif wrt == "b" and i > 0:
+                out = out + (b**(i - 1) * eta**l) * (i * c)
+            elif wrt == "eta" and l > 0:
+                out = out + (b**i * eta**(l - 1)) * (l * c)
     return out
 
 
@@ -164,12 +138,12 @@ def _yq_pairing(grid: Grid, q: np.ndarray, arr: np.ndarray) -> complex:
     return base + 2.0 * math.pi * tail
 
 
-def _papply(op, p, index: int, grid: Grid, **kw):
-    """Apply a real-linear operation entrywise to coefficient fields."""
-    out = {}
-    for key, arr in p.items():
-        out[key] = op(RadialField(index, arr, grid), **kw).values
-    return out
+def _pinverse(tag: str, m: int, p, grid: Grid):
+    """The outgoing right inverse of operator `tag`, applied row by row
+    (valid for the real-linear L_Q too, because the monomials are real)."""
+    kind = L.OperatorKind(tag, m)
+    return np.array([L.right_inverse(kind, RadialField(kind.range_index, row, grid)).values
+                     for row in p])
 
 
 # ---------------------------------------------------------------------------
@@ -180,28 +154,33 @@ def _papply(op, p, index: int, grid: Grid, **kw):
 class TTable:
     m: int
     grid: Grid
-    entries: dict  # name -> poly, names "T{j}_{k}"
-    p3_b: dict = field(default_factory=dict)   # scalar polynomials
-    p3_eta: dict = field(default_factory=dict)
+    entries: dict  # name "T{j}_{k}" -> (j + 1, n) coefficient rows
+    p3_b: np.ndarray   # cubic coefficient rows of p3_b and p3_eta
+    p3_eta: np.ndarray
     solvability: dict = field(default_factory=dict)
 
 
 _TABLE_CACHE: dict = {}
 
+# the entries summed into P, P1, P2 (k = 0, 1, 2)
+_EXPANSIONS = (("T1_0", "T2_0", "T3_0"), ("T1_1", "T2_1", "T3_1"),
+               ("T2_2", "T3_2"))
 
-def _bbeta_poly():
-    return {(1, 0): 1j, (0, 1): 1.0 + 0j}
 
-
-def _p3_polys(m: int):
-    """Scalar monomial expansions of p3_b and p3_eta."""
+def _p3_rows(m: int):
+    """Coefficient rows of p3_b and p3_eta (zero unless m = 1)."""
     if m >= 2:
-        return {}, {}
+        return np.zeros(4), np.zeros(4)
     c = 1.0 / math.pi
     # bbeta^3 = -i b^3 - 3 b^2 eta + 3 i b eta^2 + eta^3
-    p3b = {(2, 1): -3.0 * c, (0, 3): c}
-    p3e = {(3, 0): c, (1, 2): -3.0 * c}
-    return p3b, p3e
+    return np.array([0.0, -3.0 * c, 0.0, c]), np.array([c, 0.0, -3.0 * c, 0.0])
+
+
+def _aq_star_term(m: int, grid: Grid, t1_0):
+    """bbeta^2 A_Q*((y^2/4) T1^(0)), row by row (complex-linear operator)."""
+    aqs = L.OperatorKind("AQ_star", m)
+    return _pmul(_BBETA2, np.array([L.apply(aqs, RadialField(m + 2, row, grid)).values
+                                    for row in t1_0 * (grid.r**2 / 4.0)]))
 
 
 def build_t_tables(m: int, grid: Grid) -> TTable:
@@ -211,38 +190,30 @@ def build_t_tables(m: int, grid: Grid) -> TTable:
     y = grid.r
     q = q_values(m, y)
     rho = L.rho(m, grid).values
-    bb = _bbeta_poly()
-    qp = {(0, 0): q.astype(complex)}
+    bb, bb2 = _BBETA, _BBETA2
+    qp = q.astype(complex)[None]
 
-    t1_1 = _pscale(bb, -(y / 2.0) * q)
-    t1_0 = {(1, 0): -1j * (y**2 / 4.0) * q, (0, 1): -(m + 1) * rho}
+    def ath(f, g):  # polarized potential -1/2 int_0^y Re(conj(f) g) y' dy'
+        return -0.5 * G.cumulative_rdr(grid, np.real(np.conj(f) * g))
 
-    bb2 = _pmul(bb, bb)
-    t2_2 = _pscale(bb2, (y**2 / 4.0) * q.astype(complex))
-    t2_1 = _pmul(_pscale(bb, -(y / 2.0)), t1_0)
-    src20 = _padd(
-        t2_1,
-        _pscale(_pmul(_ath_pol(grid, qp, t1_0), t1_0), 2.0 / y),
-        _pscale(_ath_pol(grid, t1_0, t1_0), q / y),
-    )
-    t2_0 = _papply(lambda f: L.right_inverse(L.OperatorKind("LQ", m), f, "outgoing"),
-                   src20, m + 1, grid)
+    t1_1 = bb[:, None] * (-(y / 2.0) * q)
+    t1_0 = np.array([-1j * (y**2 / 4.0) * q, -(m + 1) * rho])
 
-    p3b, p3e = _p3_polys(m)
-    # A_Q*((y^2/4) T1^(0)) entrywise (complex-linear operator)
-    aqs = L.OperatorKind("AQ_star", m)
-    inner32 = _pmul(bb2, _papply(lambda f: L.apply(aqs, f),
-                                 _pscale(t1_0, y**2 / 4.0), m + 2, grid))
+    t2_2 = bb2[:, None] * ((y**2 / 4.0) * q.astype(complex))
+    t2_1 = _pmul(bb[:, None] * -(y / 2.0), t1_0)
+    a_q1, a_11 = _pmul(qp, t1_0, ath), _pmul(t1_0, t1_0, ath)
+    src20 = t2_1 + _pmul(a_q1, t1_0) * (2.0 / y) + a_11 * (q / y)
+    t2_0 = _pinverse("LQ", m, src20, grid)
+
+    p3b, p3e = _p3_rows(m)
     solvability = {}
     if m == 1:
-        bracket = _padd(
-            inner32,
-            {k: -(y / 2.0) * q * v for k, v in p3b.items()},
-            {k: 1j * (y / 2.0) * q * v for k, v in p3e.items()},
-        )
-        yq = y * q
-        scale = G.l2_samples(grid, yq)
-        for mono, arr in bracket.items():
+        bracket = (_aq_star_term(m, grid, t1_0)
+                   + -(y / 2.0) * q * p3b[:, None]
+                   + 1j * (y / 2.0) * q * p3e[:, None])
+        scale = G.l2_samples(grid, y * q)
+        for l, arr in enumerate(bracket):
+            mono = (3 - l, l)
             pair = _yq_pairing(grid, q, arr)
             solvability[mono] = abs(pair) / (scale * max(G.l2_samples(grid, arr), 1e-300))
             if solvability[mono] > 1e-5:
@@ -250,25 +221,18 @@ def build_t_tables(m: int, grid: Grid) -> TTable:
                     f"solvability-violated at monomial {mono}: {pair:.3e}")
         # with solvability in hand the outgoing inverse (forward integrals
         # only, no tail truncation) is the decaying solution
-        t3_2 = _papply(lambda f: L.right_inverse(aqs, f, "outgoing"),
-                       bracket, m + 1, grid)
+        t3_2 = _pinverse("AQ_star", m, bracket, grid)
     else:
-        t3_2 = _pmul(bb2, _pscale(t1_0, y**2 / 4.0))
+        t3_2 = _pmul(bb2, t1_0 * (y**2 / 4.0))
 
-    inner31 = _padd(
-        _pmul(_ath_pol(grid, qp, t2_0), qp),
-        _pmul(_ath_pol(grid, qp, t1_0), t1_0),
-        _pscale(_ath_pol(grid, t1_0, t1_0), 0.5 * q),
-    )
-    src31 = _padd(t3_2, _pneg(_pmul(bb, inner31)))
-    t3_1 = _papply(lambda f: L.right_inverse(L.OperatorKind("AQ", m), f, "outgoing"),
-                   src31, m + 2, grid)
+    inner31 = _pmul(_pmul(qp, t2_0, ath), qp) + _pmul(a_q1, t1_0) + a_11 * (0.5 * q)
+    src31 = t3_2 - _pmul(bb, inner31)
+    t3_1 = _pinverse("AQ", m, src31, grid)
 
     if m == 2:
-        bb3 = _pmul(bb2, bb)
-        t3_0 = _pscale(bb3, -(y**6 / 384.0) * q.astype(complex))
+        t3_0 = _pmul(bb2, bb)[:, None] * (-(y**6 / 384.0) * q.astype(complex))
     else:
-        t3_0 = {}
+        t3_0 = np.empty((0, grid.n), dtype=np.complex128)
 
     table = TTable(m=m, grid=grid,
                    entries={"T1_0": t1_0, "T1_1": t1_1,
@@ -279,6 +243,13 @@ def build_t_tables(m: int, grid: Grid) -> TTable:
     return table
 
 
+def expansion(table: TTable, k: int, b: float, eta: float,
+              wrt: str | None = None) -> np.ndarray:
+    """sum_j T_j^{(k)}(b, eta), the correction carried by P (k = 0), P1
+    (k = 1) or P2 (k = 2), or its derivative in wrt = "b" or "eta"."""
+    return _peval([table.entries[nm] for nm in _EXPANSIONS[k]], b, eta, wrt)
+
+
 def solvability_inner(m: int, params: ProfileParams, table: TTable) -> float:
     """Absolute value of the m=1 solvability pairing at the given parameters
     (zero by construction of p3, up to quadrature error)."""
@@ -287,16 +258,10 @@ def solvability_inner(m: int, params: ProfileParams, table: TTable) -> float:
     grid = table.grid
     y = grid.r
     q = q_values(m, y)
-    bb2 = _pmul(_bbeta_poly(), _bbeta_poly())
-    aqs = L.OperatorKind("AQ_star", m)
-    inner32 = _pmul(bb2, _papply(lambda f: L.apply(aqs, f),
-                                 _pscale(table.entries["T1_0"], y**2 / 4.0),
-                                 m + 2, grid))
-    p3b_v = _peval({k: np.array([v]) for k, v in table.p3_b.items()},
-                   params.b, params.eta, 1)[0]
-    p3e_v = _peval({k: np.array([v]) for k, v in table.p3_eta.items()},
-                   params.b, params.eta, 1)[0]
-    vals = _peval(inner32, params.b, params.eta, grid.n) \
+    inner32 = _aq_star_term(m, grid, table.entries["T1_0"])
+    p3b_v = _peval([table.p3_b], params.b, params.eta)
+    p3e_v = _peval([table.p3_eta], params.b, params.eta)
+    vals = _peval([inner32], params.b, params.eta) \
         - p3b_v * (y / 2.0) * q + 1j * p3e_v * (y / 2.0) * q
     return abs(_yq_pairing(grid, q, vals))
 
@@ -345,20 +310,10 @@ def assemble(m: int, params: ProfileParams, table: TTable,
         raise ValueError(
             f"beta = {params.beta} out of range (need < {beta_max})")
     b, eta, beta = params.b, params.eta, params.beta
-    y, n = grid.r, grid.n
-    q = q_values(m, y)
-    e = table.entries
+    q = q_values(m, grid.r)
 
-    def group(names):
-        poly = _padd(*[e[nm] for nm in names if e[nm]])
-        vals = _peval(poly, b, eta, n)
-        d_b = _peval(_pderiv(poly, "b"), b, eta, n)
-        d_eta = _peval(_pderiv(poly, "eta"), b, eta, n)
-        return vals, d_b, d_eta
-
-    v0, v0b, v0e = group(["T1_0", "T2_0", "T3_0"])
-    v1, v1b, v1e = group(["T1_1", "T2_1", "T3_1"])
-    v2, v2b, v2e = group(["T2_2", "T3_2"])
+    groups = [(expansion(table, k, b, eta), expansion(table, k, b, eta, "b"),
+               expansion(table, k, b, eta, "eta")) for k in range(3)]
 
     if cutoffs and beta == 0.0:
         cutoffs = False  # B1 = infinity: the cutoffs are identically one
@@ -367,29 +322,24 @@ def assemble(m: int, params: ProfileParams, table: TTable,
             raise GridTooSmall(
                 f"grid-too-small: 2 B1 = {2/beta:g} exceeds r_max = {grid.r_max:g}")
         chi1, dchi1_b, dchi1_e = _cut_and_derivs(grid, beta, b, eta, 1.0)
-        p_vals = q + chi1 * v0
-        p_db = chi1 * v0b + dchi1_b * v0
-        p_de = chi1 * v0e + dchi1_e * v0
-        p1_vals = chi1 * v1
-        p1_db = chi1 * v1b + dchi1_b * v1
-        p1_de = chi1 * v1e + dchi1_e * v1
-        p2_vals = chi1 * v2
-        p2_db = chi1 * v2b + dchi1_b * v2
-        p2_de = chi1 * v2e + dchi1_e * v2
-        if t4_dir is not None:
-            chi0, dchi0_b, dchi0_e = _cut_and_derivs(grid, beta, b, eta, 0.5)
-            t4 = beta**4 * t4_dir.values
-            p2_vals = p2_vals + chi0 * t4
-            p2_db = p2_db + chi0 * 4.0 * beta**2 * b * t4_dir.values + dchi0_b * t4
-            p2_de = p2_de + chi0 * 4.0 * beta**2 * eta * t4_dir.values + dchi0_e * t4
+        # a new name keeps `groups` alive to the return: freeing its nine
+        # arrays here lets malloc trim the heap and page-fault on each call
+        fields = [(chi1 * v, chi1 * v_b + dchi1_b * v, chi1 * v_e + dchi1_e * v)
+                  for v, v_b, v_e in groups]
     else:
-        p_vals, p_db, p_de = q + v0, v0b, v0e
-        p1_vals, p1_db, p1_de = v1, v1b, v1e
-        p2_vals, p2_db, p2_de = v2, v2b, v2e
-        if t4_dir is not None:
-            p2_vals = p2_vals + beta**4 * t4_dir.values
-            p2_db = p2_db + 4.0 * beta**2 * b * t4_dir.values
-            p2_de = p2_de + 4.0 * beta**2 * eta * t4_dir.values
+        fields = groups
+    (p_vals, p_db, p_de), (p1_vals, p1_db, p1_de), (p2_vals, p2_db, p2_de) = fields
+    p_vals = q + p_vals
+    if t4_dir is not None and cutoffs:
+        chi0, dchi0_b, dchi0_e = _cut_and_derivs(grid, beta, b, eta, 0.5)
+        t4 = beta**4 * t4_dir.values
+        p2_vals = p2_vals + chi0 * t4
+        p2_db = p2_db + chi0 * 4.0 * beta**2 * b * t4_dir.values + dchi0_b * t4
+        p2_de = p2_de + chi0 * 4.0 * beta**2 * eta * t4_dir.values + dchi0_e * t4
+    elif t4_dir is not None:
+        p2_vals = p2_vals + beta**4 * t4_dir.values
+        p2_db = p2_db + 4.0 * beta**2 * b * t4_dir.values
+        p2_de = p2_de + 4.0 * beta**2 * eta * t4_dir.values
 
     mk = lambda idx, vals, decay=None: RadialField(idx, vals, grid, decay)
     return ProfileSet(
@@ -527,11 +477,9 @@ def taylor_deviations(m: int, params: ProfileParams, table: TTable) -> dict:
     b, eta, bb = params.b, params.eta, params.bbeta
     q = q_values(m, y)
     msk = (y >= 2.0) & (y <= 2.0 / params.beta)
-    n = grid.n
-    e = table.entries
 
     def ev(name):
-        return _peval(e[name], b, eta, n)
+        return _peval([table.entries[name]], b, eta)
 
     logy = np.log(y[msk])
     dev1 = np.abs(ev("T1_0") + bb * (y**2 / 4.0) * q)[msk] / (q[msk] * logy)
@@ -552,33 +500,17 @@ def taylor_deviations(m: int, params: ProfileParams, table: TTable) -> dict:
 # Quartic profile T4
 
 
+# condition number of the scaled s-power matrix above which the fit is refused
+_FIT_COND_MAX = 1e9
+
+
 def build_t4(m: int, grid: Grid, direction: tuple[float, float],
-             s_values=None, degrees=range(3, 9),
-             cond_threshold: float = 1e9) -> RadialField:
+             s_values=None, degrees=range(3, 9)) -> RadialField:
     """Extract the quartic coefficient F4 of the P2-equation residual along
     the given unit (b, eta)-direction (cutoffs removed, T4 omitted) by a
     per-node least-squares fit in s over a geometric ladder, then return
     T4 = -out Htd_Q^{-1} F4 (m = 1) or -inn Htd_Q^{-1} F4 (m >= 2)."""
-    db, de = direction
-    norm = math.hypot(db, de)
-    db, de = db / norm, de / norm
-    if s_values is None:
-        s_values = [0.03 * 2.0 ** (-j / 2.0) for j in range(6)]
-    table = build_t_tables(m, grid)
-    rows = []
-    for s in s_values:
-        params = ProfileParams(s * db, s * de)
-        pset = assemble(m, params, table, t4_dir=None, cutoffs=False)
-        rep = residuals(m, params, pset)
-        rows.append(rep.fields["Psi2"].values)
-    smat = np.array([[s**d for d in degrees] for s in s_values])
-    scale = np.array([max(abs(min(s_values)), abs(max(s_values))) ** d
-                      for d in degrees])
-    cond = np.linalg.cond(smat / scale)
-    if cond > cond_threshold:
-        raise FitIllConditioned(f"fit-ill-conditioned: cond = {cond:.3e}")
-    coef, *_ = np.linalg.lstsq(smat, np.array(rows), rcond=None)
-    f4 = coef[list(degrees).index(4)]
+    f4 = quartic_coefficient(m, grid, direction, None, s_values, degrees)
     kind = L.OperatorKind("HtdQ", m)
     branch = "outgoing" if m == 1 else "inner"
     inv = L.right_inverse(kind, RadialField(m + 2, f4, grid), branch)
@@ -589,12 +521,20 @@ def quartic_coefficient(m: int, grid: Grid, direction: tuple[float, float],
                         t4_dir: RadialField | None = None,
                         s_values=None, degrees=range(3, 9)) -> np.ndarray:
     """The fitted s^4 coefficient of the Psi2 residual (with the optional
-    T4 correction included); used by the re-extraction consistency check."""
+    T4 correction included); also used by the re-extraction consistency
+    check. Raises FitIllConditioned when the s-ladder cannot separate the
+    powers."""
     db, de = direction
     norm = math.hypot(db, de)
     db, de = db / norm, de / norm
     if s_values is None:
         s_values = [0.03 * 2.0 ** (-j / 2.0) for j in range(6)]
+    smat = np.array([[s**d for d in degrees] for s in s_values])
+    scale = np.array([max(abs(min(s_values)), abs(max(s_values))) ** d
+                      for d in degrees])
+    cond = np.linalg.cond(smat / scale)
+    if cond > _FIT_COND_MAX:
+        raise FitIllConditioned(f"fit-ill-conditioned: cond = {cond:.3e}")
     table = build_t_tables(m, grid)
     rows = []
     for s in s_values:
@@ -602,7 +542,6 @@ def quartic_coefficient(m: int, grid: Grid, direction: tuple[float, float],
         pset = assemble(m, params, table, t4_dir=t4_dir, cutoffs=False)
         rep = residuals(m, params, pset)
         rows.append(rep.fields["Psi2"].values)
-    smat = np.array([[s**d for d in degrees] for s in s_values])
     coef, *_ = np.linalg.lstsq(smat, np.array(rows), rcond=None)
     return coef[list(degrees).index(4)]
 

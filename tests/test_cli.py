@@ -241,6 +241,9 @@ def _error_manifest(outroot, name):
     (["--t0", "-1", "--lambda-min", "0.5", "--no-decompose"],
      "ValueError: lambda_min stop rule requires decompose_flag"),
     (["--t0", "0.1"], "ScaleOutOfRange: blow-up snapshot needs t < 0"),
+    (["--t0", "-1", "--tend", "-0.99", "--monitor-stride", "0",
+      "--no-decompose"],
+     "ValueError: monitor_stride and snapshot_stride must be >= 1"),
 ])
 def test_evolve_bad_config_is_usage_error(runner, outroot, args, error):
     res = runner.invoke(main, ["evolve", "--data", "S", "--m", "1",
@@ -309,3 +312,34 @@ def test_decompose_scale_out_of_range_is_clean_error(runner, tmp_path,
     assert "Traceback" not in res.output
     assert _error_manifest(outroot, "dec").startswith("ScaleOutOfRange")
     assert not (outroot / "dec" / "report.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "identities", "--grid", "n4096"],
+    ["verify", "identities", "--grid", "n=abc"],
+    ["verify", "identities", "--grid", "n=8"],
+    ["verify", "identities", "--grid", "r_min=5,r_max=1"],
+    ["verify", "identities", "--grid", "r_max=inf"],
+    ["ode", "--m", "1", "--eta0", "0.5", "--window", "5"],
+    ["profiles", "--m", "1", "--betas", "0.02", "--direction", "0,0",
+     "--grid", "n=512"],
+    ["profiles", "--m", "1", "--betas", "0.02,x", "--grid", "n=512"],
+    ["profiles", "--m", "1", "--betas", "-0.02", "--grid", "n=512"],
+    ["decompose", "--field", "{nan_csv}", "--m", "1", "--out", "nan"],
+    ["decompose", "--field", "{missing}", "--m", "1"],
+])
+def test_malformed_arguments_are_usage_errors(runner, tmp_path, outroot, args):
+    grid = G.build_grid(n=256)
+    vals = soliton_q(1, grid).values.copy()
+    vals[10] = np.nan
+    nan_csv = tmp_path / "nan.csv"
+    nan_csv.write_text("r,re,im\n" + "".join(
+        f"{r:.17g},{v.real:.17g},{v.imag:.17g}\n" for r, v in zip(grid.r, vals)))
+    args = [a.format(nan_csv=nan_csv, missing=tmp_path / "missing.csv")
+            for a in args]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    if "--out" in args:
+        assert _error_manifest(outroot, "nan").startswith("GridError")

@@ -190,7 +190,7 @@ def test_selfconvergence_second_order(grid):
         kin = KineticSolver(grid, 1, dt)
         sp = sponge_profile(grid, 2.0)
         for _ in range(int(round(0.2 / dt))):
-            u = step(u, dt, kinetic=kin, sponge=sp)
+            u = step(u, dt, kinetic=kin, sponge_factor=np.exp(-dt * sp))
         finals.append(u.values)
     d1 = G.l2_samples(grid, finals[0] - finals[1])
     d2 = G.l2_samples(grid, finals[1] - finals[2])
@@ -215,3 +215,13 @@ def test_config_validation(grid):
         SolverConfig(grid=grid, dt=1e-3)
     with pytest.raises(ValueError):
         SolverConfig(grid=grid, dt=1e-3, lambda_min=0.5)
+
+
+@pytest.mark.parametrize("strides", [{"monitor_stride": 0},
+                                     {"monitor_stride": -3},
+                                     {"snapshot_stride": 0}])
+def test_config_rejects_nonpositive_strides(grid, strides):
+    # a zero monitor stride never advances t; a zero snapshot stride
+    # divides by zero inside run()
+    with pytest.raises(ValueError, match="stride"):
+        SolverConfig(grid=grid, dt=1e-3, t_end=1.0, **strides)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csslab import grid as G
+from csslab.soliton import blowup_s
 
 
 # ---------------------------------------------------------------------------
@@ -20,7 +21,7 @@ from csslab import grid as G
 
 
 def test_geometric_ratio():
-    g = G.build_grid(1e-4, 1e2, 2048, "geometric")
+    g = G.build_grid(1e-4, 1e2, 2048)
     ratios = g.r[1:] / g.r[:-1]
     expected = (1e6) ** (1.0 / 2047.0)
     assert np.allclose(ratios, expected, rtol=1e-12)
@@ -201,6 +202,29 @@ def test_backward_dy(grid):
     real = G.backward_dy(grid, vals, tail_power=3.0)
     assert real.dtype == np.float64
     assert np.array_equal(real, np.real(b))
+
+
+def test_backward_cumulative_rdr(grid):
+    # int_y^inf r^-4 r dr = y^-2 / 2
+    vals = grid.r**-4.0
+    b = G.backward_rdr(grid, vals.astype(complex), tail_power=4.0)
+    expect = grid.r**-2.0 / 2.0
+    assert (np.abs(b - expect) / expect).max() < 1e-6
+    real = G.backward_rdr(grid, vals, tail_power=4.0)
+    assert real.dtype == np.float64
+    assert np.array_equal(real, np.real(b))
+
+
+def test_polar_derivs(grid):
+    # S(t) at t = -1: amplitude Q = 4 sqrt(2) r / (1 + r^4), phase -r^2/4
+    u = blowup_s(1, -1.0, grid)
+    a, da, dphi = G.polar_derivs(grid, u.values)
+    r, inside = grid.r, grid.r < 50.0
+    assert np.array_equal(a, np.abs(u.values))
+    dq = 4.0 * math.sqrt(2.0) * (1.0 - 3.0 * r**4) / (1.0 + r**4) ** 2
+    assert np.max(np.abs(da - dq)[inside]) < 1e-6
+    assert np.max(np.abs(dphi + r / 2.0)[inside]) < 1e-6
+    assert G.polar_derivs(grid, np.where(inside, u.values, 0.0)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csslab import grid as G
 from csslab import linops as L
@@ -67,12 +69,12 @@ def test_t1_coefficients_exact(grid, table1):
     y = grid.r
     q = q_values(1, y)
     t11 = table1.entries["T1_1"]
-    assert np.array_equal(t11[(1, 0)], -1j * (y / 2.0) * q)
-    assert np.array_equal(t11[(0, 1)], -(y / 2.0) * q + 0j)
+    assert np.array_equal(t11[0], -1j * (y / 2.0) * q)
+    assert np.array_equal(t11[1], -(y / 2.0) * q + 0j)
     t10 = table1.entries["T1_0"]
-    assert np.array_equal(t10[(1, 0)], -1j * (y**2 / 4.0) * q)
+    assert np.array_equal(t10[0], -1j * (y**2 / 4.0) * q)
     rho = L.rho(1, grid).values
-    assert np.array_equal(t10[(0, 1)], -2.0 * rho)
+    assert np.array_equal(t10[1], -2.0 * rho)
 
 
 def test_t2_2_coefficients_exact(grid, table1):
@@ -81,9 +83,9 @@ def test_t2_2_coefficients_exact(grid, table1):
     t22 = table1.entries["T2_2"]
     base = (y**2 / 4.0) * q
     # bbeta^2 = -b^2 + 2i b eta + eta^2
-    assert np.allclose(t22[(2, 0)], -base, rtol=0, atol=1e-15)
-    assert np.allclose(t22[(1, 1)], 2j * base, rtol=0, atol=1e-15)
-    assert np.allclose(t22[(0, 2)], base + 0j, rtol=0, atol=1e-15)
+    assert np.allclose(t22[0], -base, rtol=0, atol=1e-15)
+    assert np.allclose(t22[1], 2j * base, rtol=0, atol=1e-15)
+    assert np.allclose(t22[2], base + 0j, rtol=0, atol=1e-15)
 
 
 def test_t3_0_m2_coefficient(grid, table2):
@@ -92,9 +94,35 @@ def test_t3_0_m2_coefficient(grid, table2):
     t30 = table2.entries["T3_0"]
     base = (y**6 / 384.0) * q
     # bbeta^3 = -i b^3 - 3 b^2 eta + 3i b eta^2 + eta^3
-    assert np.allclose(t30[(3, 0)], 1j * base, rtol=1e-14, atol=0)
-    assert np.allclose(t30[(0, 3)], -base, rtol=1e-14, atol=0)
-    assert 1 not in [k for k, _ in build_t_tables(1, grid).entries["T3_0"]]
+    assert np.allclose(t30[0], 1j * base, rtol=1e-14, atol=0)
+    assert np.allclose(t30[3], -base, rtol=1e-14, atol=0)
+    assert build_t_tables(1, grid).entries["T3_0"].size == 0
+
+
+finite = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@st.composite
+def homogeneous_rows(draw):
+    """Complex coefficient rows of a homogeneous polynomial of degree 0-3,
+    each row holding 3 samples."""
+    deg = draw(st.integers(min_value=0, max_value=3))
+    parts = draw(st.lists(finite, min_size=6 * (deg + 1), max_size=6 * (deg + 1)))
+    flat = np.array(parts[::2]) + 1j * np.array(parts[1::2])
+    return flat.reshape(deg + 1, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pa=homogeneous_rows(), pb=homogeneous_rows(), b=finite, eta=finite)
+def test_polynomial_product_and_derivatives(pa, pb, b, eta):
+    prod = PR._peval([PR._pmul(pa, pb)], b, eta)
+    expect = PR._peval([pa], b, eta) * PR._peval([pb], b, eta)
+    assert np.allclose(prod, expect, rtol=1e-12, atol=1e-12)
+    h = 1e-5
+    for wrt, db, de in (("b", h, 0.0), ("eta", 0.0, h)):
+        diff = (PR._peval([pa], b + db, eta + de)
+                - PR._peval([pa], b - db, eta - de)) / (2 * h)
+        assert np.allclose(PR._peval([pa], b, eta, wrt), diff, rtol=0, atol=1e-8)
 
 
 def test_solvability_table_values(table1):
@@ -117,7 +145,7 @@ def test_t3_2_tail_stable_under_refinement(grid, table1):
         beta = 0.02
         y = g.r
         q = q_values(1, y)
-        vals = PR._peval(tab.entries["T3_2"], beta, 0.0, g.n)
+        vals = PR._peval([tab.entries["T3_2"]], beta, 0.0)
         msk = (y >= 2.0) & (y <= 2.0 / beta)
         ratio = np.abs(vals[msk]) * y[msk] / (beta**3 * y[msk] ** 3 * q[msk]
                                               * np.log(y[msk]))
@@ -158,12 +186,11 @@ def test_assemble_parity(grid, table1):
     b, eta = 0.02, 0.015
     plus = assemble(1, ProfileParams(b, eta), table1)
     minus = assemble(1, ProfileParams(-b, eta), table1)
-    poly = PR._padd(*[table1.entries[k] for k in ("T1_0", "T2_0", "T3_0")
-                      if table1.entries[k]])
-    even = {k: v for k, v in poly.items() if k[0] % 2 == 0}
+    even = [t * ((len(t) - 1 - np.arange(len(t))) % 2 == 0)[:, None]
+            for t in (table1.entries[k] for k in ("T1_0", "T2_0", "T3_0"))]
     chi = G.smooth_bump(grid.r * math.hypot(b, eta))
     recon = 2.0 * (q_values(1, grid.r)
-                   + chi * PR._peval(even, b, eta, grid.n))
+                   + chi * PR._peval(even, b, eta))
     assert np.allclose(plus.P.values + minus.P.values, recon,
                        rtol=1e-12, atol=1e-15)
 
