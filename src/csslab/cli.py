@@ -128,6 +128,14 @@ def resolve(name: str, flag_value, cfg: dict, cast, required: bool = False,
     return default
 
 
+def resolve_m(flag_value, cfg: dict) -> int:
+    """The equivariance index --m (flag or config file), refused below 1."""
+    m = resolve("m", flag_value, cfg, int, required=True)
+    if m < 1:
+        raise click.UsageError(f"--m must be at least 1, got {m}")
+    return m
+
+
 def parse_grid(spec: str) -> G.Grid:
     if spec == "default":
         return G.default_grid()
@@ -429,7 +437,7 @@ def cmd_profiles(m, betas, direction, with_t4, grid_spec, config_path, out):
     """Residual scaling sweep of the modified profiles."""
     t_start = time.perf_counter()
     cfg = read_config(config_path)
-    m = resolve("m", m, cfg, int, required=True)
+    m = resolve_m(m, cfg)
     betas = resolve("betas", betas, cfg, str, required=True)
     direction = resolve("direction", direction, cfg, str, default="1,0")
     grid_spec = resolve("grid", grid_spec, cfg, str, required=True)
@@ -482,12 +490,16 @@ def cmd_ode(m, eta0, lam0, b0, window, use_p3, phase, lam_min, grid_spec,
     """Modulation ODE run; reports the accumulated phase."""
     t_start = time.perf_counter()
     cfg = read_config(config_path)
-    m = resolve("m", m, cfg, int, required=True)
+    m = resolve_m(m, cfg)
     eta0 = resolve("eta0", eta0, cfg, float, required=True)
     window = resolve("window", window, cfg, str, default="-100,100")
     lam_min = resolve("lam_min", lam_min, cfg, float, default=1e-3)
     grid_spec = resolve("grid", grid_spec, cfg, str, default="default")
     t0, t1 = parse_floats("window", window, 2)
+    if not (t0 != t1 and math.isfinite(t0) and math.isfinite(t1)):
+        fail(ValueError(f"--window needs two distinct finite times, got {window!r}"),
+             out, "ode", {"m": m, "eta0": eta0, "window": window}, None,
+             t_start, usage=True)
     if b0 is None:
         b0 = -t0
     if lam0 is None:
@@ -544,7 +556,7 @@ def cmd_evolve(data, m, t0, tend, dt, grid_spec, monitor_stride,
     t_start = time.perf_counter()
     cfg = read_config(config_path)
     data = resolve("data", data, cfg, str, required=True)
-    m = resolve("m", m, cfg, int, required=True)
+    m = resolve_m(m, cfg)
     t0 = resolve("t0", t0, cfg, float, required=True)
     tend = resolve("tend", tend, cfg, float, required=True)
     dt = resolve("dt", dt, cfg, float, default=1e-3)
@@ -592,12 +604,11 @@ def cmd_evolve(data, m, t0, tend, dt, grid_spec, monitor_stride,
                                         if k != "t"])
         if do_decompose:
             td = np.array([tt for tt, _ in traj.decompositions])
-            lam = np.array([d.state.lam for _, d in traj.decompositions])
-            gam = np.array([d.state.gamma for _, d in traj.decompositions])
-            b = np.array([d.state.b for _, d in traj.decompositions])
-            eta = np.array([d.state.eta for _, d in traj.decompositions])
+            decs = [d for _, d in traj.decompositions]
+            lam, gam, b, eta = (np.array([getattr(d.state, k) for d in decs])
+                                for k in ("lam", "gamma", "b", "eta"))
             hats = []
-            for _, d in traj.decompositions:
+            for d in decs:
                 try:
                     hats.append(MOD.corrected_params(d))
                 except (PR.GridTooSmall, ValueError):
@@ -606,6 +617,10 @@ def cmd_evolve(data, m, t0, tend, dt, grid_spec, monitor_stride,
             s = D._s_ladder(td, lam)
             write_series(outdir, td, s, lam, gam, b, eta,
                          hats[:, 0], hats[:, 1])
+            meta["newton"] = {
+                "iterations": [d.iterations for d in decs],
+                "residual_max": [max(map(abs, d.ortho_residuals)) for d in decs],
+                "converged": [d.converged for d in decs]}
         snap_times = write_snapshots(outdir, traj.snapshots)
         meta["snapshot_times"] = snap_times
         write_json(outdir / "meta.json", meta)
@@ -625,7 +640,7 @@ def cmd_decompose(field_path, m, tube_radius, config_path, out):
     t_start = time.perf_counter()
     cfg = read_config(config_path)
     field_path = resolve("field", field_path, cfg, str, required=True)
-    m = resolve("m", m, cfg, int, required=True)
+    m = resolve_m(m, cfg)
     tube_radius = resolve("tube_radius", tube_radius, cfg, float, default=0.2)
     manifest_cfg = {"field": field_path, "m": m, "tube_radius": tube_radius}
     try:

@@ -182,7 +182,9 @@ def step(u: RadialField, dt: float, kinetic: KineticSolver | None = None,
 def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
     """Integrate from t0, recording conservation/virial monitors every
     monitor_stride steps and (optionally) a tube decomposition per
-    monitor time with warm start."""
+    monitor time with warm start. A decomposition that did not converge
+    ends the run with stop_reason "no-convergence", kept as the last
+    record."""
     if u0.grid != config.grid:
         raise G.GridError("initial datum not on the solver grid")
     kin = KineticSolver(config.grid, u0.m, config.dt)
@@ -206,7 +208,7 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
     n_monitor = 0
 
     def monitor(u, t):
-        nonlocal warm, n_monitor
+        nonlocal n_monitor
         e, mass, e_sd = GA.energy_mass(u)
         v1, v2 = GA.virial(u)
         tri = GA.conjugate_triple(u)
@@ -226,25 +228,29 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
             from . import modulation as MOD
             d = MOD.decompose(u, ortho, init=warm, table=mod_table,
                               tube_radius=config.tube_radius)
-            warm = d.state
             decomps.append((t, d))
-            return d.state.lam
+            return d
         return None
 
-    lam = monitor(u, t)
+    d = monitor(u, t)
     while True:
+        # an unconverged decomposition neither warm-starts nor stops on lambda
+        if d is not None and not d.converged:
+            stop = "no-convergence"
+            break
         if config.t_end is not None and t >= config.t_end - 1e-12:
             break
-        if (config.lambda_min is not None and lam is not None
-                and lam < config.lambda_min):
+        if (config.lambda_min is not None and d is not None
+                and d.state.lam < config.lambda_min):
             stop = "lambda_min"
             break
+        warm = None if d is None else d.state
         for _ in range(config.monitor_stride):
             u = step(u, config.dt, kinetic=kin, sponge_factor=damping)
             t += config.dt
             if config.t_end is not None and t >= config.t_end - 1e-12:
                 break
-        lam = monitor(u, t)
+        d = monitor(u, t)
 
     if snaps[-1][0] != times[-1]:
         snaps.append((times[-1], u))

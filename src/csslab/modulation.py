@@ -7,7 +7,7 @@ with the four real orthogonality conditions
     (eps, Z1)_r = (eps, Z2)_r = (eps1, Z3t)_r = (eps1, Z4t)_r = 0,
 
 where eps1 = D_w w - P1 at w = u^flat, solved by Newton iteration in
-(lambda, gamma, b, eta).
+(log lambda, gamma, b, eta) with the Jacobian in closed form (see decompose).
 """
 
 from __future__ import annotations
@@ -132,6 +132,8 @@ class _Chart:
     P: RadialField
     P1: RadialField
     P2: RadialField
+    dP: tuple   # (d_b P, d_eta P) samples
+    dP1: tuple  # (d_b P1, d_eta P1) samples
 
 
 def _assemble_chart(m: int, b: float, eta: float, table: TTable) -> _Chart:
@@ -151,13 +153,17 @@ def _assemble_chart(m: int, b: float, eta: float, table: TTable) -> _Chart:
 
     theta = -delta y^2/4, which is how the covariant derivatives D and A
     conjugate under the multiplication. eps absorbs the remaining
-    (eta - eta_c) mismatch."""
+    (eta - eta_c) mismatch. The (b, eta)-derivatives of P and P1 follow
+    the chain rule through (b_c, eta_c, delta), with d_delta e^{i theta}
+    = -(i y^2/4) e^{i theta} and d_delta (i theta') = -i y/2."""
     grid = table.grid
     beta = math.hypot(b, eta)
     if beta <= _CHART_BETA:
         cutoffs = not (beta > 0.0 and 2.0 / beta > grid.r_max)
         pset = PR.assemble(m, ProfileParams(b, eta), table, cutoffs=cutoffs)
-        return _Chart(pset.P, pset.P1, pset.P2)
+        return _Chart(pset.P, pset.P1, pset.P2,
+                      (pset.dP_db.values, pset.dP_deta.values),
+                      (pset.dP1_db.values, pset.dP1_deta.values))
     scale = _CHART_BETA / beta
     b_c, eta_c = b * scale, eta * scale
     pset = PR.assemble(m, ProfileParams(b_c, eta_c), table)
@@ -166,11 +172,23 @@ def _assemble_chart(m: int, b: float, eta: float, table: TTable) -> _Chart:
     phase = np.exp(-0.25j * delta * y**2)
     tp = -0.5j * delta * y  # i theta'
     p, p1, p2 = pset.P.values, pset.P1.values, pset.P2.values
+    p1t = p1 + tp * p
+    c3 = _CHART_BETA / beta**3
+    dP, dP1 = [], []
+    # d(b_c, eta_c, delta)/db and /deta
+    for db_c, deta_c, ddelta in ((c3 * eta**2, -c3 * b * eta, 1.0 - c3 * eta**2),
+                                 (-c3 * b * eta, c3 * b**2, c3 * b * eta)):
+        gp = db_c * pset.dP_db.values + deta_c * pset.dP_deta.values
+        gp1 = db_c * pset.dP1_db.values + deta_c * pset.dP1_deta.values
+        dP.append(phase * (gp - ddelta * 0.25j * y**2 * p))
+        dP1.append(phase * (gp1 + tp * gp
+                            - ddelta * (0.25j * y**2 * p1t + 0.5j * y * p)))
     return _Chart(
         pset.P.with_values(phase * p, decay=None),
-        pset.P1.with_values(phase * (p1 + tp * p), decay=None),
+        pset.P1.with_values(phase * p1t, decay=None),
         pset.P2.with_values(phase * (p2 + 2.0 * tp * p1 + tp**2 * p),
-                            decay=None))
+                            decay=None),
+        tuple(dP), tuple(dP1))
 
 
 def _pairings(u: RadialField, state: ModState, table: TTable,
@@ -181,9 +199,24 @@ def _pairings(u: RadialField, state: ModState, table: TTable,
     gf = GA.gauge_fields(w)
     d_w = GA.cov_d(w, w, gf)
     eps1 = d_w.with_values(d_w.values - pset.P1.values, decay=None)
-    vec = np.array([G.inner(eps, profiles.Z1), G.inner(eps, profiles.Z2),
-                    G.inner(eps1, profiles.Z3t), G.inner(eps1, profiles.Z4t)])
-    return vec, (w, gf, d_w, pset, eps, eps1)
+    return _pair4(eps, eps1, profiles), (w, gf, d_w, pset, eps, eps1)
+
+
+def _pair4(f: RadialField, f1: RadialField, profiles: OrthoProfiles):
+    """((f, Z1), (f, Z2), (f1, Z3t), (f1, Z4t)) for f of index m, f1 of m+1."""
+    return np.array([G.inner(f, profiles.Z1), G.inner(f, profiles.Z2),
+                     G.inner(f1, profiles.Z3t), G.inner(f1, profiles.Z4t)])
+
+
+def _jacobian(aux, profiles: OrthoProfiles) -> np.ndarray:
+    """d(pairings)/d(log lambda, gamma, b, eta) from the data of one pairing."""
+    w, _, d_w, pset, _, _ = aux
+    cols = [(G.scale_gen(w).values, G.scale_gen(d_w, -1.0).values),
+            (-1j * w.values, -1j * d_w.values)]
+    cols += [(-dp, -dp1) for dp, dp1 in zip(pset.dP, pset.dP1)]
+    return np.column_stack([
+        _pair4(w.with_values(c, decay=None), d_w.with_values(c1, decay=None),
+               profiles) for c, c1 in cols])
 
 
 def decompose(u: RadialField, profiles: OrthoProfiles,
@@ -192,7 +225,12 @@ def decompose(u: RadialField, profiles: OrthoProfiles,
               tube_radius: float = 0.2,
               tol_factor: float = 1e-10,
               max_iter: int = 50) -> DecompResult:
-    """Newton solve of the four orthogonality conditions."""
+    """Newton solve of the four orthogonality conditions, one pairing per
+    iteration. The Jacobian is analytic: by column, (d eps, d eps1) is
+    (Lambda w, Lambda_{-1} D_w w) for log lambda (A_theta is scaling
+    invariant, so D_w w has weight 2), (-i w, -i D_w w) for gamma, and
+    (-d_b P, -d_b P1), (-d_eta P, -d_eta P1) for b and eta, through the
+    phase-factored chart beyond _CHART_BETA."""
     m = u.m
     if m != profiles.m:
         raise G.IndexMismatch("ortho profiles built for a different index")
@@ -220,15 +258,8 @@ def decompose(u: RadialField, profiles: OrthoProfiles,
         if np.max(np.abs(vec)) < tol:
             converged = True
             break
-        jac = np.empty((4, 4))
-        h = 1e-6
-        for j in range(4):
-            xp = x.copy()
-            xp[j] += h
-            vp, _ = _pairings(u, state_of(xp), table, profiles)
-            jac[:, j] = (vp - vec) / h
         try:
-            dx = np.linalg.solve(jac, vec)
+            dx = np.linalg.solve(_jacobian(aux, profiles), vec)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"singular Newton system: {exc}") from exc
         # damp large steps so intermediate iterates stay on the chart

@@ -30,7 +30,7 @@ from . import gauge as GA
 from . import grid as G
 from . import linops as L
 from .grid import Grid, RadialField
-from .soliton import q_values, soliton_q
+from .soliton import UnsupportedIndex, q_values, soliton_q
 
 
 class SolvabilityViolated(ValueError):
@@ -184,6 +184,8 @@ def _aq_star_term(m: int, grid: Grid, t1_0):
 
 
 def build_t_tables(m: int, grid: Grid) -> TTable:
+    if m < 1:
+        raise UnsupportedIndex(f"equivariance index must be >= 1, got {m}")
     key = (m, grid.key)
     if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]

@@ -1,6 +1,7 @@
 """Command-line interface: verification batteries, run directories,
 manifests, byte-stable serialization, and parameter refusal."""
 
+import dataclasses
 import json
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from csslab import grid as G
+from csslab import modulation as MOD
 from csslab.cli import dumps17, fmt17, main
 from csslab.soliton import SymmetryParams, blowup_s, modulate, soliton_q
 
@@ -224,6 +226,44 @@ def test_evolve_s_run_with_decomposition(runner, outroot):
     t = body[:, 0]
     assert np.all(np.abs(lam / np.abs(t) - 1.0) < 0.02)
     assert np.all(np.abs(b / np.abs(t) - 1.0) < 0.05)
+    newton = json.loads((outroot / "srun" / "meta.json").read_text())["newton"]
+    assert newton["converged"] == [True] * len(t)
+    assert len(newton["iterations"]) == len(t)
+    assert all(1 <= k <= 50 for k in newton["iterations"])
+    assert all(0.0 <= r < 1e-10 * G.l2(soliton_q(1, G.default_grid()))
+               for r in newton["residual_max"])
+
+
+def test_evolve_stops_on_unconverged_decomposition(runner, outroot,
+                                                   monkeypatch):
+    original = MOD.decompose
+    calls = []
+
+    def decompose(*args, **kwargs):
+        d = original(*args, **kwargs)
+        calls.append(kwargs["init"])
+        if len(calls) != 2:
+            return d
+        # unconverged, with a lambda that would trip --lambda-min if used
+        return dataclasses.replace(
+            d, converged=False, state=dataclasses.replace(d.state, lam=0.5))
+    monkeypatch.setattr(MOD, "decompose", decompose)
+    res = runner.invoke(main, [
+        "evolve", "--data", "S", "--m", "1", "--t0", "-1", "--tend", "-0.9",
+        "--dt", "1e-3", "--grid", "default", "--monitor-stride", "20",
+        "--decompose", "--lambda-min", "0.95", "--out", "nc"])
+    assert res.exit_code == 0, res.output
+    assert len(calls) == 2 and calls[0] is None
+    meta = json.loads((outroot / "nc" / "meta.json").read_text())
+    assert meta["stop_reason"] == "no-convergence"
+    assert meta["newton"]["converged"] == [True, False]
+    assert meta["snapshot_times"] == pytest.approx([-1.0, -0.98])
+    series = (outroot / "nc" / "series.csv").read_text().splitlines()
+    assert len(series) == 3
+    monitors = (outroot / "nc" / "monitors.csv").read_text().splitlines()
+    assert len(monitors) == 3
+    assert len(list((outroot / "nc" / "snapshots").glob("snap_*.csv"))) == 2
+    assert (outroot / "nc" / "manifest.json").exists()
 
 
 def test_evolve_refuses_missing_grid(runner):
@@ -327,6 +367,7 @@ def test_decompose_scale_out_of_range_is_clean_error(runner, tmp_path,
     ["profiles", "--m", "1", "--betas", "-0.02", "--grid", "n=512"],
     ["decompose", "--field", "{nan_csv}", "--m", "1", "--out", "nan"],
     ["decompose", "--field", "{missing}", "--m", "1"],
+    ["ode", "--m", "1", "--eta0", "0.5", "--window", "5,5"],
 ])
 def test_malformed_arguments_are_usage_errors(runner, tmp_path, outroot, args):
     grid = G.build_grid(n=256)
@@ -343,3 +384,24 @@ def test_malformed_arguments_are_usage_errors(runner, tmp_path, outroot, args):
     assert "Traceback" not in res.output
     if "--out" in args:
         assert _error_manifest(outroot, "nan").startswith("GridError")
+
+
+@pytest.mark.parametrize("args", [
+    ["profiles", "--betas", "0.02", "--grid", "n=512"],
+    ["ode", "--eta0", "0.05"],
+    ["evolve", "--data", "S", "--t0", "-1", "--tend", "-0.99",
+     "--grid", "n=512"],
+    ["decompose", "--field", "{field}"],
+])
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_index_below_one_is_usage_error(runner, tmp_path, outroot, args, m):
+    grid = G.build_grid(n=256)
+    field = tmp_path / "q.csv"
+    field.write_text("r,re,im\n" + "".join(
+        f"{r:.17g},{v.real:.17g},0\n"
+        for r, v in zip(grid.r, soliton_q(1, grid).values)))
+    args = [a.format(field=field) for a in args] + ["--m", m]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "--m must be at least 1" in res.output
+    assert "Traceback" not in res.output

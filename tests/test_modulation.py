@@ -20,7 +20,8 @@ from csslab.modulation import (DecompResult, ModState, NotInTube,
                                build_ortho_profiles, corrected_params,
                                decompose, ode_integrate, ode_rhs)
 from csslab.profiles import GridTooSmall, ProfileParams
-from csslab.soliton import SymmetryParams, modulate, q_values, soliton_q
+from csslab.soliton import (SymmetryParams, blowup_s, modulate, q_values,
+                             soliton_q)
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +182,41 @@ def test_jacobian_structure(grid, ortho1, table1):
         off = np.sum(np.abs(jac[i])) - abs(jac[i, i])
         assert off < abs(jac[i, i])
         assert off < 30.0 * 0.02 * abs(jac[i, i])
+
+
+@pytest.mark.parametrize("case", ["cutoffs", "no_cutoffs", "beyond_chart"])
+def test_analytic_jacobian_matches_central_differences(grid, ortho1, table1,
+                                                       case):
+    if case == "cutoffs":  # beta = 0.02, 2/beta inside the grid
+        u = _synthetic_datum(grid, table1, 0.02, 0.0, 1.0, 0.0)
+        s = ModState(1.01, 0.05, 0.019, 0.006)
+    elif case == "no_cutoffs":  # 2/beta > r_max: the chart drops the cutoffs
+        pset = PR.assemble(1, ProfileParams(0.004, 0.003), table1,
+                           cutoffs=False)
+        u = modulate(RadialField(1, pset.P.values, grid, decay=3.0),
+                     SymmetryParams(0.9, 0.3))
+        s = ModState(0.91, 0.28, 0.004, 0.003)
+        assert 2.0 / s.beta > grid.r_max
+    else:  # beyond _CHART_BETA: the phase-factored chart
+        u = blowup_s(1, -0.5, grid)
+        s = ModState(0.5, 0.1, 0.49, 0.03)
+        assert s.beta > MOD._CHART_BETA
+    _, aux = MOD._pairings(u, s, table1, ortho1)
+    jac = MOD._jacobian(aux, ortho1)
+    x0 = np.array([math.log(s.lam), s.gamma, s.b, s.eta])
+    h = 1e-6
+    fd = np.empty((4, 4))
+    for j in range(4):
+        xp, xm = x0.copy(), x0.copy()
+        xp[j] += h
+        xm[j] -= h
+        vp, _ = MOD._pairings(u, ModState(math.exp(xp[0]), *xp[1:]), table1,
+                              ortho1)
+        vm, _ = MOD._pairings(u, ModState(math.exp(xm[0]), *xm[1:]), table1,
+                              ortho1)
+        fd[:, j] = (vp - vm) / (2.0 * h)
+    rel = np.linalg.norm(jac - fd, axis=0) / np.linalg.norm(fd, axis=0)
+    assert np.all(rel <= 1e-6), rel
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from csslab.profiles import (FitIllConditioned, GridTooSmall, ProfileParams,
                              assemble, build_t4, build_t_tables,
                              cutoff_cancellation, mod_vectors, p3, residuals,
                              scaling_sweep, solvability_inner)
-from csslab.soliton import q_values, soliton_q
+from csslab.soliton import UnsupportedIndex, q_values, soliton_q
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +37,12 @@ def test_params_properties():
     assert p.bbeta == pytest.approx(0.03j + 0.04)
     assert p.B1 == pytest.approx(20.0)
     assert p.B0 == pytest.approx(1.0 / math.sqrt(0.05))
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_t_tables_refuse_index_below_one(grid, m):
+    with pytest.raises(UnsupportedIndex):
+        build_t_tables(m, grid)
 
 
 def test_assemble_rejects_large_beta(table1):
