@@ -40,6 +40,8 @@ ENV_OUTPUT_ROOT = "CSSLAB_OUTPUT_ROOT"
 DECOMPOSE_FAILURES = (ScaleOutOfRange, MOD.NotInTube, MOD.NoConvergence)
 RUN_FAILURES = (StabilityGuardTripped,) + DECOMPOSE_FAILURES
 
+T_START = "csslab.t_start"  # ctx.meta key: when the command started
+
 
 # ---------------------------------------------------------------------------
 # 17-significant-digit serialization
@@ -87,22 +89,22 @@ def write_json(path: Path, obj) -> None:
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = [",".join(header)]
-    n = len(columns[0])
-    for i in range(n):
-        rows.append(",".join(format(float(c[i]), ".17g") for c in columns))
-    path.write_text("\n".join(rows) + "\n")
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
 
 
 # ---------------------------------------------------------------------------
 # Configuration plumbing
 
 
-def read_config(path: str | None) -> dict:
-    """Flat key-value config file mirroring the CLI flags."""
+def load_config(ctx: click.Context, param, path: str | None) -> None:
+    """Eager --config callback: a flat file of `key = value` lines (`#`
+    starts a comment, `-` in a key reads as `_`) supplies the defaults of
+    the verb's options, so a flag overrides the file and the file the
+    option's own default."""
     if path is None:
-        return {}
-    cfg = {}
+        return
+    ctx.default_map = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -110,30 +112,23 @@ def read_config(path: str | None) -> dict:
         if "=" not in line:
             raise click.UsageError(f"config line not 'key = value': {raw!r}")
         key, val = line.split("=", 1)
-        cfg[key.strip().replace("-", "_")] = val.strip()
-    return cfg
+        ctx.default_map[key.strip().replace("-", "_")] = val.strip()
 
 
-def resolve(name: str, flag_value, cfg: dict, cast, required: bool = False,
-            default=None):
-    """Flag overrides config file; refuse missing required parameters."""
-    if flag_value is not None:
-        return flag_value
-    if name in cfg:
-        return cast(cfg[name])
-    if required:
-        raise click.UsageError(
-            f"missing required parameter --{name.replace('_', '-')} "
-            "(flag or config file; physical parameters are never defaulted)")
-    return default
-
-
-def resolve_m(flag_value, cfg: dict) -> int:
-    """The equivariance index --m (flag or config file), refused below 1."""
-    m = resolve("m", flag_value, cfg, int, required=True)
+def check_index(ctx: click.Context, param, m: int) -> int:
+    """--m callback: the equivariance index is refused below 1."""
     if m < 1:
         raise click.UsageError(f"--m must be at least 1, got {m}")
     return m
+
+
+config_option = click.option(
+    "--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
+    expose_value=False, callback=load_config,
+    help="File of 'key = value' lines for any option; flags override it.")
+out_option = click.option("--out", default=None, help="Output directory name.")
+m_option = click.option("--m", type=int, required=True, callback=check_index,
+                        help="Equivariance index, at least 1.")
 
 
 def parse_grid(spec: str) -> G.Grid:
@@ -176,31 +171,40 @@ def output_dir(out: str) -> Path:
     return path
 
 
-def write_manifest(outdir: Path, command: str, config: dict, grid: G.Grid | None,
-                   seed: int | None, t_start: float,
-                   error: str | None = None) -> None:
+def write_outputs(out: str | None, files: dict, grid: G.Grid | None = None,
+                  command: str | None = None, error: str | None = None,
+                  **resolved) -> None:
+    """With --out, write the verb's JSON `files` and its manifest.json. The
+    manifest's config echoes the verb's parameters in declaration order,
+    without --out, holding the values the verb `resolved` in their place."""
+    if out is None:
+        return
+    ctx = click.get_current_context()
+    outdir = output_dir(out)
+    for name, obj in files.items():
+        write_json(outdir / name, obj)
+    config = {p.name: ctx.params[p.name] for p in ctx.command.params
+              if p.name in ctx.params and p.name != "out"}
     manifest = {
-        "command": command,
-        "config": config,
+        "command": command or ctx.info_name,
+        "config": config | resolved,
         "grid_id": grid_id(grid) if grid is not None else None,
-        "seed": seed,
+        "seed": ctx.params.get("seed"),
         "version": __version__,
-        "wall_time_s": time.perf_counter() - t_start,
+        "wall_time_s": time.perf_counter() - ctx.meta[T_START],
     }
     if error is not None:
         manifest["error"] = error
     write_json(outdir / "manifest.json", manifest)
 
 
-def fail(exc: Exception, out: str | None, command: str, config: dict,
-         grid: G.Grid | None, t_start: float, usage: bool = False):
+def fail(exc: Exception, out: str | None, grid: G.Grid | None = None,
+         usage: bool = False, **resolved):
     """End the command on a typed failure with a one-line error (exit 2 for
     a usage error, 1 otherwise); with --out the manifest still records the
-    command and the error."""
+    command, its config and the error."""
     msg = f"{type(exc).__name__}: {exc}"
-    if out is not None:
-        write_manifest(output_dir(out), command, config, grid, None, t_start,
-                       error=msg)
+    write_outputs(out, {}, grid, error=msg, **resolved)
     raise (click.UsageError if usage else click.ClickException)(msg) from exc
 
 
@@ -289,12 +293,6 @@ def suite_inverses(grid: G.Grid, seed: int) -> list[dict]:
             err = G.l2_samples(grid, L.apply(kind, inv).values - f.values)
             worst = max(worst, err / G.l2(f))
         checks.append(_check(f"roundtrip_{tag}", worst, 1e-4))
-    y = grid.r
-    for m in (1, 2, 3):
-        j1, j1p, j2, j2p = L.j_pair(grid, m)
-        wron = j1 * j2p - j1p * j2 - 1.0 / y
-        checks.append(_check(f"wronskian_m{m}",
-                             float(np.max(np.abs(wron) * y)), 1e-8))
     return checks
 
 
@@ -338,19 +336,11 @@ def suite_morawetz(grid: G.Grid, delta: float) -> list[dict]:
 # Trajectory serialization
 
 
-def _series_columns(t, s, lam, gam, b, eta, b_hat, eta_hat):
-    beta_over_lambda = np.hypot(b, eta) / lam
-    header = ["t", "s", "lambda", "gamma", "b", "eta", "b_hat", "eta_hat",
-              "beta_over_lambda"]
-    return header, [t, s, lam, gam, b, eta, b_hat, eta_hat, beta_over_lambda]
-
-
 def write_series(outdir: Path, t, s, lam, gam, b, eta, b_hat, eta_hat):
-    header, cols = _series_columns(np.asarray(t), np.asarray(s),
-                                   np.asarray(lam), np.asarray(gam),
-                                   np.asarray(b), np.asarray(eta),
-                                   np.asarray(b_hat), np.asarray(eta_hat))
-    write_csv(outdir / "series.csv", header, cols)
+    write_csv(outdir / "series.csv",
+              ["t", "s", "lambda", "gamma", "b", "eta", "b_hat", "eta_hat",
+               "beta_over_lambda"],
+              [t, s, lam, gam, b, eta, b_hat, eta_hat, np.hypot(b, eta) / lam])
 
 
 def write_snapshots(outdir: Path, snapshots) -> list[float]:
@@ -368,36 +358,32 @@ def write_snapshots(outdir: Path, snapshots) -> list[float]:
 # Commands
 
 
-@click.group()
+@click.group(context_settings={"show_default": True})
 @click.version_option(version=__version__)
-def main():
+@click.pass_context
+def main(ctx):
     """Numerical laboratory for equivariant self-dual Schroedinger
     dynamics: verification batteries, profile sweeps, modulation ODE and
     PDE runs, decompositions, and run reports."""
+    ctx.meta[T_START] = time.perf_counter()
 
 
 @main.command("verify")
 @click.argument("suite", type=click.Choice(
     ["identities", "inverses", "coercivity", "morawetz"]))
-@click.option("--grid", "grid_spec", default=None,
+@click.option("--grid", required=True,
               help="'default' or 'n=...,r_min=...,r_max=...'")
-@click.option("--seed", type=int, default=None)
-@click.option("--delta", type=float, default=None,
+@click.option("--seed", type=int, default=20230817)
+@click.option("--delta", type=float, default=0.3,
               help="Morawetz weight delta (morawetz suite).")
-@click.option("--samples", type=int, default=None,
+@click.option("--samples", type=int, default=50,
               help="Field count for the coercivity suite.")
-@click.option("--config", "config_path", default=None)
-@click.option("--out", default=None, help="Output directory name.")
+@config_option
+@out_option
 @click.pass_context
-def cmd_verify(ctx, suite, grid_spec, seed, delta, samples, config_path, out):
+def cmd_verify(ctx, suite, grid, seed, delta, samples, out):
     """Run a named assertion battery; exit 0 iff every check passes."""
-    t_start = time.perf_counter()
-    cfg = read_config(config_path)
-    grid_spec = resolve("grid", grid_spec, cfg, str, required=True)
-    seed = resolve("seed", seed, cfg, int, default=20230817)
-    delta = resolve("delta", delta, cfg, float, default=0.3)
-    samples = resolve("samples", samples, cfg, int, default=50)
-    grid = parse_grid(grid_spec)
+    grid = parse_grid(grid)
     if suite == "identities":
         checks = suite_identities(grid)
     elif suite == "inverses":
@@ -410,13 +396,8 @@ def cmd_verify(ctx, suite, grid_spec, seed, delta, samples, config_path, out):
     report = {"suite": suite, "grid_id": grid_id(grid),
               "n_checks": len(checks), "n_failed": n_fail, "checks": checks}
     click.echo(dumps17(report))
-    if out is not None:
-        outdir = output_dir(out)
-        write_json(outdir / "report.json", report)
-        write_manifest(outdir, "verify " + suite,
-                       {"suite": suite, "grid": grid_spec, "seed": seed,
-                        "delta": delta, "samples": samples},
-                       grid, seed, t_start)
+    write_outputs(out, {"report.json": report}, grid,
+                  command="verify " + suite)
     if n_fail:
         for c in checks:
             if not c["pass"]:
@@ -426,22 +407,16 @@ def cmd_verify(ctx, suite, grid_spec, seed, delta, samples, config_path, out):
 
 
 @main.command("profiles")
-@click.option("--m", "m", type=int, default=None)
-@click.option("--betas", default=None, help="Comma-separated beta sweep.")
-@click.option("--direction", default=None, help="b,eta direction, e.g. 1,0")
-@click.option("--t4/--no-t4", "with_t4", default=True)
-@click.option("--grid", "grid_spec", default=None)
-@click.option("--config", "config_path", default=None)
-@click.option("--out", default=None)
-def cmd_profiles(m, betas, direction, with_t4, grid_spec, config_path, out):
+@m_option
+@click.option("--betas", required=True, help="Comma-separated beta sweep.")
+@click.option("--direction", default="1,0", help="b,eta direction, e.g. 1,0")
+@click.option("--t4/--no-t4", default=True)
+@click.option("--grid", required=True)
+@config_option
+@out_option
+def cmd_profiles(m, betas, direction, t4, grid, out):
     """Residual scaling sweep of the modified profiles."""
-    t_start = time.perf_counter()
-    cfg = read_config(config_path)
-    m = resolve_m(m, cfg)
-    betas = resolve("betas", betas, cfg, str, required=True)
-    direction = resolve("direction", direction, cfg, str, default="1,0")
-    grid_spec = resolve("grid", grid_spec, cfg, str, required=True)
-    grid = parse_grid(grid_spec)
+    grid = parse_grid(grid)
     beta_list = parse_floats("betas", betas)
     if not all(0.0 < b < 0.1 for b in beta_list):
         raise click.UsageError("betas must lie in (0, 1/10)")
@@ -449,9 +424,9 @@ def cmd_profiles(m, betas, direction, with_t4, grid_spec, config_path, out):
     if not 0.0 < math.hypot(db, de) < math.inf:
         raise click.UsageError(f"--direction must be a finite nonzero vector, got {direction!r}")
     sweep = PR.scaling_sweep(m, beta_list, (db, de), grid=grid,
-                             include_t4=with_t4)
+                             include_t4=t4)
     report = {"m": m, "betas": beta_list, "direction": [db, de],
-              "include_t4": with_t4, "slopes": sweep["slopes"],
+              "include_t4": t4, "slopes": sweep["slopes"],
               "series": sweep["series"]}
     if m == 1:
         table = PR.build_t_tables(m, grid)
@@ -461,127 +436,93 @@ def cmd_profiles(m, betas, direction, with_t4, grid_spec, config_path, out):
                                                      b * de / norm), table)
             for b in beta_list]
     click.echo(dumps17(report))
-    if out is not None:
-        outdir = output_dir(out)
-        write_json(outdir / "report.json", report)
-        write_manifest(outdir, "profiles",
-                       {"m": m, "betas": betas, "direction": direction,
-                        "t4": with_t4, "grid": grid_spec},
-                       grid, None, t_start)
+    write_outputs(out, {"report.json": report}, grid)
 
 
 @main.command("ode")
-@click.option("--m", "m", type=int, default=None)
-@click.option("--eta0", type=float, default=None)
+@m_option
+@click.option("--eta0", type=float, required=True)
 @click.option("--lam0", type=float, default=None,
               help="Initial scale (default: formal-family value).")
 @click.option("--b0", type=float, default=None,
               help="Initial b (default: formal-family value -t0).")
-@click.option("--window", default=None, help="t0,t1 (default -100,100)")
-@click.option("--p3/--no-p3", "use_p3", default=False)
+@click.option("--window", default="-100,100", help="t0,t1")
+@click.option("--p3/--no-p3", default=False)
 @click.option("--phase", type=click.Choice(["auto", "leading", "profile"]),
               default="auto")
-@click.option("--lam-min", type=float, default=None)
-@click.option("--grid", "grid_spec", default=None)
-@click.option("--config", "config_path", default=None)
-@click.option("--out", default=None)
-def cmd_ode(m, eta0, lam0, b0, window, use_p3, phase, lam_min, grid_spec,
-            config_path, out):
+@click.option("--lam-min", type=float, default=1e-3)
+@click.option("--grid", default="default")
+@config_option
+@out_option
+def cmd_ode(m, eta0, lam0, b0, window, p3, phase, lam_min, grid, out):
     """Modulation ODE run; reports the accumulated phase."""
-    t_start = time.perf_counter()
-    cfg = read_config(config_path)
-    m = resolve_m(m, cfg)
-    eta0 = resolve("eta0", eta0, cfg, float, required=True)
-    window = resolve("window", window, cfg, str, default="-100,100")
-    lam_min = resolve("lam_min", lam_min, cfg, float, default=1e-3)
-    grid_spec = resolve("grid", grid_spec, cfg, str, default="default")
     t0, t1 = parse_floats("window", window, 2)
     if not (t0 != t1 and math.isfinite(t0) and math.isfinite(t1)):
         fail(ValueError(f"--window needs two distinct finite times, got {window!r}"),
-             out, "ode", {"m": m, "eta0": eta0, "window": window}, None,
-             t_start, usage=True)
-    if b0 is None:
-        b0 = -t0
-    if lam0 is None:
-        lam0 = math.hypot(t0, eta0)
-    state0 = MOD.ModState(lam0, 0.0, b0, eta0)
+             out, usage=True)
+    b0 = -t0 if b0 is None else b0
+    lam0 = math.hypot(t0, eta0) if lam0 is None else lam0
+    try:
+        state0 = MOD.ModState(lam0, 0.0, b0, eta0)
+    except ValueError as exc:  # an initial scale that is not positive
+        fail(exc, out, usage=True, lam0=lam0, b0=b0)
     if phase == "auto":
         phase = "leading" if state0.beta >= 0.1 else "profile"
-    grid = parse_grid(grid_spec)
+    grid = parse_grid(grid)
     outres = MOD.ode_integrate(m, state0, (t0, t1), grid=grid,
-                               use_p3=use_p3,
+                               use_p3=p3,
                                leading_order=(phase == "leading"),
                                lam_min=lam_min)
     delta_gamma = float(outres["gamma"][-1] - outres["gamma"][0])
     meta = {"m": m, "eta0": eta0, "lam0": lam0, "b0": b0,
-            "window": [t0, t1], "use_p3": use_p3, "phase": phase,
+            "window": [t0, t1], "use_p3": p3, "phase": phase,
             "lam_min": lam_min, "stop": outres["stop"],
             "delta_gamma": delta_gamma,
             "delta_gamma_over_2pi": delta_gamma / (2.0 * math.pi),
             "lambda_final": float(outres["lambda"][-1])}
-    if eta0 != 0.0 and not use_p3:
+    if eta0 != 0.0 and not p3:
         closed = (m + 1) * (math.atan(t1 / eta0) - math.atan(t0 / eta0))
         meta["delta_gamma_closed_form"] = closed
         meta["delta_gamma_rel_err"] = abs(delta_gamma / closed - 1.0)
     click.echo(dumps17(meta))
     if out is not None:
-        outdir = output_dir(out)
-        write_series(outdir, outres["t"], outres["s"], outres["lambda"],
-                     outres["gamma"], outres["b"], outres["eta"],
-                     outres["b"], outres["eta"])
-        write_json(outdir / "meta.json", meta)
-        write_manifest(outdir, "ode",
-                       {"m": m, "eta0": eta0, "lam0": lam0, "b0": b0,
-                        "window": window, "p3": use_p3, "phase": phase,
-                        "lam_min": lam_min, "grid": grid_spec},
-                       grid, None, t_start)
+        write_series(output_dir(out), outres["t"], outres["s"],
+                     outres["lambda"], outres["gamma"], outres["b"],
+                     outres["eta"], outres["b"], outres["eta"])
+    write_outputs(out, {"meta.json": meta}, grid, lam0=lam0, b0=b0,
+                  phase=phase)
 
 
 @main.command("evolve")
-@click.option("--data", type=click.Choice(["S", "Q"]), default=None)
-@click.option("--m", "m", type=int, default=None)
-@click.option("--t0", type=float, default=None)
-@click.option("--tend", type=float, default=None)
-@click.option("--dt", type=float, default=None)
-@click.option("--grid", "grid_spec", default=None)
-@click.option("--monitor-stride", type=int, default=None)
-@click.option("--decompose/--no-decompose", "do_decompose", default=False)
-@click.option("--tube-radius", type=float, default=None)
+@click.option("--data", type=click.Choice(["S", "Q"]), required=True)
+@m_option
+@click.option("--t0", type=float, required=True)
+@click.option("--tend", type=float, required=True)
+@click.option("--dt", type=float, default=1e-3)
+@click.option("--grid", required=True)
+@click.option("--monitor-stride", type=int, default=20)
+@click.option("--decompose/--no-decompose", default=False)
+@click.option("--tube-radius", type=float, default=0.5)
 @click.option("--lambda-min", type=float, default=None)
-@click.option("--config", "config_path", default=None)
-@click.option("--out", default=None)
-def cmd_evolve(data, m, t0, tend, dt, grid_spec, monitor_stride,
-               do_decompose, tube_radius, lambda_min, config_path, out):
+@config_option
+@out_option
+def cmd_evolve(data, m, t0, tend, dt, grid, monitor_stride, decompose,
+               tube_radius, lambda_min, out):
     """Split-step PDE run from a named datum."""
-    t_start = time.perf_counter()
-    cfg = read_config(config_path)
-    data = resolve("data", data, cfg, str, required=True)
-    m = resolve_m(m, cfg)
-    t0 = resolve("t0", t0, cfg, float, required=True)
-    tend = resolve("tend", tend, cfg, float, required=True)
-    dt = resolve("dt", dt, cfg, float, default=1e-3)
-    grid_spec = resolve("grid", grid_spec, cfg, str, required=True)
-    monitor_stride = resolve("monitor_stride", monitor_stride, cfg, int,
-                             default=20)
-    tube_radius = resolve("tube_radius", tube_radius, cfg, float, default=0.5)
-    grid = parse_grid(grid_spec)
-    manifest_cfg = {"data": data, "m": m, "t0": t0, "tend": tend, "dt": dt,
-                    "grid": grid_spec, "monitor_stride": monitor_stride,
-                    "decompose": do_decompose, "tube_radius": tube_radius,
-                    "lambda_min": lambda_min}
+    grid = parse_grid(grid)
     try:
         u0 = blowup_s(m, t0, grid) if data == "S" else soliton_q(m, grid)
         config = SolverConfig(grid=grid, dt=dt, t_end=tend,
                               lambda_min=lambda_min,
                               monitor_stride=monitor_stride,
-                              decompose_flag=do_decompose,
+                              decompose_flag=decompose,
                               tube_radius=tube_radius)
     except ValueError as exc:
-        fail(exc, out, "evolve", manifest_cfg, grid, t_start, usage=True)
+        fail(exc, out, grid, usage=True)
     try:
         traj = run(u0, config, t0=t0)
     except RUN_FAILURES as exc:
-        fail(exc, out, "evolve", manifest_cfg, grid, t_start)
+        fail(exc, out, grid)
     meta = {"data": data, "m": m, "t0": t0, "t_end": tend, "dt": dt,
             "stop_reason": traj.stop_reason,
             "mass_drift": float(np.max(np.abs(
@@ -589,20 +530,15 @@ def cmd_evolve(data, m, t0, tend, dt, grid_spec, monitor_stride,
                 / traj.series["mass"][0]),
             "energy_drift": float(np.max(np.abs(
                 traj.series["energy"] - traj.series["energy"][0])))}
-    if data == "S":
-        rep = validate_exact(traj, lambda t: blowup_s(m, t, grid))
-        meta["tracking_error_l2_max"] = float(np.max(rep["l2"]))
-    if data == "Q":
-        rep = validate_exact(traj, lambda t: u0)
-        meta["tracking_error_l2_max"] = float(np.max(rep["l2"]))
+    exact = (lambda t: blowup_s(m, t, grid)) if data == "S" else (lambda t: u0)
+    meta["tracking_error_l2_max"] = float(np.max(
+        validate_exact(traj, exact)["l2"]))
     click.echo(dumps17(meta))
     if out is not None:
         outdir = output_dir(out)
-        write_csv(outdir / "monitors.csv",
-                  ["t"] + [k for k in traj.series if k != "t"],
-                  [traj.series["t"]] + [traj.series[k] for k in traj.series
-                                        if k != "t"])
-        if do_decompose:
+        write_csv(outdir / "monitors.csv", list(traj.series),
+                  list(traj.series.values()))
+        if decompose:
             td = np.array([tt for tt, _ in traj.decompositions])
             decs = [d for _, d in traj.decompositions]
             lam, gam, b, eta = (np.array([getattr(d.state, k) for d in decs])
@@ -621,30 +557,22 @@ def cmd_evolve(data, m, t0, tend, dt, grid_spec, monitor_stride,
                 "iterations": [d.iterations for d in decs],
                 "residual_max": [max(map(abs, d.ortho_residuals)) for d in decs],
                 "converged": [d.converged for d in decs]}
-        snap_times = write_snapshots(outdir, traj.snapshots)
-        meta["snapshot_times"] = snap_times
-        write_json(outdir / "meta.json", meta)
-        write_manifest(outdir, "evolve", manifest_cfg, grid, None, t_start)
+        meta["snapshot_times"] = write_snapshots(outdir, traj.snapshots)
+    write_outputs(out, {"meta.json": meta}, grid)
 
 
 @main.command("decompose")
-@click.option("--field", "field_path", default=None,
+@click.option("--field", required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="CSV with columns r,re,im on a geometric grid.")
-@click.option("--m", "m", type=int, default=None)
-@click.option("--tube-radius", type=float, default=None)
-@click.option("--config", "config_path", default=None)
-@click.option("--out", default=None)
-def cmd_decompose(field_path, m, tube_radius, config_path, out):
+@m_option
+@click.option("--tube-radius", type=float, default=0.2)
+@config_option
+@out_option
+def cmd_decompose(field, m, tube_radius, out):
     """Tube decomposition of a single stored field."""
-    t_start = time.perf_counter()
-    cfg = read_config(config_path)
-    field_path = resolve("field", field_path, cfg, str, required=True)
-    m = resolve_m(m, cfg)
-    tube_radius = resolve("tube_radius", tube_radius, cfg, float, default=0.2)
-    manifest_cfg = {"field": field_path, "m": m, "tube_radius": tube_radius}
     try:
-        raw = np.loadtxt(field_path, delimiter=",", skiprows=1, ndmin=2)
+        raw = np.loadtxt(field, delimiter=",", skiprows=1, ndmin=2)
         if raw.shape[1] != 3:
             raise ValueError("field CSV needs the three columns r,re,im")
         r, vals = raw[:, 0], raw[:, 1] + 1j * raw[:, 2]
@@ -653,12 +581,12 @@ def cmd_decompose(field_path, m, tube_radius, config_path, out):
             raise G.GridError("field radii are not a geometric grid")
         u = RadialField(m, vals, grid)
     except (OSError, ValueError) as exc:
-        fail(exc, out, "decompose", manifest_cfg, None, t_start, usage=True)
+        fail(exc, out, usage=True)
     ortho = MOD.build_ortho_profiles(m, grid)
     try:
         d = MOD.decompose(u, ortho, tube_radius=tube_radius)
     except DECOMPOSE_FAILURES as exc:
-        fail(exc, out, "decompose", manifest_cfg, grid, t_start)
+        fail(exc, out, grid)
     report = {
         "state": {"lambda": d.state.lam, "gamma": d.state.gamma,
                   "b": d.state.b, "eta": d.state.eta},
@@ -669,28 +597,27 @@ def cmd_decompose(field_path, m, tube_radius, config_path, out):
         "eps1_l2": G.l2(d.eps1), "eps2_l2": G.l2(d.eps2),
     }
     click.echo(dumps17(report))
-    if out is not None:
-        outdir = output_dir(out)
-        write_json(outdir / "report.json", report)
-        write_manifest(outdir, "decompose", manifest_cfg, grid, None,
-                       t_start)
+    write_outputs(out, {"report.json": report}, grid)
 
 
 @main.command("report")
 @click.argument("rundir", type=click.Path(exists=True))
-@click.option("--out", default=None)
+@out_option
 def cmd_report(rundir, out):
     """Blow-up asymptotics of a recorded trajectory directory."""
-    t_start = time.perf_counter()
     path = Path(rundir) / "series.csv"
-    if not path.exists():
-        raise click.UsageError(f"no series.csv under {rundir}")
-    raw = np.loadtxt(path, delimiter=",", skiprows=1)
-    header = path.read_text().splitlines()[0].split(",")
-    col = {name: raw[:, i] for i, name in enumerate(header)}
-    series = {"t": col["t"], "lambda": col["lambda"], "gamma": col["gamma"],
-              "b": col["b"], "eta": col["eta"]}
-    report = {"rundir": str(rundir), "n_samples": int(raw.shape[0]),
+    names = ("t", "lambda", "gamma", "b", "eta")
+    try:
+        header = path.read_text().partition("\n")[0].split(",")
+        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if not set(names) <= set(header) or raw.shape[1] != len(header):
+            raise ValueError(f"{path} needs the columns {','.join(names)} "
+                             "and a row of numbers under its header")
+    except (OSError, ValueError) as exc:
+        fail(exc, out, usage=True)
+    col = dict(zip(header, raw.T))
+    series = {k: col[k] for k in names}
+    report = {"rundir": rundir, "n_samples": len(raw),
               "lambda_final": float(col["lambda"][-1])}
     try:
         ell, gamma_star, fits = D.asymptotics(series)
@@ -700,8 +627,8 @@ def cmd_report(rundir, out):
     except D.NoBlowupDetected as exc:
         report["no_blowup_detected"] = str(exc)
     click.echo(dumps17(report))
-    if out is not None:
-        outdir = output_dir(out)
-        write_json(outdir / "report.json", report)
-        write_manifest(outdir, "report", {"rundir": str(rundir)}, None,
-                       None, t_start)
+    write_outputs(out, {"report.json": report})
+
+
+if __name__ == "__main__":
+    main()

@@ -159,11 +159,11 @@ def _fd_weights(z: float, nodes: np.ndarray, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _diff_matrix_bands(n: int, h: float, k: int, width: int):
-    """Rows of x-derivative stencils: interior centered of `width` points,
-    one-sided (same point count) near the edges. Returns a dense (small-n
-    safe) application via a banded-ish structure: we store per-row offsets
-    and weights for the edge rows and a single interior kernel."""
+def _diff_matrix_bands(h: float, k: int, width: int):
+    """Weights of the x-derivative stencils: one centred interior kernel
+    of `width` points, and one-sided rows (at least k + 5 points) for the
+    `width // 2` nodes at each edge. Returns (interior, edges, tails,
+    edge point count)."""
     half = width // 2
     nodes = np.arange(width, dtype=float) * h
     interior = _fd_weights(half * h, nodes, k)
@@ -181,7 +181,7 @@ def _diff_matrix_bands(n: int, h: float, k: int, width: int):
 
 def _apply_stencil(vals: np.ndarray, h: float, k: int, width: int) -> np.ndarray:
     n = vals.size
-    interior, edges, tails, ew = _diff_matrix_bands(n, h, k, width)
+    interior, edges, tails, ew = _diff_matrix_bands(h, k, width)
     half = width // 2
     out = np.empty_like(vals)
     # interior via correlation

@@ -299,18 +299,20 @@ def _cut_and_derivs(grid: Grid, beta: float, b: float, eta: float, scale_pow: fl
     return chi, common * b, common * eta
 
 
+_BETA_MAX = 0.1  # the accuracy range of the expansion
+
+
 def assemble(m: int, params: ProfileParams, table: TTable,
              t4_dir: RadialField | None = None,
-             cutoffs: bool = True, beta_max: float = 0.1) -> ProfileSet:
-    """Build P, P1, P2 and their analytic (b, eta)-derivatives. With
-    cutoffs=False the unlocalized profiles are returned (used for the
-    quartic extraction). beta_max > 0.1 extends the chart beyond its
-    accuracy range; the decomposition uses this to keep the coordinate
-    system defined for large b."""
+             cutoffs: bool = True) -> ProfileSet:
+    """Build P, P1, P2 and their analytic (b, eta)-derivatives for beta <
+    _BETA_MAX. With cutoffs=False the unlocalized profiles are returned
+    (used for the quartic extraction). Beyond modulation._CHART_BETA the
+    decomposition phase-factors the chart instead of assembling there."""
     grid = table.grid
-    if params.beta >= beta_max:
+    if params.beta >= _BETA_MAX:
         raise ValueError(
-            f"beta = {params.beta} out of range (need < {beta_max})")
+            f"beta = {params.beta} out of range (need < {_BETA_MAX})")
     b, eta, beta = params.b, params.eta, params.beta
     q = q_values(m, grid.r)
 

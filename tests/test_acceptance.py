@@ -100,7 +100,8 @@ def test_criterion_2_closed_form_integrals(grid):
 
 def test_criterion_3_right_inverses(grid):
     # round-trip residual < 1e-4 for all five operator kinds on a
-    # 10-function battery; Wronskian defect |J1 J2' - J1' J2 - 1/y| y < 1e-8
+    # 10-function battery (`verify identities` and
+    # test_linops::test_j_pair_wronskian check the Wronskian defect)
     checks = suite_inverses(grid, seed=20230817)
     for c in checks:
         assert c["value"] < c["tol"], c

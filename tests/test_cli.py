@@ -4,11 +4,16 @@ manifests, byte-stable serialization, and parameter refusal."""
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import csslab
 from csslab import grid as G
 from csslab import modulation as MOD
 from csslab.cli import dumps17, fmt17, main
@@ -162,6 +167,21 @@ def test_ode_config_file_and_flag_override(runner, tmp_path, outroot):
     res = runner.invoke(main, ["ode", "--config", str(cfg),
                                "--window", "-20,20"])
     assert json.loads(res.output)["window"] == [-20.0, 20.0]
+    # a boolean key takes effect and is echoed; its flag still overrides it
+    cfg.write_text("m = 1\neta0 = 0.05\nwindow = -50,50\np3 = true\n")
+    res = runner.invoke(main, ["ode", "--config", str(cfg), "--out", "p3"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["use_p3"] is True
+    manifest = json.loads((outroot / "p3" / "manifest.json").read_text())
+    assert manifest["config"]["p3"] is True
+    res = runner.invoke(main, ["ode", "--config", str(cfg), "--no-p3"])
+    assert json.loads(res.output)["use_p3"] is False
+    # a malformed line and a malformed value are usage errors
+    for text in ("m = 1\neta0 0.05\n", "m = x\neta0 = 0.05\n"):
+        cfg.write_text(text)
+        res = runner.invoke(main, ["ode", "--config", str(cfg)])
+        assert res.exit_code == 2, res.output
+        assert "Traceback" not in res.output
 
 
 def test_ode_refuses_missing_eta0(runner):
@@ -189,6 +209,22 @@ def test_report_no_blowup(runner, outroot):
     res = runner.invoke(main, ["report", str(outroot / "r2")])
     assert res.exit_code == 0, res.output
     assert "no_blowup_detected" in json.loads(res.output)
+
+
+def test_report_on_one_sample_and_on_missing_columns(runner, outroot):
+    res = runner.invoke(main, ["evolve", "--data", "S", "--m", "1",
+                               "--t0", "-1", "--tend", "-1", "--grid", "default",
+                               "--decompose", "--out", "one"])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["report", str(outroot / "one")])
+    assert res.exit_code == 0, res.output
+    rep = json.loads(res.output)
+    assert rep["n_samples"] == 1 and "no_blowup_detected" in rep
+    (outroot / "one" / "series.csv").write_text("t,lambda\n-1,1\n")
+    res = runner.invoke(main, ["report", str(outroot / "one"), "--out", "rep"])
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+    assert _error_manifest(outroot, "rep").startswith("ValueError")
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +404,8 @@ def test_decompose_scale_out_of_range_is_clean_error(runner, tmp_path,
     ["decompose", "--field", "{nan_csv}", "--m", "1", "--out", "nan"],
     ["decompose", "--field", "{missing}", "--m", "1"],
     ["ode", "--m", "1", "--eta0", "0.5", "--window", "5,5"],
+    ["ode", "--m", "1", "--eta0", "0", "--window", "0,1"],
+    ["ode", "--m", "1", "--eta0", "0.5", "--lam0", "-1"],
 ])
 def test_malformed_arguments_are_usage_errors(runner, tmp_path, outroot, args):
     grid = G.build_grid(n=256)
@@ -405,3 +443,26 @@ def test_index_below_one_is_usage_error(runner, tmp_path, outroot, args, m):
     assert res.exit_code == 2, res.output
     assert "--m must be at least 1" in res.output
     assert "Traceback" not in res.output
+
+
+def test_failure_manifest_echoes_the_config(runner, outroot):
+    res = runner.invoke(main, ["ode", "--m", "1", "--eta0", "0",
+                               "--window", "0,1", "--out", "zero"])
+    assert res.exit_code == 2
+    assert "Error: ValueError: lambda must be positive, got 0.0" in res.output
+    manifest = json.loads((outroot / "zero" / "manifest.json").read_text())
+    assert manifest["config"] == {
+        "m": 1, "eta0": 0.0, "lam0": 0.0, "b0": -0.0, "window": "0,1",
+        "p3": False, "phase": "auto", "lam_min": 1e-3, "grid": "default"}
+    assert manifest["error"].startswith("ValueError")
+
+
+def test_module_entry_point(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(csslab.__file__).parents[1])]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    res = subprocess.run([sys.executable, "-m", "csslab.cli", "ode", "--m", "1",
+                          "--eta0", "0.5", "--window", "5,5"], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 2
+    assert "Error:" in res.stderr
