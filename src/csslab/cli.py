@@ -41,6 +41,7 @@ DECOMPOSE_FAILURES = (ScaleOutOfRange, MOD.NotInTube, MOD.NoConvergence)
 RUN_FAILURES = (StabilityGuardTripped,) + DECOMPOSE_FAILURES
 
 T_START = "csslab.t_start"  # ctx.meta key: when the command started
+IGNORED_KEYS = "csslab.ignored_config_keys"  # ctx.meta key: see load_config
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +102,9 @@ def load_config(ctx: click.Context, param, path: str | None) -> None:
     """Eager --config callback: a flat file of `key = value` lines (`#`
     starts a comment, `-` in a key reads as `_`) supplies the defaults of
     the verb's options, so a flag overrides the file and the file the
-    option's own default."""
+    option's own default. A key naming no option of the verb is allowed (a
+    file may serve several verbs), but warned about and listed in the
+    manifest."""
     if path is None:
         return
     ctx.default_map = {}
@@ -113,6 +116,12 @@ def load_config(ctx: click.Context, param, path: str | None) -> None:
             raise click.UsageError(f"config line not 'key = value': {raw!r}")
         key, val = line.split("=", 1)
         ctx.default_map[key.strip().replace("-", "_")] = val.strip()
+    names = {p.name for p in ctx.command.params}
+    ignored = [key for key in ctx.default_map if key not in names]
+    if ignored:
+        ctx.meta[IGNORED_KEYS] = ignored
+        click.echo(f"Warning: config keys that name no option of "
+                   f"{ctx.info_name}: {', '.join(ignored)}", err=True)
 
 
 def check_index(ctx: click.Context, param, m: int) -> int:
@@ -132,6 +141,7 @@ m_option = click.option("--m", type=int, required=True, callback=check_index,
 
 
 def parse_grid(spec: str) -> G.Grid:
+    """The grid of a --grid spec; a malformed spec raises ValueError."""
     if spec == "default":
         return G.default_grid()
     kw = {}
@@ -140,23 +150,24 @@ def parse_grid(spec: str) -> G.Grid:
             key, _, val = part.partition("=")
             key = key.strip()
             if key not in ("n", "r_min", "r_max"):
-                raise click.UsageError(f"unknown grid key {key!r}")
+                raise ValueError(f"unknown grid key {key!r}")
             kw[key] = int(val) if key == "n" else float(val)
         return G.build_grid(**kw)
-    except ValueError as exc:  # a malformed number or a GridError
-        raise click.UsageError(f"bad grid {spec!r}: {exc}") from None
+    except ValueError as exc:  # a malformed key or number, or a GridError
+        raise ValueError(f"bad grid {spec!r}: {exc}") from None
 
 
 def parse_floats(option: str, text: str, count: int | None = None) -> list[float]:
-    """The comma-separated numbers of --option, exactly `count` if it is set."""
+    """The comma-separated numbers of --option, exactly `count` if it is
+    set; anything else raises ValueError."""
     try:
         vals = [float(x) for x in text.split(",")]
         if count is None or len(vals) == count:
             return vals
     except ValueError:
         pass
-    raise click.UsageError(f"--{option} needs {count or 'some'} comma-separated "
-                           f"numbers, got {text!r}")
+    raise ValueError(f"--{option} needs {count or 'some'} comma-separated "
+                     f"numbers, got {text!r}")
 
 
 def grid_id(grid: G.Grid) -> str:
@@ -193,6 +204,8 @@ def write_outputs(out: str | None, files: dict, grid: G.Grid | None = None,
         "version": __version__,
         "wall_time_s": time.perf_counter() - ctx.meta[T_START],
     }
+    if IGNORED_KEYS in ctx.meta:
+        manifest["ignored_config_keys"] = ctx.meta[IGNORED_KEYS]
     if error is not None:
         manifest["error"] = error
     write_json(outdir / "manifest.json", manifest)
@@ -212,12 +225,12 @@ def fail(exc: Exception, out: str | None, grid: G.Grid | None = None,
 # verify batteries
 
 
-def _battery(grid: G.Grid, rng, count: int = 10):
-    """Smooth compactly supported complex test fields."""
+def _battery(grid: G.Grid, rng):
+    """Ten smooth compactly supported complex test fields."""
     y = grid.r
     window = G.smooth_bump(y / 5.0) * (1.0 - G.smooth_bump(y / 0.25))
     fields = []
-    for k in range(count):
+    for k in range(10):
         c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         poly = c[0] + c[1] * y + c[2] * y**2
         vals = y**2 * np.exp(-((y - 1.0 - 0.35 * k) ** 2)) * window * poly
@@ -265,8 +278,8 @@ def suite_identities(grid: G.Grid) -> list[dict]:
         ath_inf = float(GA.gauge_fields(q).a_theta[-1])
         checks.append(_check(f"atheta_inf_m{m}",
                              abs(ath_inf / (-2.0 * (m + 1)) - 1.0), 1e-6))
-        p_quad = float(np.real(G.integrate_dy(
-            grid, (y * q.values.real) ** 2 * y, decay=2 * m + 1)))
+        p_quad = float(G.integrate_dy(
+            grid, (y * q.values.real) ** 2 * y, decay=2 * m + 1))
         checks.append(_check(f"p_const_m{m}",
                              abs(p_quad / L.p_const(m) - 1.0), 1e-8))
         j1, j1p, j2, j2p = L.j_pair(grid, m)
@@ -383,7 +396,10 @@ def main(ctx):
 @click.pass_context
 def cmd_verify(ctx, suite, grid, seed, delta, samples, out):
     """Run a named assertion battery; exit 0 iff every check passes."""
-    grid = parse_grid(grid)
+    try:
+        grid = parse_grid(grid)
+    except ValueError as exc:
+        fail(exc, out, usage=True)
     if suite == "identities":
         checks = suite_identities(grid)
     elif suite == "inverses":
@@ -416,13 +432,17 @@ def cmd_verify(ctx, suite, grid, seed, delta, samples, out):
 @out_option
 def cmd_profiles(m, betas, direction, t4, grid, out):
     """Residual scaling sweep of the modified profiles."""
-    grid = parse_grid(grid)
-    beta_list = parse_floats("betas", betas)
-    if not all(0.0 < b < 0.1 for b in beta_list):
-        raise click.UsageError("betas must lie in (0, 1/10)")
-    db, de = parse_floats("direction", direction, 2)
-    if not 0.0 < math.hypot(db, de) < math.inf:
-        raise click.UsageError(f"--direction must be a finite nonzero vector, got {direction!r}")
+    try:
+        grid = parse_grid(grid)
+        beta_list = parse_floats("betas", betas)
+        if not all(0.0 < b < 0.1 for b in beta_list):
+            raise ValueError("betas must lie in (0, 1/10)")
+        db, de = parse_floats("direction", direction, 2)
+        if not 0.0 < math.hypot(db, de) < math.inf:
+            raise ValueError("--direction must be a finite nonzero vector, "
+                             f"got {direction!r}")
+    except ValueError as exc:
+        fail(exc, out, usage=True)
     sweep = PR.scaling_sweep(m, beta_list, (db, de), grid=grid,
                              include_t4=t4)
     report = {"m": m, "betas": beta_list, "direction": [db, de],
@@ -456,10 +476,14 @@ def cmd_profiles(m, betas, direction, t4, grid, out):
 @out_option
 def cmd_ode(m, eta0, lam0, b0, window, p3, phase, lam_min, grid, out):
     """Modulation ODE run; reports the accumulated phase."""
-    t0, t1 = parse_floats("window", window, 2)
-    if not (t0 != t1 and math.isfinite(t0) and math.isfinite(t1)):
-        fail(ValueError(f"--window needs two distinct finite times, got {window!r}"),
-             out, usage=True)
+    try:
+        t0, t1 = parse_floats("window", window, 2)
+        if not (t0 != t1 and math.isfinite(t0) and math.isfinite(t1)):
+            raise ValueError(
+                f"--window needs two distinct finite times, got {window!r}")
+        grid = parse_grid(grid)
+    except ValueError as exc:
+        fail(exc, out, usage=True)
     b0 = -t0 if b0 is None else b0
     lam0 = math.hypot(t0, eta0) if lam0 is None else lam0
     try:
@@ -468,7 +492,6 @@ def cmd_ode(m, eta0, lam0, b0, window, p3, phase, lam_min, grid, out):
         fail(exc, out, usage=True, lam0=lam0, b0=b0)
     if phase == "auto":
         phase = "leading" if state0.beta >= 0.1 else "profile"
-    grid = parse_grid(grid)
     outres = MOD.ode_integrate(m, state0, (t0, t1), grid=grid,
                                use_p3=p3,
                                leading_order=(phase == "leading"),
@@ -509,7 +532,10 @@ def cmd_ode(m, eta0, lam0, b0, window, p3, phase, lam_min, grid, out):
 def cmd_evolve(data, m, t0, tend, dt, grid, monitor_stride, decompose,
                tube_radius, lambda_min, out):
     """Split-step PDE run from a named datum."""
-    grid = parse_grid(grid)
+    try:
+        grid = parse_grid(grid)
+    except ValueError as exc:
+        fail(exc, out, usage=True)
     try:
         u0 = blowup_s(m, t0, grid) if data == "S" else soliton_q(m, grid)
         config = SolverConfig(grid=grid, dt=dt, t_end=tend,

@@ -6,10 +6,10 @@ ladder X2/X3/V72 of eps2, the energy-Morawetz functional
     F = (eps2, Htd_Q eps2)_r / mu^6 - A (i eps2, psi' d_y eps2)_r / mu^5
         + A^2 ||eps2||^2 / mu^4,
 
-nonlinear-coercivity and Hardy-chain ratio records, finite-difference
-monitors for the modulation residuals (plain and hat-corrected), blow-up
-asymptotics extraction (T, ell, gamma_star), and the near-origin
-singular-profile probe.
+the nonlinear-coercivity record, finite-difference monitors for the
+modulation residuals (plain and hat-corrected), blow-up asymptotics
+extraction (T, ell, gamma_star), and the near-origin singular-profile
+probe.
 """
 
 from __future__ import annotations
@@ -25,12 +25,14 @@ from . import grid as G
 from . import linops as L
 from . import modulation as MOD
 from . import profiles as PR
-from .grid import Grid, NormReport, RadialField
+from .grid import Grid, RadialField
 from .modulation import DecompResult, ModState
 from .profiles import TTable
-from .soliton import SymmetryParams, _sample, modulate, q_values, soliton_q
+from .soliton import SymmetryParams, _sample, modulate, soliton_q
 
+# the constants A and delta (of the weight psi) in the functional F
 DEFAULT_A = 10.0
+DEFAULT_DELTA = 0.3
 
 
 class ZeroMu(ValueError):
@@ -65,7 +67,6 @@ class DiagnosticFrame:
     V72: float
     F_energy: float
     coercivity_ratio: float
-    mod_residuals: tuple | None = None
 
 
 def quadform_htd(f: RadialField, m: int | None = None) -> float:
@@ -75,7 +76,7 @@ def quadform_htd(f: RadialField, m: int | None = None) -> float:
     y = f.grid.r
     fp = G.d_dr(f.grid, f.values, 1)
     dens = np.abs(fp) ** 2 + L.vtd_q(mm, y) / y**2 * np.abs(f.values) ** 2
-    return float(np.real(G.integrate_samples(f.grid, dens)[0]))
+    return float(G.integrate_samples(f.grid, dens))
 
 
 def morawetz_pairing(f: RadialField, weight: L.MorawetzWeight) -> float:
@@ -84,10 +85,10 @@ def morawetz_pairing(f: RadialField, weight: L.MorawetzWeight) -> float:
         raise G.GridError("grid-mismatch between field and weight")
     fp = G.d_dr(f.grid, f.values, 1)
     dens = np.real(np.conj(1j * f.values) * weight.psi_prime * fp)
-    return float(np.real(G.integrate_samples(f.grid, dens)[0]))
+    return float(G.integrate_samples(f.grid, dens))
 
 
-def frame(d: DecompResult, e_total: float, a_const: float = DEFAULT_A,
+def frame(d: DecompResult, e_total: float,
           weight: L.MorawetzWeight | None = None,
           t: float = math.nan, s: float = math.nan) -> DiagnosticFrame:
     """All scale-invariant quantities of a single decomposition."""
@@ -100,11 +101,11 @@ def frame(d: DecompResult, e_total: float, a_const: float = DEFAULT_A,
     x3 = G.hdot1(eps2) + mu * x2
     v72 = math.sqrt(G.v32_sq(eps2)) + math.sqrt(mu) * x3
     if weight is None:
-        weight = L.morawetz_weight(grid=eps2.grid)
+        weight = L.morawetz_weight(DEFAULT_DELTA, eps2.grid)
     quad = quadform_htd(eps2, m)
     pair = morawetz_pairing(eps2, weight)
-    f_energy = quad / mu**6 - a_const * pair / mu**5 \
-        + a_const**2 * G.l2(eps2) ** 2 / mu**4
+    f_energy = quad / mu**6 - DEFAULT_A * pair / mu**5 \
+        + DEFAULT_A**2 * G.l2(eps2) ** 2 / mu**4
     return DiagnosticFrame(
         t=t, s=s, mu=mu, beta=d.state.beta,
         eps_norms=(G.norm_report(d.eps), G.norm_report(d.eps1),
@@ -119,27 +120,26 @@ def _s_ladder(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(ds)])
 
 
-def frames_along(traj, a_const: float = DEFAULT_A,
-                 e_total: float | None = None) -> list[DiagnosticFrame]:
-    """DiagnosticFrame per recorded decomposition of a trajectory."""
+def frames_along(traj) -> list[DiagnosticFrame]:
+    """DiagnosticFrame per recorded decomposition of a trajectory, at the
+    trajectory's mean energy."""
     decomps = traj.decompositions
     if not decomps:
         raise ValueError("trajectory carries no decompositions")
-    if e_total is None:
-        e_total = float(np.mean(traj.series["energy"]))
+    e_total = float(np.mean(traj.series["energy"]))
     t = np.array([tt for tt, _ in decomps])
     lam = np.array([d.state.lam for _, d in decomps])
     s = _s_ladder(t, lam)
-    weight = L.morawetz_weight(grid=decomps[0][1].eps2.grid)
-    return [frame(d, e_total, a_const, weight, t=float(ti), s=float(si))
+    weight = L.morawetz_weight(DEFAULT_DELTA, decomps[0][1].eps2.grid)
+    return [frame(d, e_total, weight, t=float(ti), s=float(si))
             for (ti, d), si in zip(decomps, s)]
 
 
 # ---------------------------------------------------------------------------
-# Ratio records
+# Nonlinear coercivity
 
 
-def nonlinear_coercivity_check(decomps, mass: float | None = None) -> dict:
+def nonlinear_coercivity_check(decomps) -> dict:
     """Min/max over the series of (beta + ||eps||_{H1dot} + ||eps1||_{L2})/mu
     plus the largest ||eps||_{L2}; states with mu = 0 are excluded."""
     ratios, eps_l2 = [], []
@@ -151,26 +151,7 @@ def nonlinear_coercivity_check(decomps, mass: float | None = None) -> dict:
                 (d.state.beta + G.hdot1(d.eps) + G.l2(d.eps1)) / d.mu)
     return {"ratio_min": min(ratios) if ratios else math.nan,
             "ratio_max": max(ratios) if ratios else math.nan,
-            "eps_l2_max": max(eps_l2), "n_states": len(ratios),
-            "mass": mass}
-
-
-def hardy_ratios(d: DecompResult, mu: float | None = None) -> dict:
-    """Recorded constants of the Hardy chain: each eps/eps1 norm against
-    its X2/X3/V72 dominator."""
-    mu = d.mu if mu is None else mu
-    if mu <= 0.0:
-        raise ZeroMu("zero-mu")
-    x2 = G.l2(d.eps2) + mu**2
-    x3 = G.hdot1(d.eps2) + mu * x2
-    v72 = math.sqrt(G.v32_sq(d.eps2)) + math.sqrt(mu) * x3
-    return {
-        "e1_H1": G.hdot1(d.eps1) / x2,
-        "e1_H2": G.hdotk_hardy(d.eps1, 2) / x3,
-        "e1_V52": math.sqrt(G.v52_sq(d.eps1)) / v72,
-        "e_H2": G.calh2(d.eps) / x2,
-        "e_H3": G.calh3(d.eps) / x3,
-    }
+            "eps_l2_max": max(eps_l2), "n_states": len(ratios)}
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +179,13 @@ def _phase_integral_w(d: DecompResult, table: TTable) -> float:
     w = chart.P.values + d.eps.values
     w1 = chart.P1.values + d.eps1.values
     dens = np.real(np.conj(w) * w1)
-    return float(np.real(G.integrate_dy(d.eps.grid, dens)))
+    return float(G.integrate_dy(d.eps.grid, dens))
 
 
-def mod_residual_monitor(traj, table: TTable | None = None,
-                         max_beta_ds: float = 0.01) -> dict:
+_MAX_BETA_DS = 0.01  # largest beta * delta-s between decompositions
+
+
+def mod_residual_monitor(traj, table: TTable | None = None) -> dict:
     """Finite-difference residuals of the four modulation equations and
     their hat-corrected versions, each with its bound proxy.
 
@@ -231,10 +214,10 @@ def mod_residual_monitor(traj, table: TTable | None = None,
     mu = np.array([d.mu for d in ds_list])
     s = _s_ladder(t, lam)
     worst = float(np.max(0.5 * (beta[1:] + beta[:-1]) * np.diff(s)))
-    if worst > max_beta_ds:
+    if worst > _MAX_BETA_DS:
         raise InsufficientSampling(
             f"insufficient-sampling: beta*ds = {worst:.3g} exceeds "
-            f"{max_beta_ds}; reduce the monitor stride")
+            f"{_MAX_BETA_DS}; reduce the monitor stride")
     if table is None:
         table = PR.build_t_tables(m, ds_list[0].eps.grid)
 
@@ -291,17 +274,20 @@ def _param_series(traj) -> dict:
             "eta": np.array([d.state.eta for _, d in decomps])}
 
 
-def asymptotics(traj, tail_fraction: float = 0.2,
-                min_decade: float = 10.0) -> tuple[float, float, dict]:
+_TAIL_FRACTION = 0.2  # share of the samples fitted for T, at least 5
+_MIN_DECADE = 10.0    # least ratio (T - t_first) / (T - t_last) accepted
+
+
+def asymptotics(traj) -> tuple[float, float, dict]:
     """(ell, gamma_star, fits) extracted from the tail of a blow-up run.
 
-    T by linear extrapolation of lambda over the last tail_fraction of the
+    T by linear extrapolation of lambda over the last _TAIL_FRACTION of the
     samples; ell as the tail average of beta/lambda; gamma_star as the tail
     average of gamma. The fits record mean and relative variation of
     lambda/(T-t), b/(T-t), and eta/(T-t)^2 over the tail."""
     p = _param_series(traj)
     t, lam = p["t"], p["lambda"]
-    n_tail = max(int(math.ceil(tail_fraction * t.size)), 5)
+    n_tail = max(int(math.ceil(_TAIL_FRACTION * t.size)), 5)
     if t.size < n_tail:
         raise NoBlowupDetected("no-blowup-detected: too few samples")
     tt, ll = t[-n_tail:], lam[-n_tail:]
@@ -313,7 +299,7 @@ def asymptotics(traj, tail_fraction: float = 0.2,
     if t_star <= t[-1]:
         raise NoBlowupDetected("no-blowup-detected: extrapolated T behind "
                                "the trajectory")
-    if (t_star - t[0]) < min_decade * (t_star - t[-1]):
+    if (t_star - t[0]) < _MIN_DECADE * (t_star - t[-1]):
         raise NoBlowupDetected(
             "no-blowup-detected: less than one decade of T - t resolved")
     beta = np.hypot(p["b"], p["eta"])[-n_tail:]
@@ -348,31 +334,36 @@ def singular_target(m: int, ell: float, gamma_star: float) -> complex:
     return 0.0j
 
 
-def singular_profile_probe(traj, ell: float, gamma_star: float,
-                           r_a: float = 0.2, r_b: float = 0.4,
-                           min_nodes: int = 16) -> dict:
+_PROBE_ANNULUS = (0.2, 0.4)  # [r_a, r_b] of the singular-profile fit
+_PROBE_MIN_NODES = 16
+
+
+def singular_profile_probe(traj, ell: float, gamma_star: float) -> dict:
     """Least-squares fit of u(t_final) - Q^sharp_{lambda, gamma} against
-    c r^m on the annulus [r_a, r_b], compared with the singular target."""
+    c r^m on the annulus [r_a, r_b] = _PROBE_ANNULUS, compared with the
+    singular target."""
     t_fin, u = traj.snapshots[-1]
     t_dec, d = traj.decompositions[-1]
     if t_dec != t_fin:
         raise ValueError("final snapshot carries no decomposition")
     m, grid = u.m, u.grid
+    r_a, r_b = _PROBE_ANNULUS
     mask = (grid.r >= r_a) & (grid.r <= r_b)
-    if int(mask.sum()) < min_nodes or r_a < grid.r_min or r_b > grid.r_max:
+    n_nodes = int(mask.sum())
+    if n_nodes < _PROBE_MIN_NODES or r_a < grid.r_min or r_b > grid.r_max:
         raise AnnulusUnresolved(
-            f"annulus-unresolved: {int(mask.sum())} nodes in "
-            f"[{r_a}, {r_b}] (need {min_nodes})")
+            f"annulus-unresolved: {n_nodes} nodes in "
+            f"[{r_a}, {r_b}] (need {_PROBE_MIN_NODES})")
     q_sharp = modulate(soliton_q(m, grid),
                        SymmetryParams(d.state.lam, d.state.gamma))
     res = u.values - q_sharp.values
     rm = grid.r ** m
-    num = G.integrate_samples(grid, np.where(mask, res * rm, 0.0))[0]
-    den = G.integrate_samples(grid, np.where(mask, rm * rm, 0.0))[0]
-    c = complex(num) / float(np.real(den))
+    num = G.integrate_samples(grid, np.where(mask, res * rm, 0.0))
+    den = G.integrate_samples(grid, np.where(mask, rm * rm, 0.0))
+    c = complex(num) / float(den)
     target = singular_target(m, ell, gamma_star)
     rec = {"t": float(t_fin), "m": m, "c": c, "target": target,
-           "r_a": r_a, "r_b": r_b, "n_nodes": int(mask.sum())}
+           "r_a": r_a, "r_b": r_b, "n_nodes": n_nodes}
     if target != 0.0:
         rec["mag_ratio"] = abs(c) / abs(target)
         dphi = cmath.phase(c / target)
@@ -381,36 +372,23 @@ def singular_profile_probe(traj, ell: float, gamma_star: float,
 
 
 def profile_trajectory(m: int, ode_out: dict, snap_grid: Grid,
-                       table: TTable, indices=None):
-    """Synthetic trajectory whose snapshots are the pure modified profiles
-    [P(b, eta)]_{lambda, gamma} of a modulation-ODE run (eps = 0); used for
-    ODE/PDE hybrid probes of the singular profile."""
+                       table: TTable):
+    """Synthetic one-state trajectory whose snapshot is the pure modified
+    profile [P(b, eta)]_{lambda, gamma} at the end of a modulation-ODE run
+    (eps = 0); used for ODE/PDE hybrid probes of the singular profile."""
     from .evolve import Trajectory
-    n = len(ode_out["t"])
-    if indices is None:
-        indices = [n - 1]
-    times, snaps, decomps = [], [], []
-    for i in indices:
-        lam = float(ode_out["lambda"][i])
-        gam = float(ode_out["gamma"][i])
-        b = float(ode_out["b"][i])
-        eta = float(ode_out["eta"][i])
-        pset = PR.assemble(m, PR.ProfileParams(b, eta), table)
-        vals = cmath.exp(1j * gam) / lam * _sample(pset.P, snap_grid.r / lam)
-        u = RadialField(m, vals, snap_grid, decay=None)
-        state = ModState(lam, gam, b, eta)
-        zero = G.zero_field(m, snap_grid)
-        zero1 = G.zero_field(m + 1, snap_grid)
-        zero2 = G.zero_field(m + 2, snap_grid)
-        energy, _, _ = GA.energy_mass(u)
-        d = DecompResult(state=state, eps=zero, eps1=zero1, eps2=zero2,
-                         ortho_residuals=(0.0, 0.0, 0.0, 0.0),
-                         mu=lam * math.sqrt(max(energy, 0.0)),
-                         tube_distance=0.0, converged=True, iterations=0)
-        tt = float(ode_out["t"][i])
-        times.append(tt)
-        snaps.append((tt, u))
-        decomps.append((tt, d))
-    return Trajectory(times=np.array(times), series={}, snapshots=snaps,
-                      decompositions=decomps, stop_reason="synthetic",
-                      config=None)
+    tt, lam, gam, b, eta = (float(ode_out[k][-1])
+                            for k in ("t", "lambda", "gamma", "b", "eta"))
+    pset = PR.assemble(m, PR.ProfileParams(b, eta), table)
+    vals = cmath.exp(1j * gam) / lam * _sample(pset.P, snap_grid.r / lam)
+    u = RadialField(m, vals, snap_grid, decay=None)
+    energy, _, _ = GA.energy_mass(u)
+    d = DecompResult(state=ModState(lam, gam, b, eta),
+                     eps=G.zero_field(m, snap_grid),
+                     eps1=G.zero_field(m + 1, snap_grid),
+                     eps2=G.zero_field(m + 2, snap_grid),
+                     ortho_residuals=(0.0, 0.0, 0.0, 0.0),
+                     mu=lam * math.sqrt(max(energy, 0.0)),
+                     tube_distance=0.0, converged=True, iterations=0)
+    return Trajectory(times=np.array([tt]), series={}, snapshots=[(tt, u)],
+                      decompositions=[(tt, d)], stop_reason="synthetic")

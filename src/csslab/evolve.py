@@ -18,7 +18,7 @@ Dirichlet at r_max with sponge damping on the last 5% of nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -27,6 +27,9 @@ from scipy.linalg.lapack import zgbtrf, zgbtrs
 from . import gauge as GA
 from . import grid as G
 from .grid import Grid, RadialField
+
+
+SPONGE_STRENGTH = 2.0  # peak damping rate of the sponge
 
 
 class StabilityGuardTripped(RuntimeError):
@@ -41,9 +44,7 @@ class SolverConfig:
     lambda_min: float | None = None
     monitor_stride: int = 20
     decompose_flag: bool = False
-    sponge_strength: float = 2.0
     tube_radius: float = 0.2
-    snapshot_stride: int = 1  # monitors between stored snapshots
 
     def __post_init__(self):
         if not (self.dt > 0):
@@ -52,24 +53,22 @@ class SolverConfig:
             raise ValueError("stop rule required: t_end or lambda_min")
         if self.lambda_min is not None and not self.decompose_flag:
             raise ValueError("lambda_min stop rule requires decompose_flag")
-        if self.monitor_stride < 1 or self.snapshot_stride < 1:
-            raise ValueError("monitor_stride and snapshot_stride must be >= 1")
+        if self.monitor_stride < 1:
+            raise ValueError("monitor_stride must be >= 1")
 
 
 @dataclass
 class Trajectory:
     times: np.ndarray
     series: dict
-    snapshots: list  # (t, RadialField) pairs
+    snapshots: list  # (t, RadialField) pairs, one per monitor
     decompositions: list
     stop_reason: str
-    config: SolverConfig
 
 
-def potential(u: RadialField, gf=None) -> np.ndarray:
+def potential(u: RadialField) -> np.ndarray:
     """V[u] = ((m + A_theta)^2 - m^2)/r^2 + A_t - |u|^2."""
-    if gf is None:
-        gf = GA.gauge_fields(u)
+    gf = GA.gauge_fields(u)
     r = u.grid.r
     m = u.m
     return (((m + gf.a_theta) ** 2 - m**2) / r**2 + gf.a_t
@@ -146,13 +145,14 @@ class KineticSolver:
         return x
 
 
-def sponge_profile(grid: Grid, strength: float) -> np.ndarray:
-    """Damping rate supported on the last 5% of nodes, quartic ramp."""
+def sponge_profile(grid: Grid) -> np.ndarray:
+    """Damping rate supported on the last 5% of nodes, a quartic ramp up
+    to SPONGE_STRENGTH."""
     n = grid.n
     n0 = int(math.floor(0.95 * n))
     sigma = np.zeros(n)
     z = (np.arange(n0, n) - n0) / max(n - 1 - n0, 1)
-    sigma[n0:] = strength * z**4
+    sigma[n0:] = SPONGE_STRENGTH * z**4
     return sigma
 
 
@@ -180,15 +180,15 @@ def step(u: RadialField, dt: float, kinetic: KineticSolver | None = None,
 
 
 def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
-    """Integrate from t0, recording conservation/virial monitors every
-    monitor_stride steps and (optionally) a tube decomposition per
-    monitor time with warm start. A decomposition that did not converge
+    """Integrate from t0, recording conservation/virial monitors and a
+    snapshot every monitor_stride steps and (optionally) a tube
+    decomposition per monitor time with warm start. A decomposition that did not converge
     ends the run with stop_reason "no-convergence", kept as the last
     record."""
     if u0.grid != config.grid:
         raise G.GridError("initial datum not on the solver grid")
     kin = KineticSolver(config.grid, u0.m, config.dt)
-    damping = np.exp(-config.dt * sponge_profile(config.grid, config.sponge_strength))
+    damping = np.exp(-config.dt * sponge_profile(config.grid))
 
     mod_table = None
     ortho = None
@@ -205,10 +205,8 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
     times, snaps, decomps = [], [], []
     u, t = u0, t0
     stop = "t_end"
-    n_monitor = 0
 
     def monitor(u, t):
-        nonlocal n_monitor
         e, mass, e_sd = GA.energy_mass(u)
         v1, v2 = GA.virial(u)
         tri = GA.conjugate_triple(u)
@@ -221,9 +219,7 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
         series["u1_l2"].append(G.l2(tri.u1))
         series["u2_l2"].append(G.l2(tri.u2))
         times.append(t)
-        if n_monitor % config.snapshot_stride == 0:
-            snaps.append((t, u))
-        n_monitor += 1
+        snaps.append((t, u))
         if config.decompose_flag:
             from . import modulation as MOD
             d = MOD.decompose(u, ortho, init=warm, table=mod_table,
@@ -252,12 +248,10 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
                 break
         d = monitor(u, t)
 
-    if snaps[-1][0] != times[-1]:
-        snaps.append((times[-1], u))
     return Trajectory(times=np.array(times),
                       series={k: np.array(v) for k, v in series.items()},
                       snapshots=snaps, decompositions=decomps,
-                      stop_reason=stop, config=config)
+                      stop_reason=stop)
 
 
 def validate_exact(traj: Trajectory, reference) -> dict:

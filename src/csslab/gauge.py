@@ -15,13 +15,12 @@ and the first-order operators built on them are
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import grid as G
-from .grid import RadialField, IndexMismatch
+from .grid import Grid, IndexMismatch, RadialField
 
 
 @dataclass(frozen=True)
@@ -31,11 +30,10 @@ class GaugeFields:
     m: int
 
 
-def a_theta_pol(f: RadialField, g: RadialField) -> np.ndarray:
-    """Polarized potential A_theta[f, g] = -1/2 int_0^r Re(conj(f) g) r' dr'."""
-    G.check_same_grid(f, g)
-    dens = np.real(np.conj(f.values) * g.values)
-    return -0.5 * G.cumulative_rdr(f.grid, dens)
+def a_theta_pol(grid: Grid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Polarized potential A_theta[f, g] = -1/2 int_0^r Re(conj(f) g) r' dr'
+    of two sample arrays (or coefficient rows) on the grid."""
+    return -0.5 * G.cumulative_rdr(grid, np.real(np.conj(f) * g))
 
 
 def gauge_fields(u: RadialField) -> GaugeFields:
@@ -99,11 +97,11 @@ def energy_mass(u: RadialField) -> tuple[float, float, float]:
         grad2 = da**2 + a**2 * dphi**2
         dsq = (da - (u.m + gf.a_theta) * a / r) ** 2 + (a * dphi) ** 2
     kinetic = 0.5 * (grad2 + ((u.m + gf.a_theta) / r) ** 2 * dens)
-    E = G.auto_tail_integrate(u.grid, kinetic) \
-        - 0.25 * float(np.real(G.integrate_samples(
-            u.grid, dens**2, None if u.decay is None else 4 * u.decay)[0]))
-    M = float(np.real(G.integrate_samples(u.grid, dens,
-                                          None if u.decay is None else 2 * u.decay)[0]))
+    E = G.auto_tail_integrate(u.grid, kinetic) - 0.25 * float(
+        G.integrate_samples(u.grid, dens**2,
+                            None if u.decay is None else 4 * u.decay))
+    M = float(G.integrate_samples(u.grid, dens,
+                                  None if u.decay is None else 2 * u.decay))
     E_sd = 0.5 * G.auto_tail_integrate(u.grid, dsq)
     return E, M, E_sd
 
@@ -113,20 +111,19 @@ def virial(u: RadialField) -> tuple[float, float]:
     r = u.grid.r
     dens = np.abs(u.values) ** 2
     d1 = None if u.decay is None else 2.0 * u.decay - 2.0
-    v1 = float(np.real(G.integrate_samples(u.grid, r**2 * dens, d1)[0]))
+    v1 = float(G.integrate_samples(u.grid, r**2 * dens, d1))
     # Im(conj(u) d_r u) = a^2 d_r phi for a zero-free field
     polar = G.polar_derivs(u.grid, u.values)
     if polar is None:
         im_grad = np.imag(np.conj(u.values) * G.d_dr(u.grid, u.values, 1))
     else:
         im_grad = polar[0] ** 2 * polar[2]
-    v2 = float(np.real(G.integrate_samples(u.grid, r * im_grad, d1)[0]))
+    v2 = float(G.integrate_samples(u.grid, r * im_grad, d1))
     return v1, v2
 
 
 @dataclass(frozen=True)
 class ConjugateTriple:
-    u: RadialField
     u1: RadialField
     u2: RadialField
 
@@ -135,4 +132,4 @@ def conjugate_triple(u: RadialField) -> ConjugateTriple:
     gf = gauge_fields(u)
     u1 = cov_d(u, u, gf)
     u2 = a_u(u, u1, gf)
-    return ConjugateTriple(u=u, u1=u1, u2=u2)
+    return ConjugateTriple(u1=u1, u2=u2)

@@ -215,12 +215,6 @@ def d_dr(grid: Grid, vals: np.ndarray, order: int = 1) -> np.ndarray:
     raise ValueError("order must be 1, 2, or 3")
 
 
-def differentiate(f: RadialField, order: int = 1) -> RadialField:
-    vals = d_dr(f.grid, f.values, order)
-    decay = None if f.decay is None else f.decay + order
-    return RadialField(f.m, vals, f.grid, decay)
-
-
 # ---------------------------------------------------------------------------
 # Quadrature
 
@@ -239,44 +233,35 @@ def _gregory_weights(n: int, h: float) -> np.ndarray:
 
 
 def integrate_samples(grid: Grid, vals: np.ndarray, decay: float | None = None):
-    """2*pi * int vals r dr over the grid, plus a tail estimate.
-
-    Returns (value, tail) where tail was already added to value when a
-    decay exponent p > 2 is supplied (integrand ~ r^{1-p} beyond r_max).
-    """
+    """2*pi * int vals r dr over the grid, plus the tail beyond r_max when a
+    decay exponent p > 2 is supplied (integrand ~ r^{1-p} there). Real
+    input gives a real result."""
     w = _gregory_weights(grid.n, grid.h)
     core = TWO_PI * np.sum(w * vals * grid.r**2)
-    tail = 0.0
     if decay is not None and decay > 2.0:
-        tail = TWO_PI * complex(vals[-1]) * grid.r_max**2 / (decay - 2.0)
-        core = core + tail
-    return core, tail
+        core = core + TWO_PI * vals[-1].item() * grid.r_max**2 / (decay - 2.0)
+    return core
 
 
-def integrate(f: RadialField) -> complex:
-    value, _ = integrate_samples(f.grid, f.values, f.decay)
-    return complex(value)
-
-
-def integrate_dy(grid: Grid, vals: np.ndarray, decay: float | None = None) -> complex:
-    """Plain-measure integral int vals dr over the grid (no 2*pi, no r weight)."""
+def integrate_dy(grid: Grid, vals: np.ndarray, decay: float | None = None):
+    """Plain-measure integral int vals dr over the grid (no 2*pi, no r
+    weight); real input gives a real result."""
     w = _gregory_weights(grid.n, grid.h)
     core = np.sum(w * vals * grid.r)
     if decay is not None and decay > 1.0:
-        core = core + complex(vals[-1]) * grid.r_max / (decay - 1.0)
-    return complex(core)
+        core = core + vals[-1].item() * grid.r_max / (decay - 1.0)
+    return core
 
 
 def auto_tail_integrate(grid: Grid, vals: np.ndarray) -> float:
     """2*pi int vals r dr with the tail exponent estimated from the last
     nodes of the (real, nonnegative) integrand itself."""
-    value, _ = integrate_samples(grid, vals)
-    v = np.real(vals)
-    if v[-1] > 0 and v[-4] > 0:
-        p = -math.log(v[-1] / v[-4]) / (3.0 * grid.h)
+    value = integrate_samples(grid, vals)
+    if vals[-1] > 0 and vals[-4] > 0:
+        p = -math.log(vals[-1] / vals[-4]) / (3.0 * grid.h)
         if p > 2.05:
-            value = value + TWO_PI * v[-1] * grid.r_max**2 / (p - 2.0)
-    return float(np.real(value))
+            value = value + TWO_PI * vals[-1] * grid.r_max**2 / (p - 2.0)
+    return float(value)
 
 
 def smart_unwrap(vals: np.ndarray) -> np.ndarray:
@@ -325,14 +310,14 @@ def inner(f: RadialField, g: RadialField) -> float:
     decay = None
     if f.decay is not None and g.decay is not None:
         decay = f.decay + g.decay
-    value, _ = integrate_samples(f.grid, np.real(np.conj(f.values) * g.values), decay)
-    return float(np.real(value))
+    dens = np.real(np.conj(f.values) * g.values)
+    return float(integrate_samples(f.grid, dens, decay))
 
 
 def l2_samples(grid: Grid, vals: np.ndarray, decay: float | None = None) -> float:
     dd = None if decay is None else 2.0 * decay
-    value, _ = integrate_samples(grid, np.abs(vals) ** 2, dd)
-    return math.sqrt(max(float(np.real(value)), 0.0))
+    value = integrate_samples(grid, np.abs(vals) ** 2, dd)
+    return math.sqrt(max(float(value), 0.0))
 
 
 def l2(f: RadialField) -> float:
@@ -499,8 +484,8 @@ def hdot1(f: RadialField, m: int | None = None) -> float:
     fr = d_dr(f.grid, f.values, 1)
     dens = np.abs(fr) ** 2 + (mm / f.grid.r) ** 2 * np.abs(f.values) ** 2
     dd = None if f.decay is None else 2.0 * (f.decay + 1.0)
-    value, _ = integrate_samples(f.grid, dens, dd)
-    return math.sqrt(max(float(np.real(value)), 0.0))
+    value = integrate_samples(f.grid, dens, dd)
+    return math.sqrt(max(float(value), 0.0))
 
 
 def hdotk_hardy(f: RadialField, k: int) -> float:

@@ -1,5 +1,6 @@
 """Linearized operators around Q, their formal right inverses, the Morawetz
-weight, and empirical coercivity probes.
+weight and its quadratic form, and the random smooth fields of the
+coercivity battery.
 
 All operators use the closed-form potential A_theta[Q] = -2(m+1)t/(1+t)
 with t = y^{2m+2}. Index bookkeeping (base index m):
@@ -29,10 +30,6 @@ class OrthogonalityViolated(ValueError):
 
 
 class TailDivergent(ValueError):
-    pass
-
-
-class DegenerateOrtho(ValueError):
     pass
 
 
@@ -114,12 +111,12 @@ def apply(kind: OperatorKind, f: RadialField) -> RadialField:
         # D_Q f - (2/y) A_theta[Q, f] Q with A_theta[Q, f] = -1/2 C, so + C Q / y
         d = G.d_dr(g, f.values, 1) - ((m + a) / r) * f.values
         c = G.cumulative_rdr(g, np.real(q * f.values))
-        vals = d + np.real(c) * q / r
+        vals = d + c * q / r
     elif tag == "LQ_star":
         d = -G.d_dr(g, f.values, 1) - ((m + 1 + a) / r) * f.values
         tail_p = None if f.decay is None else f.decay + m + 2
         back = G.backward_dy(g, np.real(q * f.values), tail_power=tail_p)
-        vals = d + np.real(back) * q
+        vals = d + back * q
     elif tag == "AQ":
         vals = G.d_dr(g, f.values, 1) - ((m + 1 + a) / r) * f.values
     elif tag == "AQ_star":
@@ -171,7 +168,7 @@ def _kernel_pair_htd(grid: Grid, m: int):
     y = grid.r
     q = q_values(m, y)
     yq2 = (y * q) ** 2
-    fwd = np.real(G.cumulative_rdr(grid, yq2))
+    fwd = G.cumulative_rdr(grid, yq2)
     back = G.backward_rdr(grid, yq2, tail_power=2 * m + 2)
     p = p_const(m)
     h1 = fwd / (y**2 * q)
@@ -192,9 +189,12 @@ def rho(m: int, grid: Grid) -> RadialField:
     return RadialField(m, np.real(out.values).astype(complex), grid, decay=float(m))
 
 
+# relative size of (f, yQ)_r below which f counts as orthogonal to yQ
+_ORTHO_TOL = 1e-6
+
+
 def right_inverse(kind: OperatorKind, f: RadialField,
-                  branch: str = "outgoing",
-                  ortho_tol: float = 1e-6) -> RadialField:
+                  branch: str = "outgoing") -> RadialField:
     _check_range(kind, f)
     if branch not in ("outgoing", "inner", "orthogonal"):
         raise ValueError(f"unknown branch {branch!r}")
@@ -209,18 +209,18 @@ def right_inverse(kind: OperatorKind, f: RadialField,
     if tag == "LQ":
         j1, j1p, j2, j2p = j_pair(g, m)
         u = np.real(f.values) / q
-        i2 = np.real(G.cumulative_rdr(g, j2p * u, include_origin=False))
-        i1 = np.real(G.cumulative_rdr(g, j1p * u, include_origin=False))
+        i2 = G.cumulative_rdr(g, j2p * u, include_origin=False)
+        i1 = G.cumulative_rdr(g, j1p * u, include_origin=False)
         re = q * (j1 * i2 - j2 * i1)
-        im = q * np.real(G.cumulative_dy(g, np.imag(f.values) / q,
-                                         include_origin=False))
+        im = q * G.cumulative_dy(g, np.imag(f.values) / q,
+                                 include_origin=False)
         vals = re + 1j * im
     elif tag == "AQ":
         vals = y * q * G.cumulative_dy(g, f.values / (y * q),
                                        include_origin=False)
     elif tag == "AQ_star":
         if branch == "orthogonal":
-            _require_yq_orthogonal(kind, f, ortho_tol)
+            _require_yq_orthogonal(kind, f)
             tail_p = None if f.decay is None else f.decay + m + 1
             vals = G.backward_rdr(g, y * q * f.values, tail_p) / (y**2 * q)
         else:
@@ -230,7 +230,7 @@ def right_inverse(kind: OperatorKind, f: RadialField,
         i1 = G.cumulative_rdr(g, h1 * f.values, include_origin=False)
         i2 = G.cumulative_rdr(g, h2 * f.values, include_origin=False)
         if branch == "orthogonal":
-            _require_yq_orthogonal(kind, f, ortho_tol)
+            _require_yq_orthogonal(kind, f)
             j2 = G.backward_rdr(g, h2 * f.values)
             vals = -h2 * i1 - h1 * j2
         else:
@@ -259,13 +259,13 @@ def _check_range(kind: OperatorKind, f: RadialField):
             f"right_inverse({kind.tag}) expects index {kind.range_index}, got {f.m}")
 
 
-def _require_yq_orthogonal(kind: OperatorKind, f: RadialField, tol: float):
+def _require_yq_orthogonal(kind: OperatorKind, f: RadialField):
     g, y = f.grid, f.grid.r
     q = q_values(kind.m, y)
     yq = y * q
-    pair = complex(G.integrate_samples(g, yq * f.values)[0])
+    pair = complex(G.integrate_samples(g, yq * f.values))
     scale = G.l2_samples(g, yq) * max(G.l2_samples(g, f.values), 1e-300)
-    if abs(pair) > tol * scale:
+    if abs(pair) > _ORTHO_TOL * scale:
         raise OrthogonalityViolated(
             f"orthogonal branch needs (f, yQ) = 0; got {pair:.3e}")
 
@@ -277,7 +277,6 @@ def _require_yq_orthogonal(kind: OperatorKind, f: RadialField, tol: float):
 @dataclass(frozen=True)
 class MorawetzWeight:
     delta: float
-    psi: np.ndarray
     psi_prime: np.ndarray
     psi_dprime: np.ndarray
     laplacian_psi: np.ndarray
@@ -289,17 +288,18 @@ class MorawetzWeight:
 
 
 def _weight_arrays(delta: float, y: np.ndarray):
+    """psi', psi'', Delta psi and Delta^2 psi of the weight
+    psi = <y> - (delta/2) log(1 + y^2)."""
     ang = np.sqrt(1.0 + y**2)
-    psi = ang - 0.5 * delta * np.log(1.0 + y**2)
     psi_p = y / ang - delta * y / ang**2
     psi_pp = 1.0 / ang**3 - delta * (1.0 - y**2) / ang**4
     lap = (2.0 + y**2) / ang**3 - 2.0 * delta / ang**4
     bilap = (y**4 + 8.0 * y**2 - 8.0) / ang**7 \
         + 16.0 * delta * (1.0 - 2.0 * y**2) / ang**8
-    return psi, psi_p, psi_pp, lap, bilap
+    return psi_p, psi_pp, lap, bilap
 
 
-def morawetz_weight(delta: float = 0.3, grid: Grid | None = None,
+def morawetz_weight(delta: float, grid: Grid,
                     auto_halve: bool = True) -> MorawetzWeight:
     """Repulsive weight psi' = y/<y> - delta y/<y>^2. The returned record
     witnesses c1, c2 > 0 in psi'' >= c1/<y>^2 and
@@ -307,12 +307,10 @@ def morawetz_weight(delta: float = 0.3, grid: Grid | None = None,
     until both hold (disable with auto_halve=False to get the error)."""
     if not (0.0 < delta < 1.0) and delta != 0.0:
         raise ValueError(f"delta must lie in [0, 1), got {delta}")
-    if grid is None:
-        grid = G.default_grid()
     y = grid.r
     ang = np.sqrt(1.0 + y**2)
     while True:
-        psi, psi_p, psi_pp, lap, bilap = _weight_arrays(delta, y)
+        psi_p, psi_pp, lap, bilap = _weight_arrays(delta, y)
         c1 = float(np.min(psi_pp * ang**2))
         c2 = float(np.min((psi_p / y - 0.25 * y**2 * bilap) * ang))
         if c1 > 0.0 and c2 > 0.0:
@@ -328,44 +326,45 @@ def morawetz_weight(delta: float = 0.3, grid: Grid | None = None,
     c_rpsi = float(np.max(y * psi_pp * ang))
     if np.any(psi_p < -1e-14) or np.any(psi_p > 1.0 + 1e-14):
         raise RepulsivityViolated("psi' leaves [0, 1]")
-    return MorawetzWeight(delta=delta, psi=psi, psi_prime=psi_p,
+    return MorawetzWeight(delta=delta, psi_prime=psi_p,
                           psi_dprime=psi_pp, laplacian_psi=lap,
                           bilaplacian_psi=bilap, c1=c1, c2=c2,
                           c_rpsi=c_rpsi, grid=grid)
 
 
 def lambda_psi(w: MorawetzWeight, f: RadialField) -> RadialField:
-    """The antisymmetric generator Lambda_psi f = psi' d_y f + (Delta psi / 2) f."""
+    """The antisymmetric generator Lambda_psi f = psi' d_y f + (Delta psi / 2) f.
+
+    Nothing in the lab applies it: it is the reference side of the
+    integrated-by-parts identity of morawetz_quadform, which
+    test_quadform_identity checks against (Htd_Q f, Lambda_psi f)_r."""
     vals = w.psi_prime * G.d_dr(f.grid, f.values, 1) \
         + 0.5 * w.laplacian_psi * f.values
     return RadialField(f.m, vals, f.grid)
 
 
-def morawetz_quadform(f: RadialField, w: MorawetzWeight, m: int | None = None):
+def morawetz_quadform(f: RadialField, w: MorawetzWeight):
     """Q_form = (Htd_Q f, Lambda_psi f)_r via the integrated-by-parts identity
 
         int psi'' |d_y f|^2
         + int [ (psi'/y)(Vtd_Q + y^2 Q^2 / 2) - y^2 (Delta^2 psi)/4 ] |f|^2/y^2
 
-    together with the squared V^{3/2}-norm of f. The base index is inferred
-    from f (index m+2) unless given."""
+    together with the squared V^{3/2}-norm of f, whose index is m+2."""
     if f.grid != w.grid:
         raise G.GridError("grid-mismatch between field and weight")
-    mm = f.m - 2 if m is None else m
-    if f.m != mm + 2:
-        raise IndexMismatch(f"morawetz_quadform expects index {mm + 2}, got {f.m}")
+    mm = f.m - 2
     y = f.grid.r
     q = q_values(mm, y)
     fp = G.d_dr(f.grid, f.values, 1)
     dens = w.psi_dprime * np.abs(fp) ** 2 + (
         (w.psi_prime / y) * (vtd_q(mm, y) + 0.5 * y**2 * q**2)
         - 0.25 * y**2 * w.bilaplacian_psi) * np.abs(f.values / y) ** 2
-    q_form = float(np.real(G.integrate_samples(f.grid, dens)[0]))
+    q_form = float(G.integrate_samples(f.grid, dens))
     return q_form, G.v32_sq(f)
 
 
 # ---------------------------------------------------------------------------
-# Coercivity probes
+# Random test fields
 
 
 def random_smooth_field(m: int, k: int, grid: Grid, rng) -> RadialField:
@@ -376,57 +375,3 @@ def random_smooth_field(m: int, k: int, grid: Grid, rng) -> RadialField:
     poly = sum(c * r**j for j, c in enumerate(coeffs))
     env = r ** (m + k) * np.exp(-(r**2) / 2.0) * G.smooth_bump(r / 10.0)
     return RadialField(m, env * poly, grid)
-
-
-def project_orthogonal(f: RadialField, ortho: list[RadialField]) -> RadialField:
-    """Gram-Schmidt projection of f onto the (.,.)_r-orthocomplement of ortho."""
-    if not ortho:
-        return f
-    gram = np.array([[G.inner(a, b) for b in ortho] for a in ortho])
-    scale = max(abs(gram).max(), 1e-300)
-    if abs(np.linalg.det(gram)) < 1e-12 * scale ** len(ortho):
-        raise DegenerateOrtho("pairing matrix of the ortho set is singular")
-    rhs = np.array([G.inner(z, f) for z in ortho])
-    coef = np.linalg.solve(gram, rhs)
-    vals = f.values - sum(c * z.values for c, z in zip(coef, ortho))
-    return f.with_values(vals, decay=None)
-
-
-def coercivity_probe(kind: OperatorKind, ortho: list[RadialField],
-                     samples: int = 50, seed: int = 7,
-                     grid: Grid | None = None) -> dict:
-    """Empirical min/max of coercivity ratios over random smooth fields
-    projected orthogonal to `ortho`. Ratio ladder:
-
-        r1 = ||T eps||_{L2}   / ||eps||_{Hdot1}
-        r2 = ||T eps||_{Hdot1} / ||eps||_{calH2}
-        r3 = ||T eps||_{calH2} / ||eps||_{calH3}
-
-    plus, for A_Q, rV = ||A_Q eps||_{L2} / ||eps||_{V3/2}."""
-    if grid is None:
-        grid = ortho[0].grid if ortho else G.default_grid()
-    rng = np.random.default_rng(seed)
-    dom = kind.domain_index
-    ratios: dict[str, list[float]] = {"L2_over_H1": [], "H1_over_calH2": [],
-                                      "calH2_over_calH3": []}
-    if kind.tag == "AQ":
-        ratios["L2_over_V32"] = []
-    for _ in range(samples):
-        eps = random_smooth_field(dom, 1 + rng.integers(0, 2), grid, rng)
-        eps = project_orthogonal(eps, ortho)
-        out = apply(kind, eps)
-        h1 = G.hdot1(eps)
-        if h1 < 1e-12:
-            continue
-        ratios["L2_over_H1"].append(G.l2(out) / h1)
-        ratios["H1_over_calH2"].append(G.hdot1(out) / G.calh2(eps))
-        ratios["calH2_over_calH3"].append(G.calh2(out) / G.calh3(eps))
-        if kind.tag == "AQ":
-            ratios["L2_over_V32"].append(G.l2(out) / math.sqrt(G.v32_sq(eps)))
-    record = {"kind": kind.tag, "m": kind.m, "samples": samples,
-              "grid_id": grid.key, "ratios": {}}
-    for name, vals in ratios.items():
-        record["ratios"][name] = {"min": float(min(vals)), "max": float(max(vals))}
-    record["min_ratio"] = record["ratios"]["L2_over_H1"]["min"]
-    record["max_ratio"] = record["ratios"]["L2_over_H1"]["max"]
-    return record

@@ -13,7 +13,7 @@ where eps1 = D_w w - P1 at w = u^flat, solved by Newton iteration in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -24,7 +24,7 @@ from . import linops as L
 from . import profiles as PR
 from .grid import Grid, RadialField
 from .profiles import ProfileParams, TTable
-from .soliton import SymmetryParams, flat, modulate, proximity_fit, q_values, soliton_q
+from .soliton import SymmetryParams, flat, proximity_fit, q_values, soliton_q
 
 
 class NotInTube(ValueError):
@@ -56,8 +56,6 @@ class ModState:
     gamma: float
     b: float
     eta: float
-    b_hat: float | None = None
-    eta_hat: float | None = None
 
     def __post_init__(self):
         if not (self.lam > 0):
@@ -88,29 +86,29 @@ def build_ortho_profiles(m: int, grid: Grid) -> OrthoProfiles:
     q = q_values(m, y)
     yq_norm2 = G.l2_samples(grid, y * q, decay=m + 1) ** 2
     # smallest radius with the outer mass of yQ at most a quarter of the total
-    tail2 = yq_norm2 - 2.0 * math.pi * np.real(G.cumulative_rdr(grid, (y * q) ** 2))
+    tail2 = yq_norm2 - 2.0 * math.pi * G.cumulative_rdr(grid, (y * q) ** 2)
     idx = int(np.argmax(tail2 <= 0.25 * yq_norm2))
     r_circ = float(y[idx])
     chi = G.smooth_bump(y / r_circ)
 
     lam_q = np.real(G.scale_gen(soliton_q(m, grid)).values)
     rho = np.real(L.rho(m, grid).values)
-    c1_den = float(np.real(G.integrate_samples(grid, chi * rho * rho)[0]))
-    c1 = float(np.real(G.integrate_samples(grid, chi * rho * lam_q)[0])) / c1_den
+    c1_den = float(G.integrate_samples(grid, chi * rho * rho))
+    c1 = float(G.integrate_samples(grid, chi * rho * lam_q)) / c1_den
     z1 = chi * (lam_q - c1 * rho)
 
     w = (y**2 / 4.0) * q
-    c2_den = float(np.real(G.integrate_samples(grid, chi * w * w)[0]))
+    c2_den = float(G.integrate_samples(grid, chi * w * w))
     if c2_den <= 0.0:
         raise DegenerateGauge("gauge projection denominator vanished")
-    c2 = float(np.real(G.integrate_samples(grid, chi * w * q)[0])) / c2_den
+    c2 = float(G.integrate_samples(grid, chi * w * q)) / c2_den
     z2 = 1j * chi * (q - c2 * w)
 
     z3 = -1j * (y / 2.0) * q * chi
     z4 = -(y / 2.0) * q * chi
 
-    t1 = float(np.real(G.integrate_samples(grid, z1 * lam_q)[0]))
-    t2 = float(np.real(G.integrate_samples(grid, np.conj(z2) * (-1j) * q)[0]))
+    t1 = float(G.integrate_samples(grid, z1 * lam_q))
+    t2 = float(np.real(G.integrate_samples(grid, np.conj(z2) * (-1j) * q)))
     return OrthoProfiles(
         m=m,
         Z1=RadialField(m, z1.astype(complex), grid),
@@ -125,6 +123,8 @@ def build_ortho_profiles(m: int, grid: Grid) -> OrthoProfiles:
 
 
 _CHART_BETA = 0.099
+_NEWTON_TOL = 1e-10  # on the largest pairing, relative to ||Q||_{L2}
+_NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -222,9 +222,7 @@ def _jacobian(aux, profiles: OrthoProfiles) -> np.ndarray:
 def decompose(u: RadialField, profiles: OrthoProfiles,
               init: ModState | None = None,
               table: TTable | None = None,
-              tube_radius: float = 0.2,
-              tol_factor: float = 1e-10,
-              max_iter: int = 50) -> DecompResult:
+              tube_radius: float = 0.2) -> DecompResult:
     """Newton solve of the four orthogonality conditions, one pairing per
     iteration. The Jacobian is analytic: by column, (d eps, d eps1) is
     (Lambda w, Lambda_{-1} D_w w) for log lambda (A_theta is scaling
@@ -245,7 +243,7 @@ def decompose(u: RadialField, profiles: OrthoProfiles,
     if init is None:
         init = ModState(fit.lam, fit.gamma, 0.0, 0.0)
 
-    tol = tol_factor * G.l2(q)
+    tol = _NEWTON_TOL * G.l2(q)
     x = np.array([math.log(init.lam), init.gamma, init.b, init.eta])
 
     def state_of(xv):
@@ -254,7 +252,7 @@ def decompose(u: RadialField, profiles: OrthoProfiles,
     vec, aux = _pairings(u, state_of(x), table, profiles)
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _NEWTON_MAX_ITER + 1):
         if np.max(np.abs(vec)) < tol:
             converged = True
             break
@@ -269,7 +267,7 @@ def decompose(u: RadialField, profiles: OrthoProfiles,
         x = x - dx
         vec, aux = _pairings(u, state_of(x), table, profiles)
     else:
-        it = max_iter
+        it = _NEWTON_MAX_ITER
     converged = converged or np.max(np.abs(vec)) < tol
 
     state = state_of(x)
@@ -298,10 +296,10 @@ def corrected_params(d: DecompResult) -> tuple[float, float]:
     q = q_values(m, y)
     chi = G.smooth_bump(y * d.mu)
     yq_norm2 = G.l2_samples(grid, y * q, decay=m + 1) ** 2
-    pair_i = float(np.real(G.integrate_samples(
-        grid, np.real(np.conj(d.eps1.values) * (2j * y * q)) * chi)[0]))
-    pair_r = float(np.real(G.integrate_samples(
-        grid, np.real(np.conj(d.eps1.values) * (2.0 * y * q)) * chi)[0]))
+    pair_i = float(G.integrate_samples(
+        grid, np.real(np.conj(d.eps1.values) * (2j * y * q)) * chi))
+    pair_r = float(G.integrate_samples(
+        grid, np.real(np.conj(d.eps1.values) * (2.0 * y * q)) * chi))
     return d.state.b - pair_i / yq_norm2, d.state.eta - pair_r / yq_norm2
 
 
@@ -321,15 +319,16 @@ def _phase_integral(m: int, b: float, eta: float, table: TTable) -> float:
     chi = G.smooth_bump(y / b_eff)
     p_vals = q_values(m, y) + chi * PR.expansion(table, 0, b, eta)
     dens = np.real(np.conj(p_vals) * (chi * PR.expansion(table, 1, b, eta)))
-    return float(np.real(G.integrate_dy(grid, dens)))
+    return float(G.integrate_dy(grid, dens))
 
 
 def ode_rhs(m: int, state: ModState, table: TTable | None = None,
-            grid: Grid | None = None, use_p3: bool = True,
+            use_p3: bool = True,
             leading_order: bool = False) -> tuple[float, float, float, float]:
     """s-derivatives (lambda_s, gamma_s, b_s, eta_s) of the closed formal
     system: lambda_s/lambda = -b, gamma_s = -(m+1) eta - phase integral,
-    b_s = -(b^2 + eta^2) - p3_b, eta_s = -p3_eta."""
+    b_s = -(b^2 + eta^2) - p3_b, eta_s = -p3_eta. The profile-assembled
+    phase integral needs the T-table; the leading-order phase does not."""
     b, eta = state.b, state.eta
     if leading_order:
         phase = -2.0 * (m + 1) * eta
@@ -338,9 +337,6 @@ def ode_rhs(m: int, state: ModState, table: TTable | None = None,
             raise ValueError(
                 f"beta = {state.beta} out of range for the profile-assembled "
                 "phase integral (need < 1/10)")
-        if table is None:
-            table = PR.build_t_tables(m, grid if grid is not None
-                                      else G.default_grid())
         phase = _phase_integral(m, b, eta, table)
     p3b, p3e = PR.p3(m, ProfileParams(b, eta)) if use_p3 else (0.0, 0.0)
     lam_s = -b * state.lam
@@ -350,14 +346,9 @@ def ode_rhs(m: int, state: ModState, table: TTable | None = None,
     return lam_s, gam_s, b_s, eta_s
 
 
-class BlowupReached(RuntimeError):
-    pass
-
-
 def ode_integrate(m: int, state0: ModState, t_span: tuple[float, float],
                   grid: Grid | None = None, use_p3: bool = True,
                   leading_order: bool = False, lam_min: float = 1e-3,
-                  rtol: float = 1e-10, max_step: float = np.inf,
                   n_eval: int = 400) -> dict:
     """Integrate the modulation system in the original time variable t
     (ds = dt / lambda^2) with an adaptive Runge-Kutta method."""
@@ -382,9 +373,8 @@ def ode_integrate(m: int, state0: ModState, t_span: tuple[float, float],
 
     y0 = [state0.lam, state0.gamma, state0.b, state0.eta, 0.0]
     t_eval = np.linspace(t_span[0], t_span[1], n_eval)
-    sol = solve_ivp(rhs, t_span, y0, method="RK45", rtol=rtol, atol=1e-13,
-                    events=hit_floor, dense_output=True, t_eval=t_eval,
-                    max_step=max_step)
+    sol = solve_ivp(rhs, t_span, y0, method="RK45", rtol=1e-10, atol=1e-13,
+                    events=hit_floor, dense_output=True, t_eval=t_eval)
     if not sol.success:
         raise RuntimeError(f"step-failure: {sol.message}")
     stop = "t_end"
@@ -397,5 +387,4 @@ def ode_integrate(m: int, state0: ModState, t_span: tuple[float, float],
         t = np.append(t[msk], t_ev)
         states = np.column_stack([states[:, msk], sol.y_events[0][0]])
     return {"t": t, "s": states[4], "lambda": states[0], "gamma": states[1],
-            "b": states[2], "eta": states[3], "stop": stop,
-            "m": m, "use_p3": use_p3, "leading_order": leading_order}
+            "b": states[2], "eta": states[3], "stop": stop}

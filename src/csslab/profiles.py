@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from . import gauge as GA
 from . import grid as G
 from . import linops as L
 from .grid import Grid, RadialField
-from .soliton import UnsupportedIndex, q_values, soliton_q
+from .soliton import UnsupportedIndex, q_values
 
 
 class SolvabilityViolated(ValueError):
@@ -122,7 +123,7 @@ def _yq_pairing(grid: Grid, q: np.ndarray, arr: np.ndarray) -> complex:
     grid and integrate it analytically past r_max."""
     y = grid.r
     vals = y * q * arr
-    base = complex(G.integrate_samples(grid, vals)[0])
+    base = complex(G.integrate_samples(grid, vals))
     msk = y >= grid.r_max / 4.0
     yy = y[msk]
     w = vals[msk] * yy**4
@@ -194,16 +195,14 @@ def build_t_tables(m: int, grid: Grid) -> TTable:
     rho = L.rho(m, grid).values
     bb, bb2 = _BBETA, _BBETA2
     qp = q.astype(complex)[None]
-
-    def ath(f, g):  # polarized potential -1/2 int_0^y Re(conj(f) g) y' dy'
-        return -0.5 * G.cumulative_rdr(grid, np.real(np.conj(f) * g))
+    pol = partial(GA.a_theta_pol, grid)
 
     t1_1 = bb[:, None] * (-(y / 2.0) * q)
     t1_0 = np.array([-1j * (y**2 / 4.0) * q, -(m + 1) * rho])
 
     t2_2 = bb2[:, None] * ((y**2 / 4.0) * q.astype(complex))
     t2_1 = _pmul(bb[:, None] * -(y / 2.0), t1_0)
-    a_q1, a_11 = _pmul(qp, t1_0, ath), _pmul(t1_0, t1_0, ath)
+    a_q1, a_11 = _pmul(qp, t1_0, pol), _pmul(t1_0, t1_0, pol)
     src20 = t2_1 + _pmul(a_q1, t1_0) * (2.0 / y) + a_11 * (q / y)
     t2_0 = _pinverse("LQ", m, src20, grid)
 
@@ -227,7 +226,7 @@ def build_t_tables(m: int, grid: Grid) -> TTable:
     else:
         t3_2 = _pmul(bb2, t1_0 * (y**2 / 4.0))
 
-    inner31 = _pmul(_pmul(qp, t2_0, ath), qp) + _pmul(a_q1, t1_0) + a_11 * (0.5 * q)
+    inner31 = _pmul(_pmul(qp, t2_0, pol), qp) + _pmul(a_q1, t1_0) + a_11 * (0.5 * q)
     src31 = t3_2 - _pmul(bb, inner31)
     t3_1 = _pinverse("AQ", m, src31, grid)
 
@@ -274,7 +273,6 @@ def solvability_inner(m: int, params: ProfileParams, table: TTable) -> float:
 
 @dataclass(frozen=True)
 class ProfileSet:
-    params: ProfileParams
     P: RadialField
     P1: RadialField
     P2: RadialField
@@ -284,7 +282,6 @@ class ProfileSet:
     dP1_deta: RadialField
     dP2_db: RadialField
     dP2_deta: RadialField
-    cutoffs: bool = True
 
 
 def _cut_and_derivs(grid: Grid, beta: float, b: float, eta: float, scale_pow: float):
@@ -347,12 +344,10 @@ def assemble(m: int, params: ProfileParams, table: TTable,
 
     mk = lambda idx, vals, decay=None: RadialField(idx, vals, grid, decay)
     return ProfileSet(
-        params=params,
         P=mk(m, p_vals, float(m + 2)), P1=mk(m + 1, p1_vals), P2=mk(m + 2, p2_vals),
         dP_db=mk(m, p_db), dP_deta=mk(m, p_de),
         dP1_db=mk(m + 1, p1_db), dP1_deta=mk(m + 1, p1_de),
-        dP2_db=mk(m + 2, p2_db), dP2_deta=mk(m + 2, p2_de),
-        cutoffs=cutoffs)
+        dP2_db=mk(m + 2, p2_db), dP2_deta=mk(m + 2, p2_de))
 
 
 def cutoff_cancellation(params: ProfileParams, grid: Grid) -> np.ndarray:
@@ -367,32 +362,12 @@ def cutoff_cancellation(params: ProfileParams, grid: Grid) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Modulation vectors
-
-
-def mod_vectors(m: int, params: ProfileParams, p: ProfileSet):
-    """v_k = (Lambda_{-k} P_k, -i P_k, -d_b P_k, -d_eta P_k) for k = 0, 1, 2."""
-    trip = ((p.P, p.dP_db, p.dP_deta, 0),
-            (p.P1, p.dP1_db, p.dP1_deta, 1),
-            (p.P2, p.dP2_db, p.dP2_deta, 2))
-    out = []
-    for fld, db, de, k in trip:
-        lam = G.scale_gen(fld, s=-float(k))
-        out.append((lam,
-                    fld.with_values(-1j * fld.values, decay=None),
-                    db.with_values(-db.values),
-                    de.with_values(-de.values)))
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # Residuals
 
 
 @dataclass(frozen=True)
 class ResidualReport:
-    params: ProfileParams
-    psi_local_sup: dict          # R -> sup_{r <= R} |Psi|
+    psi_local_sup: dict          # R -> sup_{r <= R} |Psi|, R in _SUP_RADII
     psi1_weighted_L1: float      # || Psi_1 / y^2 ||_{L^1}
     psi2_L2: float
     psi2_H1: float
@@ -402,8 +377,10 @@ class ResidualReport:
     fields: dict                 # name -> RadialField
 
 
-def residuals(m: int, params: ProfileParams, p: ProfileSet,
-              radii=(2.0, 5.0)) -> ResidualReport:
+_SUP_RADII = (2.0, 5.0)  # radii of the local sup norms of Psi
+
+
+def residuals(m: int, params: ProfileParams, p: ProfileSet) -> ResidualReport:
     """Evaluate the three profile-equation residuals with the formal laws
     (Mod = 0): lambda_s/lambda = -b, gamma_s = -(m+1) eta - I0,
     b_s = -(b^2+eta^2) - p3_b, eta_s = -p3_eta."""
@@ -416,7 +393,7 @@ def residuals(m: int, params: ProfileParams, p: ProfileSet,
 
     gf = GA.gauge_fields(p.P)
     dens01 = np.real(np.conj(p.P.values) * p.P1.values)
-    i_tail = np.real(G.backward_dy(grid, dens01))
+    i_tail = G.backward_dy(grid, dens01)
     i0 = float(i_tail[0])
     gamma_s = -(m + 1) * eta - i0
 
@@ -448,8 +425,8 @@ def residuals(m: int, params: ProfileParams, p: ProfileSet,
     psi1_f = RadialField(m + 1, psi1, grid)
     psi2_f = RadialField(m + 2, psi2, grid)
 
-    local_sup = {R: float(np.max(np.abs(psi[y <= R]))) for R in radii}
-    psi1_l1 = float(np.real(G.integrate_samples(grid, np.abs(psi1) / y**2)[0]))
+    local_sup = {R: float(np.max(np.abs(psi[y <= R]))) for R in _SUP_RADII}
+    psi1_l1 = float(G.integrate_samples(grid, np.abs(psi1) / y**2))
 
     d_pp = GA.cov_d(p.P, p.P, gf)
     c1 = d_pp.with_values(d_pp.values - p.P1.values)
@@ -459,7 +436,7 @@ def residuals(m: int, params: ProfileParams, p: ProfileSet,
     compat2 = (G.l2(c2), G.hdot1(c2), math.sqrt(G.v32_sq(c2)))
 
     return ResidualReport(
-        params=params, psi_local_sup=local_sup, psi1_weighted_L1=psi1_l1,
+        psi_local_sup=local_sup, psi1_weighted_L1=psi1_l1,
         psi2_L2=G.l2(psi2_f), psi2_H1=G.hdot1(psi2_f),
         compat1=compat1, compat2=compat2, phase_corr=i0,
         fields={"Psi": psi_f, "Psi1": psi1_f, "Psi2": psi2_f})
@@ -506,15 +483,16 @@ def taylor_deviations(m: int, params: ProfileParams, table: TTable) -> dict:
 
 # condition number of the scaled s-power matrix above which the fit is refused
 _FIT_COND_MAX = 1e9
+_FIT_DEGREES = range(3, 9)  # the powers of s fitted per node
 
 
 def build_t4(m: int, grid: Grid, direction: tuple[float, float],
-             s_values=None, degrees=range(3, 9)) -> RadialField:
+             s_values=None) -> RadialField:
     """Extract the quartic coefficient F4 of the P2-equation residual along
     the given unit (b, eta)-direction (cutoffs removed, T4 omitted) by a
     per-node least-squares fit in s over a geometric ladder, then return
     T4 = -out Htd_Q^{-1} F4 (m = 1) or -inn Htd_Q^{-1} F4 (m >= 2)."""
-    f4 = quartic_coefficient(m, grid, direction, None, s_values, degrees)
+    f4 = quartic_coefficient(m, grid, direction, None, s_values)
     kind = L.OperatorKind("HtdQ", m)
     branch = "outgoing" if m == 1 else "inner"
     inv = L.right_inverse(kind, RadialField(m + 2, f4, grid), branch)
@@ -523,7 +501,7 @@ def build_t4(m: int, grid: Grid, direction: tuple[float, float],
 
 def quartic_coefficient(m: int, grid: Grid, direction: tuple[float, float],
                         t4_dir: RadialField | None = None,
-                        s_values=None, degrees=range(3, 9)) -> np.ndarray:
+                        s_values=None) -> np.ndarray:
     """The fitted s^4 coefficient of the Psi2 residual (with the optional
     T4 correction included); also used by the re-extraction consistency
     check. Raises FitIllConditioned when the s-ladder cannot separate the
@@ -533,9 +511,9 @@ def quartic_coefficient(m: int, grid: Grid, direction: tuple[float, float],
     db, de = db / norm, de / norm
     if s_values is None:
         s_values = [0.03 * 2.0 ** (-j / 2.0) for j in range(6)]
-    smat = np.array([[s**d for d in degrees] for s in s_values])
+    smat = np.array([[s**d for d in _FIT_DEGREES] for s in s_values])
     scale = np.array([max(abs(min(s_values)), abs(max(s_values))) ** d
-                      for d in degrees])
+                      for d in _FIT_DEGREES])
     cond = np.linalg.cond(smat / scale)
     if cond > _FIT_COND_MAX:
         raise FitIllConditioned(f"fit-ill-conditioned: cond = {cond:.3e}")
@@ -547,7 +525,7 @@ def quartic_coefficient(m: int, grid: Grid, direction: tuple[float, float],
         rep = residuals(m, params, pset)
         rows.append(rep.fields["Psi2"].values)
     coef, *_ = np.linalg.lstsq(smat, np.array(rows), rcond=None)
-    return coef[list(degrees).index(4)]
+    return coef[_FIT_DEGREES.index(4)]
 
 
 # ---------------------------------------------------------------------------
@@ -555,10 +533,8 @@ def quartic_coefficient(m: int, grid: Grid, direction: tuple[float, float],
 
 
 def scaling_sweep(m: int, betas, direction: tuple[float, float],
-                  grid: Grid | None = None, include_t4: bool = True) -> dict:
+                  grid: Grid, include_t4: bool = True) -> dict:
     """Log-log slope fits of the residual norms against beta."""
-    if grid is None:
-        grid = G.default_grid()
     db, de = direction
     norm = math.hypot(db, de)
     db, de = db / norm, de / norm

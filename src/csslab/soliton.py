@@ -124,7 +124,10 @@ def blowup_s(m: int, t: float, grid: Grid) -> RadialField:
 
 def pseudoconformal(f: RadialField, t: float) -> RadialField:
     """Apply the pseudoconformal map to a static profile at time t < 0:
-    [C f](t, r) = (1/|t|) f(r/|t|) exp(i r^2 / (4t))."""
+    [C f](t, r) = (1/|t|) f(r/|t|) exp(i r^2 / (4t)).
+
+    Nothing in the lab applies it: it is the reference construction of S
+    that test_pseudoconformal_reproduces_blowup checks blowup_s against."""
     if not (t < 0):
         raise ScaleOutOfRange("transform evaluated for t < 0 only")
     lam = abs(t)
@@ -152,6 +155,6 @@ def proximity_fit(u: RadialField, q: RadialField | None = None) -> SymmetryParam
     du = G.d_dr(g, ub.values, 1)
     dq = G.d_dr(g, q.values, 1)
     dens = du * np.conj(dq) + (u.m / g.r) ** 2 * ub.values * np.conj(q.values)
-    pair = complex(G.integrate_samples(g, dens)[0])
+    pair = complex(G.integrate_samples(g, dens))
     gamma_hat = math.atan2(pair.imag, pair.real) % (2.0 * math.pi)
     return SymmetryParams(lam_hat, gamma_hat)

@@ -111,7 +111,7 @@ def test_criterion_4_morawetz_repulsivity(grid):
     # with the auto-selected delta both pointwise weight inequalities hold,
     # and over >= 50 random test fields the quadratic-form ratio has a
     # positive minimum, stable within 20% under sample doubling
-    w = L.morawetz_weight(grid=grid)
+    w = L.morawetz_weight(0.3, grid)
     assert w.c1 > 0.0 and w.c2 > 0.0
     checks = suite_coercivity(grid, seed=20230817, samples=50)
     for c in checks:

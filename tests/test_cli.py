@@ -184,6 +184,25 @@ def test_ode_config_file_and_flag_override(runner, tmp_path, outroot):
         assert "Traceback" not in res.output
 
 
+def test_config_key_naming_no_option_is_reported(runner, tmp_path, outroot):
+    # a typo falls back to the option's default: the run goes on (a file
+    # may serve several verbs), with one warning line and a manifest entry
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("m = 1\neta0 = 0.5\nwindw = -50,50\n")
+    res = runner.invoke(main, ["ode", "--config", str(cfg), "--out", "typo"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.stdout)["window"] == [-100.0, 100.0]
+    assert res.stderr.splitlines() == [
+        "Warning: config keys that name no option of ode: windw"]
+    manifest = json.loads((outroot / "typo" / "manifest.json").read_text())
+    assert manifest["ignored_config_keys"] == ["windw"]
+    res = runner.invoke(main, ["ode", "--m", "1", "--eta0", "0.5",
+                               "--out", "clean"])
+    assert res.stderr == ""
+    manifest = json.loads((outroot / "clean" / "manifest.json").read_text())
+    assert "ignored_config_keys" not in manifest
+
+
 def test_ode_refuses_missing_eta0(runner):
     res = runner.invoke(main, ["ode", "--m", "1"])
     assert res.exit_code != 0
@@ -319,7 +338,7 @@ def _error_manifest(outroot, name):
     (["--t0", "0.1"], "ScaleOutOfRange: blow-up snapshot needs t < 0"),
     (["--t0", "-1", "--tend", "-0.99", "--monitor-stride", "0",
       "--no-decompose"],
-     "ValueError: monitor_stride and snapshot_stride must be >= 1"),
+     "ValueError: monitor_stride must be >= 1"),
 ])
 def test_evolve_bad_config_is_usage_error(runner, outroot, args, error):
     res = runner.invoke(main, ["evolve", "--data", "S", "--m", "1",
@@ -406,6 +425,9 @@ def test_decompose_scale_out_of_range_is_clean_error(runner, tmp_path,
     ["ode", "--m", "1", "--eta0", "0.5", "--window", "5,5"],
     ["ode", "--m", "1", "--eta0", "0", "--window", "0,1"],
     ["ode", "--m", "1", "--eta0", "0.5", "--lam0", "-1"],
+    ["profiles", "--m", "1", "--betas", "0.2", "--grid", "n=512", "--out", "pb"],
+    ["verify", "identities", "--grid", "n=8", "--out", "vb"],
+    ["ode", "--m", "1", "--eta0", "0.5", "--window", "5,x", "--out", "wb"],
 ])
 def test_malformed_arguments_are_usage_errors(runner, tmp_path, outroot, args):
     grid = G.build_grid(n=256)
@@ -421,7 +443,9 @@ def test_malformed_arguments_are_usage_errors(runner, tmp_path, outroot, args):
     assert isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output
     if "--out" in args:
-        assert _error_manifest(outroot, "nan").startswith("GridError")
+        name = args[args.index("--out") + 1]
+        error = _error_manifest(outroot, name)
+        assert error.startswith("GridError" if name == "nan" else "ValueError")
 
 
 @pytest.mark.parametrize("args", [

@@ -148,9 +148,14 @@ def test_nonlinear_coercivity_excludes_soliton(grid):
     assert math.isnan(rec["ratio_min"])
 
 
-def test_hardy_chain(s_traj):
-    for _, d in s_traj.decompositions[::5]:
-        hr = D.hardy_ratios(d)
+def test_hardy_chain(s_frames):
+    # each eps/eps1 norm against its X2/X3/V72 dominator; at index m+1 = 2
+    # the calH2 norm of eps1 is the Hardy norm || |eps1|_{-2} ||_{L2}
+    for fr in s_frames:
+        e, e1, _ = fr.eps_norms
+        hr = {"e1_H1": e1.Hdot1 / fr.X2, "e1_H2": e1.calH2 / fr.X3,
+              "e1_V52": e1.V52 / fr.V72, "e_H2": e.calH2 / fr.X2,
+              "e_H3": e.calH3 / fr.X3}
         for key, val in hr.items():
             assert np.isfinite(val) and val >= 0.0, key
             assert val < 10.0, key

@@ -188,7 +188,7 @@ def test_selfconvergence_second_order(grid):
     for dt in (4e-3, 2e-3, 1e-3):
         u = RadialField(1, vals, grid, decay=None)
         kin = KineticSolver(grid, 1, dt)
-        sp = sponge_profile(grid, 2.0)
+        sp = sponge_profile(grid)
         for _ in range(int(round(0.2 / dt))):
             u = step(u, dt, kinetic=kin, sponge_factor=np.exp(-dt * sp))
         finals.append(u.values)
@@ -218,10 +218,8 @@ def test_config_validation(grid):
 
 
 @pytest.mark.parametrize("strides", [{"monitor_stride": 0},
-                                     {"monitor_stride": -3},
-                                     {"snapshot_stride": 0}])
+                                     {"monitor_stride": -3}])
 def test_config_rejects_nonpositive_strides(grid, strides):
-    # a zero monitor stride never advances t; a zero snapshot stride
-    # divides by zero inside run()
+    # a zero monitor stride never advances t
     with pytest.raises(ValueError, match="stride"):
         SolverConfig(grid=grid, dt=1e-3, t_end=1.0, **strides)

@@ -42,7 +42,7 @@ def test_a_theta_monotone_and_origin(grid):
 def test_polarization_diagonal(grid):
     q = soliton_q(2, grid)
     gf = GA.gauge_fields(q)
-    pol = GA.a_theta_pol(q, q)
+    pol = GA.a_theta_pol(grid, q.values, q.values)
     assert np.max(np.abs(pol - gf.a_theta)) < 1e-12
 
 

@@ -271,8 +271,8 @@ def test_orthogonal_hq_round_trip(grid, rng):
     f0 = RadialField(2, vals, grid)
     # project out yQ with the same quadrature the checker uses
     zdir = yq * smooth_window(y)
-    c = complex(G.integrate_samples(grid, yq * f0.values)[0]) / complex(
-        G.integrate_samples(grid, yq * zdir)[0])
+    c = complex(G.integrate_samples(grid, yq * f0.values)) / complex(
+        G.integrate_samples(grid, yq * zdir))
     f = f0.with_values(f0.values - c * zdir)
     inv = L.right_inverse(kind, f, "orthogonal")
     back = L.apply(kind, inv)
@@ -328,7 +328,7 @@ def test_p_const_quadrature(grid):
     for m in (1, 2, 3):
         y = grid.r
         yq2 = (y * q_values(m, y)) ** 2
-        quad = float(np.real(G.integrate_samples(grid, yq2, decay=2 * m + 2)[0]))
+        quad = float(G.integrate_samples(grid, yq2, decay=2 * m + 2))
         quad /= 2.0 * math.pi
         assert abs(quad - L.p_const(m)) < 1e-8 * L.p_const(m)
     assert L.p_const(1) == pytest.approx(4.0 * math.pi, rel=1e-15)
@@ -417,24 +417,3 @@ def test_probe_kernel_direction(grid):
     comb = q.with_values(0.7 * G.scale_gen(q).values + 0.3j * q.values, decay=None)
     ratio = G.l2(L.apply(L.OperatorKind("LQ", 1), comb)) / G.hdot1(comb)
     assert ratio < 1e-5
-
-
-def test_probe_orthogonal_stability(grid):
-    q = soliton_q(1, grid)
-    ortho = [G.scale_gen(q), q.with_values(1j * q.values)]
-    rec1 = L.coercivity_probe(L.OperatorKind("LQ", 1), ortho, samples=25, grid=grid)
-    rec2 = L.coercivity_probe(L.OperatorKind("LQ", 1), ortho, samples=50, grid=grid)
-    assert rec1["min_ratio"] > 0
-    assert abs(rec2["min_ratio"] - rec1["min_ratio"]) <= 0.2 * rec1["min_ratio"]
-    assert np.isfinite(rec2["max_ratio"])
-
-
-def test_probe_aq_ratios(grid):
-    rec = L.coercivity_probe(L.OperatorKind("AQ", 1), [], samples=20, grid=grid)
-    assert rec["ratios"]["L2_over_V32"]["min"] > 0
-
-
-def test_probe_degenerate_ortho(grid):
-    q = soliton_q(1, grid)
-    with pytest.raises(L.DegenerateOrtho):
-        L.project_orthogonal(q, [q, q.with_values(2.0 * q.values)])

@@ -16,7 +16,7 @@ from csslab import linops as L
 from csslab import profiles as PR
 from csslab.profiles import (FitIllConditioned, GridTooSmall, ProfileParams,
                              assemble, build_t4, build_t_tables,
-                             cutoff_cancellation, mod_vectors, p3, residuals,
+                             cutoff_cancellation, p3, residuals,
                              scaling_sweep, solvability_inner)
 from csslab.soliton import UnsupportedIndex, q_values, soliton_q
 
@@ -256,37 +256,40 @@ def test_compat_defect_scalings(grid, table1):
 
 
 def test_mod_vectors_limits(grid, table1):
+    # the modulation vectors (Lambda P, -i P, -d_b P, -d_eta P), the eps
+    # parts of the decomposition's Jacobian columns at w = P, tend to the
+    # generalized kernel (Lambda Q, -i Q, i (y^2/4) Q, 2 rho) as beta -> 0
     beta = 0.01
-    params = ProfileParams(beta, 0.0)
-    pset = assemble(1, params, table1)
-    v0, v1, v2 = mod_vectors(1, params, pset)
+    pset = assemble(1, ProfileParams(beta, 0.0), table1)
+    v0 = (G.scale_gen(pset.P).values, -1j * pset.P.values,
+          -pset.dP_db.values, -pset.dP_deta.values)
     q = soliton_q(1, grid)
     lam_q = G.scale_gen(q).values
     msk = grid.r <= 5.0
-    assert np.abs(v0[0].values - lam_q)[msk].max() < 5.0 * beta
-    assert np.abs(v0[1].values + 1j * q.values)[msk].max() < 5.0 * beta
+    assert np.abs(v0[0] - lam_q)[msk].max() < 5.0 * beta
+    assert np.abs(v0[1] + 1j * q.values)[msk].max() < 5.0 * beta
     y = grid.r
     qv = q_values(1, y)
-    assert np.abs(v0[2].values - 1j * (y**2 / 4.0) * qv)[msk].max() < 5.0 * beta
+    assert np.abs(v0[2] - 1j * (y**2 / 4.0) * qv)[msk].max() < 5.0 * beta
     rho = L.rho(1, grid).values
-    assert np.abs(v0[3].values - 2.0 * rho)[msk].max() < 5.0 * beta
+    assert np.abs(v0[3] - 2.0 * rho)[msk].max() < 5.0 * beta
 
 
 def test_mod_vectors_v1_b_derivative(grid, table1):
+    # -d_b P1 (a Jacobian column) and Lambda_{-2} P2
     beta = 0.02
-    params = ProfileParams(beta, 0.0)
-    pset = assemble(1, params, table1)
-    _, v1, v2 = mod_vectors(1, params, pset)
+    pset = assemble(1, ProfileParams(beta, 0.0), table1)
     y = grid.r
     qv = q_values(1, y)
     chi = G.smooth_bump(y * beta)
-    dev = np.abs(v1[2].values - chi * 1j * (y / 2.0) * qv)
+    dev = np.abs(-pset.dP1_db.values - chi * 1j * (y / 2.0) * qv)
     env = np.where(y <= 2.0, beta * y**4, beta)
     msk = y <= 2.0 / beta
     assert (dev[msk] / env[msk]).max() < 10.0
     # (v2)_1 degeneracy: quadratic in beta with y^3 vanishing at the origin
     msk2 = y <= 2.0
-    assert (np.abs(v2[0].values[msk2]) / (beta**2 * y[msk2] ** 3)).max() < 10.0
+    lam_p2 = G.scale_gen(pset.P2, -2.0).values
+    assert (np.abs(lam_p2[msk2]) / (beta**2 * y[msk2] ** 3)).max() < 10.0
 
 
 @pytest.mark.parametrize("m", [1, 2])
