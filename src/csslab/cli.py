@@ -38,7 +38,6 @@ ENV_OUTPUT_ROOT = "CSSLAB_OUTPUT_ROOT"
 
 # typed numerical failures that end a run with a clean CLI error
 DECOMPOSE_FAILURES = (ScaleOutOfRange, MOD.NotInTube, MOD.NoConvergence)
-RUN_FAILURES = (StabilityGuardTripped,) + DECOMPOSE_FAILURES
 
 T_START = "csslab.t_start"  # ctx.meta key: when the command started
 IGNORED_KEYS = "csslab.ignored_config_keys"  # ctx.meta key: see load_config
@@ -183,11 +182,11 @@ def output_dir(out: str) -> Path:
 
 
 def write_outputs(out: str | None, files: dict, grid: G.Grid | None = None,
-                  command: str | None = None, error: str | None = None,
-                  **resolved) -> None:
+                  error: str | None = None, **resolved) -> None:
     """With --out, write the verb's JSON `files` and its manifest.json. The
-    manifest's config echoes the verb's parameters in declaration order,
-    without --out, holding the values the verb `resolved` in their place."""
+    manifest's command is the verb, followed by its suite if it takes one;
+    its config echoes the verb's parameters in declaration order, without
+    --out, holding the values the verb `resolved` in their place."""
     if out is None:
         return
     ctx = click.get_current_context()
@@ -196,8 +195,11 @@ def write_outputs(out: str | None, files: dict, grid: G.Grid | None = None,
         write_json(outdir / name, obj)
     config = {p.name: ctx.params[p.name] for p in ctx.command.params
               if p.name in ctx.params and p.name != "out"}
+    command = ctx.info_name
+    if "suite" in ctx.params:
+        command += " " + ctx.params["suite"]
     manifest = {
-        "command": command or ctx.info_name,
+        "command": command,
         "config": config | resolved,
         "grid_id": grid_id(grid) if grid is not None else None,
         "seed": ctx.params.get("seed"),
@@ -212,12 +214,13 @@ def write_outputs(out: str | None, files: dict, grid: G.Grid | None = None,
 
 
 def fail(exc: Exception, out: str | None, grid: G.Grid | None = None,
-         usage: bool = False, **resolved):
+         usage: bool = False, files: dict | None = None, **resolved):
     """End the command on a typed failure with a one-line error (exit 2 for
     a usage error, 1 otherwise); with --out the manifest still records the
-    command, its config and the error."""
+    command, its config and the error, beside the JSON `files` of a run
+    that kept its data."""
     msg = f"{type(exc).__name__}: {exc}"
-    write_outputs(out, {}, grid, error=msg, **resolved)
+    write_outputs(out, files or {}, grid, error=msg, **resolved)
     raise (click.UsageError if usage else click.ClickException)(msg) from exc
 
 
@@ -412,8 +415,7 @@ def cmd_verify(ctx, suite, grid, seed, delta, samples, out):
     report = {"suite": suite, "grid_id": grid_id(grid),
               "n_checks": len(checks), "n_failed": n_fail, "checks": checks}
     click.echo(dumps17(report))
-    write_outputs(out, {"report.json": report}, grid,
-                  command="verify " + suite)
+    write_outputs(out, {"report.json": report}, grid)
     if n_fail:
         for c in checks:
             if not c["pass"]:
@@ -547,7 +549,7 @@ def cmd_evolve(data, m, t0, tend, dt, grid, monitor_stride, decompose,
         fail(exc, out, grid, usage=True)
     try:
         traj = run(u0, config, t0=t0)
-    except RUN_FAILURES as exc:
+    except DECOMPOSE_FAILURES as exc:
         fail(exc, out, grid)
     meta = {"data": data, "m": m, "t0": t0, "t_end": tend, "dt": dt,
             "stop_reason": traj.stop_reason,
@@ -583,7 +585,11 @@ def cmd_evolve(data, m, t0, tend, dt, grid, monitor_stride, decompose,
                 "iterations": [d.iterations for d in decs],
                 "residual_max": [max(map(abs, d.ortho_residuals)) for d in decs],
                 "converged": [d.converged for d in decs]}
+        meta["guard_margin"] = traj.guard_margin
         meta["snapshot_times"] = write_snapshots(outdir, traj.snapshots)
+    if traj.stop_reason == "stability-guard":
+        fail(StabilityGuardTripped(traj.guard_margin[-1]), out, grid,
+             files={"meta.json": meta})
     write_outputs(out, {"meta.json": meta}, grid)
 
 

@@ -391,4 +391,5 @@ def profile_trajectory(m: int, ode_out: dict, snap_grid: Grid,
                      mu=lam * math.sqrt(max(energy, 0.0)),
                      tube_distance=0.0, converged=True, iterations=0)
     return Trajectory(times=np.array([tt]), series={}, snapshots=[(tt, u)],
-                      decompositions=[(tt, d)], stop_reason="synthetic")
+                      decompositions=[(tt, d)], stop_reason="synthetic",
+                      guard_margin=[])

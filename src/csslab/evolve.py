@@ -10,6 +10,12 @@ fourth-order five-point stencil, giving a pentadiagonal banded solve.
 The Crank-Nicolson left-hand side is LU-factored once per (grid, m, dt);
 each step then costs one pair of banded triangular solves.
 
+The steps are chained in first-same-as-last (FSAL) form: the sponge damps
+right after the kinetic solve, so the trailing half phase of step k sees
+the same |u| as the leading half of step k+1, and one potential and one
+phase exponential serve both. A run computes one potential per step, plus
+one for the leading half of its first step.
+
 Boundary treatment: the regularity condition u/r^m bounded at r_min is
 imposed as the power-law constraint u_0 = e^{-m h} u_1; homogeneous
 Dirichlet at r_max with sponge damping on the last 5% of nodes.
@@ -33,7 +39,11 @@ SPONGE_STRENGTH = 2.0  # peak damping rate of the sponge
 
 
 class StabilityGuardTripped(RuntimeError):
-    pass
+    """dt*max|V| of a potential was not <= 1; margin holds that value."""
+
+    def __init__(self, margin: float):
+        super().__init__(f"stability-guard-tripped: dt*max|V| = {margin:.3g} > 1")
+        self.margin = margin
 
 
 @dataclass(frozen=True)
@@ -64,6 +74,7 @@ class Trajectory:
     snapshots: list  # (t, RadialField) pairs, one per monitor
     decompositions: list
     stop_reason: str
+    guard_margin: list  # largest dt*max|V| of each monitor segment
 
 
 def potential(u: RadialField) -> np.ndarray:
@@ -156,27 +167,36 @@ def sponge_profile(grid: Grid) -> np.ndarray:
     return sigma
 
 
+def half_phase(u: RadialField, dt: float) -> tuple[np.ndarray, float]:
+    """The half-step phase factor exp(-i dt/2 V[u]) and the guard margin
+    dt*max|V|, which must be <= 1."""
+    v_pot = potential(u)
+    margin = dt * float(np.max(np.abs(v_pot)))
+    if not (margin <= 1.0):  # also trips on a non-finite potential
+        raise StabilityGuardTripped(margin)
+    return np.exp(-0.5j * dt * v_pot), margin
+
+
 def step(u: RadialField, dt: float, kinetic: KineticSolver | None = None,
-         sponge_factor: np.ndarray | None = None) -> RadialField:
-    """One Strang-split step of size dt; sponge_factor is the damping
-    exp(-dt * sponge_profile) applied at the end of the step."""
+         sponge_factor: np.ndarray | None = None,
+         phase: np.ndarray | None = None
+         ) -> tuple[RadialField, np.ndarray, float]:
+    """One Strang-split step of size dt in FSAL form. `phase` is the
+    leading half-phase factor, the trailing one returned by the previous
+    step (None computes it from u). sponge_factor, the damping
+    exp(-dt * sponge_profile), is applied right after the kinetic solve.
+    Returns the new state, its half-phase factor for the next step, and
+    the largest guard margin dt*max|V| of the potentials computed here."""
     if kinetic is None or kinetic.dt != dt:
         kinetic = KineticSolver(u.grid, u.m, dt)
-    v_pot = potential(u)
-    vmax = float(np.max(np.abs(v_pot)))
-    if not (dt * vmax <= 1.0):  # also trips on a non-finite potential
-        raise StabilityGuardTripped(
-            f"stability-guard-tripped: dt*max|V| = {dt * vmax:.3g} > 1")
-    vals = np.exp(-0.5j * dt * v_pot) * u.values
-    vals = kinetic.solve(vals)
-    u_mid = u.with_values(vals, decay=None)
-    v_pot2 = potential(u_mid)
-    if not (dt * float(np.max(np.abs(v_pot2))) <= 1.0):
-        raise StabilityGuardTripped("stability-guard-tripped after kinetic step")
-    vals = np.exp(-0.5j * dt * v_pot2) * vals
+    margin = 0.0
+    if phase is None:
+        phase, margin = half_phase(u, dt)
+    vals = kinetic.solve(phase * u.values)
     if sponge_factor is not None:
         vals = sponge_factor * vals
-    return u.with_values(vals, decay=None)
+    phase, margin2 = half_phase(u.with_values(vals, decay=None), dt)
+    return u.with_values(phase * vals, decay=None), phase, max(margin, margin2)
 
 
 def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
@@ -184,7 +204,9 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
     snapshot every monitor_stride steps and (optionally) a tube
     decomposition per monitor time with warm start. A decomposition that did not converge
     ends the run with stop_reason "no-convergence", kept as the last
-    record."""
+    record. A tripped stability guard ends it with stop_reason
+    "stability-guard": the monitors so far are kept and the margin that
+    tripped it is the last entry of guard_margin."""
     if u0.grid != config.grid:
         raise G.GridError("initial datum not on the solver grid")
     kin = KineticSolver(config.grid, u0.m, config.dt)
@@ -202,8 +224,9 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
     series: dict = {k: [] for k in
                     ("t", "mass", "energy", "e_selfdual", "v1", "v2",
                      "u1_l2", "u2_l2")}
-    times, snaps, decomps = [], [], []
+    times, snaps, decomps, margins = [], [], [], []
     u, t = u0, t0
+    phase = None  # the half-phase factor carried from step to step
     stop = "t_end"
 
     def monitor(u, t):
@@ -241,17 +264,26 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
             stop = "lambda_min"
             break
         warm = None if d is None else d.state
-        for _ in range(config.monitor_stride):
-            u = step(u, config.dt, kinetic=kin, sponge_factor=damping)
-            t += config.dt
-            if config.t_end is not None and t >= config.t_end - 1e-12:
-                break
+        worst = 0.0
+        try:
+            for _ in range(config.monitor_stride):
+                u, phase, margin = step(u, config.dt, kinetic=kin,
+                                        sponge_factor=damping, phase=phase)
+                worst = max(worst, margin)
+                t += config.dt
+                if config.t_end is not None and t >= config.t_end - 1e-12:
+                    break
+        except StabilityGuardTripped as exc:
+            margins.append(exc.margin)
+            stop = "stability-guard"
+            break
+        margins.append(worst)
         d = monitor(u, t)
 
     return Trajectory(times=np.array(times),
                       series={k: np.array(v) for k, v in series.items()},
                       snapshots=snaps, decompositions=decomps,
-                      stop_reason=stop)
+                      stop_reason=stop, guard_margin=margins)
 
 
 def validate_exact(traj: Trajectory, reference) -> dict:

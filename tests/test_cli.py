@@ -360,7 +360,11 @@ def test_evolve_stability_guard_is_clean_error(runner, outroot):
     assert "Error: StabilityGuardTripped: stability-guard-tripped" in res.output
     assert "Traceback" not in res.output
     assert _error_manifest(outroot, "guard").startswith("StabilityGuardTripped")
-    assert not (outroot / "guard" / "meta.json").exists()
+    meta = json.loads((outroot / "guard" / "meta.json").read_text())
+    assert meta["stop_reason"] == "stability-guard"
+    assert len(meta["guard_margin"]) == 1 and meta["guard_margin"][0] > 1.0
+    monitors = (outroot / "guard" / "monitors.csv").read_text().splitlines()
+    assert len(monitors) == 2  # header and the one row at t0
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +450,9 @@ def test_malformed_arguments_are_usage_errors(runner, tmp_path, outroot, args):
         name = args[args.index("--out") + 1]
         error = _error_manifest(outroot, name)
         assert error.startswith("GridError" if name == "nan" else "ValueError")
+    if "vb" in args:
+        manifest = json.loads((outroot / "vb" / "manifest.json").read_text())
+        assert manifest["command"] == "verify identities"
 
 
 @pytest.mark.parametrize("args", [

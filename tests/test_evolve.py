@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from csslab import evolve
 from csslab import grid as G
 from csslab.evolve import (KineticSolver, SolverConfig, StabilityGuardTripped,
                            potential, run, sponge_profile, step,
@@ -40,7 +41,7 @@ def s_traj(pde_grid):
 
 def test_step_zero_is_zero(grid):
     u = G.zero_field(1, grid)
-    out = step(u, 1e-3)
+    out, _, _ = step(u, 1e-3)
     assert np.all(out.values == 0.0)
 
 
@@ -49,7 +50,7 @@ def test_single_step_third_order(grid):
     dts = np.array([2e-2, 1e-2, 5e-3])
     errs = []
     for dt in dts:
-        out = step(q, float(dt))
+        out, _, _ = step(q, float(dt))
         d = out.with_values(out.values - q.values, decay=None)
         errs.append(G.l2(d))
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
@@ -189,12 +190,56 @@ def test_selfconvergence_second_order(grid):
         u = RadialField(1, vals, grid, decay=None)
         kin = KineticSolver(grid, 1, dt)
         sp = sponge_profile(grid)
+        phase = None
         for _ in range(int(round(0.2 / dt))):
-            u = step(u, dt, kinetic=kin, sponge_factor=np.exp(-dt * sp))
+            u, phase, _ = step(u, dt, kinetic=kin,
+                               sponge_factor=np.exp(-dt * sp), phase=phase)
         finals.append(u.values)
     d1 = G.l2_samples(grid, finals[0] - finals[1])
     d2 = G.l2_samples(grid, finals[1] - finals[2])
     assert 3.0 < d1 / d2 < 5.0
+
+
+def _classic_strang_step(u, dt, kin, damping):
+    """Reference Strang step with both half phases computed afresh: two
+    potentials and two exponentials, the sponge right after the kinetic
+    solve."""
+    vals = np.exp(-0.5j * dt * potential(u)) * u.values
+    vals = damping * kin.solve(vals)
+    mid = u.with_values(vals, decay=None)
+    return u.with_values(np.exp(-0.5j * dt * potential(mid)) * vals,
+                         decay=None)
+
+
+def test_fsal_chain_matches_classic_strang(grid):
+    dt = 1e-3
+    kin = KineticSolver(grid, 1, dt)
+    damping = np.exp(-dt * sponge_profile(grid))
+    ref = fsal = blowup_s(1, -1.0, grid)
+    phase = None
+    for _ in range(300):
+        ref = _classic_strang_step(ref, dt, kin, damping)
+        fsal, phase, _ = step(fsal, dt, kinetic=kin, sponge_factor=damping,
+                              phase=phase)
+    err = G.l2_samples(grid, fsal.values - ref.values) / G.l2(ref)
+    assert err < 1e-11
+
+
+def test_run_computes_one_potential_per_step(grid, monkeypatch):
+    calls = []
+
+    def counted(u):
+        calls.append(1)
+        return potential(u)
+
+    monkeypatch.setattr(evolve, "potential", counted)
+    cfg = SolverConfig(grid=grid, dt=1e-3, t_end=0.05, monitor_stride=20)
+    traj = run(soliton_q(1, grid), cfg)
+    assert traj.stop_reason == "t_end"
+    # FSAL: the leading half of the first step, then one per step
+    assert len(calls) == 50 + 1
+    assert len(traj.guard_margin) == len(traj.times) - 1
+    assert all(0.0 < g <= 1.0 for g in traj.guard_margin)
 
 
 def test_lambda_min_stop(pde_grid):
