@@ -182,11 +182,13 @@ def output_dir(out: str) -> Path:
 
 
 def write_outputs(out: str | None, files: dict, grid: G.Grid | None = None,
-                  error: str | None = None, **resolved) -> None:
+                  error: str | None = None, timings: dict | None = None,
+                  **resolved) -> None:
     """With --out, write the verb's JSON `files` and its manifest.json. The
     manifest's command is the verb, followed by its suite if it takes one;
     its config echoes the verb's parameters in declaration order, without
-    --out, holding the values the verb `resolved` in their place."""
+    --out, holding the values the verb `resolved` in their place. The
+    seconds by phase of a run, `timings`, go to the manifest only."""
     if out is None:
         return
     ctx = click.get_current_context()
@@ -206,6 +208,8 @@ def write_outputs(out: str | None, files: dict, grid: G.Grid | None = None,
         "version": __version__,
         "wall_time_s": time.perf_counter() - ctx.meta[T_START],
     }
+    if timings is not None:
+        manifest["timings"] = timings
     if IGNORED_KEYS in ctx.meta:
         manifest["ignored_config_keys"] = ctx.meta[IGNORED_KEYS]
     if error is not None:
@@ -214,13 +218,15 @@ def write_outputs(out: str | None, files: dict, grid: G.Grid | None = None,
 
 
 def fail(exc: Exception, out: str | None, grid: G.Grid | None = None,
-         usage: bool = False, files: dict | None = None, **resolved):
+         usage: bool = False, files: dict | None = None,
+         timings: dict | None = None, **resolved):
     """End the command on a typed failure with a one-line error (exit 2 for
     a usage error, 1 otherwise); with --out the manifest still records the
-    command, its config and the error, beside the JSON `files` of a run
-    that kept its data."""
+    command, its config and the error, beside the JSON `files` and the
+    `timings` of a run that kept its data."""
     msg = f"{type(exc).__name__}: {exc}"
-    write_outputs(out, files or {}, grid, error=msg, **resolved)
+    write_outputs(out, files or {}, grid, error=msg, timings=timings,
+                  **resolved)
     raise (click.UsageError if usage else click.ClickException)(msg) from exc
 
 
@@ -563,6 +569,7 @@ def cmd_evolve(data, m, t0, tend, dt, grid, monitor_stride, decompose,
         validate_exact(traj, exact)["l2"]))
     click.echo(dumps17(meta))
     if out is not None:
+        clock = time.perf_counter()
         outdir = output_dir(out)
         write_csv(outdir / "monitors.csv", list(traj.series),
                   list(traj.series.values()))
@@ -587,10 +594,11 @@ def cmd_evolve(data, m, t0, tend, dt, grid, monitor_stride, decompose,
                 "converged": [d.converged for d in decs]}
         meta["guard_margin"] = traj.guard_margin
         meta["snapshot_times"] = write_snapshots(outdir, traj.snapshots)
+        traj.timings["output"] = time.perf_counter() - clock
     if traj.stop_reason == "stability-guard":
         fail(StabilityGuardTripped(traj.guard_margin[-1]), out, grid,
-             files={"meta.json": meta})
-    write_outputs(out, {"meta.json": meta}, grid)
+             files={"meta.json": meta}, timings=traj.timings)
+    write_outputs(out, {"meta.json": meta}, grid, timings=traj.timings)
 
 
 @main.command("decompose")

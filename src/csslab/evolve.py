@@ -24,6 +24,7 @@ Dirichlet at r_max with sponge damping on the last 5% of nodes.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,7 @@ class Trajectory:
     decompositions: list
     stop_reason: str
     guard_margin: list  # largest dt*max|V| of each monitor segment
+    timings: dict  # perf_counter seconds by phase of the run
 
 
 def potential(u: RadialField) -> np.ndarray:
@@ -202,11 +204,17 @@ def step(u: RadialField, dt: float, kinetic: KineticSolver | None = None,
 def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
     """Integrate from t0, recording conservation/virial monitors and a
     snapshot every monitor_stride steps and (optionally) a tube
-    decomposition per monitor time with warm start. A decomposition that did not converge
-    ends the run with stop_reason "no-convergence", kept as the last
-    record. A tripped stability guard ends it with stop_reason
-    "stability-guard": the monitors so far are kept and the margin that
-    tripped it is the last entry of guard_margin."""
+    decomposition per monitor time. The first decomposition starts Newton
+    from the cold proximity fit; each later one from
+    modulation.extrapolate of the run's last (up to three) decompositions
+    at the monitor's t, and reuses the monitor's energy. A decomposition
+    that did not converge ends the run with stop_reason "no-convergence",
+    kept as the last record. A tripped stability guard ends it with
+    stop_reason "stability-guard": the last good state, if a step has
+    succeeded since the last monitor, is recorded as a final monitor, and
+    the margin that tripped the guard is the last entry of guard_margin.
+    timings holds the perf_counter seconds spent in steps, in monitors and
+    in decompositions."""
     if u0.grid != config.grid:
         raise G.GridError("initial datum not on the solver grid")
     kin = KineticSolver(config.grid, u0.m, config.dt)
@@ -214,7 +222,6 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
 
     mod_table = None
     ortho = None
-    warm = None
     if config.decompose_flag:
         from . import modulation as MOD
         from . import profiles as PR
@@ -225,11 +232,13 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
                     ("t", "mass", "energy", "e_selfdual", "v1", "v2",
                      "u1_l2", "u2_l2")}
     times, snaps, decomps, margins = [], [], [], []
+    timings = {"steps": 0.0, "monitors": 0.0, "decompositions": 0.0}
     u, t = u0, t0
     phase = None  # the half-phase factor carried from step to step
     stop = "t_end"
 
     def monitor(u, t):
+        clock = time.perf_counter()
         e, mass, e_sd = GA.energy_mass(u)
         v1, v2 = GA.virial(u)
         tri = GA.conjugate_triple(u)
@@ -243,13 +252,16 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
         series["u2_l2"].append(G.l2(tri.u2))
         times.append(t)
         snaps.append((t, u))
-        if config.decompose_flag:
-            from . import modulation as MOD
-            d = MOD.decompose(u, ortho, init=warm, table=mod_table,
-                              tube_radius=config.tube_radius)
-            decomps.append((t, d))
-            return d
-        return None
+        mark = time.perf_counter()
+        timings["monitors"] += mark - clock
+        if not config.decompose_flag:
+            return None
+        init = MOD.extrapolate([(s, dd.state) for s, dd in decomps[-3:]], t)
+        d = MOD.decompose(u, ortho, init=init, table=mod_table,
+                          tube_radius=config.tube_radius, energy=e)
+        decomps.append((t, d))
+        timings["decompositions"] += time.perf_counter() - mark
+        return d
 
     d = monitor(u, t)
     while True:
@@ -263,18 +275,25 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
                 and d.state.lam < config.lambda_min):
             stop = "lambda_min"
             break
-        warm = None if d is None else d.state
-        worst = 0.0
+        worst, taken, trip = 0.0, 0, None
+        clock = time.perf_counter()
         try:
             for _ in range(config.monitor_stride):
                 u, phase, margin = step(u, config.dt, kinetic=kin,
                                         sponge_factor=damping, phase=phase)
                 worst = max(worst, margin)
                 t += config.dt
+                taken += 1
                 if config.t_end is not None and t >= config.t_end - 1e-12:
                     break
         except StabilityGuardTripped as exc:
-            margins.append(exc.margin)
+            trip = exc
+        timings["steps"] += time.perf_counter() - clock
+        if trip is not None:
+            if taken:
+                margins.append(worst)
+                monitor(u, t)
+            margins.append(trip.margin)
             stop = "stability-guard"
             break
         margins.append(worst)
@@ -283,7 +302,8 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
     return Trajectory(times=np.array(times),
                       series={k: np.array(v) for k, v in series.items()},
                       snapshots=snaps, decompositions=decomps,
-                      stop_reason=stop, guard_margin=margins)
+                      stop_reason=stop, guard_margin=margins,
+                      timings=timings)
 
 
 def validate_exact(traj: Trajectory, reference) -> dict:

@@ -219,16 +219,38 @@ def _jacobian(aux, profiles: OrthoProfiles) -> np.ndarray:
                profiles) for c, c1 in cols])
 
 
+def extrapolate(history: list, t: float) -> ModState | None:
+    """Start state for a warm decomposition at time t: the Lagrange
+    polynomial in t of (log lambda, gamma, b, eta) through the last three
+    (t_k, ModState) pairs of history, linear through two, the state itself
+    for one, and None (the cold fit) for none."""
+    pts = history[-3:]
+    if len(pts) < 2:
+        return pts[-1][1] if pts else None
+    x = np.zeros(4)
+    for j, (tj, sj) in enumerate(pts):
+        weight = math.prod((t - tk) / (tj - tk)
+                           for k, (tk, _) in enumerate(pts) if k != j)
+        x += weight * np.array([math.log(sj.lam), sj.gamma, sj.b, sj.eta])
+    return ModState(math.exp(x[0]), *x[1:])
+
+
 def decompose(u: RadialField, profiles: OrthoProfiles,
               init: ModState | None = None,
               table: TTable | None = None,
-              tube_radius: float = 0.2) -> DecompResult:
+              tube_radius: float = 0.2,
+              energy: float | None = None) -> DecompResult:
     """Newton solve of the four orthogonality conditions, one pairing per
     iteration. The Jacobian is analytic: by column, (d eps, d eps1) is
     (Lambda w, Lambda_{-1} D_w w) for log lambda (A_theta is scaling
     invariant, so D_w w has weight 2), (-i w, -i D_w w) for gamma, and
     (-d_b P, -d_b P1), (-d_eta P, -d_eta P1) for b and eta, through the
-    phase-factored chart beyond _CHART_BETA."""
+    phase-factored chart beyond _CHART_BETA.
+
+    The tube check (the H1 distance of the proximity fit) runs on every
+    call. Newton starts from `init`, e.g. the state extrapolate() predicts
+    from earlier decompositions of a run, or from that fit when it is None.
+    `energy` is E[u] if the caller has it (mu needs it); None computes it."""
     m = u.m
     if m != profiles.m:
         raise G.IndexMismatch("ortho profiles built for a different index")
@@ -274,7 +296,8 @@ def decompose(u: RadialField, profiles: OrthoProfiles,
     w, gf, d_w, pset, eps, eps1 = aux
     a_w = GA.a_u(w, d_w, gf)
     eps2 = a_w.with_values(a_w.values - pset.P2.values, decay=None)
-    energy, _, _ = GA.energy_mass(u)
+    if energy is None:
+        energy, _, _ = GA.energy_mass(u)
     mu = state.lam * math.sqrt(max(energy, 0.0))
     return DecompResult(state=state, eps=eps, eps1=eps1, eps2=eps2,
                         ortho_residuals=tuple(float(v) for v in vec),

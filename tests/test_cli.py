@@ -14,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import csslab
+from csslab import gauge as GA
 from csslab import grid as G
 from csslab import modulation as MOD
 from csslab.cli import dumps17, fmt17, main
@@ -365,6 +366,67 @@ def test_evolve_stability_guard_is_clean_error(runner, outroot):
     assert len(meta["guard_margin"]) == 1 and meta["guard_margin"][0] > 1.0
     monitors = (outroot / "guard" / "monitors.csv").read_text().splitlines()
     assert len(monitors) == 2  # header and the one row at t0
+
+
+def test_evolve_guard_trip_mid_segment_keeps_last_good_state(runner,
+                                                             outroot):
+    # at dt = 0.01 the steps up to t = -0.33 pass, the eighth one trips the
+    # guard (dt*max|V| = 1.14) inside the first monitor segment
+    res = runner.invoke(main, ["evolve", "--data", "S", "--m", "1",
+                               "--t0", "-0.4", "--tend", "-0.3",
+                               "--dt", "0.01", "--monitor-stride", "10",
+                               "--grid", "default", "--decompose",
+                               "--out", "trip"])
+    assert res.exit_code == 1
+    assert "Error: StabilityGuardTripped: stability-guard-tripped" in res.output
+    meta = json.loads((outroot / "trip" / "meta.json").read_text())
+    assert meta["stop_reason"] == "stability-guard"
+    assert meta["snapshot_times"] == pytest.approx([-0.4, -0.33])
+    monitors = (outroot / "trip" / "monitors.csv").read_text().splitlines()
+    assert len(monitors) - 1 == 2
+    assert len(meta["guard_margin"]) == 2
+    assert meta["guard_margin"][0] <= 1.0 < meta["guard_margin"][1]
+    assert meta["newton"]["converged"] == [True, True]
+
+
+def test_evolve_decompose_byte_determinism(runner, outroot):
+    args = ["evolve", "--data", "S", "--m", "1", "--t0", "-1",
+            "--tend", "-0.985", "--dt", "1e-3", "--grid", "default",
+            "--monitor-stride", "3", "--decompose", "--tube-radius", "0.5"]
+    r1 = runner.invoke(main, args + ["--out", "e1"])
+    r2 = runner.invoke(main, args + ["--out", "e2"])
+    assert r1.exit_code == 0 and r2.exit_code == 0
+    assert r1.output == r2.output
+    for name in ("series.csv", "monitors.csv", "meta.json"):
+        assert (outroot / "e1" / name).read_bytes() == \
+            (outroot / "e2" / name).read_bytes()
+    assert list(json.loads(r1.output)) == [
+        "data", "m", "t0", "t_end", "dt", "stop_reason", "mass_drift",
+        "energy_drift", "tracking_error_l2_max"]
+    # the timings of a run go to the manifest only
+    timings = json.loads((outroot / "e1" / "manifest.json").read_text())[
+        "timings"]
+    assert set(timings) == {"steps", "monitors", "decompositions", "output"}
+    assert all(v > 0.0 for v in timings.values())
+
+
+def test_evolve_computes_one_energy_per_monitor(runner, outroot,
+                                                monkeypatch):
+    original = GA.energy_mass
+    calls = []
+
+    def energy_mass(u):
+        calls.append(1)
+        return original(u)
+    monkeypatch.setattr(GA, "energy_mass", energy_mass)
+    res = runner.invoke(main, [
+        "evolve", "--data", "S", "--m", "1", "--t0", "-1", "--tend", "-0.99",
+        "--dt", "1e-3", "--grid", "default", "--monitor-stride", "2",
+        "--decompose", "--out", "energy"])
+    assert res.exit_code == 0, res.output
+    monitors = (outroot / "energy" / "monitors.csv").read_text().splitlines()
+    assert len(monitors) - 1 == 6
+    assert len(calls) == 6
 
 
 # ---------------------------------------------------------------------------

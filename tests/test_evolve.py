@@ -13,7 +13,10 @@ import pytest
 from scipy.linalg import solve_banded
 
 from csslab import evolve
+from csslab import gauge as GA
 from csslab import grid as G
+from csslab import modulation as MOD
+from csslab import profiles as PR
 from csslab.evolve import (KineticSolver, SolverConfig, StabilityGuardTripped,
                            potential, run, sponge_profile, step,
                            validate_exact)
@@ -240,6 +243,36 @@ def test_run_computes_one_potential_per_step(grid, monkeypatch):
     assert len(calls) == 50 + 1
     assert len(traj.guard_margin) == len(traj.times) - 1
     assert all(0.0 < g <= 1.0 for g in traj.guard_margin)
+
+
+@pytest.fixture(scope="module")
+def warm_traj(grid):
+    """S from t = -1 with a decomposition every 5 steps: 12 monitors."""
+    cfg = SolverConfig(grid=grid, dt=1e-3, t_end=-0.945, monitor_stride=5,
+                       decompose_flag=True, tube_radius=0.5)
+    return run(blowup_s(1, -1.0, grid), cfg, t0=-1.0)
+
+
+def test_predicted_warm_starts_take_two_pairings(warm_traj):
+    iters = [d.iterations for _, d in warm_traj.decompositions]
+    assert len(iters) == 12
+    # from the fourth monitor on, the start is a quadratic extrapolation
+    assert all(k <= 2 for k in iters[3:]), iters
+
+
+def test_predicted_start_agrees_with_cold_decomposition(warm_traj, grid):
+    (_, u), (_, warm) = warm_traj.snapshots[-1], warm_traj.decompositions[-1]
+    ortho = MOD.build_ortho_profiles(1, grid)
+    table = PR.build_t_tables(1, grid)
+    cold = MOD.decompose(u, ortho, table=table, tube_radius=0.5)
+    assert cold.converged and warm.converged
+    assert cold.iterations > warm.iterations
+    for k in ("lam", "gamma", "b"):
+        assert getattr(warm.state, k) == pytest.approx(
+            getattr(cold.state, k), rel=1e-10, abs=0.0)
+    # the monitor's energy gives the same mu as decompose's own
+    assert cold.mu == MOD.decompose(u, ortho, table=table, tube_radius=0.5,
+                                    energy=GA.energy_mass(u)[0]).mu
 
 
 def test_lambda_min_stop(pde_grid):

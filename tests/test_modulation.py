@@ -150,6 +150,29 @@ def test_decompose_not_in_tube(grid, ortho1, table1):
         decompose(u, ortho1, table=table1)
 
 
+def test_extrapolate_is_exact_on_quadratics():
+    def state(t):  # (log lambda, gamma, b, eta) quadratic in t
+        return ModState(math.exp(0.3 - 1.1 * t + 0.7 * t**2),
+                        2.0 + 0.4 * t - 0.9 * t**2,
+                        -t + 0.25 * t**2, 0.01 - 0.02 * t + 0.05 * t**2)
+    ts = [-1.0, -0.96, -0.93, -0.88]  # non-uniform; the first is unused
+    pred = MOD.extrapolate([(t, state(t)) for t in ts], -0.81)
+    want = state(-0.81)
+    assert math.log(pred.lam) == pytest.approx(math.log(want.lam), abs=1e-12)
+    for k in ("gamma", "b", "eta"):
+        assert getattr(pred, k) == pytest.approx(getattr(want, k), abs=1e-12)
+
+
+def test_extrapolate_short_histories():
+    s1, s2 = ModState(1.0, 0.5, 1.0, 0.0), ModState(0.9, 0.7, 0.9, 0.1)
+    assert MOD.extrapolate([], -0.5) is None
+    assert MOD.extrapolate([(-1.0, s1)], -0.9) is s1
+    lin = MOD.extrapolate([(-1.0, s1), (-0.9, s2)], -0.8)
+    assert lin.lam == pytest.approx(0.81, rel=1e-14)  # geometric in lambda
+    assert (lin.gamma, lin.b, lin.eta) == pytest.approx((0.9, 0.8, 0.2),
+                                                        abs=1e-14)
+
+
 def test_jacobian_structure(grid, ortho1, table1):
     # finite-difference Jacobian at a converged beta = 0.02 state
     u = _synthetic_datum(grid, table1, 0.02, 0.0, 1.0, 0.0, amp=2e-4)
