@@ -88,9 +88,25 @@ def write_json(path: Path, obj) -> None:
     path.write_text(dumps17(obj) + "\n")
 
 
-def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=",".join(header), comments="")
+# rows formatted by one % call; larger blocks are no faster, and their
+# transient floats and bytes raise the peak RSS of a run
+CSV_BLOCK = 1024
+
+
+def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> int:
+    """The columns as comma-separated %.17g rows under a header line: the
+    bytes NumPy's text writer gives for fmt="%.17g", delimiter="," and
+    comments="" (tests/test_cli.py compares the two). Each block of
+    CSV_BLOCK rows is formatted by one bytes % over Python floats, which
+    bounds the transient objects. Returns the bytes written."""
+    table = np.column_stack(columns)
+    row = b",".join([b"%.17g"] * table.shape[1]) + b"\n"
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\n")
+        for start in range(0, len(table), CSV_BLOCK):
+            block = table[start:start + CSV_BLOCK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        return fh.tell()
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +199,13 @@ def output_dir(out: str) -> Path:
 
 def write_outputs(out: str | None, files: dict, grid: G.Grid | None = None,
                   error: str | None = None, timings: dict | None = None,
-                  **resolved) -> None:
+                  counters: dict | None = None, **resolved) -> None:
     """With --out, write the verb's JSON `files` and its manifest.json. The
     manifest's command is the verb, followed by its suite if it takes one;
     its config echoes the verb's parameters in declaration order, without
     --out, holding the values the verb `resolved` in their place. The
-    seconds by phase of a run, `timings`, go to the manifest only."""
+    seconds by phase of a run, `timings`, and its work `counters` go to the
+    manifest only."""
     if out is None:
         return
     ctx = click.get_current_context()
@@ -210,6 +227,8 @@ def write_outputs(out: str | None, files: dict, grid: G.Grid | None = None,
     }
     if timings is not None:
         manifest["timings"] = timings
+    if counters is not None:
+        manifest["counters"] = counters
     if IGNORED_KEYS in ctx.meta:
         manifest["ignored_config_keys"] = ctx.meta[IGNORED_KEYS]
     if error is not None:
@@ -219,14 +238,15 @@ def write_outputs(out: str | None, files: dict, grid: G.Grid | None = None,
 
 def fail(exc: Exception, out: str | None, grid: G.Grid | None = None,
          usage: bool = False, files: dict | None = None,
-         timings: dict | None = None, **resolved):
+         timings: dict | None = None, counters: dict | None = None,
+         **resolved):
     """End the command on a typed failure with a one-line error (exit 2 for
     a usage error, 1 otherwise); with --out the manifest still records the
-    command, its config and the error, beside the JSON `files` and the
-    `timings` of a run that kept its data."""
+    command, its config and the error, beside the JSON `files`, the
+    `timings` and the `counters` of a run that kept its data."""
     msg = f"{type(exc).__name__}: {exc}"
     write_outputs(out, files or {}, grid, error=msg, timings=timings,
-                  **resolved)
+                  counters=counters, **resolved)
     raise (click.UsageError if usage else click.ClickException)(msg) from exc
 
 
@@ -358,22 +378,21 @@ def suite_morawetz(grid: G.Grid, delta: float) -> list[dict]:
 # Trajectory serialization
 
 
-def write_series(outdir: Path, t, s, lam, gam, b, eta, b_hat, eta_hat):
-    write_csv(outdir / "series.csv",
-              ["t", "s", "lambda", "gamma", "b", "eta", "b_hat", "eta_hat",
-               "beta_over_lambda"],
-              [t, s, lam, gam, b, eta, b_hat, eta_hat, np.hypot(b, eta) / lam])
+def write_series(outdir: Path, t, s, lam, gam, b, eta, b_hat, eta_hat) -> int:
+    return write_csv(
+        outdir / "series.csv",
+        ["t", "s", "lambda", "gamma", "b", "eta", "b_hat", "eta_hat",
+         "beta_over_lambda"],
+        [t, s, lam, gam, b, eta, b_hat, eta_hat, np.hypot(b, eta) / lam])
 
 
-def write_snapshots(outdir: Path, snapshots) -> list[float]:
+def write_snapshots(outdir: Path, snapshots) -> list[int]:
+    """One r,re,im CSV per (t, field) snapshot; returns their sizes."""
     snapdir = outdir / "snapshots"
     snapdir.mkdir(exist_ok=True)
-    times = []
-    for i, (t, u) in enumerate(snapshots):
-        write_csv(snapdir / f"snap_{i:04d}.csv", ["r", "re", "im"],
-                  [u.grid.r, u.values.real, u.values.imag])
-        times.append(float(t))
-    return times
+    return [write_csv(snapdir / f"snap_{i:04d}.csv", ["r", "re", "im"],
+                      [u.grid.r, u.values.real, u.values.imag])
+            for i, (_, u) in enumerate(snapshots)]
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +519,12 @@ def cmd_ode(m, eta0, lam0, b0, window, p3, phase, lam_min, grid, out):
         fail(exc, out, usage=True, lam0=lam0, b0=b0)
     if phase == "auto":
         phase = "leading" if state0.beta >= 0.1 else "profile"
+    clock = time.perf_counter()
     outres = MOD.ode_integrate(m, state0, (t0, t1), grid=grid,
                                use_p3=p3,
                                leading_order=(phase == "leading"),
                                lam_min=lam_min)
+    timings = {"integrate": time.perf_counter() - clock}
     delta_gamma = float(outres["gamma"][-1] - outres["gamma"][0])
     meta = {"m": m, "eta0": eta0, "lam0": lam0, "b0": b0,
             "window": [t0, t1], "use_p3": p3, "phase": phase,
@@ -517,11 +538,13 @@ def cmd_ode(m, eta0, lam0, b0, window, p3, phase, lam_min, grid, out):
         meta["delta_gamma_rel_err"] = abs(delta_gamma / closed - 1.0)
     click.echo(dumps17(meta))
     if out is not None:
+        clock = time.perf_counter()
         write_series(output_dir(out), outres["t"], outres["s"],
                      outres["lambda"], outres["gamma"], outres["b"],
                      outres["eta"], outres["b"], outres["eta"])
-    write_outputs(out, {"meta.json": meta}, grid, lam0=lam0, b0=b0,
-                  phase=phase)
+        timings["output"] = time.perf_counter() - clock
+    write_outputs(out, {"meta.json": meta}, grid, timings=timings,
+                  lam0=lam0, b0=b0, phase=phase)
 
 
 @main.command("evolve")
@@ -568,11 +591,13 @@ def cmd_evolve(data, m, t0, tend, dt, grid, monitor_stride, decompose,
     meta["tracking_error_l2_max"] = float(np.max(
         validate_exact(traj, exact)["l2"]))
     click.echo(dumps17(meta))
+    counters = traj.counters | {"newton_iterations": sum(
+        d.iterations for _, d in traj.decompositions)}
     if out is not None:
         clock = time.perf_counter()
         outdir = output_dir(out)
-        write_csv(outdir / "monitors.csv", list(traj.series),
-                  list(traj.series.values()))
+        sizes = [write_csv(outdir / "monitors.csv", list(traj.series),
+                           list(traj.series.values()))]
         if decompose:
             td = np.array([tt for tt, _ in traj.decompositions])
             decs = [d for _, d in traj.decompositions]
@@ -586,19 +611,23 @@ def cmd_evolve(data, m, t0, tend, dt, grid, monitor_stride, decompose,
                     hats.append((math.nan, math.nan))
             hats = np.array(hats)
             s = D._s_ladder(td, lam)
-            write_series(outdir, td, s, lam, gam, b, eta,
-                         hats[:, 0], hats[:, 1])
+            sizes.append(write_series(outdir, td, s, lam, gam, b, eta,
+                                      hats[:, 0], hats[:, 1]))
             meta["newton"] = {
                 "iterations": [d.iterations for d in decs],
                 "residual_max": [max(map(abs, d.ortho_residuals)) for d in decs],
                 "converged": [d.converged for d in decs]}
         meta["guard_margin"] = traj.guard_margin
-        meta["snapshot_times"] = write_snapshots(outdir, traj.snapshots)
+        meta["snapshot_times"] = [float(t) for t, _ in traj.snapshots]
+        sizes += write_snapshots(outdir, traj.snapshots)
+        counters |= {"csv_files": len(sizes), "csv_bytes": sum(sizes)}
         traj.timings["output"] = time.perf_counter() - clock
     if traj.stop_reason == "stability-guard":
         fail(StabilityGuardTripped(traj.guard_margin[-1]), out, grid,
-             files={"meta.json": meta}, timings=traj.timings)
-    write_outputs(out, {"meta.json": meta}, grid, timings=traj.timings)
+             files={"meta.json": meta}, timings=traj.timings,
+             counters=counters)
+    write_outputs(out, {"meta.json": meta}, grid, timings=traj.timings,
+                  counters=counters)
 
 
 @main.command("decompose")

@@ -392,4 +392,4 @@ def profile_trajectory(m: int, ode_out: dict, snap_grid: Grid,
                      tube_distance=0.0, converged=True, iterations=0)
     return Trajectory(times=np.array([tt]), series={}, snapshots=[(tt, u)],
                       decompositions=[(tt, d)], stop_reason="synthetic",
-                      guard_margin=[], timings={})
+                      guard_margin=[], timings={}, counters={})

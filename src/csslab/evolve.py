@@ -77,6 +77,7 @@ class Trajectory:
     stop_reason: str
     guard_margin: list  # largest dt*max|V| of each monitor segment
     timings: dict  # perf_counter seconds by phase of the run
+    counters: dict  # steps taken and KineticSolver factorizations
 
 
 def potential(u: RadialField) -> np.ndarray:
@@ -214,10 +215,12 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
     succeeded since the last monitor, is recorded as a final monitor, and
     the margin that tripped the guard is the last entry of guard_margin.
     timings holds the perf_counter seconds spent in steps, in monitors and
-    in decompositions."""
+    in decompositions; counters the steps taken and the factorizations
+    built."""
     if u0.grid != config.grid:
         raise G.GridError("initial datum not on the solver grid")
     kin = KineticSolver(config.grid, u0.m, config.dt)
+    counters = {"steps": 0, "factorizations": 1}
     damping = np.exp(-config.dt * sponge_profile(config.grid))
 
     mod_table = None
@@ -289,6 +292,7 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
         except StabilityGuardTripped as exc:
             trip = exc
         timings["steps"] += time.perf_counter() - clock
+        counters["steps"] += taken
         if trip is not None:
             if taken:
                 margins.append(worst)
@@ -303,7 +307,7 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
                       series={k: np.array(v) for k, v in series.items()},
                       snapshots=snaps, decompositions=decomps,
                       stop_reason=stop, guard_margin=margins,
-                      timings=timings)
+                      timings=timings, counters=counters)
 
 
 def validate_exact(traj: Trajectory, reference) -> dict:

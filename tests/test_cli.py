@@ -17,6 +17,7 @@ import csslab
 from csslab import gauge as GA
 from csslab import grid as G
 from csslab import modulation as MOD
+from csslab import cli as CLI
 from csslab.cli import dumps17, fmt17, main
 from csslab.soliton import SymmetryParams, blowup_s, modulate, soliton_q
 
@@ -50,6 +51,28 @@ def test_dumps17_is_json():
     assert parsed["a"] == math.pi
     assert parsed["z"] == {"re": 1.0, "im": -2.0}
     assert parsed["nan"] == "nan"
+
+
+@pytest.mark.parametrize("rows", sorted({
+    0, 1, CLI.CSV_BLOCK - 1, CLI.CSV_BLOCK, CLI.CSV_BLOCK + 1,
+    4095, 4096, 4097, 16384}))
+def test_write_csv_matches_savetxt(tmp_path, rows):
+    special = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, 3.0,
+               1e16, float(2**53 + 1)]
+    rng = np.random.default_rng(rows)
+    floats = np.resize(np.array(special), rows)
+    ints = np.arange(rows, dtype=np.int64) * 977 + 2**53 + 1
+    tables = {"mixed": (["x", "k", "y"],
+                        [floats, ints, rng.standard_normal(rows) * 1e-30]),
+              "int64": (["k"], [ints])}
+    for name, (header, columns) in tables.items():
+        path, oracle = tmp_path / f"{name}.csv", tmp_path / f"{name}_np.csv"
+        nbytes = CLI.write_csv(path, header, columns)
+        np.savetxt(oracle, np.column_stack(columns), fmt="%.17g",
+                   delimiter=",", header=",".join(header), comments="")
+        assert path.read_bytes() == oracle.read_bytes(), name
+        assert nbytes == path.stat().st_size
+        assert path.read_text().count("\n") == rows + 1
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +180,11 @@ def test_ode_byte_determinism(runner, outroot):
         (outroot / "d2" / "series.csv").read_bytes()
     assert (outroot / "d1" / "meta.json").read_bytes() == \
         (outroot / "d2" / "meta.json").read_bytes()
+    # the timings of a run go to the manifest only
+    timings = json.loads((outroot / "d1" / "manifest.json").read_text())[
+        "timings"]
+    assert set(timings) == {"integrate", "output"}
+    assert all(v > 0.0 for v in timings.values())
 
 
 def test_ode_config_file_and_flag_override(runner, tmp_path, outroot):
@@ -387,6 +415,9 @@ def test_evolve_guard_trip_mid_segment_keeps_last_good_state(runner,
     assert len(meta["guard_margin"]) == 2
     assert meta["guard_margin"][0] <= 1.0 < meta["guard_margin"][1]
     assert meta["newton"]["converged"] == [True, True]
+    counters = json.loads((outroot / "trip" / "manifest.json").read_text())[
+        "counters"]
+    assert counters["steps"] == 7 and counters["csv_files"] == 4
 
 
 def test_evolve_decompose_byte_determinism(runner, outroot):
@@ -427,6 +458,58 @@ def test_evolve_computes_one_energy_per_monitor(runner, outroot,
     monitors = (outroot / "energy" / "monitors.csv").read_text().splitlines()
     assert len(monitors) - 1 == 6
     assert len(calls) == 6
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x, dtype=np.float64).tobytes()
+
+
+def test_evolve_csv_round_trips_bitwise(runner, outroot, monkeypatch):
+    original = CLI.run
+    trajs = []
+
+    def run(*args, **kwargs):
+        trajs.append(original(*args, **kwargs))
+        return trajs[-1]
+    monkeypatch.setattr(CLI, "run", run)
+    res = runner.invoke(main, [
+        "evolve", "--data", "S", "--m", "1", "--t0", "-1", "--tend", "-0.99",
+        "--dt", "1e-3", "--grid", "default", "--monitor-stride", "5",
+        "--decompose", "--out", "rt"])
+    assert res.exit_code == 0, res.output
+    (traj,) = trajs
+    snaps = sorted((outroot / "rt" / "snapshots").glob("snap_*.csv"))
+    assert len(snaps) == len(traj.snapshots) == 3
+    for path, (_, u) in zip(snaps, traj.snapshots):
+        r, re_, im = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+        assert _bits(r) == _bits(u.grid.r)
+        assert _bits(re_) == _bits(u.values.real)
+        assert _bits(im) == _bits(u.values.imag)
+    series = np.loadtxt(outroot / "rt" / "series.csv", delimiter=",",
+                        skiprows=1, ndmin=2)
+    for col, key in ((2, "lam"), (3, "gamma"), (4, "b"), (5, "eta")):
+        assert _bits(series[:, col]) == _bits(
+            [getattr(d.state, key) for _, d in traj.decompositions]), key
+
+
+def test_evolve_manifest_counters(runner, outroot):
+    res = runner.invoke(main, [
+        "evolve", "--data", "S", "--m", "1", "--t0", "-1", "--tend", "-0.99",
+        "--dt", "1e-3", "--grid", "default", "--monitor-stride", "4",
+        "--decompose", "--out", "cnt"])
+    assert res.exit_code == 0, res.output
+    rundir = outroot / "cnt"
+    counters = json.loads((rundir / "manifest.json").read_text())["counters"]
+    meta = json.loads((rundir / "meta.json").read_text())
+    csvs = list(rundir.rglob("*.csv"))
+    # monitors.csv, series.csv and one snapshot per monitor
+    assert len(csvs) == 2 + len(meta["snapshot_times"]) == 6
+    assert counters == {
+        "steps": 10, "factorizations": 1,
+        "newton_iterations": sum(meta["newton"]["iterations"]),
+        "csv_files": len(csvs),
+        "csv_bytes": sum(p.stat().st_size for p in csvs)}
+    assert counters["newton_iterations"] > 0
 
 
 # ---------------------------------------------------------------------------
