@@ -14,6 +14,7 @@ CSSLAB_OUTPUT_ROOT environment variable.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -93,6 +94,11 @@ def write_json(path: Path, obj) -> None:
 CSV_BLOCK = 1024
 
 
+def _blocks(table: np.ndarray) -> list[np.ndarray]:
+    return [table[start:start + CSV_BLOCK]
+            for start in range(0, len(table), CSV_BLOCK)]
+
+
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> int:
     """The columns as comma-separated %.17g rows under a header line: the
     bytes NumPy's text writer gives for fmt="%.17g", delimiter="," and
@@ -101,11 +107,17 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> int:
     bounds the transient objects. Returns the bytes written."""
     table = np.column_stack(columns)
     row = b",".join([b"%.17g"] * table.shape[1]) + b"\n"
+    return _write_blocks(path, header, table,
+                         [row * len(block) for block in _blocks(table)])
+
+
+def _write_blocks(path: Path, header: list[str], table: np.ndarray,
+                  patterns: list[bytes]) -> int:
+    """write_csv's writer: one row pattern per block of the table."""
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + b"\n")
-        for start in range(0, len(table), CSV_BLOCK):
-            block = table[start:start + CSV_BLOCK]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        for pattern, block in zip(patterns, _blocks(table), strict=True):
+            fh.write(pattern % tuple(block.ravel().tolist()))
         return fh.tell()
 
 
@@ -234,6 +246,15 @@ def write_outputs(out: str | None, files: dict, grid: G.Grid | None = None,
     if error is not None:
         manifest["error"] = error
     write_json(outdir / "manifest.json", manifest)
+
+
+@contextlib.contextmanager
+def timed(timings: dict, phase: str):
+    """Records the perf_counter seconds of the with-block as
+    timings[phase], a phase of the verb for its manifest."""
+    clock = time.perf_counter()
+    yield
+    timings[phase] = time.perf_counter() - clock
 
 
 def fail(exc: Exception, out: str | None, grid: G.Grid | None = None,
@@ -387,11 +408,16 @@ def write_series(outdir: Path, t, s, lam, gam, b, eta, b_hat, eta_hat) -> int:
 
 
 def write_snapshots(outdir: Path, snapshots) -> list[int]:
-    """One r,re,im CSV per (t, field) snapshot; returns their sizes."""
+    """One r,re,im CSV per (t, field) snapshot of one grid, its r column
+    formatted once; returns their sizes."""
     snapdir = outdir / "snapshots"
     snapdir.mkdir(exist_ok=True)
-    return [write_csv(snapdir / f"snap_{i:04d}.csv", ["r", "re", "im"],
-                      [u.grid.r, u.values.real, u.values.imag])
+    # write_csv's bytes, with r formatted into each block's row pattern
+    patterns = [(b"%.17g,%%.17g,%%.17g\n" * len(block)) % tuple(block.tolist())
+                for block in _blocks(snapshots[0][1].grid.r)]
+    return [_write_blocks(snapdir / f"snap_{i:04d}.csv", ["r", "re", "im"],
+                          np.column_stack([u.values.real, u.values.imag]),
+                          patterns)
             for i, (_, u) in enumerate(snapshots)]
 
 
@@ -428,19 +454,21 @@ def cmd_verify(ctx, suite, grid, seed, delta, samples, out):
         grid = parse_grid(grid)
     except ValueError as exc:
         fail(exc, out, usage=True)
-    if suite == "identities":
-        checks = suite_identities(grid)
-    elif suite == "inverses":
-        checks = suite_inverses(grid, seed)
-    elif suite == "coercivity":
-        checks = suite_coercivity(grid, seed, samples)
-    else:
-        checks = suite_morawetz(grid, delta)
+    timings = {}
+    with timed(timings, "checks"):
+        if suite == "identities":
+            checks = suite_identities(grid)
+        elif suite == "inverses":
+            checks = suite_inverses(grid, seed)
+        elif suite == "coercivity":
+            checks = suite_coercivity(grid, seed, samples)
+        else:
+            checks = suite_morawetz(grid, delta)
     n_fail = sum(not c["pass"] for c in checks)
     report = {"suite": suite, "grid_id": grid_id(grid),
               "n_checks": len(checks), "n_failed": n_fail, "checks": checks}
     click.echo(dumps17(report))
-    write_outputs(out, {"report.json": report}, grid)
+    write_outputs(out, {"report.json": report}, grid, timings=timings)
     if n_fail:
         for c in checks:
             if not c["pass"]:
@@ -470,20 +498,24 @@ def cmd_profiles(m, betas, direction, t4, grid, out):
                              f"got {direction!r}")
     except ValueError as exc:
         fail(exc, out, usage=True)
-    sweep = PR.scaling_sweep(m, beta_list, (db, de), grid=grid,
-                             include_t4=t4)
+    timings = {}
+    with timed(timings, "sweep"):
+        sweep = PR.scaling_sweep(m, beta_list, (db, de), grid=grid,
+                                 include_t4=t4)
     report = {"m": m, "betas": beta_list, "direction": [db, de],
               "include_t4": t4, "slopes": sweep["slopes"],
               "series": sweep["series"]}
     if m == 1:
-        table = PR.build_t_tables(m, grid)
-        norm = math.hypot(db, de)
-        report["solvability"] = [
-            PR.solvability_inner(m, PR.ProfileParams(b * db / norm,
-                                                     b * de / norm), table)
-            for b in beta_list]
+        with timed(timings, "solvability"):
+            table = PR.build_t_tables(m, grid)
+            norm = math.hypot(db, de)
+            report["solvability"] = [
+                PR.solvability_inner(m, PR.ProfileParams(b * db / norm,
+                                                         b * de / norm),
+                                     table)
+                for b in beta_list]
     click.echo(dumps17(report))
-    write_outputs(out, {"report.json": report}, grid)
+    write_outputs(out, {"report.json": report}, grid, timings=timings)
 
 
 @main.command("ode")
@@ -519,12 +551,12 @@ def cmd_ode(m, eta0, lam0, b0, window, p3, phase, lam_min, grid, out):
         fail(exc, out, usage=True, lam0=lam0, b0=b0)
     if phase == "auto":
         phase = "leading" if state0.beta >= 0.1 else "profile"
-    clock = time.perf_counter()
-    outres = MOD.ode_integrate(m, state0, (t0, t1), grid=grid,
-                               use_p3=p3,
-                               leading_order=(phase == "leading"),
-                               lam_min=lam_min)
-    timings = {"integrate": time.perf_counter() - clock}
+    timings = {}
+    with timed(timings, "integrate"):
+        outres = MOD.ode_integrate(m, state0, (t0, t1), grid=grid,
+                                   use_p3=p3,
+                                   leading_order=(phase == "leading"),
+                                   lam_min=lam_min)
     delta_gamma = float(outres["gamma"][-1] - outres["gamma"][0])
     meta = {"m": m, "eta0": eta0, "lam0": lam0, "b0": b0,
             "window": [t0, t1], "use_p3": p3, "phase": phase,
@@ -538,11 +570,10 @@ def cmd_ode(m, eta0, lam0, b0, window, p3, phase, lam_min, grid, out):
         meta["delta_gamma_rel_err"] = abs(delta_gamma / closed - 1.0)
     click.echo(dumps17(meta))
     if out is not None:
-        clock = time.perf_counter()
-        write_series(output_dir(out), outres["t"], outres["s"],
-                     outres["lambda"], outres["gamma"], outres["b"],
-                     outres["eta"], outres["b"], outres["eta"])
-        timings["output"] = time.perf_counter() - clock
+        with timed(timings, "output"):
+            write_series(output_dir(out), outres["t"], outres["s"],
+                         outres["lambda"], outres["gamma"], outres["b"],
+                         outres["eta"], outres["b"], outres["eta"])
     write_outputs(out, {"meta.json": meta}, grid, timings=timings,
                   lam0=lam0, b0=b0, phase=phase)
 
@@ -594,34 +625,33 @@ def cmd_evolve(data, m, t0, tend, dt, grid, monitor_stride, decompose,
     counters = traj.counters | {"newton_iterations": sum(
         d.iterations for _, d in traj.decompositions)}
     if out is not None:
-        clock = time.perf_counter()
-        outdir = output_dir(out)
-        sizes = [write_csv(outdir / "monitors.csv", list(traj.series),
-                           list(traj.series.values()))]
-        if decompose:
-            td = np.array([tt for tt, _ in traj.decompositions])
-            decs = [d for _, d in traj.decompositions]
-            lam, gam, b, eta = (np.array([getattr(d.state, k) for d in decs])
-                                for k in ("lam", "gamma", "b", "eta"))
-            hats = []
-            for d in decs:
-                try:
-                    hats.append(MOD.corrected_params(d))
-                except (PR.GridTooSmall, ValueError):
-                    hats.append((math.nan, math.nan))
-            hats = np.array(hats)
-            s = D._s_ladder(td, lam)
-            sizes.append(write_series(outdir, td, s, lam, gam, b, eta,
-                                      hats[:, 0], hats[:, 1]))
-            meta["newton"] = {
-                "iterations": [d.iterations for d in decs],
-                "residual_max": [max(map(abs, d.ortho_residuals)) for d in decs],
-                "converged": [d.converged for d in decs]}
-        meta["guard_margin"] = traj.guard_margin
-        meta["snapshot_times"] = [float(t) for t, _ in traj.snapshots]
-        sizes += write_snapshots(outdir, traj.snapshots)
-        counters |= {"csv_files": len(sizes), "csv_bytes": sum(sizes)}
-        traj.timings["output"] = time.perf_counter() - clock
+        with timed(traj.timings, "output"):
+            outdir = output_dir(out)
+            sizes = [write_csv(outdir / "monitors.csv", list(traj.series),
+                               list(traj.series.values()))]
+            if decompose:
+                td = np.array([tt for tt, _ in traj.decompositions])
+                decs = [d for _, d in traj.decompositions]
+                lam, gam, b, eta = (np.array([getattr(d.state, k) for d in decs])
+                                    for k in ("lam", "gamma", "b", "eta"))
+                hats = []
+                for d in decs:
+                    try:
+                        hats.append(MOD.corrected_params(d))
+                    except (PR.GridTooSmall, ValueError):
+                        hats.append((math.nan, math.nan))
+                hats = np.array(hats)
+                s = D._s_ladder(td, lam)
+                sizes.append(write_series(outdir, td, s, lam, gam, b, eta,
+                                          hats[:, 0], hats[:, 1]))
+                meta["newton"] = {
+                    "iterations": [d.iterations for d in decs],
+                    "residual_max": [max(map(abs, d.ortho_residuals)) for d in decs],
+                    "converged": [d.converged for d in decs]}
+            meta["guard_margin"] = traj.guard_margin
+            meta["snapshot_times"] = [float(t) for t, _ in traj.snapshots]
+            sizes += write_snapshots(outdir, traj.snapshots)
+            counters |= {"csv_files": len(sizes), "csv_bytes": sum(sizes)}
     if traj.stop_reason == "stability-guard":
         fail(StabilityGuardTripped(traj.guard_margin[-1]), out, grid,
              files={"meta.json": meta}, timings=traj.timings,
@@ -640,22 +670,27 @@ def cmd_evolve(data, m, t0, tend, dt, grid, monitor_stride, decompose,
 @out_option
 def cmd_decompose(field, m, tube_radius, out):
     """Tube decomposition of a single stored field."""
-    try:
-        raw = np.loadtxt(field, delimiter=",", skiprows=1, ndmin=2)
-        if raw.shape[1] != 3:
-            raise ValueError("field CSV needs the three columns r,re,im")
-        r, vals = raw[:, 0], raw[:, 1] + 1j * raw[:, 2]
-        grid = G.build_grid(r_min=float(r[0]), r_max=float(r[-1]), n=r.size)
-        if not np.allclose(grid.r, r, rtol=1e-9):
-            raise G.GridError("field radii are not a geometric grid")
-        u = RadialField(m, vals, grid)
-    except (OSError, ValueError) as exc:
-        fail(exc, out, usage=True)
-    ortho = MOD.build_ortho_profiles(m, grid)
-    try:
-        d = MOD.decompose(u, ortho, tube_radius=tube_radius)
-    except DECOMPOSE_FAILURES as exc:
-        fail(exc, out, grid)
+    timings = {}
+    with timed(timings, "read"):
+        try:
+            raw = np.loadtxt(field, delimiter=",", skiprows=1, ndmin=2)
+            if raw.shape[1] != 3:
+                raise ValueError("field CSV needs the three columns r,re,im")
+            r, vals = raw[:, 0], raw[:, 1] + 1j * raw[:, 2]
+            grid = G.build_grid(r_min=float(r[0]), r_max=float(r[-1]),
+                                n=r.size)
+            if not np.allclose(grid.r, r, rtol=1e-9):
+                raise G.GridError("field radii are not a geometric grid")
+            u = RadialField(m, vals, grid)
+        except (OSError, ValueError) as exc:
+            fail(exc, out, usage=True)
+    with timed(timings, "ortho_profiles"):
+        ortho = MOD.build_ortho_profiles(m, grid)
+    with timed(timings, "decompose"):
+        try:
+            d = MOD.decompose(u, ortho, tube_radius=tube_radius)
+        except DECOMPOSE_FAILURES as exc:
+            fail(exc, out, grid, timings=timings)
     report = {
         "state": {"lambda": d.state.lam, "gamma": d.state.gamma,
                   "b": d.state.b, "eta": d.state.eta},
@@ -666,7 +701,7 @@ def cmd_decompose(field, m, tube_radius, out):
         "eps1_l2": G.l2(d.eps1), "eps2_l2": G.l2(d.eps2),
     }
     click.echo(dumps17(report))
-    write_outputs(out, {"report.json": report}, grid)
+    write_outputs(out, {"report.json": report}, grid, timings=timings)
 
 
 @main.command("report")
@@ -676,27 +711,31 @@ def cmd_report(rundir, out):
     """Blow-up asymptotics of a recorded trajectory directory."""
     path = Path(rundir) / "series.csv"
     names = ("t", "lambda", "gamma", "b", "eta")
-    try:
-        header = path.read_text().partition("\n")[0].split(",")
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if not set(names) <= set(header) or raw.shape[1] != len(header):
-            raise ValueError(f"{path} needs the columns {','.join(names)} "
-                             "and a row of numbers under its header")
-    except (OSError, ValueError) as exc:
-        fail(exc, out, usage=True)
+    timings = {}
+    with timed(timings, "read"):
+        try:
+            header = path.read_text().partition("\n")[0].split(",")
+            raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            if not set(names) <= set(header) or raw.shape[1] != len(header):
+                raise ValueError(f"{path} needs the columns "
+                                 f"{','.join(names)} and a row of numbers "
+                                 "under its header")
+        except (OSError, ValueError) as exc:
+            fail(exc, out, usage=True)
     col = dict(zip(header, raw.T))
     series = {k: col[k] for k in names}
     report = {"rundir": rundir, "n_samples": len(raw),
               "lambda_final": float(col["lambda"][-1])}
-    try:
-        ell, gamma_star, fits = D.asymptotics(series)
-        report["ell"] = ell
-        report["gamma_star"] = gamma_star
-        report["fits"] = fits
-    except D.NoBlowupDetected as exc:
-        report["no_blowup_detected"] = str(exc)
+    with timed(timings, "asymptotics"):
+        try:
+            ell, gamma_star, fits = D.asymptotics(series)
+            report["ell"] = ell
+            report["gamma_star"] = gamma_star
+            report["fits"] = fits
+        except D.NoBlowupDetected as exc:
+            report["no_blowup_detected"] = str(exc)
     click.echo(dumps17(report))
-    write_outputs(out, {"report.json": report})
+    write_outputs(out, {"report.json": report}, timings=timings)
 
 
 if __name__ == "__main__":

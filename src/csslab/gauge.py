@@ -36,8 +36,10 @@ def a_theta_pol(grid: Grid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return -0.5 * G.cumulative_rdr(grid, np.real(np.conj(f) * g))
 
 
-def gauge_fields(u: RadialField) -> GaugeFields:
-    dens = np.abs(u.values) ** 2
+def gauge_fields(u: RadialField, dens: np.ndarray | None = None) -> GaugeFields:
+    """A_theta and A_t of u; dens is |u|^2 when the caller has it already."""
+    if dens is None:
+        dens = np.abs(u.values) ** 2
     a_theta = -0.5 * G.cumulative_rdr(u.grid, dens)
     integrand = (u.m + a_theta) * dens / u.grid.r
     tail_p = None if u.decay is None else 2.0 * u.decay + 1.0
@@ -83,9 +85,9 @@ def a_u_star(u: RadialField, h: RadialField, gf: GaugeFields | None = None) -> R
 
 def energy_mass(u: RadialField) -> tuple[float, float, float]:
     """(E, M, E_selfdual): Coulomb-form energy, mass, and 1/2 ||D_u u||^2."""
-    gf = gauge_fields(u)
-    r = u.grid.r
     dens = np.abs(u.values) ** 2
+    gf = gauge_fields(u, dens)
+    r = u.grid.r
     # |d_r u|^2 and |D_u u|^2 via amplitude/phase so oscillatory tails stay
     # accurate: D_u u = (a' - (m+A_theta) a / r) e^{i phi} + i a phi' e^{i phi}
     polar = G.polar_derivs(u.grid, u.values)

@@ -115,6 +115,14 @@ class RadialField:
         return RadialField(self.m, np.asarray(values, dtype=np.complex128),
                            self.grid, self.decay if decay is ... else decay)
 
+    def with_values_unchecked(self, values: np.ndarray, decay=...):
+        """with_values for complex128 values of the grid's shape, without
+        the checks: for a caller that catches non-finite values itself."""
+        f = object.__new__(RadialField)
+        vars(f).update(m=self.m, values=values, grid=self.grid,
+                       decay=self.decay if decay is ... else decay)
+        return f
+
 
 def zero_field(m: int, grid: Grid) -> RadialField:
     return RadialField(m, np.zeros(grid.n, dtype=np.complex128), grid)
@@ -333,8 +341,13 @@ def _interval_increments(grid: Grid, gvals: np.ndarray) -> np.ndarray:
     g = np.asarray(gvals)
     n, h = g.size, grid.h
     inc = np.empty(n - 1, dtype=np.result_type(g, np.float64))
-    # interior intervals [j, j+1] use nodes j-1..j+2
-    inc[1:-1] = (h / 24.0) * (-g[:-3] + 13.0 * g[1:-2] + 13.0 * g[2:-1] - g[3:])
+    # interior intervals [j, j+1] use nodes j-1..j+2: the sum
+    # -g[j-1] + 13 g[j] + 13 g[j+1] - g[j+2] in place, left to right
+    mid = 13.0 * g[1:-2]
+    mid -= g[:-3]
+    mid += 13.0 * g[2:-1]
+    mid -= g[3:]
+    np.multiply(h / 24.0, mid, out=inc[1:-1])
     inc[0] = (h / 24.0) * (9.0 * g[0] + 19.0 * g[1] - 5.0 * g[2] + g[3])
     inc[-1] = (h / 24.0) * (g[-4] - 5.0 * g[-3] + 19.0 * g[-2] + 9.0 * g[-1])
     return inc

@@ -19,6 +19,7 @@ from csslab import grid as G
 from csslab import modulation as MOD
 from csslab import cli as CLI
 from csslab.cli import dumps17, fmt17, main
+from csslab.grid import RadialField
 from csslab.soliton import SymmetryParams, blowup_s, modulate, soliton_q
 
 
@@ -73,19 +74,45 @@ def test_write_csv_matches_savetxt(tmp_path, rows):
         assert path.read_bytes() == oracle.read_bytes(), name
         assert nbytes == path.stat().st_size
         assert path.read_text().count("\n") == rows + 1
+    if rows < 16:
+        return
+    # snapshot files, whose r column is formatted once for all of them
+    grid = G.build_grid(r_min=1e-3, r_max=10.0, n=rows)
+    snaps = [(t, RadialField(1, np.resize(special[:1] + special[4:], rows)
+                             + 1j * rng.standard_normal(rows) * 10.0**t,
+                             grid)) for t in (-30, 0)]
+    sizes = CLI.write_snapshots(tmp_path, snaps)
+    for i, (_, u) in enumerate(snaps):
+        oracle = tmp_path / f"snap_{i}_np.csv"
+        np.savetxt(oracle, np.column_stack([grid.r, u.values.real,
+                                            u.values.imag]),
+                   fmt="%.17g", delimiter=",", header="r,re,im", comments="")
+        path = tmp_path / "snapshots" / f"snap_{i:04d}.csv"
+        assert path.read_bytes() == oracle.read_bytes()
+        assert sizes[i] == path.stat().st_size
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def test_verify_identities(runner):
-    res = runner.invoke(main, ["verify", "identities", "--grid", "default"])
+def _timings(outroot, name):
+    """The timings of a run's manifest, checked to be seconds."""
+    timings = json.loads((outroot / name / "manifest.json").read_text())[
+        "timings"]
+    assert all(v > 0.0 for v in timings.values())
+    return timings
+
+
+def test_verify_identities(runner, outroot):
+    res = runner.invoke(main, ["verify", "identities", "--grid", "default",
+                               "--out", "vi"])
     assert res.exit_code == 0, res.output
     rep = json.loads(res.output)
     assert rep["n_failed"] == 0
     names = {c["name"] for c in rep["checks"]}
     assert "D_QQ_m1" in names and "wronskian_m3" in names
+    assert set(_timings(outroot, "vi")) == {"checks"}
 
 
 def test_verify_inverses(runner):
@@ -130,17 +157,18 @@ def test_verify_requires_grid(runner):
 # profiles
 
 
-def test_profiles_report(runner):
+def test_profiles_report(runner, outroot):
     res = runner.invoke(main, ["profiles", "--m", "1",
                                "--betas", "0.04,0.02",
                                "--direction", "1,0", "--no-t4",
-                               "--grid", "default"])
+                               "--grid", "default", "--out", "pr"])
     assert res.exit_code == 0, res.output
     rep = json.loads(res.output)
     assert rep["m"] == 1 and rep["betas"] == [0.04, 0.02]
     assert "psi2_L2" in rep["slopes"]
     assert all(s < 1e-6 * b**3 for s, b in
                zip(rep["solvability"], rep["betas"]))
+    assert set(_timings(outroot, "pr")) == {"sweep", "solvability"}
 
 
 def test_profiles_rejects_large_beta(runner):
@@ -181,10 +209,7 @@ def test_ode_byte_determinism(runner, outroot):
     assert (outroot / "d1" / "meta.json").read_bytes() == \
         (outroot / "d2" / "meta.json").read_bytes()
     # the timings of a run go to the manifest only
-    timings = json.loads((outroot / "d1" / "manifest.json").read_text())[
-        "timings"]
-    assert set(timings) == {"integrate", "output"}
-    assert all(v > 0.0 for v in timings.values())
+    assert set(_timings(outroot, "d1")) == {"integrate", "output"}
 
 
 def test_ode_config_file_and_flag_override(runner, tmp_path, outroot):
@@ -254,9 +279,10 @@ def test_report_on_blowup_run(runner, outroot):
 
 def test_report_no_blowup(runner, outroot):
     runner.invoke(main, ["ode", "--m", "1", "--eta0", "0.05", "--out", "r2"])
-    res = runner.invoke(main, ["report", str(outroot / "r2")])
+    res = runner.invoke(main, ["report", str(outroot / "r2"), "--out", "rr"])
     assert res.exit_code == 0, res.output
     assert "no_blowup_detected" in json.loads(res.output)
+    assert set(_timings(outroot, "rr")) == {"read", "asymptotics"}
 
 
 def test_report_on_one_sample_and_on_missing_columns(runner, outroot):
@@ -435,10 +461,8 @@ def test_evolve_decompose_byte_determinism(runner, outroot):
         "data", "m", "t0", "t_end", "dt", "stop_reason", "mass_drift",
         "energy_drift", "tracking_error_l2_max"]
     # the timings of a run go to the manifest only
-    timings = json.loads((outroot / "e1" / "manifest.json").read_text())[
-        "timings"]
-    assert set(timings) == {"steps", "monitors", "decompositions", "output"}
-    assert all(v > 0.0 for v in timings.values())
+    assert set(_timings(outroot, "e1")) == {"steps", "monitors",
+                                            "decompositions", "output"}
 
 
 def test_evolve_computes_one_energy_per_monitor(runner, outroot,
@@ -526,10 +550,13 @@ def test_decompose_field_file(runner, tmp_path, outroot):
     path = tmp_path / "field.csv"
     path.write_text("\n".join(rows) + "\n")
     res = runner.invoke(main, ["decompose", "--field", str(path),
-                               "--m", "1", "--tube-radius", "0.5"])
+                               "--m", "1", "--tube-radius", "0.5",
+                               "--out", "df"])
     assert res.exit_code == 0, res.output
     rep = json.loads(res.output)
     assert rep["converged"]
+    assert set(_timings(outroot, "df")) == {"read", "ortho_profiles",
+                                            "decompose"}
     assert abs(rep["state"]["lambda"] - 0.8) < 1e-6
     assert abs(rep["state"]["gamma"] - 0.7) < 1e-6
     assert abs(rep["state"]["b"]) < 1e-6
@@ -556,6 +583,8 @@ def test_decompose_scale_out_of_range_is_clean_error(runner, tmp_path,
     assert "Traceback" not in res.output
     assert _error_manifest(outroot, "dec").startswith("ScaleOutOfRange")
     assert not (outroot / "dec" / "report.json").exists()
+    # the phases finished before the failure
+    assert set(_timings(outroot, "dec")) == {"read", "ortho_profiles"}
 
 
 @pytest.mark.parametrize("args", [

@@ -245,6 +245,84 @@ def test_run_computes_one_potential_per_step(grid, monkeypatch):
     assert all(0.0 < g <= 1.0 for g in traj.guard_margin)
 
 
+def _reference_potential(u):
+    """V[u] from gauge_fields and the field's own density."""
+    gf = GA.gauge_fields(u)
+    r, m = u.grid.r, u.m
+    return (((m + gf.a_theta) ** 2 - m**2) / r**2 + gf.a_t
+            - np.abs(u.values) ** 2)
+
+
+def test_run_snapshots_match_reference_chain_bit_for_bit(grid):
+    # the FSAL chain written plainly: np.exp phases, the sponge factor on
+    # every node and a RadialField for each mid-step state
+    dt, stride = 1e-3, 5
+    u = blowup_s(1, -1.0, grid)
+    cfg = SolverConfig(grid=grid, dt=dt, t_end=-0.95, monitor_stride=stride)
+    traj = run(u, cfg, t0=-1.0)
+    assert traj.stop_reason == "t_end" and traj.counters["steps"] == 50
+    kin = KineticSolver(grid, 1, dt)
+    damping = np.exp(-dt * sponge_profile(grid))
+    phase = np.exp(-0.5j * dt * _reference_potential(u))
+    ref = [u]
+    for k in range(1, 51):
+        vals = damping * kin.solve(phase * u.values)
+        mid = u.with_values(vals, decay=None)
+        phase = np.exp(-0.5j * dt * _reference_potential(mid))
+        u = u.with_values(phase * vals, decay=None)
+        if k % stride == 0:
+            ref.append(u)
+    assert len(traj.snapshots) == len(ref) == 11
+    for (_, got), want in zip(traj.snapshots, ref):
+        assert np.array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("node", [0, 2000, -1])
+def test_nonfinite_state_trips_the_guard(grid, monkeypatch, bad, node):
+    original = KineticSolver.solve
+    calls = []
+
+    def solve(self, v):
+        x = original(self, v)
+        calls.append(1)
+        if len(calls) == 8:
+            x[node] = bad
+        return x
+
+    monkeypatch.setattr(KineticSolver, "solve", solve)
+    cfg = SolverConfig(grid=grid, dt=1e-3, t_end=0.05, monitor_stride=5)
+    with np.errstate(invalid="ignore"):
+        traj = run(soliton_q(1, grid), cfg)
+    assert traj.stop_reason == "stability-guard"
+    assert traj.counters["steps"] == 7
+    assert not traj.guard_margin[-1] <= 1.0
+    # the last good state is kept as a final monitor, and all are finite
+    assert traj.times[-1] == pytest.approx(7e-3)
+    for _, u in traj.snapshots:
+        assert np.all(np.isfinite(u.values))
+
+
+@pytest.mark.parametrize("case", ["S", "Q", "zero", "negative", "mixed"])
+def test_half_phase_is_exp_bit_for_bit(grid, monkeypatch, case):
+    u = soliton_q(1, grid)
+    v_pot = {
+        "S": lambda: potential(blowup_s(1, -1.0, grid)),
+        "Q": lambda: potential(u),
+        "zero": lambda: np.resize([0.0, -0.0], grid.n),
+        "negative": lambda: -50.0 / (1.0 + grid.r),
+        "mixed": lambda: np.random.default_rng(5).uniform(-1e3, 1e3, grid.n),
+    }[case]()
+    monkeypatch.setattr(evolve, "potential", lambda field: v_pot)
+    peak = float(np.max(np.abs(v_pot)))
+    # the last dt puts the largest |theta| = dt/2 max|V| just below 0.5
+    dts = [1e-3, 4e-4] + ([0.999 / peak] if peak > 0.0 else [])
+    for dt in dts:
+        phase, margin = evolve.half_phase(u, dt)
+        assert margin == dt * peak <= 1.0
+        assert phase.tobytes() == np.exp(-0.5j * dt * v_pot).tobytes(), dt
+
+
 @pytest.fixture(scope="module")
 def warm_traj(grid):
     """S from t = -1 with a decomposition every 5 steps: 12 monitors."""

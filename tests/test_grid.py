@@ -5,6 +5,7 @@ Frozen expected values were computed with independent closed forms
 under test.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -180,6 +181,22 @@ def test_inner_mismatch(grid):
     g = G.zero_field(2, grid)
     with pytest.raises(G.IndexMismatch):
         G.inner(f, g)
+
+
+def test_with_values_unchecked_matches_with_values(grid):
+    f = G.RadialField(2, np.exp(-grid.r) + 0j, grid, decay=3.0)
+    vals = np.exp(-2.0 * grid.r) + 1j * grid.r
+    for decay in ([], [None], [1.5]):
+        want = f.with_values(vals, *decay)
+        got = f.with_values_unchecked(vals, *decay)
+        assert set(vars(got)) == {fl.name for fl in dataclasses.fields(f)}
+        assert [got.m, got.grid, got.decay] == [want.m, want.grid, want.decay]
+        assert np.array_equal(got.values, want.values)
+    # no finiteness check: the caller catches non-finite values itself
+    bad = np.full(grid.n, np.nan + 0j)
+    assert np.isnan(f.with_values_unchecked(bad).values).all()
+    with pytest.raises(G.GridError):
+        f.with_values(bad)
 
 
 # ---------------------------------------------------------------------------
