@@ -28,7 +28,7 @@ from . import profiles as PR
 from .grid import Grid, RadialField
 from .modulation import DecompResult, ModState
 from .profiles import TTable
-from .soliton import SymmetryParams, _sample, modulate, soliton_q
+from .soliton import SymmetryParams, modulate, sampler, soliton_q
 
 # the constants A and delta (of the weight psi) in the functional F
 DEFAULT_A = 10.0
@@ -380,7 +380,7 @@ def profile_trajectory(m: int, ode_out: dict, snap_grid: Grid,
     tt, lam, gam, b, eta = (float(ode_out[k][-1])
                             for k in ("t", "lambda", "gamma", "b", "eta"))
     pset = PR.assemble(m, PR.ProfileParams(b, eta), table)
-    vals = cmath.exp(1j * gam) / lam * _sample(pset.P, snap_grid.r / lam)
+    vals = cmath.exp(1j * gam) / lam * sampler(pset.P)(snap_grid.r / lam)
     u = RadialField(m, vals, snap_grid, decay=None)
     energy, _, _ = GA.energy_mass(u)
     d = DecompResult(state=ModState(lam, gam, b, eta),

@@ -44,10 +44,13 @@ SPONGE_STRENGTH = 2.0  # peak damping rate of the sponge
 
 
 class StabilityGuardTripped(RuntimeError):
-    """dt*max|V| of a potential was not <= 1; margin holds that value."""
+    """dt*max|V| of a potential was not <= 1; margin holds that value,
+    which is not finite when the state went non-finite."""
 
     def __init__(self, margin: float):
-        super().__init__(f"stability-guard-tripped: dt*max|V| = {margin:.3g} > 1")
+        why = (f"dt*max|V| = {margin:.3g} > 1" if math.isfinite(margin)
+               else "non-finite state")
+        super().__init__(f"stability-guard-tripped: {why}")
         self.margin = margin
 
 

@@ -24,7 +24,8 @@ from . import linops as L
 from . import profiles as PR
 from .grid import Grid, RadialField
 from .profiles import ProfileParams, TTable
-from .soliton import SymmetryParams, flat, proximity_fit, q_values, soliton_q
+from .soliton import (SymmetryParams, flat, proximity_fit, q_values, sampler,
+                      soliton_q)
 
 
 class NotInTube(ValueError):
@@ -192,8 +193,8 @@ def _assemble_chart(m: int, b: float, eta: float, table: TTable) -> _Chart:
 
 
 def _pairings(u: RadialField, state: ModState, table: TTable,
-              profiles: OrthoProfiles):
-    w = flat(u, SymmetryParams(state.lam, state.gamma))
+              profiles: OrthoProfiles, sample=None):
+    w = flat(u, SymmetryParams(state.lam, state.gamma), sample)
     pset = _assemble_chart(table.m, state.b, state.eta, table)
     eps = w.with_values(w.values - pset.P.values, decay=None)
     gf = GA.gauge_fields(w)
@@ -247,6 +248,10 @@ def decompose(u: RadialField, profiles: OrthoProfiles,
     (-d_b P, -d_b P1), (-d_eta P, -d_eta P1) for b and eta, through the
     phase-factored chart beyond _CHART_BETA.
 
+    u is resampled through one sampler(u), built here and shared by the
+    proximity fit, the tube check and every pairing; each pairing's arrays
+    are dropped before the next is made, and nothing outlives the call.
+
     The tube check (the H1 distance of the proximity fit) runs on every
     call. Newton starts from `init`, e.g. the state extrapolate() predicts
     from earlier decompositions of a run, or from that fit when it is None.
@@ -257,8 +262,9 @@ def decompose(u: RadialField, profiles: OrthoProfiles,
     if table is None:
         table = PR.build_t_tables(m, u.grid)
     q = soliton_q(m, u.grid)
-    fit = proximity_fit(u, q)
-    wfit = flat(u, SymmetryParams(fit.lam, fit.gamma))
+    sample = sampler(u)
+    fit = proximity_fit(u, q, sample)
+    wfit = flat(u, SymmetryParams(fit.lam, fit.gamma), sample)
     dist = G.hdot1(wfit.with_values(wfit.values - q.values, decay=None)) / G.hdot1(q)
     if dist >= tube_radius:
         raise NotInTube(f"not-in-tube: relative H1 distance {dist:.3f}")
@@ -271,7 +277,7 @@ def decompose(u: RadialField, profiles: OrthoProfiles,
     def state_of(xv):
         return ModState(math.exp(xv[0]), xv[1], xv[2], xv[3])
 
-    vec, aux = _pairings(u, state_of(x), table, profiles)
+    vec, aux = _pairings(u, state_of(x), table, profiles, sample)
     converged = False
     it = 0
     for it in range(1, _NEWTON_MAX_ITER + 1):
@@ -287,7 +293,8 @@ def decompose(u: RadialField, profiles: OrthoProfiles,
         if cap > 1.0:
             dx = dx / cap
         x = x - dx
-        vec, aux = _pairings(u, state_of(x), table, profiles)
+        aux = None  # free this pairing's arrays before the next is built
+        vec, aux = _pairings(u, state_of(x), table, profiles, sample)
     else:
         it = _NEWTON_MAX_ITER
     converged = converged or np.max(np.abs(vec)) < tol

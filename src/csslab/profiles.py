@@ -517,15 +517,16 @@ def quartic_coefficient(m: int, grid: Grid, direction: tuple[float, float],
     cond = np.linalg.cond(smat / scale)
     if cond > _FIT_COND_MAX:
         raise FitIllConditioned(f"fit-ill-conditioned: cond = {cond:.3e}")
+    # the s^4 row of the fit's pseudo-inverse, summed over the ladder's rows: a
+    # lstsq on all n residual columns would go to the BLAS thread pool
+    pinv = np.linalg.lstsq(smat, np.eye(len(s_values)), rcond=None)[0]
     table = build_t_tables(m, grid)
-    rows = []
-    for s in s_values:
+    f4 = np.zeros(grid.n, dtype=complex)
+    for s, weight in zip(s_values, pinv[_FIT_DEGREES.index(4)]):
         params = ProfileParams(s * db, s * de)
         pset = assemble(m, params, table, t4_dir=t4_dir, cutoffs=False)
-        rep = residuals(m, params, pset)
-        rows.append(rep.fields["Psi2"].values)
-    coef, *_ = np.linalg.lstsq(smat, np.array(rows), rcond=None)
-    return coef[_FIT_DEGREES.index(4)]
+        f4 += weight * residuals(m, params, pset).fields["Psi2"].values
+    return f4
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,9 @@ def q_values(m: int, r: np.ndarray) -> np.ndarray:
 # Modulation (the sharp/flat maps)
 
 
-def _sample(f: RadialField, r_new: np.ndarray) -> np.ndarray:
-    """Evaluate f at off-grid radii using log-coordinate splines.
+def sampler(f: RadialField):
+    """Build f's log-coordinate splines once and return the function that
+    evaluates f at off-grid radii r_new with them.
 
     Smooth nonvanishing fields are interpolated through amplitude and
     unwrapped phase (preserves oscillatory tails); fields with zeros fall
@@ -61,33 +62,37 @@ def _sample(f: RadialField, r_new: np.ndarray) -> np.ndarray:
     r^m below r_min, the declared algebraic decay (or zero) above r_max.
     """
     g = f.grid
-    x = g.x
-    xq = np.log(r_new)
     a = np.abs(f.values)
-    out = np.empty(r_new.size, dtype=np.complex128)
-    inside = (r_new >= g.r_min) & (r_new <= g.r_max)
-    if a.min() > 0.0 and (a.max() / a.min()) < 1e300:
-        la = CubicSpline(x, np.log(a))
-        ph = CubicSpline(x, G.smart_unwrap(f.values))
-        out[inside] = np.exp(la(xq[inside]) + 1j * ph(xq[inside]))
+    polar = a.min() > 0.0 and (a.max() / a.min()) < 1e300
+    if polar:  # splines of log|f| and arg f, else of Re f and Im f
+        s1, s2 = (CubicSpline(g.x, np.log(a)),
+                  CubicSpline(g.x, G.smart_unwrap(f.values)))
     else:
-        sre = CubicSpline(x, f.values.real)
-        sim = CubicSpline(x, f.values.imag)
-        out[inside] = sre(xq[inside]) + 1j * sim(xq[inside])
-    below = r_new < g.r_min
-    if np.any(below):
-        out[below] = f.values[0] * (r_new[below] / g.r_min) ** f.m
-    above = r_new > g.r_max
-    if np.any(above):
-        if f.decay is not None:
-            out[above] = f.values[-1] * (r_new[above] / g.r_max) ** (-f.decay)
-        else:
-            out[above] = 0.0
-    return out
+        s1, s2 = CubicSpline(g.x, f.values.real), CubicSpline(g.x, f.values.imag)
+
+    def sample(r_new: np.ndarray) -> np.ndarray:
+        xq = np.log(r_new)
+        out = np.empty(r_new.size, dtype=np.complex128)
+        inside = (r_new >= g.r_min) & (r_new <= g.r_max)
+        z = s1(xq[inside]) + 1j * s2(xq[inside])
+        out[inside] = np.exp(z) if polar else z
+        below = r_new < g.r_min
+        if np.any(below):
+            out[below] = f.values[0] * (r_new[below] / g.r_min) ** f.m
+        above = r_new > g.r_max
+        if np.any(above):
+            if f.decay is not None:
+                out[above] = f.values[-1] * (r_new[above] / g.r_max) ** (-f.decay)
+            else:
+                out[above] = 0.0
+        return out
+    return sample
 
 
-def modulate(f: RadialField, p: SymmetryParams, tol: float = 1e-6) -> RadialField:
-    """f^sharp = (e^{i gamma}/lambda) f(r/lambda) resampled on f's own grid."""
+def modulate(f: RadialField, p: SymmetryParams, tol: float = 1e-6,
+             sample=None) -> RadialField:
+    """f^sharp = (e^{i gamma}/lambda) f(r/lambda) resampled on f's own grid,
+    through `sample`, a sampler(f) the caller already built, or a new one."""
     g = f.grid
     lam = p.lam
     if lam < 1.0 and f.decay is None:
@@ -98,13 +103,15 @@ def modulate(f: RadialField, p: SymmetryParams, tol: float = 1e-6) -> RadialFiel
         if total > 0 and lost > tol * total:
             raise ScaleOutOfRange(
                 f"scale-out-of-range: lambda={lam} drops {lost/total:.2e} of the field")
-    vals = np.exp(1j * p.gamma) / lam * _sample(f, g.r / lam)
+    if sample is None:
+        sample = sampler(f)
+    vals = np.exp(1j * p.gamma) / lam * sample(g.r / lam)
     return RadialField(f.m, vals, g, f.decay)
 
 
-def flat(f: RadialField, p: SymmetryParams) -> RadialField:
+def flat(f: RadialField, p: SymmetryParams, sample=None) -> RadialField:
     """Inverse of modulate: f^flat = lambda e^{-i gamma} f(lambda r)."""
-    return modulate(f, SymmetryParams(1.0 / p.lam, -p.gamma))
+    return modulate(f, SymmetryParams(1.0 / p.lam, -p.gamma), sample=sample)
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +147,11 @@ def pseudoconformal(f: RadialField, t: float) -> RadialField:
 # Proximity fit
 
 
-def proximity_fit(u: RadialField, q: RadialField | None = None) -> SymmetryParams:
+def proximity_fit(u: RadialField, q: RadialField | None = None,
+                  sample=None) -> SymmetryParams:
     """Seed (lambda, gamma) for decomposition: lambda from the H1-norm ratio,
-    gamma from the argument of the complex H1 pairing with Q."""
+    gamma from the argument of the complex H1 pairing with Q. `sample` is
+    a prebuilt sampler(u), as for modulate."""
     if q is None:
         q = soliton_q(u.m, u.grid)
     nu = G.hdot1(u)
@@ -150,7 +159,8 @@ def proximity_fit(u: RadialField, q: RadialField | None = None) -> SymmetryParam
         raise ValueError("zero-field")
     lam_hat = G.hdot1(q) / nu
     # seed-quality rescale; allow a little tail loss for undeclared decays
-    ub = modulate(u, SymmetryParams(1.0 / lam_hat, 0.0), tol=1e-3)
+    ub = modulate(u, SymmetryParams(1.0 / lam_hat, 0.0), tol=1e-3,
+                  sample=sample)
     g = u.grid
     du = G.d_dr(g, ub.values, 1)
     dq = G.d_dr(g, q.values, 1)

@@ -432,7 +432,8 @@ def test_evolve_guard_trip_mid_segment_keeps_last_good_state(runner,
                                "--grid", "default", "--decompose",
                                "--out", "trip"])
     assert res.exit_code == 1
-    assert "Error: StabilityGuardTripped: stability-guard-tripped" in res.output
+    assert ("Error: StabilityGuardTripped: stability-guard-tripped: "
+            "dt*max|V| = 1.14 > 1\n") in res.output
     meta = json.loads((outroot / "trip" / "meta.json").read_text())
     assert meta["stop_reason"] == "stability-guard"
     assert meta["snapshot_times"] == pytest.approx([-0.4, -0.33])

@@ -297,6 +297,8 @@ def test_nonfinite_state_trips_the_guard(grid, monkeypatch, bad, node):
     assert traj.stop_reason == "stability-guard"
     assert traj.counters["steps"] == 7
     assert not traj.guard_margin[-1] <= 1.0
+    assert str(StabilityGuardTripped(traj.guard_margin[-1])) == \
+        "stability-guard-tripped: non-finite state"
     # the last good state is kept as a final monitor, and all are finite
     assert traj.times[-1] == pytest.approx(7e-3)
     for _, u in traj.snapshots:

@@ -142,6 +142,27 @@ def test_decompose_equivariance(grid, ortho1, table1):
     assert d2.state.eta == pytest.approx(d1.state.eta, abs=1e-6)
 
 
+def test_decompose_builds_one_sampler(grid, ortho1, table1, monkeypatch):
+    # two splines of u per call (amplitude and phase), however many Newton
+    # pairings the call makes
+    from csslab import soliton as S
+    u = _synthetic_datum(grid, table1, 0.03, 0.02, 0.9, 0.4)
+    exact = decompose(u, ortho1, table=table1).state
+    real, built, iters = S.CubicSpline, [], []
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(S, "CubicSpline", counting)
+    for init in (None, exact):
+        built.clear()
+        d = decompose(u, ortho1, init=init, table=table1)
+        assert d.converged and len(built) == 2
+        iters.append(d.iterations)
+    assert iters[0] > iters[1]
+
+
 def test_decompose_not_in_tube(grid, ortho1, table1):
     y = grid.r
     vals = 5.0 * y * np.exp(-(y**2) / 4.0)

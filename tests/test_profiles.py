@@ -352,6 +352,32 @@ def test_t4_re_extraction(grid):
     assert np.linalg.norm(f4_cor[msk]) <= 0.1 * np.linalg.norm(f4_raw[msk])
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_t4_matches_the_lstsq_fit(grid, m):
+    # the quartic coefficient as weights times ladder rows agrees with a
+    # least-squares solve against the whole residual matrix. Against the
+    # exact (40-digit) weights both forms of F4 are within 4e-13; the inner
+    # right inverse of m = 2 amplifies that rounding about 30-fold, so T4
+    # moves by 1.2e-11 there (each form within 7.4e-12 of the exact fit)
+    s_values = [0.03 * 2.0 ** (-j / 2.0) for j in range(6)]
+    table = build_t_tables(m, grid)
+    rows = []
+    for s in s_values:
+        params = ProfileParams(s, 0.0)
+        pset = assemble(m, params, table, cutoffs=False)
+        rows.append(residuals(m, params, pset).fields["Psi2"].values)
+    smat = np.array([[s**d for d in range(3, 9)] for s in s_values])
+    f4 = np.linalg.lstsq(smat, np.array(rows), rcond=None)[0][1]
+    got = PR.quartic_coefficient(m, grid, (1.0, 0.0))
+    assert np.max(np.abs(got - f4)) <= 1e-12 * np.max(np.abs(f4))
+    branch = "outgoing" if m == 1 else "inner"
+    want = -L.right_inverse(L.OperatorKind("HtdQ", m),
+                            G.RadialField(m + 2, f4, grid), branch).values
+    got = build_t4(m, grid, (1.0, 0.0)).values
+    tol = {1: 1e-11, 2: 3e-11}[m]
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
 def test_t4_fit_ill_conditioned(grid):
     with pytest.raises(FitIllConditioned):
         build_t4(1, grid, (1.0, 0.0),

@@ -146,6 +146,27 @@ def test_proximity_fit_zero_field(grid):
         proximity_fit(G.zero_field(1, grid))
 
 
+@pytest.mark.parametrize("zeros", [False, True])
+@pytest.mark.parametrize("decay", [None, 3.0])
+def test_prebuilt_sampler_gives_the_same_bits(grid, zeros, decay):
+    # a zero-free field takes the amplitude/phase splines, one with a zero
+    # node the re/im splines; lambda < 1 and > 1 sample past r_max and
+    # below r_min
+    y = grid.r
+    vals = S.q_values(1, y) * np.exp(-y / 10.0 + 0.3j * y)
+    if zeros:
+        vals[grid.n // 3] = 0.0
+    assert (np.abs(vals).min() == 0.0) == zeros
+    f = G.RadialField(1, vals, grid, decay=decay)
+    sample = S.sampler(f)
+    for lam in (0.7, 1.6):
+        p = SymmetryParams(lam, 0.9)
+        for fresh, shared in ((modulate(f, p), modulate(f, p, sample=sample)),
+                              (flat(f, p), flat(f, p, sample))):
+            assert fresh.values.tobytes() == shared.values.tobytes()
+    assert proximity_fit(f, sample=sample) == proximity_fit(f)
+
+
 def test_proximity_fit_perturbed(grid, rng):
     q = soliton_q(1, grid)
     pert = 0.01 * grid.r * np.exp(-grid.r**2) * (rng.standard_normal() + 1j)
