@@ -31,17 +31,16 @@ from . import grid as G
 from . import linops as L
 from . import modulation as MOD
 from . import profiles as PR
-from .evolve import SolverConfig, StabilityGuardTripped, run, validate_exact
+from .evolve import SolverConfig, run, validate_exact
 from .grid import RadialField
-from .soliton import ScaleOutOfRange, blowup_s, soliton_q
+from .soliton import blowup_s, soliton_q
 
 ENV_OUTPUT_ROOT = "CSSLAB_OUTPUT_ROOT"
 
-# typed numerical failures that end a run with a clean CLI error
-DECOMPOSE_FAILURES = (ScaleOutOfRange, MOD.NotInTube, MOD.NoConvergence)
-
 T_START = "csslab.t_start"  # ctx.meta key: when the command started
-IGNORED_KEYS = "csslab.ignored_config_keys"  # ctx.meta key: see load_config
+# ctx.meta key: the manifest entries a command fills as it runs: "timings"
+# (see timed), a run's work "counters", "ignored_config_keys" (load_config)
+RECORD = "csslab.record"
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +145,7 @@ def load_config(ctx: click.Context, param, path: str | None) -> None:
     names = {p.name for p in ctx.command.params}
     ignored = [key for key in ctx.default_map if key not in names]
     if ignored:
-        ctx.meta[IGNORED_KEYS] = ignored
+        ctx.meta[RECORD]["ignored_config_keys"] = ignored
         click.echo(f"Warning: config keys that name no option of "
                    f"{ctx.info_name}: {', '.join(ignored)}", err=True)
 
@@ -210,14 +209,12 @@ def output_dir(out: str) -> Path:
 
 
 def write_outputs(out: str | None, files: dict, grid: G.Grid | None = None,
-                  error: str | None = None, timings: dict | None = None,
-                  counters: dict | None = None, **resolved) -> None:
+                  error: str | None = None, **resolved) -> None:
     """With --out, write the verb's JSON `files` and its manifest.json. The
     manifest's command is the verb, followed by its suite if it takes one;
     its config echoes the verb's parameters in declaration order, without
     --out, holding the values the verb `resolved` in their place. The
-    seconds by phase of a run, `timings`, and its work `counters` go to the
-    manifest only."""
+    entries of ctx.meta[RECORD] follow, in a fixed order."""
     if out is None:
         return
     ctx = click.get_current_context()
@@ -237,37 +234,33 @@ def write_outputs(out: str | None, files: dict, grid: G.Grid | None = None,
         "version": __version__,
         "wall_time_s": time.perf_counter() - ctx.meta[T_START],
     }
-    if timings is not None:
-        manifest["timings"] = timings
-    if counters is not None:
-        manifest["counters"] = counters
-    if IGNORED_KEYS in ctx.meta:
-        manifest["ignored_config_keys"] = ctx.meta[IGNORED_KEYS]
+    record = ctx.meta[RECORD]
+    for key in ("timings", "counters", "ignored_config_keys"):
+        if key in record:
+            manifest[key] = record[key]
     if error is not None:
         manifest["error"] = error
     write_json(outdir / "manifest.json", manifest)
 
 
 @contextlib.contextmanager
-def timed(timings: dict, phase: str):
-    """Records the perf_counter seconds of the with-block as
-    timings[phase], a phase of the verb for its manifest."""
+def timed(phase: str):
+    """Records the perf_counter seconds of the with-block as the
+    manifest's timings[phase], a phase of the verb."""
     clock = time.perf_counter()
     yield
-    timings[phase] = time.perf_counter() - clock
+    record = click.get_current_context().meta[RECORD]
+    record.setdefault("timings", {})[phase] = time.perf_counter() - clock
 
 
 def fail(exc: Exception, out: str | None, grid: G.Grid | None = None,
-         usage: bool = False, files: dict | None = None,
-         timings: dict | None = None, counters: dict | None = None,
-         **resolved):
+         usage: bool = False, files: dict | None = None, **resolved):
     """End the command on a typed failure with a one-line error (exit 2 for
     a usage error, 1 otherwise); with --out the manifest still records the
-    command, its config and the error, beside the JSON `files`, the
-    `timings` and the `counters` of a run that kept its data."""
+    command, its config and the error, beside the JSON `files` of a run
+    that kept its data."""
     msg = f"{type(exc).__name__}: {exc}"
-    write_outputs(out, files or {}, grid, error=msg, timings=timings,
-                  counters=counters, **resolved)
+    write_outputs(out, files or {}, grid, error=msg, **resolved)
     raise (click.UsageError if usage else click.ClickException)(msg) from exc
 
 
@@ -399,26 +392,26 @@ def suite_morawetz(grid: G.Grid, delta: float) -> list[dict]:
 # Trajectory serialization
 
 
-def write_series(outdir: Path, t, s, lam, gam, b, eta, b_hat, eta_hat) -> int:
-    return write_csv(
-        outdir / "series.csv",
-        ["t", "s", "lambda", "gamma", "b", "eta", "b_hat", "eta_hat",
-         "beta_over_lambda"],
-        [t, s, lam, gam, b, eta, b_hat, eta_hat, np.hypot(b, eta) / lam])
+def write_series(outdir: Path, cols: dict) -> int:
+    """series.csv: the columns t, s, lambda, gamma, b, eta, b_hat and
+    eta_hat, in the order of `cols`, then beta_over_lambda."""
+    return write_csv(outdir / "series.csv", [*cols, "beta_over_lambda"],
+                     [*cols.values(),
+                      np.hypot(cols["b"], cols["eta"]) / cols["lambda"]])
 
 
-def write_snapshots(outdir: Path, snapshots) -> list[int]:
-    """One r,re,im CSV per (t, field) snapshot of one grid, its r column
-    formatted once; returns their sizes."""
+def write_snapshots(outdir: Path, fields: list[RadialField]) -> list[int]:
+    """One r,re,im CSV per state of one grid, its r column formatted once;
+    returns their sizes."""
     snapdir = outdir / "snapshots"
     snapdir.mkdir(exist_ok=True)
     # write_csv's bytes, with r formatted into each block's row pattern
     patterns = [(b"%.17g,%%.17g,%%.17g\n" * len(block)) % tuple(block.tolist())
-                for block in _blocks(snapshots[0][1].grid.r)]
+                for block in _blocks(fields[0].grid.r)]
     return [_write_blocks(snapdir / f"snap_{i:04d}.csv", ["r", "re", "im"],
                           np.column_stack([u.values.real, u.values.imag]),
                           patterns)
-            for i, (_, u) in enumerate(snapshots)]
+            for i, u in enumerate(fields)]
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +426,7 @@ def main(ctx):
     dynamics: verification batteries, profile sweeps, modulation ODE and
     PDE runs, decompositions, and run reports."""
     ctx.meta[T_START] = time.perf_counter()
+    ctx.meta[RECORD] = {}
 
 
 @main.command("verify")
@@ -454,8 +448,7 @@ def cmd_verify(ctx, suite, grid, seed, delta, samples, out):
         grid = parse_grid(grid)
     except ValueError as exc:
         fail(exc, out, usage=True)
-    timings = {}
-    with timed(timings, "checks"):
+    with timed("checks"):
         if suite == "identities":
             checks = suite_identities(grid)
         elif suite == "inverses":
@@ -468,7 +461,7 @@ def cmd_verify(ctx, suite, grid, seed, delta, samples, out):
     report = {"suite": suite, "grid_id": grid_id(grid),
               "n_checks": len(checks), "n_failed": n_fail, "checks": checks}
     click.echo(dumps17(report))
-    write_outputs(out, {"report.json": report}, grid, timings=timings)
+    write_outputs(out, {"report.json": report}, grid)
     if n_fail:
         for c in checks:
             if not c["pass"]:
@@ -498,15 +491,14 @@ def cmd_profiles(m, betas, direction, t4, grid, out):
                              f"got {direction!r}")
     except ValueError as exc:
         fail(exc, out, usage=True)
-    timings = {}
-    with timed(timings, "sweep"):
+    with timed("sweep"):
         sweep = PR.scaling_sweep(m, beta_list, (db, de), grid=grid,
                                  include_t4=t4)
     report = {"m": m, "betas": beta_list, "direction": [db, de],
               "include_t4": t4, "slopes": sweep["slopes"],
               "series": sweep["series"]}
     if m == 1:
-        with timed(timings, "solvability"):
+        with timed("solvability"):
             table = PR.build_t_tables(m, grid)
             norm = math.hypot(db, de)
             report["solvability"] = [
@@ -515,7 +507,7 @@ def cmd_profiles(m, betas, direction, t4, grid, out):
                                      table)
                 for b in beta_list]
     click.echo(dumps17(report))
-    write_outputs(out, {"report.json": report}, grid, timings=timings)
+    write_outputs(out, {"report.json": report}, grid)
 
 
 @main.command("ode")
@@ -551,8 +543,7 @@ def cmd_ode(m, eta0, lam0, b0, window, p3, phase, lam_min, grid, out):
         fail(exc, out, usage=True, lam0=lam0, b0=b0)
     if phase == "auto":
         phase = "leading" if state0.beta >= 0.1 else "profile"
-    timings = {}
-    with timed(timings, "integrate"):
+    with timed("integrate"):
         outres = MOD.ode_integrate(m, state0, (t0, t1), grid=grid,
                                    use_p3=p3,
                                    leading_order=(phase == "leading"),
@@ -570,12 +561,13 @@ def cmd_ode(m, eta0, lam0, b0, window, p3, phase, lam_min, grid, out):
         meta["delta_gamma_rel_err"] = abs(delta_gamma / closed - 1.0)
     click.echo(dumps17(meta))
     if out is not None:
-        with timed(timings, "output"):
-            write_series(output_dir(out), outres["t"], outres["s"],
-                         outres["lambda"], outres["gamma"], outres["b"],
-                         outres["eta"], outres["b"], outres["eta"])
-    write_outputs(out, {"meta.json": meta}, grid, timings=timings,
-                  lam0=lam0, b0=b0, phase=phase)
+        with timed("output"):
+            cols = {k: outres[k]
+                    for k in ("t", "s", "lambda", "gamma", "b", "eta")}
+            write_series(output_dir(out), cols | {"b_hat": outres["b"],
+                                                  "eta_hat": outres["eta"]})
+    write_outputs(out, {"meta.json": meta}, grid, lam0=lam0, b0=b0,
+                  phase=phase)
 
 
 @main.command("evolve")
@@ -609,7 +601,7 @@ def cmd_evolve(data, m, t0, tend, dt, grid, monitor_stride, decompose,
         fail(exc, out, grid, usage=True)
     try:
         traj = run(u0, config, t0=t0)
-    except DECOMPOSE_FAILURES as exc:
+    except MOD.DECOMPOSE_FAILURES as exc:  # at the first monitor: no data
         fail(exc, out, grid)
     meta = {"data": data, "m": m, "t0": t0, "t_end": tend, "dt": dt,
             "stop_reason": traj.stop_reason,
@@ -619,21 +611,17 @@ def cmd_evolve(data, m, t0, tend, dt, grid, monitor_stride, decompose,
             "energy_drift": float(np.max(np.abs(
                 traj.series["energy"] - traj.series["energy"][0])))}
     exact = (lambda t: blowup_s(m, t, grid)) if data == "S" else (lambda t: u0)
-    meta["tracking_error_l2_max"] = float(np.max(
-        validate_exact(traj, exact)["l2"]))
+    meta["tracking_error_l2_max"] = float(np.max(validate_exact(traj, exact)))
     click.echo(dumps17(meta))
-    counters = traj.counters | {"newton_iterations": sum(
-        d.iterations for _, d in traj.decompositions)}
+    click.get_current_context().meta[RECORD].update(timings=traj.timings,
+                                                    counters=traj.counters)
     if out is not None:
-        with timed(traj.timings, "output"):
+        with timed("output"):
             outdir = output_dir(out)
             sizes = [write_csv(outdir / "monitors.csv", list(traj.series),
                                list(traj.series.values()))]
             if decompose:
-                td = np.array([tt for tt, _ in traj.decompositions])
-                decs = [d for _, d in traj.decompositions]
-                lam, gam, b, eta = (np.array([getattr(d.state, k) for d in decs])
-                                    for k in ("lam", "gamma", "b", "eta"))
+                decs = [mon.d for mon in traj.monitors]
                 hats = []
                 for d in decs:
                     try:
@@ -641,23 +629,22 @@ def cmd_evolve(data, m, t0, tend, dt, grid, monitor_stride, decompose,
                     except (PR.GridTooSmall, ValueError):
                         hats.append((math.nan, math.nan))
                 hats = np.array(hats)
-                s = D._s_ladder(td, lam)
-                sizes.append(write_series(outdir, td, s, lam, gam, b, eta,
-                                          hats[:, 0], hats[:, 1]))
+                sizes.append(write_series(
+                    outdir, D.param_columns(traj.monitors)
+                    | {"b_hat": hats[:, 0], "eta_hat": hats[:, 1]}))
                 meta["newton"] = {
                     "iterations": [d.iterations for d in decs],
                     "residual_max": [max(map(abs, d.ortho_residuals)) for d in decs],
                     "converged": [d.converged for d in decs]}
-            meta["guard_margin"] = traj.guard_margin
-            meta["snapshot_times"] = [float(t) for t, _ in traj.snapshots]
-            sizes += write_snapshots(outdir, traj.snapshots)
-            counters |= {"csv_files": len(sizes), "csv_bytes": sum(sizes)}
-    if traj.stop_reason == "stability-guard":
-        fail(StabilityGuardTripped(traj.guard_margin[-1]), out, grid,
-             files={"meta.json": meta}, timings=traj.timings,
-             counters=counters)
-    write_outputs(out, {"meta.json": meta}, grid, timings=traj.timings,
-                  counters=counters)
+            meta["guard_margin"] = [mon.margin for mon in traj.monitors[1:]]
+            if traj.stop_reason == "stability-guard":
+                meta["guard_margin"].append(traj.error.margin)
+            meta["snapshot_times"] = [float(mon.t) for mon in traj.monitors]
+            sizes += write_snapshots(outdir, [mon.u for mon in traj.monitors])
+            traj.counters |= {"csv_files": len(sizes), "csv_bytes": sum(sizes)}
+    if traj.error is not None:
+        fail(traj.error, out, grid, files={"meta.json": meta})
+    write_outputs(out, {"meta.json": meta}, grid)
 
 
 @main.command("decompose")
@@ -670,8 +657,7 @@ def cmd_evolve(data, m, t0, tend, dt, grid, monitor_stride, decompose,
 @out_option
 def cmd_decompose(field, m, tube_radius, out):
     """Tube decomposition of a single stored field."""
-    timings = {}
-    with timed(timings, "read"):
+    with timed("read"):
         try:
             raw = np.loadtxt(field, delimiter=",", skiprows=1, ndmin=2)
             if raw.shape[1] != 3:
@@ -684,13 +670,13 @@ def cmd_decompose(field, m, tube_radius, out):
             u = RadialField(m, vals, grid)
         except (OSError, ValueError) as exc:
             fail(exc, out, usage=True)
-    with timed(timings, "ortho_profiles"):
+    with timed("ortho_profiles"):
         ortho = MOD.build_ortho_profiles(m, grid)
-    with timed(timings, "decompose"):
+    with timed("decompose"):
         try:
             d = MOD.decompose(u, ortho, tube_radius=tube_radius)
-        except DECOMPOSE_FAILURES as exc:
-            fail(exc, out, grid, timings=timings)
+        except MOD.DECOMPOSE_FAILURES as exc:
+            fail(exc, out, grid)
     report = {
         "state": {"lambda": d.state.lam, "gamma": d.state.gamma,
                   "b": d.state.b, "eta": d.state.eta},
@@ -701,7 +687,7 @@ def cmd_decompose(field, m, tube_radius, out):
         "eps1_l2": G.l2(d.eps1), "eps2_l2": G.l2(d.eps2),
     }
     click.echo(dumps17(report))
-    write_outputs(out, {"report.json": report}, grid, timings=timings)
+    write_outputs(out, {"report.json": report}, grid)
 
 
 @main.command("report")
@@ -711,8 +697,7 @@ def cmd_report(rundir, out):
     """Blow-up asymptotics of a recorded trajectory directory."""
     path = Path(rundir) / "series.csv"
     names = ("t", "lambda", "gamma", "b", "eta")
-    timings = {}
-    with timed(timings, "read"):
+    with timed("read"):
         try:
             header = path.read_text().partition("\n")[0].split(",")
             raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -723,19 +708,18 @@ def cmd_report(rundir, out):
         except (OSError, ValueError) as exc:
             fail(exc, out, usage=True)
     col = dict(zip(header, raw.T))
-    series = {k: col[k] for k in names}
     report = {"rundir": rundir, "n_samples": len(raw),
               "lambda_final": float(col["lambda"][-1])}
-    with timed(timings, "asymptotics"):
+    with timed("asymptotics"):
         try:
-            ell, gamma_star, fits = D.asymptotics(series)
+            ell, gamma_star, fits = D.asymptotics(col)
             report["ell"] = ell
             report["gamma_star"] = gamma_star
             report["fits"] = fits
         except D.NoBlowupDetected as exc:
             report["no_blowup_detected"] = str(exc)
     click.echo(dumps17(report))
-    write_outputs(out, {"report.json": report}, timings=timings)
+    write_outputs(out, {"report.json": report})
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from . import grid as G
 from . import linops as L
 from . import modulation as MOD
 from . import profiles as PR
+from .evolve import Monitor
 from .grid import Grid, RadialField
 from .modulation import DecompResult, ModState
 from .profiles import TTable
@@ -114,37 +115,41 @@ def frame(d: DecompResult, e_total: float,
         coercivity_ratio=(d.state.beta + G.hdot1(d.eps)) / mu)
 
 
-def _s_ladder(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def param_columns(monitors: list) -> dict:
+    """The parameter columns of decomposed monitors: t, the s-ladder
+    s = int dt/lambda^2 (trapezoidal, from 0), lambda, gamma (as
+    decomposed, not unwrapped), b and eta."""
+    t = np.array([mon.t for mon in monitors])
+    lam, gamma, b, eta = (np.array([getattr(mon.d.state, k) for mon in monitors])
+                          for k in ("lam", "gamma", "b", "eta"))
     inv = 1.0 / lam**2
     ds = 0.5 * (inv[1:] + inv[:-1]) * np.diff(t)
-    return np.concatenate([[0.0], np.cumsum(ds)])
+    return {"t": t, "s": np.concatenate([[0.0], np.cumsum(ds)]),
+            "lambda": lam, "gamma": gamma, "b": b, "eta": eta}
 
 
 def frames_along(traj) -> list[DiagnosticFrame]:
-    """DiagnosticFrame per recorded decomposition of a trajectory, at the
+    """DiagnosticFrame per decomposed monitor of a trajectory, at the
     trajectory's mean energy."""
-    decomps = traj.decompositions
-    if not decomps:
+    if traj.monitors[0].d is None:
         raise ValueError("trajectory carries no decompositions")
     e_total = float(np.mean(traj.series["energy"]))
-    t = np.array([tt for tt, _ in decomps])
-    lam = np.array([d.state.lam for _, d in decomps])
-    s = _s_ladder(t, lam)
-    weight = L.morawetz_weight(DEFAULT_DELTA, decomps[0][1].eps2.grid)
-    return [frame(d, e_total, weight, t=float(ti), s=float(si))
-            for (ti, d), si in zip(decomps, s)]
+    cols = param_columns(traj.monitors)
+    weight = L.morawetz_weight(DEFAULT_DELTA, traj.monitors[0].d.eps2.grid)
+    return [frame(mon.d, e_total, weight, t=float(ti), s=float(si))
+            for mon, ti, si in zip(traj.monitors, cols["t"], cols["s"])]
 
 
 # ---------------------------------------------------------------------------
 # Nonlinear coercivity
 
 
-def nonlinear_coercivity_check(decomps) -> dict:
-    """Min/max over the series of (beta + ||eps||_{H1dot} + ||eps1||_{L2})/mu
-    plus the largest ||eps||_{L2}; states with mu = 0 are excluded."""
+def nonlinear_coercivity_check(monitors: list) -> dict:
+    """Min/max over decomposed monitors of (beta + ||eps||_{H1dot} +
+    ||eps1||_{L2})/mu plus the largest ||eps||_{L2}; states with mu = 0 are
+    excluded."""
     ratios, eps_l2 = [], []
-    for item in decomps:
-        d = item[1] if isinstance(item, tuple) else item
+    for d in (mon.d for mon in monitors):
         eps_l2.append(G.l2(d.eps))
         if d.mu > 0.0:
             ratios.append(
@@ -169,10 +174,6 @@ def _fd_derivative(s: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _p3_of(m: int, b: float, eta: float) -> tuple[float, float]:
-    return PR.p3(m, PR.ProfileParams(b, eta))
-
-
 def _phase_integral_w(d: DecompResult, table: TTable) -> float:
     """int_0^infty Re(conj(w) w1) dy with w = P + eps, w1 = P1 + eps1."""
     chart = MOD._assemble_chart(table.m, d.state.b, d.state.eta, table)
@@ -185,7 +186,7 @@ def _phase_integral_w(d: DecompResult, table: TTable) -> float:
 _MAX_BETA_DS = 0.01  # largest beta * delta-s between decompositions
 
 
-def mod_residual_monitor(traj, table: TTable | None = None) -> dict:
+def mod_residual_monitor(monitors: list, table: TTable | None = None) -> dict:
     """Finite-difference residuals of the four modulation equations and
     their hat-corrected versions, each with its bound proxy.
 
@@ -199,20 +200,16 @@ def mod_residual_monitor(traj, table: TTable | None = None) -> dict:
         r3h = b_hat_s + b_hat^2 + eta_hat^2 (proxy beta^3 + beta mu^2 + mu^4)
         r4h = eta_hat_s                     (same proxy)
     """
-    decomps = traj.decompositions if hasattr(traj, "decompositions") else traj
-    if len(decomps) < 5:
+    if len(monitors) < 5:
         raise InsufficientSampling(
             "insufficient-sampling: need at least 5 decomposition frames")
-    t = np.array([tt for tt, _ in decomps])
-    ds_list = [d for _, d in decomps]
+    cols = param_columns(monitors)
+    t, s, lam, b, eta = (cols[k] for k in ("t", "s", "lambda", "b", "eta"))
+    gam = np.unwrap(cols["gamma"])
+    ds_list = [mon.d for mon in monitors]
     m = ds_list[0].eps.m
-    lam = np.array([d.state.lam for d in ds_list])
-    gam = np.unwrap(np.array([d.state.gamma for d in ds_list]))
-    b = np.array([d.state.b for d in ds_list])
-    eta = np.array([d.state.eta for d in ds_list])
     beta = np.hypot(b, eta)
     mu = np.array([d.mu for d in ds_list])
-    s = _s_ladder(t, lam)
     worst = float(np.max(0.5 * (beta[1:] + beta[:-1]) * np.diff(s)))
     if worst > _MAX_BETA_DS:
         raise InsufficientSampling(
@@ -224,7 +221,8 @@ def mod_residual_monitor(traj, table: TTable | None = None) -> dict:
     hats = np.array([MOD.corrected_params(d) for d in ds_list])
     b_hat, eta_hat = hats[:, 0], hats[:, 1]
     phase = np.array([_phase_integral_w(d, table) for d in ds_list])
-    p3_pairs = np.array([_p3_of(m, bi, ei) for bi, ei in zip(b, eta)])
+    p3_pairs = np.array([PR.p3(m, PR.ProfileParams(bi, ei))
+                         for bi, ei in zip(b, eta)])
     x3 = np.array([G.hdot1(d.eps2) + d.mu * (G.l2(d.eps2) + d.mu**2)
                    for d in ds_list])
     v72 = np.array([math.sqrt(G.v32_sq(d.eps2)) for d in ds_list]) \
@@ -260,32 +258,18 @@ def mod_residual_monitor(traj, table: TTable | None = None) -> dict:
 # Blow-up asymptotics
 
 
-def _param_series(traj) -> dict:
-    if isinstance(traj, dict):
-        return {"t": np.asarray(traj["t"]),
-                "lambda": np.asarray(traj["lambda"]),
-                "gamma": np.asarray(traj["gamma"]),
-                "b": np.asarray(traj["b"]), "eta": np.asarray(traj["eta"])}
-    decomps = traj.decompositions
-    return {"t": np.array([tt for tt, _ in decomps]),
-            "lambda": np.array([d.state.lam for _, d in decomps]),
-            "gamma": np.unwrap(np.array([d.state.gamma for _, d in decomps])),
-            "b": np.array([d.state.b for _, d in decomps]),
-            "eta": np.array([d.state.eta for _, d in decomps])}
-
-
 _TAIL_FRACTION = 0.2  # share of the samples fitted for T, at least 5
 _MIN_DECADE = 10.0    # least ratio (T - t_first) / (T - t_last) accepted
 
 
-def asymptotics(traj) -> tuple[float, float, dict]:
-    """(ell, gamma_star, fits) extracted from the tail of a blow-up run.
+def asymptotics(p: dict) -> tuple[float, float, dict]:
+    """(ell, gamma_star, fits) extracted from the tail of a blow-up run,
+    given as arrays p["t"], p["lambda"], p["gamma"], p["b"], p["eta"].
 
     T by linear extrapolation of lambda over the last _TAIL_FRACTION of the
     samples; ell as the tail average of beta/lambda; gamma_star as the tail
     average of gamma. The fits record mean and relative variation of
     lambda/(T-t), b/(T-t), and eta/(T-t)^2 over the tail."""
-    p = _param_series(traj)
     t, lam = p["t"], p["lambda"]
     n_tail = max(int(math.ceil(_TAIL_FRACTION * t.size)), 5)
     if t.size < n_tail:
@@ -338,15 +322,11 @@ _PROBE_ANNULUS = (0.2, 0.4)  # [r_a, r_b] of the singular-profile fit
 _PROBE_MIN_NODES = 16
 
 
-def singular_profile_probe(traj, ell: float, gamma_star: float) -> dict:
-    """Least-squares fit of u(t_final) - Q^sharp_{lambda, gamma} against
-    c r^m on the annulus [r_a, r_b] = _PROBE_ANNULUS, compared with the
-    singular target."""
-    t_fin, u = traj.snapshots[-1]
-    t_dec, d = traj.decompositions[-1]
-    if t_dec != t_fin:
-        raise ValueError("final snapshot carries no decomposition")
-    m, grid = u.m, u.grid
+def singular_profile_probe(mon: Monitor, ell: float, gamma_star: float) -> dict:
+    """Least-squares fit of u - Q^sharp_{lambda, gamma} of a decomposed
+    monitor against c r^m on the annulus [r_a, r_b] = _PROBE_ANNULUS,
+    compared with the singular target."""
+    m, grid = mon.u.m, mon.u.grid
     r_a, r_b = _PROBE_ANNULUS
     mask = (grid.r >= r_a) & (grid.r <= r_b)
     n_nodes = int(mask.sum())
@@ -355,28 +335,26 @@ def singular_profile_probe(traj, ell: float, gamma_star: float) -> dict:
             f"annulus-unresolved: {n_nodes} nodes in "
             f"[{r_a}, {r_b}] (need {_PROBE_MIN_NODES})")
     q_sharp = modulate(soliton_q(m, grid),
-                       SymmetryParams(d.state.lam, d.state.gamma))
-    res = u.values - q_sharp.values
+                       SymmetryParams(mon.d.state.lam, mon.d.state.gamma))
+    res = mon.u.values - q_sharp.values
     rm = grid.r ** m
     num = G.integrate_samples(grid, np.where(mask, res * rm, 0.0))
     den = G.integrate_samples(grid, np.where(mask, rm * rm, 0.0))
     c = complex(num) / float(den)
     target = singular_target(m, ell, gamma_star)
-    rec = {"t": float(t_fin), "m": m, "c": c, "target": target,
+    rec = {"t": float(mon.t), "m": m, "c": c, "target": target,
            "r_a": r_a, "r_b": r_b, "n_nodes": n_nodes}
     if target != 0.0:
         rec["mag_ratio"] = abs(c) / abs(target)
-        dphi = cmath.phase(c / target)
-        rec["phase_diff"] = dphi
+        rec["phase_diff"] = cmath.phase(c / target)
     return rec
 
 
-def profile_trajectory(m: int, ode_out: dict, snap_grid: Grid,
-                       table: TTable):
-    """Synthetic one-state trajectory whose snapshot is the pure modified
-    profile [P(b, eta)]_{lambda, gamma} at the end of a modulation-ODE run
+def profile_monitor(m: int, ode_out: dict, snap_grid: Grid,
+                    table: TTable) -> Monitor:
+    """Synthetic monitor whose state is the pure modified profile
+    [P(b, eta)]_{lambda, gamma} at the end of a modulation-ODE run
     (eps = 0); used for ODE/PDE hybrid probes of the singular profile."""
-    from .evolve import Trajectory
     tt, lam, gam, b, eta = (float(ode_out[k][-1])
                             for k in ("t", "lambda", "gamma", "b", "eta"))
     pset = PR.assemble(m, PR.ProfileParams(b, eta), table)
@@ -390,6 +368,4 @@ def profile_trajectory(m: int, ode_out: dict, snap_grid: Grid,
                      ortho_residuals=(0.0, 0.0, 0.0, 0.0),
                      mu=lam * math.sqrt(max(energy, 0.0)),
                      tube_distance=0.0, converged=True, iterations=0)
-    return Trajectory(times=np.array([tt]), series={}, snapshots=[(tt, u)],
-                      decompositions=[(tt, d)], stop_reason="synthetic",
-                      guard_margin=[], timings={}, counters={})
+    return Monitor(tt, u, d, None)

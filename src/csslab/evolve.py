@@ -37,6 +37,8 @@ from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from . import gauge as GA
 from . import grid as G
+from . import modulation as MOD
+from . import profiles as PR
 from .grid import Grid, RadialField
 
 
@@ -75,16 +77,25 @@ class SolverConfig:
             raise ValueError("monitor_stride must be >= 1")
 
 
+@dataclass(frozen=True)
+class Monitor:
+    """One monitor of a run: its time t, state u, tube decomposition d
+    (None without decompose_flag) and the largest dt*max|V| of the segment
+    it closes (None for the first monitor)."""
+    t: float
+    u: RadialField
+    d: MOD.DecompResult | None
+    margin: float | None
+
+
 @dataclass
 class Trajectory:
-    times: np.ndarray
-    series: dict
-    snapshots: list  # (t, RadialField) pairs, one per monitor
-    decompositions: list
+    series: dict  # the monitors.csv columns, one entry per monitor
+    monitors: list  # one Monitor per monitor time
     stop_reason: str
-    guard_margin: list  # largest dt*max|V| of each monitor segment
+    error: Exception | None  # the typed failure that ended the run
     timings: dict  # perf_counter seconds by phase of the run
-    counters: dict  # steps taken and KineticSolver factorizations
+    counters: dict  # steps, KineticSolver factorizations, Newton iterations
 
 
 def potential(u: RadialField) -> np.ndarray:
@@ -226,24 +237,25 @@ def step(u: RadialField, dt: float, kinetic: KineticSolver | None = None,
 
 
 def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
-    """Integrate from t0, recording conservation/virial monitors and a
-    snapshot every monitor_stride steps and (optionally) a tube
-    decomposition per monitor time. The first decomposition starts Newton
-    from the cold proximity fit; each later one from
-    modulation.extrapolate of the run's last (up to three) decompositions
-    at the monitor's t, and reuses the monitor's energy. A decomposition
-    that did not converge ends the run with stop_reason "no-convergence",
-    kept as the last record. A tripped stability guard ends it with
-    stop_reason "stability-guard": the last good state, if a step has
-    succeeded since the last monitor, is recorded as a final monitor, and
-    the margin that tripped the guard is the last entry of guard_margin.
-    timings holds the perf_counter seconds spent in steps, in monitors and
-    in decompositions; counters the steps taken and the factorizations
-    built."""
+    """Integrate from t0, recording a Monitor every monitor_stride steps:
+    conservation/virial monitors in series, the state and, optionally, a
+    tube decomposition, which must succeed for the monitor to be recorded.
+    The first decomposition starts Newton from the cold proximity fit; each
+    later one from modulation.extrapolate of the last (up to three) at the
+    monitor's t, and reuses the monitor's energy. An unconverged one ends
+    the run with stop_reason "no-convergence", kept as the last record. A
+    typed failure (modulation.DECOMPOSE_FAILURES) raises at the first
+    monitor, which leaves no data, and later ends the run with stop_reason
+    "decomposition-failed". A tripped stability guard ends it with
+    "stability-guard", after recording the last good state if a step has
+    succeeded since the last monitor. error holds either failure. timings
+    holds the perf_counter seconds spent in steps, in monitors and in
+    decompositions; counters the steps taken, the factorizations built and
+    the Newton iterations of the decompositions."""
     if u0.grid != config.grid:
         raise G.GridError("initial datum not on the solver grid")
     kin = KineticSolver(config.grid, u0.m, config.dt)
-    counters = {"steps": 0, "factorizations": 1}
+    counters = {"steps": 0, "factorizations": 1, "newton_iterations": 0}
     # the damping on the sponge's support only; it is 1.0 before it
     damping = np.exp(-config.dt
                      * sponge_profile(config.grid)[sponge_start(config.grid):])
@@ -251,47 +263,40 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
     mod_table = None
     ortho = None
     if config.decompose_flag:
-        from . import modulation as MOD
-        from . import profiles as PR
         mod_table = PR.build_t_tables(u0.m, config.grid)
         ortho = MOD.build_ortho_profiles(u0.m, config.grid)
 
     series: dict = {k: [] for k in
                     ("t", "mass", "energy", "e_selfdual", "v1", "v2",
                      "u1_l2", "u2_l2")}
-    times, snaps, decomps, margins = [], [], [], []
+    monitors = []
     timings = {"steps": 0.0, "monitors": 0.0, "decompositions": 0.0}
     u, t = u0, t0
     phase = None  # the half-phase factor carried from step to step
-    stop = "t_end"
+    stop, error = "t_end", None
 
-    def monitor(u, t):
+    def monitor(u, t, margin):
         clock = time.perf_counter()
         e, mass, e_sd = GA.energy_mass(u)
         v1, v2 = GA.virial(u)
         tri = GA.conjugate_triple(u)
-        series["t"].append(t)
-        series["mass"].append(mass)
-        series["energy"].append(e)
-        series["e_selfdual"].append(e_sd)
-        series["v1"].append(v1)
-        series["v2"].append(v2)
-        series["u1_l2"].append(G.l2(tri.u1))
-        series["u2_l2"].append(G.l2(tri.u2))
-        times.append(t)
-        snaps.append((t, u))
+        row = (t, mass, e, e_sd, v1, v2, G.l2(tri.u1), G.l2(tri.u2))
         mark = time.perf_counter()
         timings["monitors"] += mark - clock
-        if not config.decompose_flag:
-            return None
-        init = MOD.extrapolate([(s, dd.state) for s, dd in decomps[-3:]], t)
-        d = MOD.decompose(u, ortho, init=init, table=mod_table,
-                          tube_radius=config.tube_radius, energy=e)
-        decomps.append((t, d))
-        timings["decompositions"] += time.perf_counter() - mark
+        d = None
+        if config.decompose_flag:
+            init = MOD.extrapolate([(mon.t, mon.d.state)
+                                    for mon in monitors[-3:]], t)
+            d = MOD.decompose(u, ortho, init=init, table=mod_table,
+                              tube_radius=config.tube_radius, energy=e)
+            timings["decompositions"] += time.perf_counter() - mark
+            counters["newton_iterations"] += d.iterations
+        for column, value in zip(series.values(), row):
+            column.append(value)
+        monitors.append(Monitor(t, u, d, margin))
         return d
 
-    d = monitor(u, t)
+    d = monitor(u, t, None)
     while True:
         # an unconverged decomposition neither warm-starts nor stops on lambda
         if d is not None and not d.converged:
@@ -303,7 +308,7 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
                 and d.state.lam < config.lambda_min):
             stop = "lambda_min"
             break
-        worst, taken, trip = 0.0, 0, None
+        worst, taken = 0.0, 0
         clock = time.perf_counter()
         try:
             for _ in range(config.monitor_stride):
@@ -315,35 +320,29 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
                 if config.t_end is not None and t >= config.t_end - 1e-12:
                     break
         except StabilityGuardTripped as exc:
-            trip = exc
+            stop, error = "stability-guard", exc
         timings["steps"] += time.perf_counter() - clock
         counters["steps"] += taken
-        if trip is not None:
-            if taken:
-                margins.append(worst)
-                monitor(u, t)
-            margins.append(trip.margin)
-            stop = "stability-guard"
+        if taken:
+            try:
+                d = monitor(u, t, worst)
+            except MOD.DECOMPOSE_FAILURES as exc:
+                if error is None:  # a tripped guard stays the reason
+                    stop, error = "decomposition-failed", exc
+        if error is not None:
             break
-        margins.append(worst)
-        d = monitor(u, t)
 
-    return Trajectory(times=np.array(times),
-                      series={k: np.array(v) for k, v in series.items()},
-                      snapshots=snaps, decompositions=decomps,
-                      stop_reason=stop, guard_margin=margins,
+    return Trajectory(series={k: np.array(v) for k, v in series.items()},
+                      monitors=monitors, stop_reason=stop, error=error,
                       timings=timings, counters=counters)
 
 
-def validate_exact(traj: Trajectory, reference) -> dict:
-    """L^2 and H^1-dot relative errors of the stored snapshots against a
-    closed-form reference field: reference(t) -> RadialField."""
-    t_list, l2_err, h1_err = [], [], []
-    for t, u in traj.snapshots:
-        ref = reference(t)
-        diff = u.with_values(u.values - ref.values, decay=None)
-        l2_err.append(G.l2(diff) / G.l2(ref))
-        h1_err.append(G.hdot1(diff) / G.hdot1(ref))
-        t_list.append(t)
-    return {"t": np.array(t_list), "l2": np.array(l2_err),
-            "h1": np.array(h1_err)}
+def validate_exact(traj: Trajectory, reference) -> np.ndarray:
+    """L^2 relative error of each monitor's state against a closed-form
+    reference field: reference(t) -> RadialField."""
+    errs = []
+    for mon in traj.monitors:
+        ref = reference(mon.t)
+        diff = mon.u.with_values(mon.u.values - ref.values, decay=None)
+        errs.append(G.l2(diff) / G.l2(ref))
+    return np.array(errs)

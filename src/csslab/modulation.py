@@ -24,8 +24,8 @@ from . import linops as L
 from . import profiles as PR
 from .grid import Grid, RadialField
 from .profiles import ProfileParams, TTable
-from .soliton import (SymmetryParams, flat, proximity_fit, q_values, sampler,
-                      soliton_q)
+from .soliton import (ScaleOutOfRange, SymmetryParams, flat, proximity_fit,
+                      q_values, sampler, soliton_q)
 
 
 class NotInTube(ValueError):
@@ -38,6 +38,10 @@ class NoConvergence(RuntimeError):
 
 class DegenerateGauge(ValueError):
     pass
+
+
+# the typed numerical failures of decompose
+DECOMPOSE_FAILURES = (ScaleOutOfRange, NotInTube, NoConvergence)
 
 
 @dataclass(frozen=True)

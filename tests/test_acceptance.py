@@ -194,13 +194,13 @@ def test_criterion_7_pde_validation(grid, pde_grid, s_traj_pde):
     energy = traj_q.series["energy"]
     assert np.max(np.abs(energy - energy[0])) < 1e-4
     rep_q = validate_exact(traj_q, lambda t: q)
-    assert np.max(rep_q["l2"]) / G.l2(q) < 1e-4
+    assert np.max(rep_q) / G.l2(q) < 1e-4
 
     rep = validate_exact(s_traj_pde, lambda t: blowup_s(1, t, pde_grid))
-    assert np.max(rep["l2"]) < 1e-3
-    for t, d in s_traj_pde.decompositions:
-        assert abs(d.state.lam / abs(t) - 1.0) < 0.02
-        assert abs(d.state.b / abs(t) - 1.0) < 0.05
+    assert np.max(rep) < 1e-3
+    for mon in s_traj_pde.monitors:
+        assert abs(mon.d.state.lam / abs(mon.t) - 1.0) < 0.02
+        assert abs(mon.d.state.b / abs(mon.t) - 1.0) < 0.05
 
     y = grid.r
     vals = 1.2 * y * np.exp(-(y**2)) * np.exp(0.5j * y**2)
@@ -224,7 +224,7 @@ def test_criterion_8_dynamic_inequality_records(s_run, s_run_perturbed):
     # their beta^3 + beta mu^2 + mu^4 (and mu^2) envelopes with finite
     # recorded constants
     for traj in (s_run, s_run_perturbed):
-        rec = D.nonlinear_coercivity_check(traj.decompositions)
+        rec = D.nonlinear_coercivity_check(traj.monitors)
         assert rec["ratio_min"] > 0.0
         assert np.isfinite(rec["ratio_max"])
         assert rec["ratio_max"] / rec["ratio_min"] < 2.0
@@ -234,12 +234,12 @@ def test_criterion_8_dynamic_inequality_records(s_run, s_run_perturbed):
         c_f = max(fr.F_energy for fr in frames) / (1.0 + f0)
         assert np.isfinite(c_f) and c_f < 100.0
 
-        lam = np.array([d.state.lam for _, d in traj.decompositions])
+        lam = np.array([mon.d.state.lam for mon in traj.monitors])
         h3 = np.array([fr.eps_norms[0].calH3 for fr in frames])
         c_h3 = np.max(h3 * (lam[0] / lam) ** 3) / max(frames[0].X3, 1e-300)
         assert np.isfinite(c_h3) and c_h3 < 1e4
 
-        mon = D.mod_residual_monitor(traj)
+        mon = D.mod_residual_monitor(traj.monitors)
         assert mon["beta_ds_max"] <= 0.01
         c_hat12 = np.max((np.abs(mon["r1_hat"]) + np.abs(mon["r2_hat"]))
                          / mon["bound_hat_12"])
@@ -263,8 +263,8 @@ def test_criterion_9_singular_profile_probe(grid, probe_grid):
         assert out["stop"] == "blowup-reached"
         ell, gamma_star, _ = D.asymptotics(out)
         table = PR.build_t_tables(m, probe_grid)
-        traj = D.profile_trajectory(m, out, grid, table)
-        recs[m] = (D.singular_profile_probe(traj, ell, gamma_star), ell)
+        mon = D.profile_monitor(m, out, grid, table)
+        recs[m] = (D.singular_profile_probe(mon, ell, gamma_star), ell)
     rec1, ell1 = recs[1]
     rec3, ell3 = recs[3]
     assert abs(rec1["mag_ratio"] - 1.0) < 0.2

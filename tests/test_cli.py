@@ -20,7 +20,8 @@ from csslab import modulation as MOD
 from csslab import cli as CLI
 from csslab.cli import dumps17, fmt17, main
 from csslab.grid import RadialField
-from csslab.soliton import SymmetryParams, blowup_s, modulate, soliton_q
+from csslab.soliton import (ScaleOutOfRange, SymmetryParams, blowup_s,
+                            modulate, soliton_q)
 
 
 @pytest.fixture()
@@ -81,7 +82,7 @@ def test_write_csv_matches_savetxt(tmp_path, rows):
     snaps = [(t, RadialField(1, np.resize(special[:1] + special[4:], rows)
                              + 1j * rng.standard_normal(rows) * 10.0**t,
                              grid)) for t in (-30, 0)]
-    sizes = CLI.write_snapshots(tmp_path, snaps)
+    sizes = CLI.write_snapshots(tmp_path, [u for _, u in snaps])
     for i, (_, u) in enumerate(snaps):
         oracle = tmp_path / f"snap_{i}_np.csv"
         np.savetxt(oracle, np.column_stack([grid.r, u.values.real,
@@ -447,6 +448,65 @@ def test_evolve_guard_trip_mid_segment_keeps_last_good_state(runner,
     assert counters["steps"] == 7 and counters["csv_files"] == 4
 
 
+@pytest.mark.parametrize("failure", [
+    MOD.NotInTube("not-in-tube: relative H1 distance 0.9"),
+    ScaleOutOfRange("scale-out-of-range: lambda=9 drops 0.5 of the field"),
+    MOD.NoConvergence("singular Newton system: Singular matrix"),
+])
+def test_evolve_decomposition_failure_keeps_the_run(runner, outroot,
+                                                    monkeypatch, failure):
+    original = MOD.decompose
+    calls = []
+
+    def decompose(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise failure
+        return original(*args, **kwargs)
+    monkeypatch.setattr(MOD, "decompose", decompose)
+    res = runner.invoke(main, [
+        "evolve", "--data", "S", "--m", "1", "--t0", "-1", "--tend", "-0.98",
+        "--dt", "1e-3", "--grid", "default", "--monitor-stride", "5",
+        "--decompose", "--out", "df"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    line = f"Error: {type(failure).__name__}: {failure}"
+    assert line + "\n" in res.output
+    assert "Traceback" not in res.output
+    rundir = outroot / "df"
+    meta = json.loads((rundir / "meta.json").read_text())
+    assert meta["stop_reason"] == "decomposition-failed"
+    assert meta["snapshot_times"] == pytest.approx([-1.0, -0.995])
+    assert meta["newton"]["converged"] == [True, True]
+    assert len(meta["guard_margin"]) == 1
+    for name in ("monitors.csv", "series.csv"):
+        assert len((rundir / name).read_text().splitlines()) - 1 == 2, name
+    assert len(list((rundir / "snapshots").glob("snap_*.csv"))) == 2
+    manifest = json.loads((rundir / "manifest.json").read_text())
+    assert list(manifest) == ["command", "config", "grid_id", "seed",
+                              "version", "wall_time_s", "timings",
+                              "counters", "error"]
+    assert manifest["error"] == line.removeprefix("Error: ")
+    assert manifest["counters"]["csv_files"] == 4
+    assert manifest["counters"]["steps"] == 10
+    assert set(manifest["timings"]) == {"steps", "monitors",
+                                        "decompositions", "output"}
+
+
+def test_evolve_decomposition_failure_at_first_monitor(runner, outroot):
+    # no monitor was recorded, so only the manifest is written
+    res = runner.invoke(main, [
+        "evolve", "--data", "S", "--m", "1", "--t0", "-1", "--tend", "-0.99",
+        "--grid", "default", "--decompose", "--tube-radius", "1e-9",
+        "--out", "first"])
+    assert res.exit_code == 1
+    assert "Error: NotInTube: not-in-tube" in res.output
+    assert [p.name for p in (outroot / "first").iterdir()] == ["manifest.json"]
+    manifest = json.loads((outroot / "first" / "manifest.json").read_text())
+    assert "timings" not in manifest and "counters" not in manifest
+    assert manifest["error"].startswith("NotInTube")
+
+
 def test_evolve_decompose_byte_determinism(runner, outroot):
     args = ["evolve", "--data", "S", "--m", "1", "--t0", "-1",
             "--tend", "-0.985", "--dt", "1e-3", "--grid", "default",
@@ -504,8 +564,8 @@ def test_evolve_csv_round_trips_bitwise(runner, outroot, monkeypatch):
     assert res.exit_code == 0, res.output
     (traj,) = trajs
     snaps = sorted((outroot / "rt" / "snapshots").glob("snap_*.csv"))
-    assert len(snaps) == len(traj.snapshots) == 3
-    for path, (_, u) in zip(snaps, traj.snapshots):
+    assert len(snaps) == len(traj.monitors) == 3
+    for path, u in zip(snaps, (mon.u for mon in traj.monitors)):
         r, re_, im = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
         assert _bits(r) == _bits(u.grid.r)
         assert _bits(re_) == _bits(u.values.real)
@@ -514,7 +574,7 @@ def test_evolve_csv_round_trips_bitwise(runner, outroot, monkeypatch):
                         skiprows=1, ndmin=2)
     for col, key in ((2, "lam"), (3, "gamma"), (4, "b"), (5, "eta")):
         assert _bits(series[:, col]) == _bits(
-            [getattr(d.state, key) for _, d in traj.decompositions]), key
+            [getattr(mon.d.state, key) for mon in traj.monitors]), key
 
 
 def test_evolve_manifest_counters(runner, outroot):

@@ -17,7 +17,7 @@ from csslab import gauge as GA
 from csslab import grid as G
 from csslab import modulation as MOD
 from csslab import profiles as PR
-from csslab.evolve import SolverConfig, run
+from csslab.evolve import Monitor, SolverConfig, run
 from csslab.soliton import SymmetryParams, blowup_s, modulate
 
 
@@ -118,7 +118,7 @@ def test_f_boundedness(s_frames):
 
 
 def test_h3_proxy(s_traj, s_frames):
-    lam = np.array([d.state.lam for _, d in s_traj.decompositions])
+    lam = np.array([mon.d.state.lam for mon in s_traj.monitors])
     h3 = np.array([fr.eps_norms[0].calH3 for fr in s_frames])
     c_rec = np.max(h3 * (lam[0] / lam) ** 3) / s_frames[0].X3
     assert np.isfinite(c_rec)
@@ -136,14 +136,16 @@ def test_s_ladder_monotone(s_frames):
 
 
 def test_nonlinear_coercivity_interval(s_traj):
-    rec = D.nonlinear_coercivity_check(s_traj.decompositions)
+    rec = D.nonlinear_coercivity_check(s_traj.monitors)
     assert rec["ratio_min"] > 0.0
     assert rec["ratio_max"] / rec["ratio_min"] < 1.1
     assert rec["eps_l2_max"] < 1.0
 
 
 def test_nonlinear_coercivity_excludes_soliton(grid):
-    rec = D.nonlinear_coercivity_check([_zero_decomp(1, grid, mu=0.0)])
+    rec = D.nonlinear_coercivity_check(
+        [Monitor(0.0, G.zero_field(1, grid), _zero_decomp(1, grid, mu=0.0),
+                 None)])
     assert rec["n_states"] == 0
     assert math.isnan(rec["ratio_min"])
 
@@ -175,10 +177,10 @@ def _synthetic_decomps(m, grid, b0, eta0, t_end, n, use_p3=True):
     for i in range(len(out["t"])):
         st = MOD.ModState(float(out["lambda"][i]), float(out["gamma"][i]),
                           float(out["b"][i]), float(out["eta"][i]))
-        decomps.append((float(out["t"][i]), MOD.DecompResult(
+        decomps.append(Monitor(float(out["t"][i]), zero, MOD.DecompResult(
             state=st, eps=zero, eps1=zero1, eps2=zero2,
             ortho_residuals=(0.0, 0.0, 0.0, 0.0), mu=st.lam,
-            tube_distance=0.0, converged=True, iterations=0)))
+            tube_distance=0.0, converged=True, iterations=0), None))
     return decomps
 
 
@@ -189,7 +191,7 @@ def test_monitor_synthetic_floor(grid, table1):
     mon = D.mod_residual_monitor(decomps, table=table1)
     for key in ("r1", "r2", "r3", "r4"):
         assert np.max(np.abs(mon[key])) < 1e-8, key
-    beta_max = max(d.state.beta for _, d in decomps)
+    beta_max = max(mon.d.state.beta for mon in decomps)
     assert np.max(np.abs(mon["r3_hat"])) < 2.0 * beta_max**3
     assert np.max(np.abs(mon["r4_hat"])) < 2.0 * beta_max**3
 
@@ -204,7 +206,7 @@ def test_monitor_insufficient_sampling(grid, table1):
 
 
 def test_monitor_s_run(s_traj):
-    mon = D.mod_residual_monitor(s_traj)
+    mon = D.mod_residual_monitor(s_traj.monitors)
     assert mon["beta_ds_max"] <= 0.01
     # recorded constants of the hat-corrected estimates
     c1 = np.max(np.abs(mon["r1_hat"]) / mon["bound_hat_12"])
@@ -274,8 +276,8 @@ def _hybrid_probe(m, grid, probe_grid, b0=0.01):
     assert out["stop"] == "blowup-reached"
     ell, gamma_star, fits = D.asymptotics(out)
     table = PR.build_t_tables(m, probe_grid)
-    traj = D.profile_trajectory(m, out, grid, table)
-    return D.singular_profile_probe(traj, ell, gamma_star), ell, fits
+    mon = D.profile_monitor(m, out, grid, table)
+    return D.singular_profile_probe(mon, ell, gamma_star), ell, fits
 
 
 def test_hybrid_probe_m1(grid, probe_grid):
@@ -307,6 +309,6 @@ def test_probe_annulus_unresolved(grid, table1):
     coarse = G.build_grid(r_min=0.5, r_max=200.0, n=256)
     table = PR.build_t_tables(1, G.build_grid(r_min=1e-4, r_max=8000.0,
                                               n=4096))
-    traj = D.profile_trajectory(1, out, coarse, table)
+    mon = D.profile_monitor(1, out, coarse, table)
     with pytest.raises(D.AnnulusUnresolved):
-        D.singular_profile_probe(traj, 1.0, 0.0)
+        D.singular_profile_probe(mon, 1.0, 0.0)

@@ -138,7 +138,7 @@ def test_q_run_mass_energy_drift(grid):
     assert traj.stop_reason == "t_end"
     # static reference: errors flat at the discretization floor
     rep = validate_exact(traj, lambda t: q)
-    assert np.max(rep["l2"]) < 2e-4
+    assert np.max(rep) < 2e-4
 
 
 def test_phase_convention_consistency(grid):
@@ -148,7 +148,7 @@ def test_phase_convention_consistency(grid):
     cfg = SolverConfig(grid=grid, dt=1e-3, t_end=0.3, monitor_stride=100)
     traj = run(u0, cfg)
     rep = validate_exact(traj, lambda t: u0)
-    assert np.max(rep["l2"]) < 2e-4
+    assert np.max(rep) < 2e-4
 
 
 def test_virial_identities(grid):
@@ -171,16 +171,16 @@ def test_virial_identities(grid):
 
 def test_s_tracking(s_traj, pde_grid):
     rep = validate_exact(s_traj, lambda t: blowup_s(1, t, pde_grid))
-    assert np.max(rep["l2"]) < 1e-3
+    assert np.max(rep) < 1e-3
     # error growth past the first monitor is smooth: no phase-slip jumps
-    assert np.max(np.abs(np.diff(rep["l2"][1:]))) < 2e-4
+    assert np.max(np.abs(np.diff(rep[1:]))) < 2e-4
 
 
 def test_s_decomposition_tracking(s_traj):
-    for t, d in s_traj.decompositions:
-        assert d.converged
-        assert abs(d.state.lam / abs(t) - 1.0) < 0.02
-        assert abs(d.state.b / abs(t) - 1.0) < 0.05
+    for mon in s_traj.monitors:
+        assert mon.d.converged
+        assert abs(mon.d.state.lam / abs(mon.t) - 1.0) < 0.02
+        assert abs(mon.d.state.b / abs(mon.t) - 1.0) < 0.05
 
 
 def test_selfconvergence_second_order(grid):
@@ -241,8 +241,8 @@ def test_run_computes_one_potential_per_step(grid, monkeypatch):
     assert traj.stop_reason == "t_end"
     # FSAL: the leading half of the first step, then one per step
     assert len(calls) == 50 + 1
-    assert len(traj.guard_margin) == len(traj.times) - 1
-    assert all(0.0 < g <= 1.0 for g in traj.guard_margin)
+    assert traj.monitors[0].margin is None
+    assert all(0.0 < mon.margin <= 1.0 for mon in traj.monitors[1:])
 
 
 def _reference_potential(u):
@@ -272,9 +272,9 @@ def test_run_snapshots_match_reference_chain_bit_for_bit(grid):
         u = u.with_values(phase * vals, decay=None)
         if k % stride == 0:
             ref.append(u)
-    assert len(traj.snapshots) == len(ref) == 11
-    for (_, got), want in zip(traj.snapshots, ref):
-        assert np.array_equal(got.values, want.values)
+    assert len(traj.monitors) == len(ref) == 11
+    for mon, want in zip(traj.monitors, ref):
+        assert np.array_equal(mon.u.values, want.values)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -296,13 +296,44 @@ def test_nonfinite_state_trips_the_guard(grid, monkeypatch, bad, node):
         traj = run(soliton_q(1, grid), cfg)
     assert traj.stop_reason == "stability-guard"
     assert traj.counters["steps"] == 7
-    assert not traj.guard_margin[-1] <= 1.0
-    assert str(StabilityGuardTripped(traj.guard_margin[-1])) == \
+    assert not traj.error.margin <= 1.0
+    assert str(StabilityGuardTripped(traj.error.margin)) == \
         "stability-guard-tripped: non-finite state"
     # the last good state is kept as a final monitor, and all are finite
-    assert traj.times[-1] == pytest.approx(7e-3)
-    for _, u in traj.snapshots:
-        assert np.all(np.isfinite(u.values))
+    assert traj.monitors[-1].t == pytest.approx(7e-3)
+    for mon in traj.monitors:
+        assert np.all(np.isfinite(mon.u.values))
+
+
+def test_guard_trip_stays_the_reason_when_the_last_state_fails(
+        grid, monkeypatch):
+    # steps 1-7 pass and the 8th trips the guard; the decomposition of the
+    # last good state (t = 7e-3, the third) raises NotInTube
+    original_solve, original_decompose = KineticSolver.solve, MOD.decompose
+    solves, decomps = [], []
+
+    def solve(self, v):
+        x = original_solve(self, v)
+        solves.append(1)
+        if len(solves) == 8:
+            x[2000] = math.nan
+        return x
+
+    def decompose(*args, **kwargs):
+        decomps.append(1)
+        if len(decomps) == 3:
+            raise MOD.NotInTube("not-in-tube: relative H1 distance 0.9")
+        return original_decompose(*args, **kwargs)
+    monkeypatch.setattr(KineticSolver, "solve", solve)
+    monkeypatch.setattr(MOD, "decompose", decompose)
+    cfg = SolverConfig(grid=grid, dt=1e-3, t_end=0.05, monitor_stride=5,
+                       decompose_flag=True, tube_radius=0.5)
+    with np.errstate(invalid="ignore"):
+        traj = run(soliton_q(1, grid), cfg)
+    assert traj.stop_reason == "stability-guard"
+    assert isinstance(traj.error, StabilityGuardTripped)
+    assert [mon.t for mon in traj.monitors] == pytest.approx([0.0, 5e-3])
+    assert len(traj.series["t"]) == 2
 
 
 @pytest.mark.parametrize("case", ["S", "Q", "zero", "negative", "mixed"])
@@ -334,14 +365,14 @@ def warm_traj(grid):
 
 
 def test_predicted_warm_starts_take_two_pairings(warm_traj):
-    iters = [d.iterations for _, d in warm_traj.decompositions]
+    iters = [mon.d.iterations for mon in warm_traj.monitors]
     assert len(iters) == 12
     # from the fourth monitor on, the start is a quadratic extrapolation
     assert all(k <= 2 for k in iters[3:]), iters
 
 
 def test_predicted_start_agrees_with_cold_decomposition(warm_traj, grid):
-    (_, u), (_, warm) = warm_traj.snapshots[-1], warm_traj.decompositions[-1]
+    u, warm = warm_traj.monitors[-1].u, warm_traj.monitors[-1].d
     ortho = MOD.build_ortho_profiles(1, grid)
     table = PR.build_t_tables(1, grid)
     cold = MOD.decompose(u, ortho, table=table, tube_radius=0.5)
@@ -362,8 +393,8 @@ def test_lambda_min_stop(pde_grid):
                        tube_radius=0.5)
     traj = run(u0, cfg, t0=-1.0)
     assert traj.stop_reason == "lambda_min"
-    assert traj.times[-1] < -0.85
-    assert traj.decompositions[-1][1].state.lam < 0.93
+    assert traj.monitors[-1].t < -0.85
+    assert traj.monitors[-1].d.state.lam < 0.93
 
 
 def test_config_validation(grid):
