@@ -169,7 +169,7 @@ m_option = click.option("--m", type=int, required=True, callback=check_index,
 def parse_grid(spec: str) -> G.Grid:
     """The grid of a --grid spec; a malformed spec raises ValueError."""
     if spec == "default":
-        return G.default_grid()
+        return G.build_grid()
     kw = {}
     try:
         for part in spec.split(","):

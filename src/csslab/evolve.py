@@ -116,30 +116,21 @@ class KineticSolver:
         n, h = grid.n, grid.h
         # second-derivative bands in x (offsets -2..2); centered 4th order
         # in the interior, centered 2nd order one node from each edge
-        bands = np.zeros((5, n))
         c4 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
-        for k in range(5):
-            bands[k, :] = c4[k]
         c2 = np.array([0.0, 1.0, -2.0, 1.0, 0.0]) / (h * h)
-        bands[:, 1] = c2
-        bands[:, n - 2] = c2
+        bands = np.repeat(c4[:, None], n, axis=1)
+        bands[:, [1, n - 2]] = c2[:, None]
         # Delta^(m) = r^{-2}(d_xx - m^2)
         w = 1.0 / grid.r**2
         self.a_bands = bands * w
         self.a_bands[2] -= m * m * w
         z = 0.5j * dt
         # LHS = I - z Delta, RHS = I + z Delta (rows as banded matrices)
-        lhs = np.zeros((5, n), dtype=np.complex128)
-        rhs = np.zeros((5, n), dtype=np.complex128)
-        for k in range(5):
-            lhs[k] = -z * self.a_bands[k]
-            rhs[k] = z * self.a_bands[k]
+        lhs, rhs = -z * self.a_bands, z * self.a_bands
         lhs[2] += 1.0
         rhs[2] += 1.0
         # boundary rows: u_0 = e^{-m h} u_1 (regularity), u_{n-1} = 0
-        for k in range(5):
-            lhs[k, 0] = lhs[k, n - 1] = 0.0
-            rhs[k, 0] = rhs[k, n - 1] = 0.0
+        lhs[:, [0, n - 1]] = rhs[:, [0, n - 1]] = 0.0
         lhs[2, 0] = 1.0
         lhs[3, 0] = -math.exp(-m * h)  # band row for element (0, 1)
         lhs[2, n - 1] = 1.0
@@ -149,12 +140,9 @@ class KineticSolver:
         # of the pivoted factorization
         ab = np.zeros((7, n), dtype=np.complex128)
         for off in range(-2, 3):
-            # lhs row offsets: lhs[2 + off] holds elements (i, i + off)
-            band = lhs[2 + off]
-            if off >= 0:
-                ab[4 - off, off:] = band[: n - off]
-            else:
-                ab[4 - off, :off] = band[-off:]
+            # element (j - off, j) is lhs[2 + off, j - off], for 0 <= j - off < n
+            lo, hi = max(off, 0), n + min(off, 0)
+            ab[4 - off, lo:hi] = lhs[2 + off, lo - off:hi - off]
         self._lu, self._piv, info = zgbtrf(ab, 2, 2, overwrite_ab=1)
         if info != 0:
             raise LinAlgError(f"Crank-Nicolson factorization failed: info = {info}")
@@ -210,11 +198,11 @@ def half_phase(u: RadialField, dt: float) -> tuple[np.ndarray, float]:
     return phase, margin
 
 
-def step(u: RadialField, dt: float, kinetic: KineticSolver | None = None,
+def step(u: RadialField, kinetic: KineticSolver,
          sponge_factor: np.ndarray | None = None,
          phase: np.ndarray | None = None
          ) -> tuple[RadialField, np.ndarray, float]:
-    """One Strang-split step of size dt in FSAL form. `phase` is the
+    """One Strang-split step of size kinetic.dt in FSAL form. `phase` is the
     leading half-phase factor, the trailing one returned by the previous
     step (None computes it from u). sponge_factor, the damping
     exp(-dt * sponge_profile) of the last sponge_factor.size nodes, is
@@ -222,8 +210,7 @@ def step(u: RadialField, dt: float, kinetic: KineticSolver | None = None,
     half-phase factor for the next step, and the largest guard margin
     dt*max|V| of the potentials computed here. A non-finite value after
     the kinetic solve trips the guard, through its potential."""
-    if kinetic is None or kinetic.dt != dt:
-        kinetic = KineticSolver(u.grid, u.m, dt)
+    dt = kinetic.dt
     margin = 0.0
     if phase is None:
         phase, margin = half_phase(u, dt)
@@ -287,9 +274,11 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
         if config.decompose_flag:
             init = MOD.extrapolate([(mon.t, mon.d.state)
                                     for mon in monitors[-3:]], t)
-            d = MOD.decompose(u, ortho, init=init, table=mod_table,
-                              tube_radius=config.tube_radius, energy=e)
-            timings["decompositions"] += time.perf_counter() - mark
+            try:
+                d = MOD.decompose(u, ortho, init=init, table=mod_table,
+                                  tube_radius=config.tube_radius, energy=e)
+            finally:  # a failed decomposition's seconds count too
+                timings["decompositions"] += time.perf_counter() - mark
             counters["newton_iterations"] += d.iterations
         for column, value in zip(series.values(), row):
             column.append(value)
@@ -312,8 +301,8 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
         clock = time.perf_counter()
         try:
             for _ in range(config.monitor_stride):
-                u, phase, margin = step(u, config.dt, kinetic=kin,
-                                        sponge_factor=damping, phase=phase)
+                u, phase, margin = step(u, kin, sponge_factor=damping,
+                                        phase=phase)
                 worst = max(worst, margin)
                 t += config.dt
                 taken += 1

@@ -57,28 +57,22 @@ def cov_d(u: RadialField, f: RadialField, gf: GaugeFields | None = None) -> Radi
     return RadialField(f.m + 1, vals, f.grid)
 
 
-def a_u(u: RadialField, g: RadialField, gf: GaugeFields | None = None) -> RadialField:
+def a_u(u: RadialField, g: RadialField, gf: GaugeFields) -> RadialField:
     """A_u g = d_r g - ((m + 1 + A_theta[u])/r) g for g of index m+1."""
     if g.m != u.m + 1:
         raise IndexMismatch(f"a_u expects index {u.m + 1}, got {g.m}")
-    if gf is None:
-        gf = gauge_fields(u)
     vals = G.d_dr(g.grid, g.values, 1) - ((u.m + 1 + gf.a_theta) / g.grid.r) * g.values
     return RadialField(g.m + 1, vals, g.grid)
 
 
-def cov_d_star(u: RadialField, g: RadialField, gf: GaugeFields | None = None) -> RadialField:
+def cov_d_star(u: RadialField, g: RadialField, gf: GaugeFields) -> RadialField:
     """D_u^* g = -d_r g - ((m + 1 + A_theta[u])/r) g, lowering the index."""
-    if gf is None:
-        gf = gauge_fields(u)
     vals = -G.d_dr(g.grid, g.values, 1) - ((u.m + 1 + gf.a_theta) / g.grid.r) * g.values
     return RadialField(g.m - 1, vals, g.grid)
 
 
-def a_u_star(u: RadialField, h: RadialField, gf: GaugeFields | None = None) -> RadialField:
+def a_u_star(u: RadialField, h: RadialField, gf: GaugeFields) -> RadialField:
     """A_u^* h = -d_r h - ((m + 2 + A_theta[u])/r) h, lowering the index."""
-    if gf is None:
-        gf = gauge_fields(u)
     vals = -G.d_dr(h.grid, h.values, 1) - ((u.m + 2 + gf.a_theta) / h.grid.r) * h.values
     return RadialField(h.m - 1, vals, h.grid)
 

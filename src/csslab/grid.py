@@ -82,10 +82,6 @@ def build_grid(r_min: float = DEFAULT_R_MIN, r_max: float = DEFAULT_R_MAX,
     return g
 
 
-def default_grid() -> Grid:
-    return build_grid()
-
-
 # ---------------------------------------------------------------------------
 # Fields
 
@@ -187,9 +183,11 @@ def _diff_matrix_bands(h: float, k: int, width: int):
     return interior, edges, tails, ew
 
 
-def _apply_stencil(vals: np.ndarray, h: float, k: int, width: int) -> np.ndarray:
+def dx(grid: Grid, vals: np.ndarray, k: int = 1, width: int = 5) -> np.ndarray:
+    """k-th derivative with respect to x = log r (formal order width - k)."""
+    vals = np.ascontiguousarray(vals, dtype=np.complex128)
     n = vals.size
-    interior, edges, tails, ew = _diff_matrix_bands(h, k, width)
+    interior, edges, tails, ew = _diff_matrix_bands(grid.h, k, width)
     half = width // 2
     out = np.empty_like(vals)
     # interior via correlation
@@ -201,11 +199,6 @@ def _apply_stencil(vals: np.ndarray, h: float, k: int, width: int) -> np.ndarray
         out[i] = np.dot(edges[i], vals[:ew])
         out[n - 1 - i] = np.dot(tails[i], vals[n - ew:])
     return out
-
-
-def dx(grid: Grid, vals: np.ndarray, k: int = 1, width: int = 5) -> np.ndarray:
-    """k-th derivative with respect to x = log r (formal order width - k)."""
-    return _apply_stencil(np.ascontiguousarray(vals, dtype=np.complex128), grid.h, k, width)
 
 
 def d_dr(grid: Grid, vals: np.ndarray, order: int = 1) -> np.ndarray:
@@ -231,12 +224,9 @@ def d_dr(grid: Grid, vals: np.ndarray, order: int = 1) -> np.ndarray:
 def _gregory_weights(n: int, h: float) -> np.ndarray:
     """Endpoint-corrected trapezoid weights of 4th order on a uniform grid."""
     w = np.full(n, h)
-    if n >= 8:
-        corr = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
-        w[:3] = corr * h
-        w[-3:] = corr[::-1] * h
-    else:
-        w[0] = w[-1] = 0.5 * h
+    corr = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
+    w[:3] = corr * h
+    w[-3:] = corr[::-1] * h
     return w
 
 
@@ -353,25 +343,6 @@ def _interval_increments(grid: Grid, gvals: np.ndarray) -> np.ndarray:
     return inc
 
 
-def cumulative_dx(grid: Grid, gvals: np.ndarray) -> np.ndarray:
-    """Cumulative integral of g over x from x_min, 4th-order on uniform h."""
-    inc = _interval_increments(grid, gvals)
-    out = np.empty(inc.size + 1, dtype=inc.dtype)
-    out[0] = 0.0
-    np.cumsum(inc, out=out[1:])
-    return out
-
-
-def backward_cumulative_dx(grid: Grid, gvals: np.ndarray) -> np.ndarray:
-    """B(x_j) = int_{x_j}^{x_max} g dx, summed from the far end so the tail
-    values are not lost to cancellation against the bulk."""
-    inc = _interval_increments(grid, gvals)
-    out = np.empty(inc.size + 1, dtype=inc.dtype)
-    out[-1] = 0.0
-    np.cumsum(inc[::-1], out=out[:-1][::-1])
-    return out
-
-
 def _forward(grid: Grid, vals: np.ndarray, k: int, include_origin: bool) -> np.ndarray:
     """C(r_j) = int_0^{r_j} vals r'^{k-1} dr'. The [0, r_min] piece is
     completed by a local power law vals ~ r^q fitted on the first two
@@ -379,7 +350,10 @@ def _forward(grid: Grid, vals: np.ndarray, k: int, include_origin: bool) -> np.n
     (negligible for smooth equivariant data, but kept for exactness of
     closed-form comparisons)."""
     vals = np.asarray(vals)
-    c = cumulative_dx(grid, vals * grid.r**k)
+    inc = _interval_increments(grid, vals * grid.r**k)
+    c = np.empty(inc.size + 1, dtype=inc.dtype)
+    c[0] = 0.0
+    np.cumsum(inc, out=c[1:])
     v0 = vals[0].item()
     if include_origin and v0 != 0.0:
         v1 = vals[1].item()
@@ -395,9 +369,14 @@ def _forward(grid: Grid, vals: np.ndarray, k: int, include_origin: bool) -> np.n
 
 def _backward(grid: Grid, vals: np.ndarray, k: int, tail_power: float | None) -> np.ndarray:
     """B(r_j) = int_{r_j}^{r_max} vals r'^{k-1} dr', plus the algebraic tail
-    beyond r_max when vals ~ c r^{-p} with p = tail_power > k."""
+    beyond r_max when vals ~ c r^{-p} with p = tail_power > k. The sum runs
+    from the far end so the tail values are not lost to cancellation
+    against the bulk."""
     vals = np.asarray(vals)
-    out = backward_cumulative_dx(grid, vals * grid.r**k)
+    inc = _interval_increments(grid, vals * grid.r**k)
+    out = np.empty(inc.size + 1, dtype=inc.dtype)
+    out[-1] = 0.0
+    np.cumsum(inc[::-1], out=out[:-1][::-1])
     if tail_power is not None and tail_power > k:
         out = out + vals[-1].item() * grid.r_max**k / (tail_power - k)
     return out
@@ -568,11 +547,6 @@ class NormReport:
     V32: float
     V52: float
     weighted_Linf: dict
-
-    def as_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in ("L2", "Hdot1", "calH2", "calH3", "V32", "V52")}
-        d["weighted_Linf"] = dict(self.weighted_Linf)
-        return d
 
 
 def norm_report(f: RadialField) -> NormReport:

@@ -25,10 +25,6 @@ from .soliton import q_values
 TAGS = ("LQ", "LQ_star", "AQ", "AQ_star", "HQ", "HtdQ")
 
 
-class OrthogonalityViolated(ValueError):
-    pass
-
-
 class TailDivergent(ValueError):
     pass
 
@@ -59,10 +55,6 @@ class OperatorKind:
         return {"LQ": self.m + 1, "LQ_star": self.m, "AQ": self.m + 2,
                 "AQ_star": self.m + 1, "HQ": self.m + 1,
                 "HtdQ": self.m + 2}[self.tag]
-
-    @property
-    def complex_linear(self) -> bool:
-        return self.tag not in ("LQ", "LQ_star")
 
 
 # ---------------------------------------------------------------------------
@@ -189,19 +181,13 @@ def rho(m: int, grid: Grid) -> RadialField:
     return RadialField(m, np.real(out.values).astype(complex), grid, decay=float(m))
 
 
-# relative size of (f, yQ)_r below which f counts as orthogonal to yQ
-_ORTHO_TOL = 1e-6
-
-
 def right_inverse(kind: OperatorKind, f: RadialField,
                   branch: str = "outgoing") -> RadialField:
     _check_range(kind, f)
-    if branch not in ("outgoing", "inner", "orthogonal"):
+    if branch not in ("outgoing", "inner"):
         raise ValueError(f"unknown branch {branch!r}")
     if branch == "inner" and kind.tag != "HtdQ":
         raise ValueError("inner branch is defined for HtdQ only")
-    if branch == "orthogonal" and kind.tag not in ("AQ_star", "HQ"):
-        raise ValueError("orthogonal branch is defined for AQ_star and HQ only")
     g, y, m = f.grid, f.grid.r, kind.m
     q = q_values(m, y)
     tag = kind.tag
@@ -219,22 +205,12 @@ def right_inverse(kind: OperatorKind, f: RadialField,
         vals = y * q * G.cumulative_dy(g, f.values / (y * q),
                                        include_origin=False)
     elif tag == "AQ_star":
-        if branch == "orthogonal":
-            _require_yq_orthogonal(kind, f)
-            tail_p = None if f.decay is None else f.decay + m + 1
-            vals = G.backward_rdr(g, y * q * f.values, tail_p) / (y**2 * q)
-        else:
-            vals = -G.cumulative_rdr(g, y * q * f.values) / (y**2 * q)
+        vals = -G.cumulative_rdr(g, y * q * f.values) / (y**2 * q)
     elif tag == "HQ":
         h1, h2 = _kernel_pair_hq(g, m)
         i1 = G.cumulative_rdr(g, h1 * f.values, include_origin=False)
         i2 = G.cumulative_rdr(g, h2 * f.values, include_origin=False)
-        if branch == "orthogonal":
-            _require_yq_orthogonal(kind, f)
-            j2 = G.backward_rdr(g, h2 * f.values)
-            vals = -h2 * i1 - h1 * j2
-        else:
-            vals = h1 * i2 - h2 * i1
+        vals = h1 * i2 - h2 * i1
     elif tag == "HtdQ":
         h1, h2 = _kernel_pair_htd(g, m)
         i1 = G.cumulative_rdr(g, h1 * f.values, include_origin=False)
@@ -257,17 +233,6 @@ def _check_range(kind: OperatorKind, f: RadialField):
     if f.m != kind.range_index:
         raise IndexMismatch(
             f"right_inverse({kind.tag}) expects index {kind.range_index}, got {f.m}")
-
-
-def _require_yq_orthogonal(kind: OperatorKind, f: RadialField):
-    g, y = f.grid, f.grid.r
-    q = q_values(kind.m, y)
-    yq = y * q
-    pair = complex(G.integrate_samples(g, yq * f.values))
-    scale = G.l2_samples(g, yq) * max(G.l2_samples(g, f.values), 1e-300)
-    if abs(pair) > _ORTHO_TOL * scale:
-        raise OrthogonalityViolated(
-            f"orthogonal branch needs (f, yQ) = 0; got {pair:.3e}")
 
 
 # ---------------------------------------------------------------------------

@@ -299,8 +299,6 @@ def decompose(u: RadialField, profiles: OrthoProfiles,
         x = x - dx
         aux = None  # free this pairing's arrays before the next is built
         vec, aux = _pairings(u, state_of(x), table, profiles, sample)
-    else:
-        it = _NEWTON_MAX_ITER
     converged = converged or np.max(np.abs(vec)) < tol
 
     state = state_of(x)
@@ -389,7 +387,7 @@ def ode_integrate(m: int, state0: ModState, t_span: tuple[float, float],
     table = None
     if not leading_order:
         table = PR.build_t_tables(m, grid if grid is not None
-                                  else G.default_grid())
+                                  else G.build_grid())
 
     def rhs(t, yv):
         lam, gam, b, eta, s = yv

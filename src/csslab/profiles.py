@@ -59,14 +59,6 @@ class ProfileParams:
     def bbeta(self) -> complex:
         return 1j * self.b + self.eta
 
-    @property
-    def B0(self) -> float:
-        return self.beta ** -0.5
-
-    @property
-    def B1(self) -> float:
-        return 1.0 / self.beta
-
 
 def p3(m: int, params: ProfileParams) -> tuple[float, float]:
     """Cubic corrections to the (b, eta) laws: p3_b - i p3_eta =
@@ -560,11 +552,12 @@ def scaling_sweep(m: int, betas, direction: tuple[float, float],
         for name, val in taylor_deviations(m, params, table).items():
             series[name].append(val)
     logb = np.log(np.asarray(betas, dtype=float))
+    fit = np.unique(logb).size > 1  # a line needs two distinct betas
     out = {"m": m, "betas": list(betas), "direction": (db, de),
            "include_t4": include_t4, "series": series, "slopes": {}}
     for name, vals in series.items():
         v = np.asarray(vals)
-        if np.all(v > 0):
+        if fit and np.all(v > 0):
             slope, intercept = np.polyfit(logb, np.log(v), 1)
             out["slopes"][name] = {"slope": float(slope),
                                    "intercept": float(intercept)}

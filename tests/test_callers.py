@@ -1,4 +1,5 @@
-"""Every top-level function and class of the package has a caller.
+"""Every top-level function and class of the package, and every method
+and property of its classes, has a caller.
 
 A name counts as used when another module of the package, the rest of its
 own module, or the acceptance battery (tests/test_acceptance.py) refers to
@@ -45,7 +46,26 @@ def _is_click_command(node) -> bool:
                and dec.func.attr == "command" for dec in node.decorator_list)
 
 
-def test_every_top_level_name_has_a_caller():
+def _definitions(tree, methods: bool):
+    """(node, rest of the module) for each top-level function and class,
+    or, with methods, for each method of a top-level class that is not a
+    dunder."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        rest = [n for n in tree.body if n is not node]
+        if not methods:
+            yield node, rest
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("__")):
+                    yield item, rest + [n for n in node.body if n is not item]
+
+
+def _orphans(methods: bool):
+    """The package's top-level names (or methods) with no caller, and every
+    name defined at that level."""
     modules = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
     used_in = {name: _names(tree.body) for name, tree in modules.items()}
     acceptance = _names(ast.parse(ACCEPTANCE.read_text()).body)
@@ -53,14 +73,22 @@ def test_every_top_level_name_has_a_caller():
     for name, tree in modules.items():
         elsewhere = acceptance.union(
             *(used for other, used in used_in.items() if other != name))
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        for node, rest in _definitions(tree, methods):
             defined.add(node.name)
             if _is_click_command(node) or node.name in ALLOWED:
                 continue
-            own = _names(n for n in tree.body if n is not node)
-            if node.name not in elsewhere | own:
+            if node.name not in elsewhere | _names(rest):
                 orphans.append(f"{name}.{node.name}")
+    return orphans, defined
+
+
+def test_every_top_level_name_has_a_caller():
+    orphans, defined = _orphans(methods=False)
     assert orphans == []
     assert set(ALLOWED) <= defined  # a stale allowlist entry is an error too
+
+
+def test_every_method_has_a_caller():
+    """Methods and properties count by their attribute name: a property read
+    only by its own unit test is as dead as an uncalled function."""
+    assert _orphans(methods=True)[0] == []

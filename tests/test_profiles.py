@@ -35,8 +35,6 @@ def test_params_properties():
     p = ProfileParams(0.03, 0.04)
     assert p.beta == pytest.approx(0.05)
     assert p.bbeta == pytest.approx(0.03j + 0.04)
-    assert p.B1 == pytest.approx(20.0)
-    assert p.B0 == pytest.approx(1.0 / math.sqrt(0.05))
 
 
 @pytest.mark.parametrize("m", [0, -1])
