@@ -238,7 +238,7 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
     succeeded since the last monitor. error holds either failure. timings
     holds the perf_counter seconds spent in steps, in monitors and in
     decompositions; counters the steps taken, the factorizations built and
-    the Newton iterations of the decompositions."""
+    the Newton iterations of the decompositions, a failed one's included."""
     if u0.grid != config.grid:
         raise G.GridError("initial datum not on the solver grid")
     kin = KineticSolver(config.grid, u0.m, config.dt)
@@ -277,6 +277,9 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
             try:
                 d = MOD.decompose(u, ortho, init=init, table=mod_table,
                                   tube_radius=config.tube_radius, energy=e)
+            except MOD.DECOMPOSE_FAILURES as exc:  # its iterations count too
+                counters["newton_iterations"] += getattr(exc, "iterations", 0)
+                raise
             finally:  # a failed decomposition's seconds count too
                 timings["decompositions"] += time.perf_counter() - mark
             counters["newton_iterations"] += d.iterations

@@ -104,7 +104,7 @@ class RadialField:
         object.__setattr__(self, "values", v)
         if v.shape != self.grid.r.shape:
             raise GridError("values shape does not match grid")
-        if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
+        if not np.isfinite(v).all():
             raise GridError("field contains non-finite values")
 
     def with_values(self, values, decay=...):

@@ -13,7 +13,7 @@ where eps1 = D_w w - P1 at w = u^flat, solved by Newton iteration in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -132,17 +132,10 @@ _NEWTON_TOL = 1e-10  # on the largest pairing, relative to ||Q||_{L2}
 _NEWTON_MAX_ITER = 50
 
 
-@dataclass(frozen=True)
-class _Chart:
-    P: RadialField
-    P1: RadialField
-    P2: RadialField
-    dP: tuple   # (d_b P, d_eta P) samples
-    dP1: tuple  # (d_b P1, d_eta P1) samples
-
-
-def _assemble_chart(m: int, b: float, eta: float, table: TTable) -> _Chart:
-    """Profiles as the decomposition's coordinate chart.
+def _assemble_chart(m: int, b: float, eta: float, table: TTable,
+                    derivs: bool = True) -> PR.ProfileSet:
+    """Profiles as the decomposition's coordinate chart: P, P1 and their
+    (b, eta)-derivatives for a Newton pairing, or (derivs=False) P, P1, P2.
 
     Inside the validity range (beta <= _CHART_BETA) this is the assembled
     profile set (without cutoffs when B1 would leave the grid: the
@@ -165,19 +158,28 @@ def _assemble_chart(m: int, b: float, eta: float, table: TTable) -> _Chart:
     beta = math.hypot(b, eta)
     if beta <= _CHART_BETA:
         cutoffs = not (beta > 0.0 and 2.0 / beta > grid.r_max)
-        pset = PR.assemble(m, ProfileParams(b, eta), table, cutoffs=cutoffs)
-        return _Chart(pset.P, pset.P1, pset.P2,
-                      (pset.dP_db.values, pset.dP_deta.values),
-                      (pset.dP1_db.values, pset.dP1_deta.values))
+        return PR.assemble(m, ProfileParams(b, eta), table, cutoffs=cutoffs,
+                           derivs=derivs, p2=not derivs)
     scale = _CHART_BETA / beta
     b_c, eta_c = b * scale, eta * scale
-    pset = PR.assemble(m, ProfileParams(b_c, eta_c), table)
+    pset = PR.assemble(m, ProfileParams(b_c, eta_c), table, derivs=derivs,
+                       p2=not derivs)
     delta = b - b_c
     y = grid.r
     phase = np.exp(-0.25j * delta * y**2)
     tp = -0.5j * delta * y  # i theta'
-    p, p1, p2 = pset.P.values, pset.P1.values, pset.P2.values
+    p, p1 = pset.P.values, pset.P1.values
     p1t = p1 + tp * p
+
+    def chart(**fields):  # P and P1 built last keeps the peak RSS down
+        return replace(pset, P=pset.P.with_values(phase * p, decay=None),
+                       P1=pset.P1.with_values(phase * p1t, decay=None),
+                       **fields)
+    # products of phase and a temporary stay inline: from 256 KiB (n =
+    # 16384) numpy multiplies into the temporary, swapped, moving last bits
+    if not derivs:
+        return chart(P2=pset.P2.with_values(
+            phase * (pset.P2.values + 2.0 * tp * p1 + tp**2 * p), decay=None))
     c3 = _CHART_BETA / beta**3
     dP, dP1 = [], []
     # d(b_c, eta_c, delta)/db and /deta
@@ -185,26 +187,22 @@ def _assemble_chart(m: int, b: float, eta: float, table: TTable) -> _Chart:
                                  (-c3 * b * eta, c3 * b**2, c3 * b * eta)):
         gp = db_c * pset.dP_db.values + deta_c * pset.dP_deta.values
         gp1 = db_c * pset.dP1_db.values + deta_c * pset.dP1_deta.values
-        dP.append(phase * (gp - ddelta * 0.25j * y**2 * p))
-        dP1.append(phase * (gp1 + tp * gp
-                            - ddelta * (0.25j * y**2 * p1t + 0.5j * y * p)))
-    return _Chart(
-        pset.P.with_values(phase * p, decay=None),
-        pset.P1.with_values(phase * p1t, decay=None),
-        pset.P2.with_values(phase * (p2 + 2.0 * tp * p1 + tp**2 * p),
-                            decay=None),
-        tuple(dP), tuple(dP1))
+        dP.append(pset.dP_db.with_values(
+            phase * (gp - ddelta * 0.25j * y**2 * p), decay=None))
+        dP1.append(pset.dP1_db.with_values(phase * (gp1 + tp * gp - ddelta * (
+            0.25j * y**2 * p1t + 0.5j * y * p)), decay=None))
+    return chart(dP_db=dP[0], dP_deta=dP[1], dP1_db=dP1[0], dP1_deta=dP1[1])
 
 
 def _pairings(u: RadialField, state: ModState, table: TTable,
               profiles: OrthoProfiles, sample=None):
     w = flat(u, SymmetryParams(state.lam, state.gamma), sample)
-    pset = _assemble_chart(table.m, state.b, state.eta, table)
-    eps = w.with_values(w.values - pset.P.values, decay=None)
+    chart = _assemble_chart(table.m, state.b, state.eta, table)
+    eps = w.with_values(w.values - chart.P.values, decay=None)
     gf = GA.gauge_fields(w)
     d_w = GA.cov_d(w, w, gf)
-    eps1 = d_w.with_values(d_w.values - pset.P1.values, decay=None)
-    return _pair4(eps, eps1, profiles), (w, gf, d_w, pset, eps, eps1)
+    eps1 = d_w.with_values(d_w.values - chart.P1.values, decay=None)
+    return _pair4(eps, eps1, profiles), (w, gf, d_w, chart, eps, eps1)
 
 
 def _pair4(f: RadialField, f1: RadialField, profiles: OrthoProfiles):
@@ -215,10 +213,11 @@ def _pair4(f: RadialField, f1: RadialField, profiles: OrthoProfiles):
 
 def _jacobian(aux, profiles: OrthoProfiles) -> np.ndarray:
     """d(pairings)/d(log lambda, gamma, b, eta) from the data of one pairing."""
-    w, _, d_w, pset, _, _ = aux
+    w, _, d_w, chart, _, _ = aux
     cols = [(G.scale_gen(w).values, G.scale_gen(d_w, -1.0).values),
             (-1j * w.values, -1j * d_w.values)]
-    cols += [(-dp, -dp1) for dp, dp1 in zip(pset.dP, pset.dP1)]
+    cols += [(-chart.dP_db.values, -chart.dP1_db.values),
+             (-chart.dP_deta.values, -chart.dP1_deta.values)]
     return np.column_stack([
         _pair4(w.with_values(c, decay=None), d_w.with_values(c1, decay=None),
                profiles) for c, c1 in cols])
@@ -250,15 +249,19 @@ def decompose(u: RadialField, profiles: OrthoProfiles,
     (Lambda w, Lambda_{-1} D_w w) for log lambda (A_theta is scaling
     invariant, so D_w w has weight 2), (-i w, -i D_w w) for gamma, and
     (-d_b P, -d_b P1), (-d_eta P, -d_eta P1) for b and eta, through the
-    phase-factored chart beyond _CHART_BETA.
+    phase-factored chart beyond _CHART_BETA. A pairing builds P, P1 and
+    their derivatives only; P2 is built once, at the converged state.
 
     u is resampled through one sampler(u), built here and shared by the
     proximity fit, the tube check and every pairing; each pairing's arrays
     are dropped before the next is made, and nothing outlives the call.
 
-    The tube check (the H1 distance of the proximity fit) runs on every
-    call. Newton starts from `init`, e.g. the state extrapolate() predicts
-    from earlier decompositions of a run, or from that fit when it is None.
+    Newton starts from `init` (e.g. extrapolate()'s prediction), or from
+    the proximity fit when it is None, and the tube check, the relative H1
+    distance of u^flat from Q, is taken there; a warm call falls back to
+    the fit outside tube_radius. Both bound the distance to the soliton
+    orbit from above, so NotInTube fires only where the fit alone would.
+    Typed failures after the first pairing carry `iterations`.
     `energy` is E[u] if the caller has it (mu needs it); None computes it."""
     m = u.m
     if m != profiles.m:
@@ -267,12 +270,20 @@ def decompose(u: RadialField, profiles: OrthoProfiles,
         table = PR.build_t_tables(m, u.grid)
     q = soliton_q(m, u.grid)
     sample = sampler(u)
-    fit = proximity_fit(u, q, sample)
-    wfit = flat(u, SymmetryParams(fit.lam, fit.gamma), sample)
-    dist = G.hdot1(wfit.with_values(wfit.values - q.values, decay=None)) / G.hdot1(q)
-    if dist >= tube_radius:
-        raise NotInTube(f"not-in-tube: relative H1 distance {dist:.3f}")
-    if init is None:
+
+    def distance(w):
+        return G.hdot1(w.with_values(w.values - q.values, decay=None)) / G.hdot1(q)
+
+    def fitted():
+        fit = proximity_fit(u, q, sample)
+        dist = distance(flat(u, fit, sample))
+        if dist >= tube_radius:
+            raise NotInTube(f"not-in-tube: relative H1 distance {dist:.3f}")
+        return fit, dist
+
+    warm = init is not None
+    if not warm:
+        fit, dist = fitted()
         init = ModState(fit.lam, fit.gamma, 0.0, 0.0)
 
     tol = _NEWTON_TOL * G.l2(q)
@@ -281,30 +292,39 @@ def decompose(u: RadialField, profiles: OrthoProfiles,
     def state_of(xv):
         return ModState(math.exp(xv[0]), xv[1], xv[2], xv[3])
 
-    vec, aux = _pairings(u, state_of(x), table, profiles, sample)
-    converged = False
-    it = 0
-    for it in range(1, _NEWTON_MAX_ITER + 1):
-        if np.max(np.abs(vec)) < tol:
-            converged = True
-            break
-        try:
-            dx = np.linalg.solve(_jacobian(aux, profiles), vec)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"singular Newton system: {exc}") from exc
-        # damp large steps so intermediate iterates stay on the chart
-        cap = np.max(np.abs(dx) / np.array([0.5, 0.5, 0.25, 0.25]))
-        if cap > 1.0:
-            dx = dx / cap
-        x = x - dx
-        aux = None  # free this pairing's arrays before the next is built
+    converged, it = False, 0
+    try:
         vec, aux = _pairings(u, state_of(x), table, profiles, sample)
+        if warm and (dist := distance(aux[0])) >= tube_radius:
+            _, dist = fitted()
+        for it in range(1, _NEWTON_MAX_ITER + 1):
+            if np.max(np.abs(vec)) < tol:
+                converged = True
+                break
+            try:
+                dx = np.linalg.solve(_jacobian(aux, profiles), vec)
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergence(f"singular Newton system: {exc}") from exc
+            # damp large steps so intermediate iterates stay on the chart
+            cap = np.max(np.abs(dx) / np.array([0.5, 0.5, 0.25, 0.25]))
+            if cap > 1.0:
+                dx = dx / cap
+            x = x - dx
+            aux = None  # free this pairing's arrays before the next is built
+            vec, aux = _pairings(u, state_of(x), table, profiles, sample)
+    except DECOMPOSE_FAILURES as exc:
+        exc.iterations = it
+        raise
     converged = converged or np.max(np.abs(vec)) < tol
 
     state = state_of(x)
-    w, gf, d_w, pset, eps, eps1 = aux
+    # the last chart stays alive while P2's is built, and eps2 takes A_w w's
+    # buffer: other orders fragment the heap more over a run (peak RSS)
+    w, gf, d_w, _, eps, eps1 = aux
     a_w = GA.a_u(w, d_w, gf)
-    eps2 = a_w.with_values(a_w.values - pset.P2.values, decay=None)
+    p2 = _assemble_chart(m, state.b, state.eta, table, derivs=False).P2
+    np.subtract(a_w.values, p2.values, out=a_w.values)
+    eps2 = a_w.with_values(a_w.values, decay=None)
     if energy is None:
         energy, _, _ = GA.energy_mass(u)
     mu = state.lam * math.sqrt(max(energy, 0.0))

@@ -292,11 +292,12 @@ _BETA_MAX = 0.1  # the accuracy range of the expansion
 
 
 def assemble(m: int, params: ProfileParams, table: TTable,
-             t4_dir: RadialField | None = None,
-             cutoffs: bool = True) -> ProfileSet:
+             t4_dir: RadialField | None = None, cutoffs: bool = True,
+             derivs: bool = True, p2: bool = True) -> ProfileSet:
     """Build P, P1, P2 and their analytic (b, eta)-derivatives for beta <
-    _BETA_MAX. With cutoffs=False the unlocalized profiles are returned
-    (used for the quartic extraction). Beyond modulation._CHART_BETA the
+    _BETA_MAX; derivs=False leaves out the derivatives and p2=False P2 and
+    its own, as None. cutoffs=False returns the unlocalized profiles (for
+    the quartic extraction). Beyond modulation._CHART_BETA the
     decomposition phase-factors the chart instead of assembling there."""
     grid = table.grid
     if params.beta >= _BETA_MAX:
@@ -305,8 +306,9 @@ def assemble(m: int, params: ProfileParams, table: TTable,
     b, eta, beta = params.b, params.eta, params.beta
     q = q_values(m, grid.r)
 
-    groups = [(expansion(table, k, b, eta), expansion(table, k, b, eta, "b"),
-               expansion(table, k, b, eta, "eta")) for k in range(3)]
+    wrts = (None, "b", "eta") if derivs else (None,)
+    groups = [[expansion(table, k, b, eta, wrt) for wrt in wrts]
+              for k in range(3 if p2 else 2)]
 
     if cutoffs and beta == 0.0:
         cutoffs = False  # B1 = infinity: the cutoffs are identically one
@@ -314,14 +316,17 @@ def assemble(m: int, params: ProfileParams, table: TTable,
         if 2.0 / beta > grid.r_max:
             raise GridTooSmall(
                 f"grid-too-small: 2 B1 = {2/beta:g} exceeds r_max = {grid.r_max:g}")
-        chi1, dchi1_b, dchi1_e = _cut_and_derivs(grid, beta, b, eta, 1.0)
-        # a new name keeps `groups` alive to the return: freeing its nine
-        # arrays here lets malloc trim the heap and page-fault on each call
-        fields = [(chi1 * v, chi1 * v_b + dchi1_b * v, chi1 * v_e + dchi1_e * v)
-                  for v, v_b, v_e in groups]
+        chi1, *dchi1 = _cut_and_derivs(grid, beta, b, eta, 1.0)
+        # a new name keeps `groups` alive to the return: freeing its arrays
+        # here lets malloc trim the heap and page-fault on each call
+        fields = [[chi1 * v] + [chi1 * v_d + dchi * v
+                                for v_d, dchi in zip(v_ds, dchi1)]
+                  for v, *v_ds in groups]
     else:
         fields = groups
-    (p_vals, p_db, p_de), (p1_vals, p1_db, p1_de), (p2_vals, p2_db, p2_de) = fields
+    # (value, d_b, d_eta) of P, P1 and P2, None where not built
+    (p_vals, p_db, p_de), (p1_vals, p1_db, p1_de), (p2_vals, p2_db, p2_de) = (
+        (f + [None, None])[:3] for f in fields + [[None]] * (not p2))
     p_vals = q + p_vals
     if t4_dir is not None and cutoffs:
         chi0, dchi0_b, dchi0_e = _cut_and_derivs(grid, beta, b, eta, 0.5)
@@ -334,7 +339,8 @@ def assemble(m: int, params: ProfileParams, table: TTable,
         p2_db = p2_db + 4.0 * beta**2 * b * t4_dir.values
         p2_de = p2_de + 4.0 * beta**2 * eta * t4_dir.values
 
-    mk = lambda idx, vals, decay=None: RadialField(idx, vals, grid, decay)
+    def mk(idx, vals, decay=None):
+        return None if vals is None else RadialField(idx, vals, grid, decay)
     return ProfileSet(
         P=mk(m, p_vals, float(m + 2)), P1=mk(m + 1, p1_vals), P2=mk(m + 2, p2_vals),
         dP_db=mk(m, p_db), dP_deta=mk(m, p_de),

@@ -530,6 +530,41 @@ def test_evolve_decomposition_failure_keeps_the_run(runner, outroot,
     assert manifest["timings"]["decompositions"] >= sum(inside)
 
 
+def test_evolve_counts_a_failed_decompositions_iterations(runner, outroot,
+                                                         monkeypatch):
+    # the third decomposition fails at its second pairing, after one
+    # Newton iteration
+    original_decompose, original_pairings = MOD.decompose, MOD._pairings
+    decomps, pairings = [], []
+
+    def decompose(*args, **kwargs):
+        decomps.append(1)
+        pairings.clear()
+        return original_decompose(*args, **kwargs)
+
+    def failing_pairings(*args, **kwargs):
+        pairings.append(1)
+        if len(decomps) == 3 and len(pairings) == 2:
+            raise ScaleOutOfRange("scale-out-of-range: injected")
+        return original_pairings(*args, **kwargs)
+    monkeypatch.setattr(MOD, "decompose", decompose)
+    monkeypatch.setattr(MOD, "_pairings", failing_pairings)
+    res = runner.invoke(main, [
+        "evolve", "--data", "S", "--m", "1", "--t0", "-1", "--tend", "-0.98",
+        "--dt", "1e-3", "--grid", "default", "--monitor-stride", "5",
+        "--decompose", "--tube-radius", "0.5", "--out", "fi"])
+    assert res.exit_code == 1
+    assert "Error: ScaleOutOfRange: scale-out-of-range: injected" in res.output
+    assert len(decomps) == 3 and len(pairings) == 2
+    meta = json.loads((outroot / "fi" / "meta.json").read_text())
+    assert meta["stop_reason"] == "decomposition-failed"
+    done = meta["newton"]["iterations"]
+    assert len(done) == 2
+    counters = json.loads((outroot / "fi" / "manifest.json").read_text())[
+        "counters"]
+    assert counters["newton_iterations"] == sum(done) + 1
+
+
 def test_evolve_decomposition_failure_at_first_monitor(runner, outroot):
     # no monitor was recorded, so only the manifest is written
     res = runner.invoke(main, [

@@ -199,6 +199,18 @@ def test_with_values_unchecked_matches_with_values(grid):
         f.with_values(bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_radial_field_rejects_non_finite_parts(grid, bad, part):
+    # a complex sample is finite only when both of its parts are
+    for k in (0, grid.n // 2, grid.n - 1):
+        vals = np.exp(-grid.r) + 0.5j * grid.r
+        setattr(vals[k:k + 1], part, bad)  # the other part stays finite
+        with pytest.raises(G.GridError, match="non-finite"):
+            G.RadialField(1, vals, grid)
+    G.RadialField(1, np.exp(-grid.r) + 0.5j * grid.r, grid)
+
+
 # ---------------------------------------------------------------------------
 # cumulative quadrature
 

@@ -7,11 +7,13 @@ conserved ratio beta^2/lambda^2, and the pseudoconformal law
 lambda(t) = T - t.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from csslab import gauge as GA
 from csslab import grid as G
 from csslab import modulation as MOD
 from csslab import profiles as PR
@@ -20,8 +22,8 @@ from csslab.modulation import (DecompResult, ModState, NotInTube,
                                build_ortho_profiles, corrected_params,
                                decompose, ode_integrate, ode_rhs)
 from csslab.profiles import GridTooSmall, ProfileParams
-from csslab.soliton import (SymmetryParams, blowup_s, modulate, q_values,
-                             soliton_q)
+from csslab.soliton import (ScaleOutOfRange, SymmetryParams, blowup_s,
+                             modulate, q_values, soliton_q)
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +171,137 @@ def test_decompose_not_in_tube(grid, ortho1, table1):
     u = RadialField(1, vals, grid)
     with pytest.raises(NotInTube):
         decompose(u, ortho1, table=table1)
+
+
+def _count_calls(monkeypatch, name):
+    """Record each call of modulation's `name` in the returned list."""
+    original, calls = getattr(MOD, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(MOD, name, counted)
+    return calls
+
+
+def test_decompose_not_in_tube_warm(grid, ortho1, table1, monkeypatch):
+    # neither the predicted state nor the fallback fit is inside the tube
+    y = grid.r
+    u = RadialField(1, 5.0 * y * np.exp(-(y**2) / 4.0), grid)
+    fits = _count_calls(monkeypatch, "proximity_fit")
+    with pytest.raises(NotInTube) as err:
+        decompose(u, ortho1, init=ModState(1.0, 0.0, 0.0, 0.0), table=table1)
+    assert len(fits) == 1 and err.value.iterations == 0
+
+
+def test_decompose_stale_prediction_falls_back_to_the_fit(grid, ortho1, table1,
+                                                          monkeypatch):
+    q = soliton_q(1, grid)
+    u = modulate(q, SymmetryParams(1.3, 0.7))
+    cold = decompose(u, ortho1, table=table1)
+    stale = ModState(1.6, 0.7, 0.0, 0.0)
+    w = MOD.flat(u, SymmetryParams(stale.lam, stale.gamma))
+    assert G.hdot1(w.with_values(w.values - q.values)) / G.hdot1(q) > 0.2
+    fits = _count_calls(monkeypatch, "proximity_fit")
+    d = decompose(u, ortho1, init=stale, table=table1)
+    assert d.converged and len(fits) == 1
+    assert d.tube_distance == cold.tube_distance < 1e-6
+    assert d.state.lam == pytest.approx(1.3, rel=1e-10)
+    assert _wrap(d.state.gamma - 0.7) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_decompose_fits_only_when_cold(grid, ortho1, table1, monkeypatch):
+    u = _synthetic_datum(grid, table1, 0.03, 0.02, 0.9, 0.4)
+    fits = _count_calls(monkeypatch, "proximity_fit")
+    flats = _count_calls(monkeypatch, "flat")
+    cold = decompose(u, ortho1, table=table1)
+    assert len(fits) == 1 and len(flats) == cold.iterations + 1
+    fits.clear()
+    flats.clear()
+    near = dataclasses.replace(cold.state, lam=1.001 * cold.state.lam)
+    warm = decompose(u, ortho1, init=near, table=table1)
+    assert warm.converged and warm.iterations >= 2
+    assert fits == [] and len(flats) == warm.iterations
+    assert 0.0 < warm.tube_distance < 0.2
+
+
+def _eps2_reference(u, state, table):
+    """a_w - P2 at `state`, with P2 from the full profile set: assembled
+    in the validity range, phase-factored beyond it."""
+    grid = u.grid
+    w = MOD.flat(u, SymmetryParams(state.lam, state.gamma))
+    gf = GA.gauge_fields(w)
+    a_w = GA.a_u(w, GA.cov_d(w, w, gf), gf)
+    b, eta, beta = state.b, state.eta, state.beta
+    if beta <= MOD._CHART_BETA:
+        cutoffs = not (beta > 0.0 and 2.0 / beta > grid.r_max)
+        p2 = PR.assemble(1, ProfileParams(b, eta), table, cutoffs=cutoffs).P2
+        return a_w.values - p2.values
+    b_c, eta_c = b * (MOD._CHART_BETA / beta), eta * (MOD._CHART_BETA / beta)
+    pset = PR.assemble(1, ProfileParams(b_c, eta_c), table)
+    y = grid.r
+    phase = np.exp(-0.25j * (b - b_c) * y**2)
+    tp = -0.5j * (b - b_c) * y
+    p, p1, p2 = pset.P.values, pset.P1.values, pset.P2.values
+    return a_w.values - phase * (p2 + 2.0 * tp * p1 + tp**2 * p)
+
+
+@pytest.mark.parametrize("case", ["cutoffs", "no_cutoffs", "beta_zero",
+                                  "beyond_chart", "beyond_chart_n16384"])
+def test_eps2_is_a_w_minus_the_full_p2(grid, ortho1, table1, monkeypatch,
+                                       case):
+    init = None
+    if case == "beyond_chart_n16384":
+        # arrays of 256 KiB, where numpy reuses temporaries' buffers
+        grid = G.build_grid(1e-3, 100.0, 16384)
+        ortho1, table1 = (build_ortho_profiles(1, grid),
+                          PR.build_t_tables(1, grid))
+        case = "beyond_chart"
+    if case == "cutoffs":
+        u = _synthetic_datum(grid, table1, 0.03, 0.02, 0.9, 0.4)
+    elif case == "no_cutoffs":
+        pset = PR.assemble(1, ProfileParams(0.004, 0.003), table1,
+                           cutoffs=False)
+        u = modulate(RadialField(1, pset.P.values, grid, decay=3.0),
+                     SymmetryParams(0.9, 0.3))
+    elif case == "beta_zero":  # Newton stops at its start, b = eta = 0
+        monkeypatch.setattr(MOD, "_NEWTON_TOL", 1.0)
+        u = modulate(soliton_q(1, grid), SymmetryParams(1.1, 0.2))
+        init = ModState(1.1, 0.2, 0.0, 0.0)
+    else:
+        u = blowup_s(1, -0.5, grid)
+    d = decompose(u, ortho1, init=init, table=table1, tube_radius=0.5)
+    beta = d.state.beta
+    assert d.converged and case == (
+        "beta_zero" if beta == 0.0 else
+        "beyond_chart" if beta > MOD._CHART_BETA else
+        "no_cutoffs" if 2.0 / beta > grid.r_max else "cutoffs")
+    want = _eps2_reference(u, d.state, table1)
+    assert d.eps2.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("failure", ["pairing", "jacobian"])
+def test_failed_decomposition_carries_its_iterations(grid, ortho1, table1,
+                                                     monkeypatch, failure):
+    # from a stale start Newton takes five pairings; the third pairing
+    # fails, or the third Jacobian is singular
+    u = modulate(soliton_q(1, grid), SymmetryParams(1.3, 0.7))
+    init = ModState(1.6, 0.7, 0.0, 0.0)
+    name = "_pairings" if failure == "pairing" else "_jacobian"
+    original, calls = getattr(MOD, name), []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            if failure == "pairing":
+                raise ScaleOutOfRange("scale-out-of-range: injected")
+            return np.zeros((4, 4))  # singular
+        return original(*args, **kwargs)
+    monkeypatch.setattr(MOD, name, failing)
+    with pytest.raises(MOD.DECOMPOSE_FAILURES) as err:
+        decompose(u, ortho1, init=init, table=table1)
+    assert isinstance(err.value, MOD.NoConvergence) == (failure == "jacobian")
+    assert err.value.iterations == (2 if failure == "pairing" else 3)
 
 
 def test_extrapolate_is_exact_on_quadratics():
