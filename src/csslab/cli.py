@@ -400,18 +400,64 @@ def write_series(outdir: Path, cols: dict) -> int:
                       np.hypot(cols["b"], cols["eta"]) / cols["lambda"]])
 
 
-def write_snapshots(outdir: Path, fields: list[RadialField]) -> list[int]:
-    """One r,re,im CSV per state of one grid, its r column formatted once;
-    returns their sizes."""
-    snapdir = outdir / "snapshots"
-    snapdir.mkdir(exist_ok=True)
-    # write_csv's bytes, with r formatted into each block's row pattern
+def _snapshot_writer(conn, parent_end, snapdir: Path, r: np.ndarray) -> None:
+    """SnapshotWriter's process: writes the values of each state received
+    as the next snap_NNNN.csv (write_csv's bytes, r formatted once) until
+    an empty message, then sends back the sizes of its files or the first
+    error it hit, having read every message."""
+    parent_end.close()  # so that a parent that dies ends recv_bytes
     patterns = [(b"%.17g,%%.17g,%%.17g\n" * len(block)) % tuple(block.tolist())
-                for block in _blocks(fields[0].grid.r)]
-    return [_write_blocks(snapdir / f"snap_{i:04d}.csv", ["r", "re", "im"],
-                          np.column_stack([u.values.real, u.values.imag]),
-                          patterns)
-            for i, u in enumerate(fields)]
+                for block in _blocks(r)]
+    sizes, error = [], None
+    for data in iter(conn.recv_bytes, b""):
+        if error is None:
+            try:
+                sizes.append(_write_blocks(
+                    snapdir / f"snap_{len(sizes):04d}.csv", ["r", "re", "im"],
+                    np.frombuffer(data, np.float64).reshape(-1, 2), patterns))
+            except OSError as exc:
+                error = exc
+    conn.send(sizes if error is None else error)
+
+
+class SnapshotWriter:
+    """Writes the states sent to it, all on one grid, as
+    outdir/snapshots/snap_NNNN.csv from a process forked at the first
+    state, beside the caller's work. A fork starts no interpreter and
+    pickles nothing; the process runs only the formatting and the writes,
+    which need no lock or BLAS pool of the caller's threads."""
+
+    def __init__(self, outdir: Path):
+        self.outdir, self._proc = outdir, None
+
+    def send(self, u: RadialField) -> None:
+        if self._proc is None:
+            import multiprocessing  # loaded by a verb that writes snapshots
+            snapdir = self.outdir / "snapshots"
+            snapdir.mkdir(exist_ok=True)
+            ctx = multiprocessing.get_context("fork")
+            self._conn, child = ctx.Pipe()
+            self._proc = ctx.Process(target=_snapshot_writer,
+                                     args=(child, self._conn, snapdir,
+                                           u.grid.r))
+            self._proc.start()
+            child.close()
+        self._conn.send_bytes(u.values)
+
+    def close(self) -> list[int] | Exception:
+        """Ends the writer process and waits for it; returns the sizes of
+        the files it wrote or the error it hit, and [] once closed."""
+        if self._proc is None:
+            return []
+        try:
+            self._conn.send_bytes(b"")
+            return self._conn.recv()
+        except (OSError, EOFError) as exc:  # the process died
+            return ChildProcessError(f"snapshot writer: {exc!r}")
+        finally:
+            self._conn.close()
+            self._proc.join()
+            self._proc = None
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +590,13 @@ def cmd_ode(m, eta0, lam0, b0, window, p3, phase, lam_min, grid, out):
     if phase == "auto":
         phase = "leading" if state0.beta >= 0.1 else "profile"
     with timed("integrate"):
-        outres = MOD.ode_integrate(m, state0, (t0, t1), grid=grid,
-                                   use_p3=p3,
-                                   leading_order=(phase == "leading"),
-                                   lam_min=lam_min)
+        try:
+            outres = MOD.ode_integrate(m, state0, (t0, t1), grid=grid,
+                                       use_p3=p3,
+                                       leading_order=(phase == "leading"),
+                                       lam_min=lam_min)
+        except MOD.OdeFailure as exc:
+            fail(exc, out, grid, lam0=lam0, b0=b0, phase=phase)
     delta_gamma = float(outres["gamma"][-1] - outres["gamma"][0])
     meta = {"m": m, "eta0": eta0, "lam0": lam0, "b0": b0,
             "window": [t0, t1], "use_p3": p3, "phase": phase,
@@ -585,7 +634,10 @@ def cmd_ode(m, eta0, lam0, b0, window, p3, phase, lam_min, grid, out):
 @out_option
 def cmd_evolve(data, m, t0, tend, dt, grid, monitor_stride, decompose,
                tube_radius, lambda_min, out):
-    """Split-step PDE run from a named datum."""
+    """Split-step PDE run from a named datum. Each monitor is reduced at
+    once to what the verb writes of it, and a SnapshotWriter writes its
+    state while the run goes on, so memory does not grow with the monitors.
+    timings.output covers the other files and the wait for the writer."""
     try:
         grid = parse_grid(grid)
     except ValueError as exc:
@@ -599,8 +651,33 @@ def cmd_evolve(data, m, t0, tend, dt, grid, monitor_stride, decompose,
                               tube_radius=tube_radius)
     except ValueError as exc:
         fail(exc, out, grid, usage=True)
+    exact = (lambda t: blowup_s(m, t, grid)) if data == "S" else (lambda t: u0)
+    errs, margins, history, hats = [], [], [], []
+    newton = {"iterations": [], "residual_max": [], "converged": []}
+    writer = None
+    if out is not None:  # closed by the context on every path too
+        writer = SnapshotWriter(output_dir(out))
+        click.get_current_context().call_on_close(writer.close)
+
+    def keep(mon):  # what the verb writes of a monitor; its arrays then go
+        errs.append(validate_exact(mon, exact))
+        if writer is None:  # without --out only the error is printed
+            return
+        margins.append(mon.margin)
+        if decompose:
+            d = mon.d
+            history.append((mon.t, d.state))
+            newton["iterations"].append(d.iterations)
+            newton["residual_max"].append(max(map(abs, d.ortho_residuals)))
+            newton["converged"].append(d.converged)
+            try:
+                hats.append(MOD.corrected_params(d))
+            except (PR.GridTooSmall, ValueError):
+                hats.append((math.nan, math.nan))
+        writer.send(mon.u)
+
     try:
-        traj = run(u0, config, t0=t0)
+        traj = run(u0, config, keep, t0=t0)
     except MOD.DECOMPOSE_FAILURES as exc:  # at the first monitor: no data
         fail(exc, out, grid)
     meta = {"data": data, "m": m, "t0": t0, "t_end": tend, "dt": dt,
@@ -609,41 +686,35 @@ def cmd_evolve(data, m, t0, tend, dt, grid, monitor_stride, decompose,
                 traj.series["mass"] - traj.series["mass"][0]))
                 / traj.series["mass"][0]),
             "energy_drift": float(np.max(np.abs(
-                traj.series["energy"] - traj.series["energy"][0])))}
-    exact = (lambda t: blowup_s(m, t, grid)) if data == "S" else (lambda t: u0)
-    meta["tracking_error_l2_max"] = float(np.max(validate_exact(traj, exact)))
+                traj.series["energy"] - traj.series["energy"][0]))),
+            "tracking_error_l2_max": float(np.max(errs))}
     click.echo(dumps17(meta))
     click.get_current_context().meta[RECORD].update(timings=traj.timings,
                                                     counters=traj.counters)
+    error = traj.error
     if out is not None:
         with timed("output"):
             outdir = output_dir(out)
             sizes = [write_csv(outdir / "monitors.csv", list(traj.series),
                                list(traj.series.values()))]
             if decompose:
-                decs = [mon.d for mon in traj.monitors]
-                hats = []
-                for d in decs:
-                    try:
-                        hats.append(MOD.corrected_params(d))
-                    except (PR.GridTooSmall, ValueError):
-                        hats.append((math.nan, math.nan))
-                hats = np.array(hats)
+                b_hat, eta_hat = np.array(hats).T
                 sizes.append(write_series(
-                    outdir, D.param_columns(traj.monitors)
-                    | {"b_hat": hats[:, 0], "eta_hat": hats[:, 1]}))
-                meta["newton"] = {
-                    "iterations": [d.iterations for d in decs],
-                    "residual_max": [max(map(abs, d.ortho_residuals)) for d in decs],
-                    "converged": [d.converged for d in decs]}
-            meta["guard_margin"] = [mon.margin for mon in traj.monitors[1:]]
+                    outdir, D.param_columns(history)
+                    | {"b_hat": b_hat, "eta_hat": eta_hat}))
+                meta["newton"] = newton
+            meta["guard_margin"] = margins[1:]
             if traj.stop_reason == "stability-guard":
                 meta["guard_margin"].append(traj.error.margin)
-            meta["snapshot_times"] = [float(mon.t) for mon in traj.monitors]
-            sizes += write_snapshots(outdir, [mon.u for mon in traj.monitors])
-            traj.counters |= {"csv_files": len(sizes), "csv_bytes": sum(sizes)}
-    if traj.error is not None:
-        fail(traj.error, out, grid, files={"meta.json": meta})
+            meta["snapshot_times"] = traj.series["t"].tolist()
+            written = writer.close()
+            if isinstance(written, Exception):  # outranks the run's error
+                error = written
+            else:
+                traj.counters |= {"csv_files": len(sizes) + len(written),
+                                  "csv_bytes": sum(sizes) + sum(written)}
+    if error is not None:
+        fail(error, out, grid, files={"meta.json": meta})
     write_outputs(out, {"meta.json": meta}, grid)
 
 

@@ -115,12 +115,12 @@ def frame(d: DecompResult, e_total: float,
         coercivity_ratio=(d.state.beta + G.hdot1(d.eps)) / mu)
 
 
-def param_columns(monitors: list) -> dict:
-    """The parameter columns of decomposed monitors: t, the s-ladder
+def param_columns(history: list) -> dict:
+    """The parameter columns of (t, ModState) pairs: t, the s-ladder
     s = int dt/lambda^2 (trapezoidal, from 0), lambda, gamma (as
     decomposed, not unwrapped), b and eta."""
-    t = np.array([mon.t for mon in monitors])
-    lam, gamma, b, eta = (np.array([getattr(mon.d.state, k) for mon in monitors])
+    t = np.array([tk for tk, _ in history])
+    lam, gamma, b, eta = (np.array([getattr(state, k) for _, state in history])
                           for k in ("lam", "gamma", "b", "eta"))
     inv = 1.0 / lam**2
     ds = 0.5 * (inv[1:] + inv[:-1]) * np.diff(t)
@@ -128,16 +128,16 @@ def param_columns(monitors: list) -> dict:
             "lambda": lam, "gamma": gamma, "b": b, "eta": eta}
 
 
-def frames_along(traj) -> list[DiagnosticFrame]:
-    """DiagnosticFrame per decomposed monitor of a trajectory, at the
-    trajectory's mean energy."""
-    if traj.monitors[0].d is None:
+def frames_along(monitors: list, series: dict) -> list[DiagnosticFrame]:
+    """DiagnosticFrame per decomposed monitor of a run, at the mean energy
+    of the run's series."""
+    if monitors[0].d is None:
         raise ValueError("trajectory carries no decompositions")
-    e_total = float(np.mean(traj.series["energy"]))
-    cols = param_columns(traj.monitors)
-    weight = L.morawetz_weight(DEFAULT_DELTA, traj.monitors[0].d.eps2.grid)
+    e_total = float(np.mean(series["energy"]))
+    cols = param_columns([(mon.t, mon.d.state) for mon in monitors])
+    weight = L.morawetz_weight(DEFAULT_DELTA, monitors[0].d.eps2.grid)
     return [frame(mon.d, e_total, weight, t=float(ti), s=float(si))
-            for mon, ti, si in zip(traj.monitors, cols["t"], cols["s"])]
+            for mon, ti, si in zip(monitors, cols["t"], cols["s"])]
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ def mod_residual_monitor(monitors: list, table: TTable | None = None) -> dict:
     if len(monitors) < 5:
         raise InsufficientSampling(
             "insufficient-sampling: need at least 5 decomposition frames")
-    cols = param_columns(monitors)
+    cols = param_columns([(mon.t, mon.d.state) for mon in monitors])
     t, s, lam, b, eta = (cols[k] for k in ("t", "s", "lambda", "b", "eta"))
     gam = np.unwrap(cols["gamma"])
     ds_list = [mon.d for mon in monitors]

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +92,6 @@ class Monitor:
 @dataclass
 class Trajectory:
     series: dict  # the monitors.csv columns, one entry per monitor
-    monitors: list  # one Monitor per monitor time
     stop_reason: str
     error: Exception | None  # the typed failure that ended the run
     timings: dict  # perf_counter seconds by phase of the run
@@ -223,10 +223,14 @@ def step(u: RadialField, kinetic: KineticSolver,
     return u.with_values(phase * vals, decay=None), phase, max(margin, margin2)
 
 
-def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
-    """Integrate from t0, recording a Monitor every monitor_stride steps:
-    conservation/virial monitors in series, the state and, optionally, a
-    tube decomposition, which must succeed for the monitor to be recorded.
+def run(u0: RadialField, config: SolverConfig,
+        sink: Callable[[Monitor], object], t0: float = 0.0) -> Trajectory:
+    """Integrate from t0, recording a monitor every monitor_stride steps:
+    its conservation/virial row in series and, optionally, a tube
+    decomposition, which must succeed for the monitor to be recorded. Each
+    recorded Monitor goes to sink at once and is not kept: the run holds
+    series and the last three decomposed (t, state) pairs only, so its
+    memory does not grow with the number of monitors.
     The first decomposition starts Newton from the cold proximity fit; each
     later one from modulation.extrapolate of the last (up to three) at the
     monitor's t, and reuses the monitor's energy. An unconverged one ends
@@ -256,7 +260,7 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
     series: dict = {k: [] for k in
                     ("t", "mass", "energy", "e_selfdual", "v1", "v2",
                      "u1_l2", "u2_l2")}
-    monitors = []
+    recent = []  # the last decomposed (t, state) pairs, for extrapolate
     timings = {"steps": 0.0, "monitors": 0.0, "decompositions": 0.0}
     u, t = u0, t0
     phase = None  # the half-phase factor carried from step to step
@@ -272,8 +276,7 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
         timings["monitors"] += mark - clock
         d = None
         if config.decompose_flag:
-            init = MOD.extrapolate([(mon.t, mon.d.state)
-                                    for mon in monitors[-3:]], t)
+            init = MOD.extrapolate(recent, t)
             try:
                 d = MOD.decompose(u, ortho, init=init, table=mod_table,
                                   tube_radius=config.tube_radius, energy=e)
@@ -283,9 +286,11 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
             finally:  # a failed decomposition's seconds count too
                 timings["decompositions"] += time.perf_counter() - mark
             counters["newton_iterations"] += d.iterations
+            recent.append((t, d.state))
+            del recent[:-3]
         for column, value in zip(series.values(), row):
             column.append(value)
-        monitors.append(Monitor(t, u, d, margin))
+        sink(Monitor(t, u, d, margin))
         return d
 
     d = monitor(u, t, None)
@@ -325,16 +330,13 @@ def run(u0: RadialField, config: SolverConfig, t0: float = 0.0) -> Trajectory:
             break
 
     return Trajectory(series={k: np.array(v) for k, v in series.items()},
-                      monitors=monitors, stop_reason=stop, error=error,
-                      timings=timings, counters=counters)
+                      stop_reason=stop, error=error, timings=timings,
+                      counters=counters)
 
 
-def validate_exact(traj: Trajectory, reference) -> np.ndarray:
-    """L^2 relative error of each monitor's state against a closed-form
+def validate_exact(mon: Monitor, reference) -> float:
+    """L^2 relative error of a monitor's state against a closed-form
     reference field: reference(t) -> RadialField."""
-    errs = []
-    for mon in traj.monitors:
-        ref = reference(mon.t)
-        diff = mon.u.with_values(mon.u.values - ref.values, decay=None)
-        errs.append(G.l2(diff) / G.l2(ref))
-    return np.array(errs)
+    ref = reference(mon.t)
+    diff = mon.u.with_values(mon.u.values - ref.values, decay=None)
+    return G.l2(diff) / G.l2(ref)

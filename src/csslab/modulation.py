@@ -40,6 +40,11 @@ class DegenerateGauge(ValueError):
     pass
 
 
+class OdeFailure(RuntimeError):
+    """A modulation ODE run left the range of its closed system, or its
+    integrator failed."""
+
+
 # the typed numerical failures of decompose
 DECOMPOSE_FAILURES = (ScaleOutOfRange, NotInTube, NoConvergence)
 
@@ -386,7 +391,7 @@ def ode_rhs(m: int, state: ModState, table: TTable | None = None,
         phase = -2.0 * (m + 1) * eta
     else:
         if state.beta >= 0.1:
-            raise ValueError(
+            raise OdeFailure(
                 f"beta = {state.beta} out of range for the profile-assembled "
                 "phase integral (need < 1/10)")
         phase = _phase_integral(m, b, eta, table)
@@ -428,7 +433,7 @@ def ode_integrate(m: int, state0: ModState, t_span: tuple[float, float],
     sol = solve_ivp(rhs, t_span, y0, method="RK45", rtol=1e-10, atol=1e-13,
                     events=hit_floor, dense_output=True, t_eval=t_eval)
     if not sol.success:
-        raise RuntimeError(f"step-failure: {sol.message}")
+        raise OdeFailure(f"step-failure: {sol.message}")
     stop = "t_end"
     t = sol.t
     states = sol.y

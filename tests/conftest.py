@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -19,3 +21,11 @@ def grid_small():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20230817)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Each test ends with no child process running: a writer process left
+    behind would hang the interpreter at exit, which joins it."""
+    yield
+    assert multiprocessing.active_children() == []

@@ -32,19 +32,22 @@ def probe_grid():
 
 
 @pytest.fixture(scope="module")
-def s_traj_pde(pde_grid):
-    """Blow-up solution tracked from t = -1 to -0.4 on the dedicated
-    fine grid, with per-monitor decomposition."""
+def s_mons_pde(pde_grid):
+    """The monitors of the blow-up solution tracked from t = -1 to -0.4 on
+    the dedicated fine grid, with per-monitor decomposition."""
     u0 = blowup_s(1, -1.0, pde_grid)
     cfg = SolverConfig(grid=pde_grid, dt=4e-4, t_end=-0.4,
                        monitor_stride=250, decompose_flag=True,
                        tube_radius=0.5)
-    return run(u0, cfg, t0=-1.0)
+    mons = []
+    run(u0, cfg, mons.append, t0=-1.0)
+    return mons
 
 
 def _diag_run(grid, perturb=False):
     """Short, densely decomposed segment for the dynamic-inequality
-    records (the monitor stride rule needs beta * delta-s <= 0.01)."""
+    records (the monitor stride rule needs beta * delta-s <= 0.01): the
+    run and its monitors."""
     u0 = blowup_s(1, -1.0, grid)
     if perturb:
         y = grid.r
@@ -52,7 +55,8 @@ def _diag_run(grid, perturb=False):
         u0 = u0.with_values(u0.values + bump, decay=None)
     cfg = SolverConfig(grid=grid, dt=1e-3, t_end=-0.9, monitor_stride=5,
                        decompose_flag=True, tube_radius=0.5)
-    return run(u0, cfg, t0=-1.0)
+    mons = []
+    return run(u0, cfg, mons.append, t0=-1.0), mons
 
 
 @pytest.fixture(scope="module")
@@ -181,24 +185,26 @@ def test_criterion_6_modulation_ode_vs_closed_form():
     assert (ratio.max() - ratio.min()) / ratio.mean() < 0.01
 
 
-def test_criterion_7_pde_validation(grid, pde_grid, s_traj_pde):
+def test_criterion_7_pde_validation(grid, pde_grid, s_mons_pde):
     # Q stationary with relative L2 drift < 1e-4 over unit time, mass drift
     # < 1e-8, energy drift < 1e-4; S-tracking error < 1e-3 on [-1, -0.4]
     # with the decomposition recovering lambda within 2% and b within 5%;
     # both virial identities within 1%
     q = soliton_q(1, grid)
+    mons_q = []
     traj_q = run(q, SolverConfig(grid=grid, dt=1e-3, t_end=1.0,
-                                 monitor_stride=100))
+                                 monitor_stride=100), mons_q.append)
     mass = traj_q.series["mass"]
     assert np.max(np.abs(mass - mass[0])) / mass[0] < 1e-8
     energy = traj_q.series["energy"]
     assert np.max(np.abs(energy - energy[0])) < 1e-4
-    rep_q = validate_exact(traj_q, lambda t: q)
+    rep_q = [validate_exact(mon, lambda t: q) for mon in mons_q]
     assert np.max(rep_q) / G.l2(q) < 1e-4
 
-    rep = validate_exact(s_traj_pde, lambda t: blowup_s(1, t, pde_grid))
+    rep = [validate_exact(mon, lambda t: blowup_s(1, t, pde_grid))
+           for mon in s_mons_pde]
     assert np.max(rep) < 1e-3
-    for mon in s_traj_pde.monitors:
+    for mon in s_mons_pde:
         assert abs(mon.d.state.lam / abs(mon.t) - 1.0) < 0.02
         assert abs(mon.d.state.b / abs(mon.t) - 1.0) < 0.05
 
@@ -206,7 +212,7 @@ def test_criterion_7_pde_validation(grid, pde_grid, s_traj_pde):
     vals = 1.2 * y * np.exp(-(y**2)) * np.exp(0.5j * y**2)
     u0 = RadialField(1, vals, grid, decay=None)
     traj = run(u0, SolverConfig(grid=grid, dt=2e-4, t_end=0.2,
-                                monitor_stride=25))
+                                monitor_stride=25), lambda mon: None)
     t = traj.series["t"]
     v1, v2, e = traj.series["v1"], traj.series["v2"], traj.series["energy"]
     dt = t[1] - t[0]
@@ -223,23 +229,23 @@ def test_criterion_8_dynamic_inequality_records(s_run, s_run_perturbed):
     # norm over lambda^3 bounded; hat-corrected modulation residuals within
     # their beta^3 + beta mu^2 + mu^4 (and mu^2) envelopes with finite
     # recorded constants
-    for traj in (s_run, s_run_perturbed):
-        rec = D.nonlinear_coercivity_check(traj.monitors)
+    for traj, mons in (s_run, s_run_perturbed):
+        rec = D.nonlinear_coercivity_check(mons)
         assert rec["ratio_min"] > 0.0
         assert np.isfinite(rec["ratio_max"])
         assert rec["ratio_max"] / rec["ratio_min"] < 2.0
 
-        frames = D.frames_along(traj)
+        frames = D.frames_along(mons, traj.series)
         f0 = frames[0].F_energy
         c_f = max(fr.F_energy for fr in frames) / (1.0 + f0)
         assert np.isfinite(c_f) and c_f < 100.0
 
-        lam = np.array([mon.d.state.lam for mon in traj.monitors])
+        lam = np.array([mon.d.state.lam for mon in mons])
         h3 = np.array([fr.eps_norms[0].calH3 for fr in frames])
         c_h3 = np.max(h3 * (lam[0] / lam) ** 3) / max(frames[0].X3, 1e-300)
         assert np.isfinite(c_h3) and c_h3 < 1e4
 
-        mon = D.mod_residual_monitor(traj.monitors)
+        mon = D.mod_residual_monitor(mons)
         assert mon["beta_ds_max"] <= 0.01
         c_hat12 = np.max((np.abs(mon["r1_hat"]) + np.abs(mon["r2_hat"]))
                          / mon["bound_hat_12"])

@@ -83,7 +83,10 @@ def test_write_csv_matches_savetxt(tmp_path, rows):
     snaps = [(t, RadialField(1, np.resize(special[:1] + special[4:], rows)
                              + 1j * rng.standard_normal(rows) * 10.0**t,
                              grid)) for t in (-30, 0)]
-    sizes = CLI.write_snapshots(tmp_path, [u for _, u in snaps])
+    writer = CLI.SnapshotWriter(tmp_path)
+    for _, u in snaps:
+        writer.send(u)
+    sizes = writer.close()
     for i, (_, u) in enumerate(snaps):
         oracle = tmp_path / f"snap_{i}_np.csv"
         np.savetxt(oracle, np.column_stack([grid.r, u.values.real,
@@ -269,6 +272,23 @@ def test_config_key_naming_no_option_is_reported(runner, tmp_path, outroot):
     assert res.stderr == ""
     manifest = json.loads((outroot / "clean" / "manifest.json").read_text())
     assert "ignored_config_keys" not in manifest
+
+
+def test_ode_leaving_the_profile_range_is_a_clean_error(tmp_path):
+    # lambda = 0.05 + t expands and beta = |b| grows past 1/10, where the
+    # profile-assembled phase integral is not defined
+    res = _run_module(["ode", "--m", "1", "--eta0", "0", "--lam0", "0.05",
+                       "--b0", "-0.05", "--window", "0,1", "--out", "x"],
+                      tmp_path)
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("Error: OdeFailure: beta = 0.1")
+    assert res.stderr.count("\n") == 1
+    rundir = tmp_path / "runs" / "x"
+    assert [p.name for p in rundir.iterdir()] == ["manifest.json"]
+    manifest = json.loads((rundir / "manifest.json").read_text())
+    assert manifest["error"] == res.stderr.strip().removeprefix("Error: ")
+    assert manifest["config"]["phase"] == "profile"
 
 
 def test_ode_refuses_missing_eta0(runner):
@@ -623,21 +643,22 @@ def _bits(x) -> bytes:
 
 def test_evolve_csv_round_trips_bitwise(runner, outroot, monkeypatch):
     original = CLI.run
-    trajs = []
+    mons = []
 
-    def run(*args, **kwargs):
-        trajs.append(original(*args, **kwargs))
-        return trajs[-1]
+    def run(u0, config, sink, **kwargs):
+        def keep(mon):
+            mons.append(mon)
+            sink(mon)
+        return original(u0, config, keep, **kwargs)
     monkeypatch.setattr(CLI, "run", run)
     res = runner.invoke(main, [
         "evolve", "--data", "S", "--m", "1", "--t0", "-1", "--tend", "-0.99",
         "--dt", "1e-3", "--grid", "default", "--monitor-stride", "5",
         "--decompose", "--out", "rt"])
     assert res.exit_code == 0, res.output
-    (traj,) = trajs
     snaps = sorted((outroot / "rt" / "snapshots").glob("snap_*.csv"))
-    assert len(snaps) == len(traj.monitors) == 3
-    for path, u in zip(snaps, (mon.u for mon in traj.monitors)):
+    assert len(snaps) == len(mons) == 3
+    for path, u in zip(snaps, (mon.u for mon in mons)):
         r, re_, im = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
         assert _bits(r) == _bits(u.grid.r)
         assert _bits(re_) == _bits(u.values.real)
@@ -646,7 +667,89 @@ def test_evolve_csv_round_trips_bitwise(runner, outroot, monkeypatch):
                         skiprows=1, ndmin=2)
     for col, key in ((2, "lam"), (3, "gamma"), (4, "b"), (5, "eta")):
         assert _bits(series[:, col]) == _bits(
-            [getattr(mon.d.state, key) for mon in traj.monitors]), key
+            [getattr(mon.d.state, key) for mon in mons]), key
+
+
+def test_evolve_snapshot_writer_failure_keeps_the_run(runner, outroot,
+                                                      monkeypatch):
+    # the writer process, forked with this patch in place, fails on the
+    # second snapshot; the run goes on and ends in a clean error
+    original = CLI._write_blocks
+
+    def write_blocks(path, *args):
+        if path.name == "snap_0001.csv":
+            raise OSError(28, "No space left on device", str(path))
+        return original(path, *args)
+    monkeypatch.setattr(CLI, "_write_blocks", write_blocks)
+    res = runner.invoke(main, [
+        "evolve", "--data", "S", "--m", "1", "--t0", "-1", "--tend", "-0.985",
+        "--dt", "1e-3", "--grid", "default", "--monitor-stride", "5",
+        "--decompose", "--out", "wf"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    errors = [line for line in res.output.splitlines()
+              if line.startswith("Error:")]
+    assert errors == ["Error: OSError: [Errno 28] No space left on device: "
+                      f"'{outroot / 'wf' / 'snapshots' / 'snap_0001.csv'}'"]
+    assert "Traceback" not in res.output
+    rundir = outroot / "wf"
+    manifest = json.loads((rundir / "manifest.json").read_text())
+    assert manifest["error"] == errors[0].removeprefix("Error: ")
+    assert "csv_files" not in manifest["counters"]
+    meta = json.loads((rundir / "meta.json").read_text())
+    assert meta["stop_reason"] == "t_end"
+    assert len(meta["snapshot_times"]) == 4
+    snaps = sorted(p.name for p in (rundir / "snapshots").iterdir())
+    assert snaps == ["snap_0000.csv"]
+    assert (rundir / "snapshots" / "snap_0000.csv").read_text().count(
+        "\n") == 4097
+
+
+def test_evolve_unexpected_error_ends_the_snapshot_writer(runner, outroot,
+                                                          monkeypatch):
+    # an exception no handler expects, raised with the writer running,
+    # still ends and joins it (the autouse fixture checks)
+    original = MOD.decompose
+    calls = []
+
+    def decompose(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise KeyError("unexpected")
+        return original(*args, **kwargs)
+    monkeypatch.setattr(MOD, "decompose", decompose)
+    res = runner.invoke(main, [
+        "evolve", "--data", "S", "--m", "1", "--t0", "-1", "--tend", "-0.98",
+        "--dt", "1e-3", "--grid", "default", "--monitor-stride", "5",
+        "--decompose", "--out", "ux"])
+    assert isinstance(res.exception, KeyError)
+    assert len(calls) == 3
+    snaps = sorted(p.name for p in (outroot / "ux" / "snapshots").iterdir())
+    assert snaps == ["snap_0000.csv", "snap_0001.csv"]
+
+
+def _run_module(args, cwd):
+    """`python -m csslab.cli args` run in cwd, its output root cwd/runs."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(csslab.__file__).parents[1])]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    env.pop("CSSLAB_OUTPUT_ROOT", None)
+    return subprocess.run([sys.executable, "-m", "csslab.cli", *args],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_evolve_stdout_is_the_same_with_out(tmp_path):
+    args = ["evolve", "--data", "S", "--m", "1", "--t0", "-1",
+            "--tend", "-0.99", "--dt", "1e-3", "--grid", "default",
+            "--monitor-stride", "5", "--decompose"]
+    plain = _run_module(args, tmp_path)
+    kept = _run_module(args + ["--out", "d"], tmp_path)
+    assert plain.returncode == kept.returncode == 0, kept.stderr
+    assert kept.stdout == plain.stdout
+    assert json.loads(kept.stdout)["stop_reason"] == "t_end"
+    assert kept.stderr == plain.stderr == ""
+    assert len(list((tmp_path / "runs" / "d" / "snapshots").iterdir())) == 3
 
 
 def test_evolve_manifest_counters(runner, outroot):
@@ -796,11 +899,7 @@ def test_failure_manifest_echoes_the_config(runner, outroot):
 
 
 def test_module_entry_point(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(csslab.__file__).parents[1])]
-        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    res = subprocess.run([sys.executable, "-m", "csslab.cli", "ode", "--m", "1",
-                          "--eta0", "0.5", "--window", "5,5"], cwd=tmp_path,
-                         env=env, capture_output=True, text=True, timeout=120)
+    res = _run_module(["ode", "--m", "1", "--eta0", "0.5", "--window", "5,5"],
+                      tmp_path)
     assert res.returncode == 2
     assert "Error:" in res.stderr

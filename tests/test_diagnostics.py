@@ -34,16 +34,19 @@ def ortho1(grid):
 @pytest.fixture(scope="module")
 def s_traj(grid):
     """Short S segment with densely sampled decompositions (the stride is
-    set by the beta * delta-s <= 0.01 rule at beta ~ 1)."""
+    set by the beta * delta-s <= 0.01 rule at beta ~ 1): the run and its
+    monitors."""
     u0 = blowup_s(1, -1.0, grid)
     cfg = SolverConfig(grid=grid, dt=1e-3, t_end=-0.9, monitor_stride=5,
                        decompose_flag=True, tube_radius=0.5)
-    return run(u0, cfg, t0=-1.0)
+    mons = []
+    return run(u0, cfg, mons.append, t0=-1.0), mons
 
 
 @pytest.fixture(scope="module")
 def s_frames(s_traj):
-    return D.frames_along(s_traj)
+    traj, mons = s_traj
+    return D.frames_along(mons, traj.series)
 
 
 def _zero_decomp(m, grid, lam=0.7, gamma=0.3, mu=None):
@@ -118,7 +121,7 @@ def test_f_boundedness(s_frames):
 
 
 def test_h3_proxy(s_traj, s_frames):
-    lam = np.array([mon.d.state.lam for mon in s_traj.monitors])
+    lam = np.array([mon.d.state.lam for mon in s_traj[1]])
     h3 = np.array([fr.eps_norms[0].calH3 for fr in s_frames])
     c_rec = np.max(h3 * (lam[0] / lam) ** 3) / s_frames[0].X3
     assert np.isfinite(c_rec)
@@ -136,7 +139,7 @@ def test_s_ladder_monotone(s_frames):
 
 
 def test_nonlinear_coercivity_interval(s_traj):
-    rec = D.nonlinear_coercivity_check(s_traj.monitors)
+    rec = D.nonlinear_coercivity_check(s_traj[1])
     assert rec["ratio_min"] > 0.0
     assert rec["ratio_max"] / rec["ratio_min"] < 1.1
     assert rec["eps_l2_max"] < 1.0
@@ -206,7 +209,7 @@ def test_monitor_insufficient_sampling(grid, table1):
 
 
 def test_monitor_s_run(s_traj):
-    mon = D.mod_residual_monitor(s_traj.monitors)
+    mon = D.mod_residual_monitor(s_traj[1])
     assert mon["beta_ds_max"] <= 0.01
     # recorded constants of the hat-corrected estimates
     c1 = np.max(np.abs(mon["r1_hat"]) / mon["bound_hat_12"])

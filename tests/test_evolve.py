@@ -7,6 +7,7 @@ identities d/dt V1 = 4 V2 and d/dt V2 = 4 E.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,15 +32,21 @@ def pde_grid():
     return G.build_grid(r_min=1e-3, r_max=100.0, n=16384)
 
 
+def discard(mon):
+    pass
+
+
 @pytest.fixture(scope="module")
-def s_traj(pde_grid):
-    """Reference S-trajectory run from t = -1 to -0.4 with per-monitor
-    decomposition."""
+def s_mons(pde_grid):
+    """The monitors of the reference S-trajectory run from t = -1 to -0.4
+    with per-monitor decomposition."""
     u0 = blowup_s(1, -1.0, pde_grid)
     cfg = SolverConfig(grid=pde_grid, dt=4e-4, t_end=-0.4,
                        monitor_stride=250, decompose_flag=True,
                        tube_radius=0.5)
-    return run(u0, cfg, t0=-1.0)
+    mons = []
+    run(u0, cfg, mons.append, t0=-1.0)
+    return mons
 
 
 def test_step_zero_is_zero(grid):
@@ -129,7 +136,8 @@ def test_kinetic_solve_matches_solve_banded(m, rng):
 def test_q_run_mass_energy_drift(grid):
     q = soliton_q(1, grid)
     cfg = SolverConfig(grid=grid, dt=1e-3, t_end=1.0, monitor_stride=100)
-    traj = run(q, cfg)
+    mons = []
+    traj = run(q, cfg, mons.append)
     mass = traj.series["mass"]
     energy = traj.series["energy"]
     assert np.max(np.abs(mass - mass[0])) / mass[0] < 1e-8
@@ -137,7 +145,7 @@ def test_q_run_mass_energy_drift(grid):
     assert np.max(np.abs(energy - energy[0])) < 1e-4
     assert traj.stop_reason == "t_end"
     # static reference: errors flat at the discretization floor
-    rep = validate_exact(traj, lambda t: q)
+    rep = [validate_exact(mon, lambda t: q) for mon in mons]
     assert np.max(rep) < 2e-4
 
 
@@ -146,8 +154,9 @@ def test_phase_convention_consistency(grid):
     q = soliton_q(1, grid)
     u0 = q.with_values(np.exp(1j * gamma0) * q.values)
     cfg = SolverConfig(grid=grid, dt=1e-3, t_end=0.3, monitor_stride=100)
-    traj = run(u0, cfg)
-    rep = validate_exact(traj, lambda t: u0)
+    mons = []
+    run(u0, cfg, mons.append)
+    rep = [validate_exact(mon, lambda t: u0) for mon in mons]
     assert np.max(rep) < 2e-4
 
 
@@ -156,7 +165,7 @@ def test_virial_identities(grid):
     vals = 1.2 * y * np.exp(-(y**2)) * np.exp(0.5j * y**2)
     u0 = RadialField(1, vals, grid, decay=None)
     cfg = SolverConfig(grid=grid, dt=2e-4, t_end=0.2, monitor_stride=25)
-    traj = run(u0, cfg)
+    traj = run(u0, cfg, discard)
     t = traj.series["t"]
     v1, v2 = traj.series["v1"], traj.series["v2"]
     e = traj.series["energy"]
@@ -169,15 +178,16 @@ def test_virial_identities(grid):
     assert np.max(np.abs(dv2 - 4.0 * e[1:-1])) < 0.01 * scale2
 
 
-def test_s_tracking(s_traj, pde_grid):
-    rep = validate_exact(s_traj, lambda t: blowup_s(1, t, pde_grid))
+def test_s_tracking(s_mons, pde_grid):
+    rep = [validate_exact(mon, lambda t: blowup_s(1, t, pde_grid))
+           for mon in s_mons]
     assert np.max(rep) < 1e-3
     # error growth past the first monitor is smooth: no phase-slip jumps
     assert np.max(np.abs(np.diff(rep[1:]))) < 2e-4
 
 
-def test_s_decomposition_tracking(s_traj):
-    for mon in s_traj.monitors:
+def test_s_decomposition_tracking(s_mons):
+    for mon in s_mons:
         assert mon.d.converged
         assert abs(mon.d.state.lam / abs(mon.t) - 1.0) < 0.02
         assert abs(mon.d.state.b / abs(mon.t) - 1.0) < 0.05
@@ -236,12 +246,13 @@ def test_run_computes_one_potential_per_step(grid, monkeypatch):
 
     monkeypatch.setattr(evolve, "potential", counted)
     cfg = SolverConfig(grid=grid, dt=1e-3, t_end=0.05, monitor_stride=20)
-    traj = run(soliton_q(1, grid), cfg)
+    mons = []
+    traj = run(soliton_q(1, grid), cfg, mons.append)
     assert traj.stop_reason == "t_end"
     # FSAL: the leading half of the first step, then one per step
     assert len(calls) == 50 + 1
-    assert traj.monitors[0].margin is None
-    assert all(0.0 < mon.margin <= 1.0 for mon in traj.monitors[1:])
+    assert mons[0].margin is None
+    assert all(0.0 < mon.margin <= 1.0 for mon in mons[1:])
 
 
 def _reference_potential(u):
@@ -258,7 +269,8 @@ def test_run_snapshots_match_reference_chain_bit_for_bit(grid):
     dt, stride = 1e-3, 5
     u = blowup_s(1, -1.0, grid)
     cfg = SolverConfig(grid=grid, dt=dt, t_end=-0.95, monitor_stride=stride)
-    traj = run(u, cfg, t0=-1.0)
+    mons = []
+    traj = run(u, cfg, mons.append, t0=-1.0)
     assert traj.stop_reason == "t_end" and traj.counters["steps"] == 50
     kin = KineticSolver(grid, 1, dt)
     damping = np.exp(-dt * sponge_profile(grid))
@@ -271,8 +283,8 @@ def test_run_snapshots_match_reference_chain_bit_for_bit(grid):
         u = u.with_values(phase * vals, decay=None)
         if k % stride == 0:
             ref.append(u)
-    assert len(traj.monitors) == len(ref) == 11
-    for mon, want in zip(traj.monitors, ref):
+    assert len(mons) == len(ref) == 11
+    for mon, want in zip(mons, ref):
         assert np.array_equal(mon.u.values, want.values)
 
 
@@ -291,16 +303,17 @@ def test_nonfinite_state_trips_the_guard(grid, monkeypatch, bad, node):
 
     monkeypatch.setattr(KineticSolver, "solve", solve)
     cfg = SolverConfig(grid=grid, dt=1e-3, t_end=0.05, monitor_stride=5)
+    mons = []
     with np.errstate(invalid="ignore"):
-        traj = run(soliton_q(1, grid), cfg)
+        traj = run(soliton_q(1, grid), cfg, mons.append)
     assert traj.stop_reason == "stability-guard"
     assert traj.counters["steps"] == 7
     assert not traj.error.margin <= 1.0
     assert str(StabilityGuardTripped(traj.error.margin)) == \
         "stability-guard-tripped: non-finite state"
     # the last good state is kept as a final monitor, and all are finite
-    assert traj.monitors[-1].t == pytest.approx(7e-3)
-    for mon in traj.monitors:
+    assert mons[-1].t == pytest.approx(7e-3)
+    for mon in mons:
         assert np.all(np.isfinite(mon.u.values))
 
 
@@ -327,11 +340,12 @@ def test_guard_trip_stays_the_reason_when_the_last_state_fails(
     monkeypatch.setattr(MOD, "decompose", decompose)
     cfg = SolverConfig(grid=grid, dt=1e-3, t_end=0.05, monitor_stride=5,
                        decompose_flag=True, tube_radius=0.5)
+    mons = []
     with np.errstate(invalid="ignore"):
-        traj = run(soliton_q(1, grid), cfg)
+        traj = run(soliton_q(1, grid), cfg, mons.append)
     assert traj.stop_reason == "stability-guard"
     assert isinstance(traj.error, StabilityGuardTripped)
-    assert [mon.t for mon in traj.monitors] == pytest.approx([0.0, 5e-3])
+    assert [mon.t for mon in mons] == pytest.approx([0.0, 5e-3])
     assert len(traj.series["t"]) == 2
 
 
@@ -356,22 +370,24 @@ def test_half_phase_is_exp_bit_for_bit(grid, monkeypatch, case):
 
 
 @pytest.fixture(scope="module")
-def warm_traj(grid):
+def warm_mons(grid):
     """S from t = -1 with a decomposition every 5 steps: 12 monitors."""
     cfg = SolverConfig(grid=grid, dt=1e-3, t_end=-0.945, monitor_stride=5,
                        decompose_flag=True, tube_radius=0.5)
-    return run(blowup_s(1, -1.0, grid), cfg, t0=-1.0)
+    mons = []
+    run(blowup_s(1, -1.0, grid), cfg, mons.append, t0=-1.0)
+    return mons
 
 
-def test_predicted_warm_starts_take_two_pairings(warm_traj):
-    iters = [mon.d.iterations for mon in warm_traj.monitors]
+def test_predicted_warm_starts_take_two_pairings(warm_mons):
+    iters = [mon.d.iterations for mon in warm_mons]
     assert len(iters) == 12
     # from the fourth monitor on, the start is a quadratic extrapolation
     assert all(k <= 2 for k in iters[3:]), iters
 
 
-def test_predicted_start_agrees_with_cold_decomposition(warm_traj, grid):
-    u, warm = warm_traj.monitors[-1].u, warm_traj.monitors[-1].d
+def test_predicted_start_agrees_with_cold_decomposition(warm_mons, grid):
+    u, warm = warm_mons[-1].u, warm_mons[-1].d
     ortho = MOD.build_ortho_profiles(1, grid)
     table = PR.build_t_tables(1, grid)
     cold = MOD.decompose(u, ortho, table=table, tube_radius=0.5)
@@ -385,15 +401,37 @@ def test_predicted_start_agrees_with_cold_decomposition(warm_traj, grid):
                                     energy=GA.energy_mass(u)[0]).mu
 
 
+def test_run_memory_does_not_grow_with_monitors(grid):
+    # the run keeps no monitor, so the tracemalloc peak of a decomposed S
+    # run does not grow with its number of monitors
+    u0 = blowup_s(1, -1.0, grid)
+
+    def peak(monitors):
+        cfg = SolverConfig(grid=grid, dt=1e-3,
+                           t_end=-1.0 + 5e-3 * (monitors - 1),
+                           monitor_stride=5, decompose_flag=True,
+                           tube_radius=0.5)
+        tracemalloc.start()
+        try:
+            traj = run(u0, cfg, discard, t0=-1.0)
+            assert len(traj.series["t"]) == monitors
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    peak(2)  # fills the T-table and profile caches
+    assert abs(peak(60) - peak(10)) < 2**20
+
+
 def test_lambda_min_stop(pde_grid):
     u0 = blowup_s(1, -1.0, pde_grid)
     cfg = SolverConfig(grid=pde_grid, dt=4e-4, t_end=-0.4, lambda_min=0.93,
                        monitor_stride=50, decompose_flag=True,
                        tube_radius=0.5)
-    traj = run(u0, cfg, t0=-1.0)
+    mons = []
+    traj = run(u0, cfg, mons.append, t0=-1.0)
     assert traj.stop_reason == "lambda_min"
-    assert traj.monitors[-1].t < -0.85
-    assert traj.monitors[-1].d.state.lam < 0.93
+    assert mons[-1].t < -0.85
+    assert mons[-1].d.state.lam < 0.93
 
 
 def test_config_validation(grid):
