@@ -31,7 +31,7 @@ from . import grid as G
 from . import linops as L
 from . import modulation as MOD
 from . import profiles as PR
-from .evolve import SolverConfig, run, validate_exact
+from .evolve import SolverConfig, fork_with_pipe, run, validate_exact
 from .grid import RadialField
 from .soliton import blowup_s, soliton_q
 
@@ -245,12 +245,14 @@ def write_outputs(out: str | None, files: dict, grid: G.Grid | None = None,
 
 @contextlib.contextmanager
 def timed(phase: str):
-    """Records the perf_counter seconds of the with-block as the
-    manifest's timings[phase], a phase of the verb."""
+    """Records the perf_counter seconds of the with-block, one that raises
+    too, as timings[phase] of a manifest written after the block."""
     clock = time.perf_counter()
-    yield
-    record = click.get_current_context().meta[RECORD]
-    record.setdefault("timings", {})[phase] = time.perf_counter() - clock
+    try:
+        yield
+    finally:
+        record = click.get_current_context().meta[RECORD]
+        record.setdefault("timings", {})[phase] = time.perf_counter() - clock
 
 
 def fail(exc: Exception, out: str | None, grid: G.Grid | None = None,
@@ -400,12 +402,11 @@ def write_series(outdir: Path, cols: dict) -> int:
                       np.hypot(cols["b"], cols["eta"]) / cols["lambda"]])
 
 
-def _snapshot_writer(conn, parent_end, snapdir: Path, r: np.ndarray) -> None:
+def _snapshot_writer(conn, snapdir: Path, r: np.ndarray) -> None:
     """SnapshotWriter's process: writes the values of each state received
     as the next snap_NNNN.csv (write_csv's bytes, r formatted once) until
     an empty message, then sends back the sizes of its files or the first
     error it hit, having read every message."""
-    parent_end.close()  # so that a parent that dies ends recv_bytes
     patterns = [(b"%.17g,%%.17g,%%.17g\n" * len(block)) % tuple(block.tolist())
                 for block in _blocks(r)]
     sizes, error = [], None
@@ -423,25 +424,18 @@ def _snapshot_writer(conn, parent_end, snapdir: Path, r: np.ndarray) -> None:
 class SnapshotWriter:
     """Writes the states sent to it, all on one grid, as
     outdir/snapshots/snap_NNNN.csv from a process forked at the first
-    state, beside the caller's work. A fork starts no interpreter and
-    pickles nothing; the process runs only the formatting and the writes,
-    which need no lock or BLAS pool of the caller's threads."""
+    state, beside the caller's work; it runs only the formatting and the
+    writes, which need no lock or BLAS pool of the caller's threads."""
 
     def __init__(self, outdir: Path):
         self.outdir, self._proc = outdir, None
 
     def send(self, u: RadialField) -> None:
         if self._proc is None:
-            import multiprocessing  # loaded by a verb that writes snapshots
             snapdir = self.outdir / "snapshots"
             snapdir.mkdir(exist_ok=True)
-            ctx = multiprocessing.get_context("fork")
-            self._conn, child = ctx.Pipe()
-            self._proc = ctx.Process(target=_snapshot_writer,
-                                     args=(child, self._conn, snapdir,
-                                           u.grid.r))
-            self._proc.start()
-            child.close()
+            self._proc, self._conn = fork_with_pipe(_snapshot_writer, snapdir,
+                                                    u.grid.r)
         self._conn.send_bytes(u.values)
 
     def close(self) -> list[int] | Exception:
@@ -589,14 +583,14 @@ def cmd_ode(m, eta0, lam0, b0, window, p3, phase, lam_min, grid, out):
         fail(exc, out, usage=True, lam0=lam0, b0=b0)
     if phase == "auto":
         phase = "leading" if state0.beta >= 0.1 else "profile"
-    with timed("integrate"):
-        try:
+    try:
+        with timed("integrate"):
             outres = MOD.ode_integrate(m, state0, (t0, t1), grid=grid,
                                        use_p3=p3,
                                        leading_order=(phase == "leading"),
                                        lam_min=lam_min)
-        except MOD.OdeFailure as exc:
-            fail(exc, out, grid, lam0=lam0, b0=b0, phase=phase)
+    except MOD.OdeFailure as exc:  # its manifest holds timings.integrate
+        fail(exc, out, grid, lam0=lam0, b0=b0, phase=phase)
     delta_gamma = float(outres["gamma"][-1] - outres["gamma"][0])
     meta = {"m": m, "eta0": eta0, "lam0": lam0, "b0": b0,
             "window": [t0, t1], "use_p3": p3, "phase": phase,

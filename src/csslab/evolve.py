@@ -23,12 +23,17 @@ imposed as the power-law constraint u_0 = e^{-m h} u_1; homogeneous
 Dirichlet at r_max with sponge damping on the last 5% of nodes. A run
 multiplies by the damping factor on those nodes only: it is exactly 1.0
 on all the others.
+
+With decompose_flag a run steps in a forked process that streams each
+monitor's state and row ahead to the caller, which decomposes and stops it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -56,6 +61,9 @@ class StabilityGuardTripped(RuntimeError):
         super().__init__(f"stability-guard-tripped: {why}")
         self.margin = margin
 
+    def __reduce__(self):  # pickled as its margin, not its message
+        return type(self), (self.margin,)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -76,6 +84,10 @@ class SolverConfig:
             raise ValueError("lambda_min stop rule requires decompose_flag")
         if self.monitor_stride < 1:
             raise ValueError("monitor_stride must be >= 1")
+
+    def reached(self, t: float) -> bool:
+        """Whether a run at time t has reached t_end."""
+        return self.t_end is not None and t >= self.t_end - 1e-12
 
 
 @dataclass(frozen=True)
@@ -223,26 +235,108 @@ def step(u: RadialField, kinetic: KineticSolver,
     return u.with_values(phase * vals, decay=None), phase, max(margin, margin2)
 
 
+_CALLER_ENDS = weakref.WeakSet()  # caller pipe ends; a fork closes its copies
+os.register_at_fork(after_in_child=lambda: [c.close() for c in _CALLER_ENDS])
+
+
+def fork_with_pipe(target: Callable, *args):
+    """Starts target(conn, *args) in a forked process (nothing pickled);
+    returns it and the caller's end of the Pipe whose other end is conn,
+    where the child sees EOF or EPIPE once the caller's end closes."""
+    import multiprocessing  # loaded by a run that forks
+    ctx = multiprocessing.get_context("fork")
+    ours, theirs = ctx.Pipe()
+    _CALLER_ENDS.add(ours)
+    proc = ctx.Process(target=target, args=(theirs, *args))
+    proc.start()
+    theirs.close()
+    return proc, ours
+
+
+def _stream(conn, records) -> None:
+    """_forked's process: sends each record, then None or the exception."""
+    try:
+        for item in records:
+            conn.send(item)
+        conn.send(None)
+    except BrokenPipeError:  # the caller has gone
+        pass
+    except Exception as exc:  # raised again by the caller
+        conn.send(exc)
+
+
+def _forked(records):
+    """Yields and raises what the generator `records` does, run ahead in a
+    forked process by what the pipe buffer holds; closing ends it at once."""
+    proc, conn = fork_with_pipe(_stream, records)
+    try:
+        while (item := conn.recv()) is not None:
+            if isinstance(item, Exception):
+                raise item
+            yield item
+    finally:
+        proc.terminate()  # at an early stop it is still stepping
+        conn.close()
+        proc.join()
+
+
+def _segments(u0: RadialField, t0: float, config: SolverConfig,
+              kin: KineticSolver, damping: np.ndarray):
+    """The FSAL steps of a run, monitor_stride at a time up to t_end or a
+    guard trip. Yields (t, values, row, margin, taken, trip, step_s, row_s)
+    at t0 (values, margin None) and after each segment: the state, its
+    conservation row (None if a trip left no new state), the segment's
+    largest guard margin, steps, trip and seconds of steps and row."""
+    u, t, phase = u0, t0, None
+    margin, taken, trip, step_s = None, 0, None, 0.0
+    while True:
+        clock = time.perf_counter()
+        row = None
+        if taken or margin is None:
+            e, mass, e_sd = GA.energy_mass(u)
+            v1, v2 = GA.virial(u)
+            tri = GA.conjugate_triple(u)
+            row = (t, mass, e, e_sd, v1, v2, G.l2(tri.u1), G.l2(tri.u2))
+        yield (t, u.values if taken else None, row, margin, taken, trip,
+               step_s, time.perf_counter() - clock)
+        if trip is not None or config.reached(t):
+            return
+        margin, taken = 0.0, 0
+        clock = time.perf_counter()
+        try:
+            for _ in range(config.monitor_stride):
+                u, phase, worst = step(u, kin, sponge_factor=damping,
+                                       phase=phase)
+                margin = max(margin, worst)
+                t += config.dt
+                taken += 1
+                if config.reached(t):
+                    break
+        except StabilityGuardTripped as exc:
+            trip = exc
+        step_s = time.perf_counter() - clock
+
+
 def run(u0: RadialField, config: SolverConfig,
         sink: Callable[[Monitor], object], t0: float = 0.0) -> Trajectory:
     """Integrate from t0, recording a monitor every monitor_stride steps:
     its conservation/virial row in series and, optionally, a tube
     decomposition, which must succeed for the monitor to be recorded. Each
     recorded Monitor goes to sink at once and is not kept: the run holds
-    series and the last three decomposed (t, state) pairs only, so its
-    memory does not grow with the number of monitors.
-    The first decomposition starts Newton from the cold proximity fit; each
-    later one from modulation.extrapolate of the last (up to three) at the
-    monitor's t, and reuses the monitor's energy. An unconverged one ends
-    the run with stop_reason "no-convergence", kept as the last record. A
-    typed failure (modulation.DECOMPOSE_FAILURES) raises at the first
-    monitor, which leaves no data, and later ends the run with stop_reason
-    "decomposition-failed". A tripped stability guard ends it with
-    "stability-guard", after recording the last good state if a step has
-    succeeded since the last monitor. error holds either failure. timings
-    holds the perf_counter seconds spent in steps, in monitors and in
-    decompositions; counters the steps taken, the factorizations built and
-    the Newton iterations of the decompositions, a failed one's included."""
+    series and the last three decomposed (t, state) pairs only.
+    With decompose_flag, _segments steps in a forked process ahead of the
+    decompositions done here; what it steps past the stop is not counted.
+    The first decomposition starts Newton from the cold proximity fit,
+    each later one from modulation.extrapolate of the last (up to three),
+    reusing the monitor's energy. An unconverged one ends the run with
+    stop_reason "no-convergence", kept as the last record. A typed failure
+    (modulation.DECOMPOSE_FAILURES) raises at the first monitor, which
+    leaves no data, and later ends the run with "decomposition-failed". A
+    tripped stability guard ends it with "stability-guard", after
+    recording the last good state if a step has succeeded since the last
+    monitor. error holds either failure. timings holds the perf_counter
+    seconds of the steps, monitors and decompositions; counters the
+    steps, factorizations and Newton iterations, a failed one's included."""
     if u0.grid != config.grid:
         raise G.GridError("initial datum not on the solver grid")
     kin = KineticSolver(config.grid, u0.m, config.dt)
@@ -251,8 +345,7 @@ def run(u0: RadialField, config: SolverConfig,
     damping = np.exp(-config.dt
                      * sponge_profile(config.grid)[sponge_start(config.grid):])
 
-    mod_table = None
-    ortho = None
+    mod_table = ortho = None
     if config.decompose_flag:
         mod_table = PR.build_t_tables(u0.m, config.grid)
         ortho = MOD.build_ortho_profiles(u0.m, config.grid)
@@ -262,72 +355,55 @@ def run(u0: RadialField, config: SolverConfig,
                      "u1_l2", "u2_l2")}
     recent = []  # the last decomposed (t, state) pairs, for extrapolate
     timings = {"steps": 0.0, "monitors": 0.0, "decompositions": 0.0}
-    u, t = u0, t0
-    phase = None  # the half-phase factor carried from step to step
     stop, error = "t_end", None
-
-    def monitor(u, t, margin):
-        clock = time.perf_counter()
-        e, mass, e_sd = GA.energy_mass(u)
-        v1, v2 = GA.virial(u)
-        tri = GA.conjugate_triple(u)
-        row = (t, mass, e, e_sd, v1, v2, G.l2(tri.u1), G.l2(tri.u2))
-        mark = time.perf_counter()
-        timings["monitors"] += mark - clock
-        d = None
-        if config.decompose_flag:
-            init = MOD.extrapolate(recent, t)
-            try:
-                d = MOD.decompose(u, ortho, init=init, table=mod_table,
-                                  tube_radius=config.tube_radius, energy=e)
-            except MOD.DECOMPOSE_FAILURES as exc:  # its iterations count too
-                counters["newton_iterations"] += getattr(exc, "iterations", 0)
-                raise
-            finally:  # a failed decomposition's seconds count too
-                timings["decompositions"] += time.perf_counter() - mark
-            counters["newton_iterations"] += d.iterations
-            recent.append((t, d.state))
-            del recent[:-3]
-        for column, value in zip(series.values(), row):
-            column.append(value)
-        sink(Monitor(t, u, d, margin))
-        return d
-
-    d = monitor(u, t, None)
-    while True:
-        # an unconverged decomposition neither warm-starts nor stops on lambda
-        if d is not None and not d.converged:
-            stop = "no-convergence"
-            break
-        if config.t_end is not None and t >= config.t_end - 1e-12:
-            break
-        if (config.lambda_min is not None and d is not None
-                and d.state.lam < config.lambda_min):
-            stop = "lambda_min"
-            break
-        worst, taken = 0.0, 0
-        clock = time.perf_counter()
-        try:
-            for _ in range(config.monitor_stride):
-                u, phase, margin = step(u, kin, sponge_factor=damping,
-                                        phase=phase)
-                worst = max(worst, margin)
-                t += config.dt
-                taken += 1
-                if config.t_end is not None and t >= config.t_end - 1e-12:
+    records = _segments(u0, t0, config, kin, damping)
+    if config.decompose_flag:
+        records = _forked(records)
+    try:
+        for t, vals, row, margin, taken, trip, step_s, row_s in records:
+            timings["steps"] += step_s
+            counters["steps"] += taken
+            if trip is not None:
+                stop, error = "stability-guard", trip
+            if row is None:
+                break
+            timings["monitors"] += row_s
+            u = u0 if vals is None else u0.with_values(vals, decay=None)
+            d = None
+            if config.decompose_flag:
+                mark = time.perf_counter()
+                try:
+                    d = MOD.decompose(u, ortho, init=MOD.extrapolate(recent, t),
+                                      table=mod_table, energy=row[2],
+                                      tube_radius=config.tube_radius)
+                except MOD.DECOMPOSE_FAILURES as exc:
+                    counters["newton_iterations"] += getattr(
+                        exc, "iterations", 0)  # a failed one's count too
+                    if margin is None:  # the first monitor
+                        raise
+                    if error is None:  # a tripped guard stays the reason
+                        stop, error = "decomposition-failed", exc
                     break
-        except StabilityGuardTripped as exc:
-            stop, error = "stability-guard", exc
-        timings["steps"] += time.perf_counter() - clock
-        counters["steps"] += taken
-        if taken:
-            try:
-                d = monitor(u, t, worst)
-            except MOD.DECOMPOSE_FAILURES as exc:
-                if error is None:  # a tripped guard stays the reason
-                    stop, error = "decomposition-failed", exc
-        if error is not None:
-            break
+                finally:  # a failed decomposition's seconds count too
+                    timings["decompositions"] += time.perf_counter() - mark
+                counters["newton_iterations"] += d.iterations
+                recent.append((t, d.state))
+                del recent[:-3]
+            for column, value in zip(series.values(), row):
+                column.append(value)
+            sink(Monitor(t, u, d, margin))
+            if error is not None:
+                break
+            # an unconverged one neither warm-starts nor stops on lambda
+            if d is not None and not d.converged:
+                stop = "no-convergence"
+                break
+            if (config.lambda_min is not None and not config.reached(t)
+                    and d.state.lam < config.lambda_min):
+                stop = "lambda_min"
+                break
+    finally:  # ends a stepper process that runs ahead of the stop
+        records.close()
 
     return Trajectory(series={k: np.array(v) for k, v in series.items()},
                       stop_reason=stop, error=error, timings=timings,

@@ -4,6 +4,7 @@ manifests, byte-stable serialization, and parameter refusal."""
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -289,6 +290,9 @@ def test_ode_leaving_the_profile_range_is_a_clean_error(tmp_path):
     manifest = json.loads((rundir / "manifest.json").read_text())
     assert manifest["error"] == res.stderr.strip().removeprefix("Error: ")
     assert manifest["config"]["phase"] == "profile"
+    # the failed phase is timed too
+    assert list(manifest["timings"]) == ["integrate"]
+    assert manifest["timings"]["integrate"] > 0.0
 
 
 def test_ode_refuses_missing_eta0(runner):
@@ -620,13 +624,22 @@ def test_evolve_decompose_byte_determinism(runner, outroot):
 
 def test_evolve_computes_one_energy_per_monitor(runner, outroot,
                                                 monkeypatch):
-    original = GA.energy_mass
-    calls = []
+    # the stepper process computes the energies, so they are counted in
+    # shared memory; the decompositions here reuse them
+    original, original_decompose = GA.energy_mass, MOD.decompose
+    calls = multiprocessing.Value("i", 0)
+    energies = []
 
     def energy_mass(u):
-        calls.append(1)
+        with calls.get_lock():
+            calls.value += 1
         return original(u)
+
+    def decompose(*args, **kwargs):
+        energies.append(kwargs["energy"])
+        return original_decompose(*args, **kwargs)
     monkeypatch.setattr(GA, "energy_mass", energy_mass)
+    monkeypatch.setattr(MOD, "decompose", decompose)
     res = runner.invoke(main, [
         "evolve", "--data", "S", "--m", "1", "--t0", "-1", "--tend", "-0.99",
         "--dt", "1e-3", "--grid", "default", "--monitor-stride", "2",
@@ -634,7 +647,29 @@ def test_evolve_computes_one_energy_per_monitor(runner, outroot,
     assert res.exit_code == 0, res.output
     monitors = (outroot / "energy" / "monitors.csv").read_text().splitlines()
     assert len(monitors) - 1 == 6
-    assert len(calls) == 6
+    assert calls.value == 6
+    assert len(energies) == 6 and None not in energies
+
+
+def test_evolve_decomposes_each_monitor_in_the_calling_process(
+        runner, outroot, monkeypatch):
+    # a patch of modulation.decompose made here, as the benchmark's tap
+    # is, sees one call per recorded monitor
+    original = MOD.decompose
+    calls = []
+
+    def decompose(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(MOD, "decompose", decompose)
+    res = runner.invoke(main, [
+        "evolve", "--data", "S", "--m", "1", "--t0", "-1", "--tend", "-0.98",
+        "--dt", "1e-3", "--grid", "default", "--monitor-stride", "4",
+        "--decompose", "--out", "tap"])
+    assert res.exit_code == 0, res.output
+    meta = json.loads((outroot / "tap" / "meta.json").read_text())
+    series = (outroot / "tap" / "series.csv").read_text().splitlines()
+    assert len(calls) == len(meta["snapshot_times"]) == len(series) - 1 == 6
 
 
 def _bits(x) -> bytes:

@@ -6,12 +6,16 @@ solution S(t) = |t|^{-1} Q(r/|t|) e^{-i r^2/(4|t|)}, and the virial
 identities d/dt V1 = 4 V2 and d/dt V2 = 4 E.
 """
 
+import dataclasses
 import math
+import multiprocessing
+import pickle
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, solve_banded
 
 from csslab import evolve
 from csslab import gauge as GA
@@ -263,29 +267,59 @@ def _reference_potential(u):
             - np.abs(u.values) ** 2)
 
 
-def test_run_snapshots_match_reference_chain_bit_for_bit(grid):
-    # the FSAL chain written plainly: np.exp phases, the sponge factor on
-    # every node and a RadialField for each mid-step state
-    dt, stride = 1e-3, 5
-    u = blowup_s(1, -1.0, grid)
-    cfg = SolverConfig(grid=grid, dt=dt, t_end=-0.95, monitor_stride=stride)
-    mons = []
-    traj = run(u, cfg, mons.append, t0=-1.0)
-    assert traj.stop_reason == "t_end" and traj.counters["steps"] == 50
-    kin = KineticSolver(grid, 1, dt)
-    damping = np.exp(-dt * sponge_profile(grid))
+def _reference_chain(u, dt, stride, steps):
+    """The FSAL chain written plainly: np.exp phases, the sponge factor on
+    every node and a RadialField for each mid-step state; the states at t0
+    and every stride steps."""
+    kin = KineticSolver(u.grid, u.m, dt)
+    damping = np.exp(-dt * sponge_profile(u.grid))
     phase = np.exp(-0.5j * dt * _reference_potential(u))
     ref = [u]
-    for k in range(1, 51):
+    for k in range(1, steps + 1):
         vals = damping * kin.solve(phase * u.values)
         mid = u.with_values(vals, decay=None)
         phase = np.exp(-0.5j * dt * _reference_potential(mid))
         u = u.with_values(phase * vals, decay=None)
         if k % stride == 0:
             ref.append(u)
+    return ref
+
+
+def test_run_snapshots_match_reference_chain_bit_for_bit(grid):
+    dt, stride = 1e-3, 5
+    u = blowup_s(1, -1.0, grid)
+    cfg = SolverConfig(grid=grid, dt=dt, t_end=-0.95, monitor_stride=stride)
+    mons = []
+    traj = run(u, cfg, mons.append, t0=-1.0)
+    assert traj.stop_reason == "t_end" and traj.counters["steps"] == 50
+    ref = _reference_chain(u, dt, stride, 50)
     assert len(mons) == len(ref) == 11
     for mon, want in zip(mons, ref):
         assert np.array_equal(mon.u.values, want.values)
+
+
+def test_forked_stepper_gives_the_in_process_run_bit_for_bit(grid):
+    # with decompositions the steps run in a forked process; its states
+    # and rows are those of the in-process run and the plain chain
+    dt, stride = 1e-3, 5
+    u = blowup_s(1, -1.0, grid)
+    plain = run(u, SolverConfig(grid=grid, dt=dt, t_end=-0.95,
+                                monitor_stride=stride), discard, t0=-1.0)
+    cfg = SolverConfig(grid=grid, dt=dt, t_end=-0.95, monitor_stride=stride,
+                       decompose_flag=True, tube_radius=0.5)
+    mons = []
+    traj = run(u, cfg, mons.append, t0=-1.0)
+    assert traj.stop_reason == "t_end"
+    assert traj.counters["steps"] == plain.counters["steps"] == 50
+    assert mons[0].u is u
+    ref = _reference_chain(u, dt, stride, 50)
+    assert len(mons) == len(ref) == 11
+    for mon, want in zip(mons, ref):
+        assert np.array_equal(mon.u.values, want.values)
+        assert mon.d.converged
+    assert list(traj.series) == list(plain.series)
+    for key, column in plain.series.items():
+        assert np.array_equal(traj.series[key], column), key
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -432,6 +466,131 @@ def test_lambda_min_stop(pde_grid):
     assert traj.stop_reason == "lambda_min"
     assert mons[-1].t < -0.85
     assert mons[-1].d.state.lam < 0.93
+
+
+def test_lambda_min_stop_without_t_end_ends_the_stepper(grid):
+    # the stepper process would step forever; the stop ends it at once
+    cfg = SolverConfig(grid=grid, dt=1e-3, lambda_min=0.993,
+                       monitor_stride=5, decompose_flag=True,
+                       tube_radius=0.5)
+    mons = []
+    traj = run(blowup_s(1, -1.0, grid), cfg, mons.append, t0=-1.0)
+    assert multiprocessing.active_children() == []
+    assert traj.stop_reason == "lambda_min"
+    assert [mon.t for mon in mons] == pytest.approx([-1.0, -0.995, -0.99])
+    assert traj.counters["steps"] == 10
+    assert mons[-1].d.state.lam < 0.993 < mons[-2].d.state.lam
+
+
+def _slow_decompose(monkeypatch, last, outcome):
+    """Patches modulation.decompose to take 50 ms, which lets the stepper
+    run ahead, and to give outcome(d) at its call number `last`."""
+    original, calls = MOD.decompose, []
+
+    def decompose(*args, **kwargs):
+        calls.append(1)
+        time.sleep(0.05)
+        d = original(*args, **kwargs)
+        return outcome(d) if len(calls) == last else d
+    monkeypatch.setattr(MOD, "decompose", decompose)
+
+
+def _fail(d):
+    raise MOD.NotInTube("not-in-tube: relative H1 distance 0.9")
+
+
+def _unconverged(d):
+    return dataclasses.replace(d, converged=False)
+
+
+@pytest.mark.parametrize("outcome, stop", [
+    (_fail, "decomposition-failed"), (_unconverged, "no-convergence")])
+def test_steps_past_the_stop_are_not_counted(grid, monkeypatch, outcome,
+                                             stop):
+    # the third decomposition (t = -0.99) stops the run: the steps count up
+    # to it, as when the run stepped only after each decomposition
+    _slow_decompose(monkeypatch, 3, outcome)
+    cfg = SolverConfig(grid=grid, dt=1e-3, t_end=-0.9, monitor_stride=5,
+                       decompose_flag=True, tube_radius=0.5)
+    mons = []
+    traj = run(blowup_s(1, -1.0, grid), cfg, mons.append, t0=-1.0)
+    assert traj.stop_reason == stop
+    assert traj.counters["steps"] == 10
+    assert len(traj.series["t"]) == len(mons) == (2 if outcome is _fail
+                                                  else 3)
+
+
+def test_an_error_in_the_sink_ends_the_stepper(grid):
+    def sink(mon):
+        if mon.t > -1.0:
+            raise KeyError("unexpected")
+    cfg = SolverConfig(grid=grid, dt=1e-3, t_end=-0.9, monitor_stride=5,
+                       decompose_flag=True, tube_radius=0.5)
+    with pytest.raises(KeyError):
+        run(blowup_s(1, -1.0, grid), cfg, sink, t0=-1.0)
+    assert multiprocessing.active_children() == []
+
+
+def _not_in_tube():
+    exc = MOD.NotInTube("not-in-tube: relative H1 distance 0.9")
+    exc.iterations = 3
+    return exc
+
+
+@pytest.mark.parametrize("failure", [
+    LinAlgError("Crank-Nicolson solve failed: info = 7"), _not_in_tube()])
+def test_an_error_in_the_stepper_is_raised_with_its_type(grid, monkeypatch,
+                                                         failure):
+    original, calls = KineticSolver.solve, []
+
+    def solve(self, v):
+        calls.append(1)
+        if len(calls) == 8:
+            raise failure
+        return original(self, v)
+    monkeypatch.setattr(KineticSolver, "solve", solve)
+    cfg = SolverConfig(grid=grid, dt=1e-3, t_end=-0.9, monitor_stride=5,
+                       decompose_flag=True, tube_radius=0.5)
+    with pytest.raises(type(failure)) as info:
+        run(blowup_s(1, -1.0, grid), cfg, discard, t0=-1.0)
+    assert info.value is not failure  # it came through the pipe
+    assert str(info.value) == str(failure)
+    assert getattr(info.value, "iterations", None) == getattr(
+        failure, "iterations", None)
+    assert calls == []  # the solves ran in the stepper process
+
+
+def _until_eof(conn):
+    with pytest.raises(EOFError):
+        conn.recv_bytes()
+
+
+def test_each_forked_process_holds_only_its_own_pipe_ends():
+    # the first process sees EOF when the caller closes its end, although
+    # the second was forked while that end was open
+    first, first_end = evolve.fork_with_pipe(_until_eof)
+    second, second_end = evolve.fork_with_pipe(_until_eof)
+    try:
+        first_end.close()
+        first.join(timeout=10)
+        assert first.exitcode == 0
+        second_end.close()
+        second.join(timeout=10)
+        assert second.exitcode == 0
+    finally:
+        for proc, end in ((first, first_end), (second, second_end)):
+            end.close()
+            proc.terminate()
+            proc.join()
+
+
+@pytest.mark.parametrize("margin", [1.5, math.nan, math.inf])
+def test_guard_trip_survives_a_pickle(margin):
+    exc = pickle.loads(pickle.dumps(StabilityGuardTripped(margin)))
+    assert type(exc) is StabilityGuardTripped
+    assert exc.margin == margin or math.isnan(exc.margin) and math.isnan(
+        margin)
+    assert str(exc) == str(StabilityGuardTripped(margin))
 
 
 def test_config_validation(grid):
