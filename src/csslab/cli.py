@@ -406,18 +406,24 @@ def _snapshot_writer(conn, snapdir: Path, r: np.ndarray) -> None:
     """SnapshotWriter's process: writes the values of each state received
     as the next snap_NNNN.csv (write_csv's bytes, r formatted once) until
     an empty message, then sends back the sizes of its files or the first
-    error it hit, having read every message."""
+    error it hit, having read every message. If the caller goes first, it
+    ends quietly and the files written stay."""
     patterns = [(b"%.17g,%%.17g,%%.17g\n" * len(block)) % tuple(block.tolist())
                 for block in _blocks(r)]
     sizes, error = [], None
-    for data in iter(conn.recv_bytes, b""):
-        if error is None:
-            try:
-                sizes.append(_write_blocks(
-                    snapdir / f"snap_{len(sizes):04d}.csv", ["r", "re", "im"],
-                    np.frombuffer(data, np.float64).reshape(-1, 2), patterns))
-            except OSError as exc:
-                error = exc
+    try:
+        for data in iter(conn.recv_bytes, b""):
+            if error is None:
+                try:
+                    sizes.append(_write_blocks(
+                        snapdir / f"snap_{len(sizes):04d}.csv",
+                        ["r", "re", "im"],
+                        np.frombuffer(data, np.float64).reshape(-1, 2),
+                        patterns))
+                except OSError as exc:
+                    error = exc
+    except EOFError:  # the caller has gone
+        return
     conn.send(sizes if error is None else error)
 
 
@@ -699,7 +705,10 @@ def cmd_evolve(data, m, t0, tend, dt, grid, monitor_stride, decompose,
                 meta["newton"] = newton
             meta["guard_margin"] = margins[1:]
             if traj.stop_reason == "stability-guard":
-                meta["guard_margin"].append(traj.error.margin)
+                margin = traj.error.margin
+                meta["guard_margin"].append(margin)
+                meta["guard_trip"] = ("margin" if math.isfinite(margin)
+                                      else "non-finite-state")
             meta["snapshot_times"] = traj.series["t"].tolist()
             written = writer.close()
             if isinstance(written, Exception):  # outranks the run's error

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import gauge as GA
 from . import grid as G
@@ -409,6 +408,7 @@ def ode_integrate(m: int, state0: ModState, t_span: tuple[float, float],
                   n_eval: int = 400) -> dict:
     """Integrate the modulation system in the original time variable t
     (ds = dt / lambda^2) with an adaptive Runge-Kutta method."""
+    from scipy.integrate import solve_ivp  # loaded by a run that integrates
     table = None
     if not leading_order:
         table = PR.build_t_tables(m, grid if grid is not None

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 
 from . import grid as G
 from .grid import Grid, RadialField
@@ -52,29 +52,60 @@ def q_values(m: int, r: np.ndarray) -> np.ndarray:
 # Modulation (the sharp/flat maps)
 
 
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients c (4, k, n - 1) of the not-a-knot cubic spline through
+    each row of y (k, n) (de Boor 1978), c[p, j, i] of (x - x_i)^(3 - p):
+    scipy CubicSpline's arithmetic, its tridiagonal system for all rows
+    solved by one dgtsv (as solve_banded((1, 1)) does), so row j is
+    CubicSpline(x, y[j]) bit for bit. Its input checks are not repeated:
+    Grid makes x strictly increasing and RadialField makes y finite."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    b = np.empty_like(y)
+    b[:, 1:-1] = 3 * (dx[1:] * slope[:, :-1] + dx[:-1] * slope[:, 1:])
+    b[:, 0] = ((dx[0] + 2*d0) * dx[1] * slope[:, 0]
+               + dx[0]**2 * slope[:, 1]) / d0
+    b[:, -1] = (dx[-1]**2 * slope[:, -2]
+                + (2*d1 + dx[-1]) * dx[-2] * slope[:, -1]) / d1
+    lower, upper = np.append(dx[1:], d1), np.insert(dx[:-1], 0, d0)
+    diag = np.concatenate((dx[1:2], 2 * (dx[:-1] + dx[1:]), dx[-2:-1]))
+    _, _, _, s, info = dgtsv(lower, diag, upper, b.T, 1, 1, 1, 1)
+    if info:
+        raise np.linalg.LinAlgError(f"singular spline system: info {info}")
+    s = s.T
+    t = (s[:, :-1] + s[:, 1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:, :-1]) / dx - t, s[:, :-1],
+                     0.0 + y[:, :-1]))  # PPoly's sum starts from 0.0
+
+
 def sampler(f: RadialField):
     """Build f's log-coordinate splines once and return the function that
     evaluates f at off-grid radii r_new with them.
 
     Smooth nonvanishing fields are interpolated through amplitude and
     unwrapped phase (preserves oscillatory tails); fields with zeros fall
-    back to real/imag component splines. Off-grid extension: power law
-    r^m below r_min, the declared algebraic decay (or zero) above r_max.
+    back to real/imag component splines, both CubicSpline's not-a-knot
+    cubics solved with dgtsv (_not_a_knot) and evaluated as PPoly does.
+    Off-grid extension: power law r^m below r_min, the declared algebraic
+    decay (or zero) above r_max.
     """
     g = f.grid
     a = np.abs(f.values)
     polar = a.min() > 0.0 and (a.max() / a.min()) < 1e300
-    if polar:  # splines of log|f| and arg f, else of Re f and Im f
-        s1, s2 = (CubicSpline(g.x, np.log(a)),
-                  CubicSpline(g.x, G.smart_unwrap(f.values)))
-    else:
-        s1, s2 = CubicSpline(g.x, f.values.real), CubicSpline(g.x, f.values.imag)
+    rows = ((np.log(a), G.smart_unwrap(f.values)) if polar  # else Re, Im
+            else (f.values.real, f.values.imag))
+    coef = _not_a_knot(g.x, np.stack(rows))
 
     def sample(r_new: np.ndarray) -> np.ndarray:
-        xq = np.log(r_new)
         out = np.empty(r_new.size, dtype=np.complex128)
         inside = (r_new >= g.r_min) & (r_new <= g.r_max)
-        z = s1(xq[inside]) + 1j * s2(xq[inside])
+        xi = np.log(r_new[inside])
+        i = np.clip(np.searchsorted(g.x, xi, "right") - 1, 0, g.n - 2)
+        s = xi - g.x[i]
+        c = coef.take(i, axis=2)
+        v = ((c[3] + c[2] * s) + c[1] * (s * s)) + c[0] * (s * s * s)
+        z = v[0] + 1j * v[1]
         out[inside] = np.exp(z) if polar else z
         below = r_new < g.r_min
         if np.any(below):

@@ -20,6 +20,7 @@ from csslab import gauge as GA
 from csslab import grid as G
 from csslab import modulation as MOD
 from csslab import cli as CLI
+from csslab import evolve as EV
 from csslab.cli import dumps17, fmt17, main
 from csslab.grid import RadialField
 from csslab.soliton import (ScaleOutOfRange, SymmetryParams, blowup_s,
@@ -472,8 +473,37 @@ def test_evolve_stability_guard_is_clean_error(runner, outroot):
     meta = json.loads((outroot / "guard" / "meta.json").read_text())
     assert meta["stop_reason"] == "stability-guard"
     assert len(meta["guard_margin"]) == 1 and meta["guard_margin"][0] > 1.0
+    assert meta["guard_trip"] == "margin"
     monitors = (outroot / "guard" / "monitors.csv").read_text().splitlines()
     assert len(monitors) == 2  # header and the one row at t0
+
+
+def test_evolve_records_a_non_finite_guard_trip(runner, outroot,
+                                                monkeypatch):
+    # the eighth kinetic solve returns a nan, inside the second segment
+    original, calls = EV.KineticSolver.solve, []
+
+    def solve(self, rhs):
+        calls.append(1)
+        vals = original(self, rhs)
+        if len(calls) == 8:
+            vals[100] = math.nan
+        return vals
+    monkeypatch.setattr(EV.KineticSolver, "solve", solve)
+    res = runner.invoke(main, [
+        "evolve", "--data", "S", "--m", "1", "--t0", "-1", "--tend", "-0.98",
+        "--dt", "1e-3", "--grid", "default", "--monitor-stride", "5",
+        "--out", "nf"])
+    assert res.exit_code == 1
+    assert ("Error: StabilityGuardTripped: stability-guard-tripped: "
+            "non-finite state\n") in res.output
+    meta = json.loads((outroot / "nf" / "meta.json").read_text())
+    assert meta["stop_reason"] == "stability-guard"
+    assert meta["guard_trip"] == "non-finite-state"
+    monitors = (outroot / "nf" / "monitors.csv").read_text().splitlines()
+    assert len(meta["guard_margin"]) == len(monitors) - 1 == 3
+    assert all(g <= 1.0 for g in meta["guard_margin"][:-1])
+    assert meta["guard_margin"][-1] == "nan"  # dumps17 writes it so
 
 
 def test_evolve_guard_trip_mid_segment_keeps_last_good_state(runner,
@@ -763,11 +793,41 @@ def test_evolve_unexpected_error_ends_the_snapshot_writer(runner, outroot,
     assert snaps == ["snap_0000.csv", "snap_0001.csv"]
 
 
-def _run_module(args, cwd):
-    """`python -m csslab.cli args` run in cwd, its output root cwd/runs."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def test_snapshot_writer_ends_quietly_when_its_caller_goes(tmp_path,
+                                                           capfd):
+    # the caller's end closes without the empty message that ends a run
+    grid = G.build_grid(1e-3, 100, 256)
+    proc, conn = EV.fork_with_pipe(CLI._snapshot_writer, tmp_path, grid.r)
+    conn.send_bytes(blowup_s(1, -1.0, grid).values)
+    conn.close()
+    proc.join(10)
+    assert proc.exitcode == 0
+    assert (tmp_path / "snap_0000.csv").read_text().count("\n") == 257
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_importing_the_cli_loads_no_scipy_beyond_linalg():
+    # scipy.integrate is loaded by the ode verb; interpolate, optimize and
+    # special by nothing in csslab
+    code = ("import sys, csslab.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'interpolate'], "
+            "['scipy', 'integrate'], ['scipy', 'optimize'], "
+            "['scipy', 'special'])))")
+    out = subprocess.run([sys.executable, "-c", code], env=_module_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
+def _module_env() -> dict:
+    """The environment with csslab's source directory on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(csslab.__file__).parents[1])]
         + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+
+
+def _run_module(args, cwd):
+    """`python -m csslab.cli args` run in cwd, its output root cwd/runs."""
+    env = _module_env()
     env.pop("CSSLAB_OUTPUT_ROOT", None)
     return subprocess.run([sys.executable, "-m", "csslab.cli", *args],
                           cwd=cwd, env=env, capture_output=True, text=True,

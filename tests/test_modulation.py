@@ -145,22 +145,22 @@ def test_decompose_equivariance(grid, ortho1, table1):
 
 
 def test_decompose_builds_one_sampler(grid, ortho1, table1, monkeypatch):
-    # two splines of u per call (amplitude and phase), however many Newton
-    # pairings the call makes
+    # one tridiagonal solve per call (the amplitude and phase splines of u
+    # share it), however many Newton pairings the call makes
     from csslab import soliton as S
     u = _synthetic_datum(grid, table1, 0.03, 0.02, 0.9, 0.4)
     exact = decompose(u, ortho1, table=table1).state
-    real, built, iters = S.CubicSpline, [], []
+    real, solves, iters = S.dgtsv, [], []
 
     def counting(*args, **kwargs):
-        built.append(1)
+        solves.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(S, "CubicSpline", counting)
+    monkeypatch.setattr(S, "dgtsv", counting)
     for init in (None, exact):
-        built.clear()
+        solves.clear()
         d = decompose(u, ortho1, init=init, table=table1)
-        assert d.converged and len(built) == 2
+        assert d.converged and len(solves) == 1
         iters.append(d.iterations)
     assert iters[0] > iters[1]
 

@@ -167,6 +167,45 @@ def test_prebuilt_sampler_gives_the_same_bits(grid, zeros, decay):
     assert proximity_fit(f, sample=sample) == proximity_fit(f)
 
 
+def _cubic_spline_sample(f, r):
+    """sampler(f) on [r_min, r_max] rebuilt with scipy's CubicSpline: the
+    splines of log|f| and arg f, or of Re f and Im f if f has a zero."""
+    from scipy.interpolate import CubicSpline
+    a = np.abs(f.values)
+    polar = a.min() > 0.0
+    rows = ((np.log(a), G.smart_unwrap(f.values)) if polar
+            else (f.values.real, f.values.imag))
+    s1, s2 = (CubicSpline(f.grid.x, y) for y in rows)
+    z = s1(np.log(r)) + 1j * s2(np.log(r))
+    return np.exp(z) if polar else z
+
+
+@pytest.mark.parametrize("n", [1024, 4096, 16384])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_sampler_matches_cubic_spline_bit_for_bit(n, zeros):
+    # the zero-free field takes the amplitude/phase splines; the other
+    # changes sign at a node, where it is exactly 0, and takes re/im
+    grid = G.build_grid(n=n)
+    r = grid.r
+    vals = blowup_s(1, -0.8, grid).values * np.exp(0.3j * r)
+    if zeros:
+        vals = vals * (r - r[n // 3])
+    f = G.RadialField(1, vals, grid, decay=3.0)
+    assert (np.abs(vals).min() == 0.0) == zeros
+    inside = np.concatenate([r / lam for lam in np.linspace(0.3, 2.9, 7)])
+    inside = inside[(inside >= grid.r_min) & (inside <= grid.r_max)]
+    query = np.concatenate([inside, r, [grid.r_min, grid.r_max]])
+    sample = S.sampler(f)
+    assert (sample(query).view(np.uint64)
+            == _cubic_spline_sample(f, query).view(np.uint64)).all()
+    # outside the grid: the power law below r_min, the decay above r_max
+    below = r[0] * np.linspace(0.1, 0.9, 9)
+    above = r[-1] * np.linspace(1.1, 3.0, 9)
+    assert np.array_equal(sample(below), vals[0] * (below / r[0]) ** 1)
+    assert np.array_equal(sample(above), vals[-1] * (above / r[-1]) ** -3.0)
+    assert not S.sampler(f.with_values(vals, decay=None))(above).any()
+
+
 def test_proximity_fit_perturbed(grid, rng):
     q = soliton_q(1, grid)
     pert = 0.01 * grid.r * np.exp(-grid.r**2) * (rng.standard_normal() + 1j)
