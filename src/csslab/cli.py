@@ -548,9 +548,8 @@ def cmd_profiles(m, betas, direction, t4, grid, out):
             table = PR.build_t_tables(m, grid)
             norm = math.hypot(db, de)
             report["solvability"] = [
-                PR.solvability_inner(m, PR.ProfileParams(b * db / norm,
-                                                         b * de / norm),
-                                     table)
+                PR.solvability_inner(PR.ProfileParams(b * db / norm,
+                                                      b * de / norm), table)
                 for b in beta_list]
     click.echo(dumps17(report))
     write_outputs(out, {"report.json": report}, grid)
@@ -643,9 +642,10 @@ def cmd_evolve(data, m, t0, tend, dt, grid, monitor_stride, decompose,
     except ValueError as exc:
         fail(exc, out, usage=True)
     try:
+        if not math.isfinite(t0):
+            raise ValueError(f"t0 must be finite, got {t0}")
         u0 = blowup_s(m, t0, grid) if data == "S" else soliton_q(m, grid)
-        config = SolverConfig(grid=grid, dt=dt, t_end=tend,
-                              lambda_min=lambda_min,
+        config = SolverConfig(dt=dt, t_end=tend, lambda_min=lambda_min,
                               monitor_stride=monitor_stride,
                               decompose_flag=decompose,
                               tube_radius=tube_radius)
@@ -744,11 +744,9 @@ def cmd_decompose(field, m, tube_radius, out):
             u = RadialField(m, vals, grid)
         except (OSError, ValueError) as exc:
             fail(exc, out, usage=True)
-    with timed("ortho_profiles"):
-        ortho = MOD.build_ortho_profiles(m, grid)
     with timed("decompose"):
         try:
-            d = MOD.decompose(u, ortho, tube_radius=tube_radius)
+            d = MOD.decompose(u, tube_radius=tube_radius)
         except MOD.DECOMPOSE_FAILURES as exc:
             fail(exc, out, grid)
     report = {
@@ -779,9 +777,13 @@ def cmd_report(rundir, out):
                 raise ValueError(f"{path} needs the columns "
                                  f"{','.join(names)} and a row of numbers "
                                  "under its header")
+            col = dict(zip(header, raw.T))
+            bad = [k for k in names if not np.isfinite(col[k]).all()]
+            if bad:
+                raise ValueError(f"{path} has non-finite values in the "
+                                 f"columns {','.join(bad)}")
         except (OSError, ValueError) as exc:
             fail(exc, out, usage=True)
-    col = dict(zip(header, raw.T))
     report = {"rundir": rundir, "n_samples": len(raw),
               "lambda_final": float(col["lambda"][-1])}
     with timed("asymptotics"):

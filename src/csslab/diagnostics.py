@@ -70,43 +70,37 @@ class DiagnosticFrame:
     coercivity_ratio: float
 
 
-def quadform_htd(f: RadialField, m: int | None = None) -> float:
-    """(f, Htd_Q f)_r in the integrated-by-parts (manifestly symmetric)
-    form int |d_y f|^2 + Vtd_Q/y^2 |f|^2."""
-    mm = f.m - 2 if m is None else m
+def quadform_htd(f: RadialField) -> float:
+    """(f, Htd_Q f)_r for f of index m+2, in the integrated-by-parts
+    (manifestly symmetric) form int |d_y f|^2 + Vtd_Q/y^2 |f|^2."""
     y = f.grid.r
     fp = G.d_dr(f.grid, f.values, 1)
-    dens = np.abs(fp) ** 2 + L.vtd_q(mm, y) / y**2 * np.abs(f.values) ** 2
+    dens = np.abs(fp) ** 2 + L.vtd_q(f.m - 2, y) / y**2 * np.abs(f.values) ** 2
     return float(G.integrate_samples(f.grid, dens))
 
 
-def morawetz_pairing(f: RadialField, weight: L.MorawetzWeight) -> float:
-    """(i f, psi' d_y f)_r with the module-linops weight."""
-    if f.grid != weight.grid:
-        raise G.GridError("grid-mismatch between field and weight")
+def morawetz_pairing(f: RadialField) -> float:
+    """(i f, psi' d_y f)_r with the linops weight of delta DEFAULT_DELTA
+    on f's grid."""
+    weight = L.morawetz_weight(DEFAULT_DELTA, f.grid)
     fp = G.d_dr(f.grid, f.values, 1)
     dens = np.real(np.conj(1j * f.values) * weight.psi_prime * fp)
     return float(G.integrate_samples(f.grid, dens))
 
 
 def frame(d: DecompResult, e_total: float,
-          weight: L.MorawetzWeight | None = None,
           t: float = math.nan, s: float = math.nan) -> DiagnosticFrame:
     """All scale-invariant quantities of a single decomposition."""
     mu = d.state.lam * math.sqrt(max(e_total, 0.0))
     if mu <= 0.0:
         raise ZeroMu("zero-mu: the soliton orbit itself carries no scale")
-    m = d.eps.m
     eps2 = d.eps2
     x2 = G.l2(eps2) + mu**2
     x3 = G.hdot1(eps2) + mu * x2
     v72 = math.sqrt(G.v32_sq(eps2)) + math.sqrt(mu) * x3
-    if weight is None:
-        weight = L.morawetz_weight(DEFAULT_DELTA, eps2.grid)
-    quad = quadform_htd(eps2, m)
-    pair = morawetz_pairing(eps2, weight)
-    f_energy = quad / mu**6 - DEFAULT_A * pair / mu**5 \
-        + DEFAULT_A**2 * G.l2(eps2) ** 2 / mu**4
+    f_energy = (quadform_htd(eps2) / mu**6
+                - DEFAULT_A * morawetz_pairing(eps2) / mu**5
+                + DEFAULT_A**2 * G.l2(eps2) ** 2 / mu**4)
     return DiagnosticFrame(
         t=t, s=s, mu=mu, beta=d.state.beta,
         eps_norms=(G.norm_report(d.eps), G.norm_report(d.eps1),
@@ -135,8 +129,7 @@ def frames_along(monitors: list, series: dict) -> list[DiagnosticFrame]:
         raise ValueError("trajectory carries no decompositions")
     e_total = float(np.mean(series["energy"]))
     cols = param_columns([(mon.t, mon.d.state) for mon in monitors])
-    weight = L.morawetz_weight(DEFAULT_DELTA, monitors[0].d.eps2.grid)
-    return [frame(mon.d, e_total, weight, t=float(ti), s=float(si))
+    return [frame(mon.d, e_total, t=float(ti), s=float(si))
             for mon, ti, si in zip(monitors, cols["t"], cols["s"])]
 
 
@@ -176,8 +169,7 @@ def _fd_derivative(s: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 def _phase_integral_w(d: DecompResult, table: TTable) -> float:
     """int_0^infty Re(conj(w) w1) dy with w = P + eps, w1 = P1 + eps1."""
-    chart = MOD._assemble_chart(table.m, d.state.b, d.state.eta, table,
-                                derivs=False)
+    chart = MOD._assemble_chart(d.state.b, d.state.eta, table, derivs=False)
     w = chart.P.values + d.eps.values
     w1 = chart.P1.values + d.eps1.values
     dens = np.real(np.conj(w) * w1)
@@ -187,7 +179,7 @@ def _phase_integral_w(d: DecompResult, table: TTable) -> float:
 _MAX_BETA_DS = 0.01  # largest beta * delta-s between decompositions
 
 
-def mod_residual_monitor(monitors: list, table: TTable | None = None) -> dict:
+def mod_residual_monitor(monitors: list) -> dict:
     """Finite-difference residuals of the four modulation equations and
     their hat-corrected versions, each with its bound proxy.
 
@@ -216,8 +208,7 @@ def mod_residual_monitor(monitors: list, table: TTable | None = None) -> dict:
         raise InsufficientSampling(
             f"insufficient-sampling: beta*ds = {worst:.3g} exceeds "
             f"{_MAX_BETA_DS}; reduce the monitor stride")
-    if table is None:
-        table = PR.build_t_tables(m, ds_list[0].eps.grid)
+    table = PR.build_t_tables(m, ds_list[0].eps.grid)
 
     hats = np.array([MOD.corrected_params(d) for d in ds_list])
     b_hat, eta_hat = hats[:, 0], hats[:, 1]
@@ -351,14 +342,15 @@ def singular_profile_probe(mon: Monitor, ell: float, gamma_star: float) -> dict:
     return rec
 
 
-def profile_monitor(m: int, ode_out: dict, snap_grid: Grid,
+def profile_monitor(ode_out: dict, snap_grid: Grid,
                     table: TTable) -> Monitor:
     """Synthetic monitor whose state is the pure modified profile
     [P(b, eta)]_{lambda, gamma} at the end of a modulation-ODE run
     (eps = 0); used for ODE/PDE hybrid probes of the singular profile."""
+    m = table.m
     tt, lam, gam, b, eta = (float(ode_out[k][-1])
                             for k in ("t", "lambda", "gamma", "b", "eta"))
-    pset = PR.assemble(m, PR.ProfileParams(b, eta), table)
+    pset = PR.assemble(PR.ProfileParams(b, eta), table)
     vals = cmath.exp(1j * gam) / lam * sampler(pset.P)(snap_grid.r / lam)
     u = RadialField(m, vals, snap_grid, decay=None)
     energy, _, _ = GA.energy_mass(u)

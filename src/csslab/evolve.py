@@ -44,7 +44,6 @@ from scipy.linalg.lapack import zgbtrf, zgbtrs
 from . import gauge as GA
 from . import grid as G
 from . import modulation as MOD
-from . import profiles as PR
 from .grid import Grid, RadialField
 
 
@@ -67,7 +66,6 @@ class StabilityGuardTripped(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    grid: Grid
     dt: float
     t_end: float | None = None
     lambda_min: float | None = None
@@ -76,8 +74,10 @@ class SolverConfig:
     tube_radius: float = 0.2
 
     def __post_init__(self):
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
+        if not (0 < self.dt < math.inf):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if self.t_end is not None and not math.isfinite(self.t_end):
+            raise ValueError(f"t_end must be finite, got {self.t_end}")
         if self.t_end is None and self.lambda_min is None:
             raise ValueError("stop rule required: t_end or lambda_min")
         if self.lambda_min is not None and not self.decompose_flag:
@@ -337,18 +337,11 @@ def run(u0: RadialField, config: SolverConfig,
     monitor. error holds either failure. timings holds the perf_counter
     seconds of the steps, monitors and decompositions; counters the
     steps, factorizations and Newton iterations, a failed one's included."""
-    if u0.grid != config.grid:
-        raise G.GridError("initial datum not on the solver grid")
-    kin = KineticSolver(config.grid, u0.m, config.dt)
+    grid = u0.grid
+    kin = KineticSolver(grid, u0.m, config.dt)
     counters = {"steps": 0, "factorizations": 1, "newton_iterations": 0}
     # the damping on the sponge's support only; it is 1.0 before it
-    damping = np.exp(-config.dt
-                     * sponge_profile(config.grid)[sponge_start(config.grid):])
-
-    mod_table = ortho = None
-    if config.decompose_flag:
-        mod_table = PR.build_t_tables(u0.m, config.grid)
-        ortho = MOD.build_ortho_profiles(u0.m, config.grid)
+    damping = np.exp(-config.dt * sponge_profile(grid)[sponge_start(grid):])
 
     series: dict = {k: [] for k in
                     ("t", "mass", "energy", "e_selfdual", "v1", "v2",
@@ -373,8 +366,8 @@ def run(u0: RadialField, config: SolverConfig,
             if config.decompose_flag:
                 mark = time.perf_counter()
                 try:
-                    d = MOD.decompose(u, ortho, init=MOD.extrapolate(recent, t),
-                                      table=mod_table, energy=row[2],
+                    d = MOD.decompose(u, init=MOD.extrapolate(recent, t),
+                                      energy=row[2],
                                       tube_radius=config.tube_radius)
                 except MOD.DECOMPOSE_FAILURES as exc:
                     counters["newton_iterations"] += getattr(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -264,12 +265,14 @@ def _weight_arrays(delta: float, y: np.ndarray):
     return psi_p, psi_pp, lap, bilap
 
 
+@lru_cache(maxsize=16)
 def morawetz_weight(delta: float, grid: Grid,
                     auto_halve: bool = True) -> MorawetzWeight:
     """Repulsive weight psi' = y/<y> - delta y/<y>^2. The returned record
     witnesses c1, c2 > 0 in psi'' >= c1/<y>^2 and
     psi'/y - y^2 (Delta^2 psi)/4 >= c2/<y>; delta is halved automatically
-    until both hold (disable with auto_halve=False to get the error)."""
+    until both hold (disable with auto_halve=False to get the error).
+    Shared per equal grid as the T-table."""
     if not (0.0 < delta < 1.0) and delta != 0.0:
         raise ValueError(f"delta must lie in [0, 1), got {delta}")
     y = grid.r

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,7 +51,6 @@ DECOMPOSE_FAILURES = (ScaleOutOfRange, NotInTube, NoConvergence)
 
 @dataclass(frozen=True)
 class OrthoProfiles:
-    m: int
     Z1: RadialField
     Z2: RadialField
     Z3t: RadialField
@@ -88,9 +88,10 @@ class DecompResult:
     iterations: int
 
 
+@lru_cache(maxsize=16)
 def build_ortho_profiles(m: int, grid: Grid) -> OrthoProfiles:
     """Compactly supported orthogonality profiles with the gauge conditions
-    (rho, Z1)_r = 0 and ((y^2/4)Q, -i Z2)_r = 0 built in."""
+    (rho, Z1)_r = 0 and ((y^2/4)Q, -i Z2)_r = 0 built in; shared as the T-table."""
     y = grid.r
     q = q_values(m, y)
     yq_norm2 = G.l2_samples(grid, y * q, decay=m + 1) ** 2
@@ -119,7 +120,6 @@ def build_ortho_profiles(m: int, grid: Grid) -> OrthoProfiles:
     t1 = float(G.integrate_samples(grid, z1 * lam_q))
     t2 = float(np.real(G.integrate_samples(grid, np.conj(z2) * (-1j) * q)))
     return OrthoProfiles(
-        m=m,
         Z1=RadialField(m, z1.astype(complex), grid),
         Z2=RadialField(m, z2, grid),
         Z3t=RadialField(m + 1, z3, grid),
@@ -136,7 +136,7 @@ _NEWTON_TOL = 1e-10  # on the largest pairing, relative to ||Q||_{L2}
 _NEWTON_MAX_ITER = 50
 
 
-def _assemble_chart(m: int, b: float, eta: float, table: TTable,
+def _assemble_chart(b: float, eta: float, table: TTable,
                     derivs: bool = True) -> PR.ProfileSet:
     """Profiles as the decomposition's coordinate chart: P, P1 and their
     (b, eta)-derivatives for a Newton pairing, or (derivs=False) P, P1, P2.
@@ -162,11 +162,11 @@ def _assemble_chart(m: int, b: float, eta: float, table: TTable,
     beta = math.hypot(b, eta)
     if beta <= _CHART_BETA:
         cutoffs = not (beta > 0.0 and 2.0 / beta > grid.r_max)
-        return PR.assemble(m, ProfileParams(b, eta), table, cutoffs=cutoffs,
+        return PR.assemble(ProfileParams(b, eta), table, cutoffs=cutoffs,
                            derivs=derivs, p2=not derivs)
     scale = _CHART_BETA / beta
     b_c, eta_c = b * scale, eta * scale
-    pset = PR.assemble(m, ProfileParams(b_c, eta_c), table, derivs=derivs,
+    pset = PR.assemble(ProfileParams(b_c, eta_c), table, derivs=derivs,
                        p2=not derivs)
     delta = b - b_c
     y = grid.r
@@ -201,7 +201,7 @@ def _assemble_chart(m: int, b: float, eta: float, table: TTable,
 def _pairings(u: RadialField, state: ModState, table: TTable,
               profiles: OrthoProfiles, sample=None):
     w = flat(u, SymmetryParams(state.lam, state.gamma), sample)
-    chart = _assemble_chart(table.m, state.b, state.eta, table)
+    chart = _assemble_chart(state.b, state.eta, table)
     eps = w.with_values(w.values - chart.P.values, decay=None)
     gf = GA.gauge_fields(w)
     d_w = GA.cov_d(w, w, gf)
@@ -243,9 +243,7 @@ def extrapolate(history: list, t: float) -> ModState | None:
     return ModState(math.exp(x[0]), *x[1:])
 
 
-def decompose(u: RadialField, profiles: OrthoProfiles,
-              init: ModState | None = None,
-              table: TTable | None = None,
+def decompose(u: RadialField, init: ModState | None = None,
               tube_radius: float = 0.2,
               energy: float | None = None) -> DecompResult:
     """Newton solve of the four orthogonality conditions, one pairing per
@@ -256,6 +254,7 @@ def decompose(u: RadialField, profiles: OrthoProfiles,
     phase-factored chart beyond _CHART_BETA. A pairing builds P, P1 and
     their derivatives only; P2 is built once, at the converged state.
 
+    The T-table and orthogonality profiles are those of (u.m, u.grid).
     u is resampled through one sampler(u), built here and shared by the
     proximity fit, the tube check and every pairing; each pairing's arrays
     are dropped before the next is made, and nothing outlives the call.
@@ -268,10 +267,8 @@ def decompose(u: RadialField, profiles: OrthoProfiles,
     Typed failures after the first pairing carry `iterations`.
     `energy` is E[u] if the caller has it (mu needs it); None computes it."""
     m = u.m
-    if m != profiles.m:
-        raise G.IndexMismatch("ortho profiles built for a different index")
-    if table is None:
-        table = PR.build_t_tables(m, u.grid)
+    table = PR.build_t_tables(m, u.grid)
+    profiles = build_ortho_profiles(m, u.grid)
     q = soliton_q(m, u.grid)
     sample = sampler(u)
 
@@ -326,7 +323,7 @@ def decompose(u: RadialField, profiles: OrthoProfiles,
     # buffer: other orders fragment the heap more over a run (peak RSS)
     w, gf, d_w, _, eps, eps1 = aux
     a_w = GA.a_u(w, d_w, gf)
-    p2 = _assemble_chart(m, state.b, state.eta, table, derivs=False).P2
+    p2 = _assemble_chart(state.b, state.eta, table, derivs=False).P2
     np.subtract(a_w.values, p2.values, out=a_w.values)
     eps2 = a_w.with_values(a_w.values, decay=None)
     if energy is None:
@@ -363,7 +360,7 @@ def corrected_params(d: DecompResult) -> tuple[float, float]:
 # Modulation ODE
 
 
-def _phase_integral(m: int, b: float, eta: float, table: TTable) -> float:
+def _phase_integral(b: float, eta: float, table: TTable) -> float:
     """int_0^infty Re(conj(P) P1) dy from the assembled profiles; the cutoff
     radius is capped at r_max/4 so the integral stays available as beta -> 0."""
     beta = math.hypot(b, eta)
@@ -373,7 +370,7 @@ def _phase_integral(m: int, b: float, eta: float, table: TTable) -> float:
     y = grid.r
     b_eff = min(1.0 / beta, grid.r_max / 4.0)
     chi = G.smooth_bump(y / b_eff)
-    p_vals = q_values(m, y) + chi * PR.expansion(table, 0, b, eta)
+    p_vals = q_values(table.m, y) + chi * PR.expansion(table, 0, b, eta)
     dens = np.real(np.conj(p_vals) * (chi * PR.expansion(table, 1, b, eta)))
     return float(G.integrate_dy(grid, dens))
 
@@ -393,7 +390,7 @@ def ode_rhs(m: int, state: ModState, table: TTable | None = None,
             raise OdeFailure(
                 f"beta = {state.beta} out of range for the profile-assembled "
                 "phase integral (need < 1/10)")
-        phase = _phase_integral(m, b, eta, table)
+        phase = _phase_integral(b, eta, table)
     p3b, p3e = PR.p3(m, ProfileParams(b, eta)) if use_p3 else (0.0, 0.0)
     lam_s = -b * state.lam
     gam_s = -(m + 1) * eta - phase

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -153,8 +153,6 @@ class TTable:
     solvability: dict = field(default_factory=dict)
 
 
-_TABLE_CACHE: dict = {}
-
 # the entries summed into P, P1, P2 (k = 0, 1, 2)
 _EXPANSIONS = (("T1_0", "T2_0", "T3_0"), ("T1_1", "T2_1", "T3_1"),
                ("T2_2", "T3_2"))
@@ -176,12 +174,12 @@ def _aq_star_term(m: int, grid: Grid, t1_0):
                                     for row in t1_0 * (grid.r**2 / 4.0)]))
 
 
+@lru_cache(maxsize=16)
 def build_t_tables(m: int, grid: Grid) -> TTable:
+    """The T-table of (m, grid), built once per equal grid and shared by
+    every caller: nothing writes to its arrays."""
     if m < 1:
         raise UnsupportedIndex(f"equivariance index must be >= 1, got {m}")
-    key = (m, grid.key)
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
     y = grid.r
     q = q_values(m, y)
     rho = L.rho(m, grid).values
@@ -227,13 +225,11 @@ def build_t_tables(m: int, grid: Grid) -> TTable:
     else:
         t3_0 = np.empty((0, grid.n), dtype=np.complex128)
 
-    table = TTable(m=m, grid=grid,
-                   entries={"T1_0": t1_0, "T1_1": t1_1,
-                            "T2_0": t2_0, "T2_1": t2_1, "T2_2": t2_2,
-                            "T3_0": t3_0, "T3_1": t3_1, "T3_2": t3_2},
-                   p3_b=p3b, p3_eta=p3e, solvability=solvability)
-    _TABLE_CACHE[key] = table
-    return table
+    return TTable(m=m, grid=grid,
+                  entries={"T1_0": t1_0, "T1_1": t1_1,
+                           "T2_0": t2_0, "T2_1": t2_1, "T2_2": t2_2,
+                           "T3_0": t3_0, "T3_1": t3_1, "T3_2": t3_2},
+                  p3_b=p3b, p3_eta=p3e, solvability=solvability)
 
 
 def expansion(table: TTable, k: int, b: float, eta: float,
@@ -243,12 +239,12 @@ def expansion(table: TTable, k: int, b: float, eta: float,
     return _peval([table.entries[nm] for nm in _EXPANSIONS[k]], b, eta, wrt)
 
 
-def solvability_inner(m: int, params: ProfileParams, table: TTable) -> float:
+def solvability_inner(params: ProfileParams, table: TTable) -> float:
     """Absolute value of the m=1 solvability pairing at the given parameters
     (zero by construction of p3, up to quadrature error)."""
+    m, grid = table.m, table.grid
     if m >= 2:
         return 0.0
-    grid = table.grid
     y = grid.r
     q = q_values(m, y)
     inner32 = _aq_star_term(m, grid, table.entries["T1_0"])
@@ -291,7 +287,7 @@ def _cut_and_derivs(grid: Grid, beta: float, b: float, eta: float, scale_pow: fl
 _BETA_MAX = 0.1  # the accuracy range of the expansion
 
 
-def assemble(m: int, params: ProfileParams, table: TTable,
+def assemble(params: ProfileParams, table: TTable,
              t4_dir: RadialField | None = None, cutoffs: bool = True,
              derivs: bool = True, p2: bool = True) -> ProfileSet:
     """Build P, P1, P2 and their analytic (b, eta)-derivatives for beta <
@@ -299,7 +295,7 @@ def assemble(m: int, params: ProfileParams, table: TTable,
     its own, as None. cutoffs=False returns the unlocalized profiles (for
     the quartic extraction). Beyond modulation._CHART_BETA the
     decomposition phase-factors the chart instead of assembling there."""
-    grid = table.grid
+    m, grid = table.m, table.grid
     if params.beta >= _BETA_MAX:
         raise ValueError(
             f"beta = {params.beta} out of range (need < {_BETA_MAX})")
@@ -378,11 +374,11 @@ class ResidualReport:
 _SUP_RADII = (2.0, 5.0)  # radii of the local sup norms of Psi
 
 
-def residuals(m: int, params: ProfileParams, p: ProfileSet) -> ResidualReport:
+def residuals(params: ProfileParams, p: ProfileSet) -> ResidualReport:
     """Evaluate the three profile-equation residuals with the formal laws
     (Mod = 0): lambda_s/lambda = -b, gamma_s = -(m+1) eta - I0,
     b_s = -(b^2+eta^2) - p3_b, eta_s = -p3_eta."""
-    grid = p.P.grid
+    m, grid = p.P.m, p.P.grid
     y = grid.r
     b, eta = params.b, params.eta
     p3b, p3e = p3(m, params)
@@ -440,7 +436,7 @@ def residuals(m: int, params: ProfileParams, p: ProfileSet) -> ResidualReport:
         fields={"Psi": psi_f, "Psi1": psi1_f, "Psi2": psi2_f})
 
 
-def taylor_deviations(m: int, params: ProfileParams, table: TTable) -> dict:
+def taylor_deviations(params: ProfileParams, table: TTable) -> dict:
     """Sup over y in [2, 2 B1] of the far-field Taylor deviations of the
     T-fields, each normalized by its pointwise envelope:
 
@@ -451,7 +447,7 @@ def taylor_deviations(m: int, params: ProfileParams, table: TTable) -> dict:
         m >= 2: |T3^(1) + bbeta^3 (y^5/64) Q|
           + y |T3^(2) + bbeta^3 (y^4/16) Q|   <= C beta^3 y^3 Q log y
     """
-    grid = table.grid
+    m, grid = table.m, table.grid
     y = grid.r
     b, eta, bb = params.b, params.eta, params.bbeta
     q = q_values(m, y)
@@ -522,8 +518,8 @@ def quartic_coefficient(m: int, grid: Grid, direction: tuple[float, float],
     f4 = np.zeros(grid.n, dtype=complex)
     for s, weight in zip(s_values, pinv[_FIT_DEGREES.index(4)]):
         params = ProfileParams(s * db, s * de)
-        pset = assemble(m, params, table, t4_dir=t4_dir, cutoffs=False)
-        f4 += weight * residuals(m, params, pset).fields["Psi2"].values
+        pset = assemble(params, table, t4_dir=t4_dir, cutoffs=False)
+        f4 += weight * residuals(params, pset).fields["Psi2"].values
     return f4
 
 
@@ -546,8 +542,8 @@ def scaling_sweep(m: int, betas, direction: tuple[float, float],
     }
     for beta in betas:
         params = ProfileParams(beta * db, beta * de)
-        pset = assemble(m, params, table, t4_dir=t4_dir)
-        rep = residuals(m, params, pset)
+        pset = assemble(params, table, t4_dir=t4_dir)
+        rep = residuals(params, pset)
         series["psi_sup_R2"].append(rep.psi_local_sup[2.0])
         series["psi_sup_R5"].append(rep.psi_local_sup[5.0])
         series["psi1_L1w"].append(rep.psi1_weighted_L1)
@@ -555,7 +551,7 @@ def scaling_sweep(m: int, betas, direction: tuple[float, float],
         series["psi2_H1"].append(rep.psi2_H1)
         series["phase_corr_dev"].append(
             abs(rep.phase_corr + 2.0 * (m + 1) * params.eta))
-        for name, val in taylor_deviations(m, params, table).items():
+        for name, val in taylor_deviations(params, table).items():
             series[name].append(val)
     logb = np.log(np.asarray(betas, dtype=float))
     fit = np.unique(logb).size > 1  # a line needs two distinct betas

@@ -39,9 +39,8 @@ class SymmetryParams:
 def soliton_q(m: int, grid: Grid) -> RadialField:
     if m < 1:
         raise UnsupportedIndex(f"equivariance index must be >= 1, got {m}")
-    r = grid.r
-    vals = math.sqrt(8.0) * (m + 1) * r**m / (1.0 + r ** (2 * m + 2))
-    return RadialField(m, vals.astype(complex), grid, decay=float(m + 2))
+    return RadialField(m, q_values(m, grid.r).astype(complex), grid,
+                       decay=float(m + 2))
 
 
 def q_values(m: int, r: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ def s_mons_pde(pde_grid):
     """The monitors of the blow-up solution tracked from t = -1 to -0.4 on
     the dedicated fine grid, with per-monitor decomposition."""
     u0 = blowup_s(1, -1.0, pde_grid)
-    cfg = SolverConfig(grid=pde_grid, dt=4e-4, t_end=-0.4,
+    cfg = SolverConfig(dt=4e-4, t_end=-0.4,
                        monitor_stride=250, decompose_flag=True,
                        tube_radius=0.5)
     mons = []
@@ -53,7 +53,7 @@ def _diag_run(grid, perturb=False):
         y = grid.r
         bump = 0.01 * y * np.exp(-((y - 1.0) ** 2)) * (1.0 + 0.5j)
         u0 = u0.with_values(u0.values + bump, decay=None)
-    cfg = SolverConfig(grid=grid, dt=1e-3, t_end=-0.9, monitor_stride=5,
+    cfg = SolverConfig(dt=1e-3, t_end=-0.9, monitor_stride=5,
                        decompose_flag=True, tube_radius=0.5)
     mons = []
     return run(u0, cfg, mons.append, t0=-1.0), mons
@@ -144,7 +144,7 @@ def test_criterion_5_profile_residual_scalings(grid):
     for beta in betas:
         for db, de in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8)):
             params = PR.ProfileParams(beta * db, beta * de)
-            assert PR.solvability_inner(1, params, table) < 1e-6 * beta**3
+            assert PR.solvability_inner(params, table) < 1e-6 * beta**3
 
 
 def test_criterion_6_modulation_ode_vs_closed_form():
@@ -192,7 +192,7 @@ def test_criterion_7_pde_validation(grid, pde_grid, s_mons_pde):
     # both virial identities within 1%
     q = soliton_q(1, grid)
     mons_q = []
-    traj_q = run(q, SolverConfig(grid=grid, dt=1e-3, t_end=1.0,
+    traj_q = run(q, SolverConfig(dt=1e-3, t_end=1.0,
                                  monitor_stride=100), mons_q.append)
     mass = traj_q.series["mass"]
     assert np.max(np.abs(mass - mass[0])) / mass[0] < 1e-8
@@ -211,7 +211,7 @@ def test_criterion_7_pde_validation(grid, pde_grid, s_mons_pde):
     y = grid.r
     vals = 1.2 * y * np.exp(-(y**2)) * np.exp(0.5j * y**2)
     u0 = RadialField(1, vals, grid, decay=None)
-    traj = run(u0, SolverConfig(grid=grid, dt=2e-4, t_end=0.2,
+    traj = run(u0, SolverConfig(dt=2e-4, t_end=0.2,
                                 monitor_stride=25), lambda mon: None)
     t = traj.series["t"]
     v1, v2, e = traj.series["v1"], traj.series["v2"], traj.series["energy"]
@@ -269,7 +269,7 @@ def test_criterion_9_singular_profile_probe(grid, probe_grid):
         assert out["stop"] == "blowup-reached"
         ell, gamma_star, _ = D.asymptotics(out)
         table = PR.build_t_tables(m, probe_grid)
-        mon = D.profile_monitor(m, out, grid, table)
+        mon = D.profile_monitor(out, grid, table)
         recs[m] = (D.singular_profile_probe(mon, ell, gamma_star), ell)
     rec1, ell1 = recs[1]
     rec3, ell3 = recs[3]

@@ -6,6 +6,10 @@ own module, or the acceptance battery (tests/test_acceptance.py) refers to
 it. Unit tests alone do not keep a helper alive: a helper that only its
 test calls is dead code with a test attached. Click commands, which the
 command line reaches, are exempt.
+
+In the same way, every parameter with a default is passed by some call
+in the package or the acceptance battery: one that nothing passes only
+ever takes its default.
 """
 
 import ast
@@ -92,3 +96,81 @@ def test_every_method_has_a_caller():
     """Methods and properties count by their attribute name: a property read
     only by its own unit test is as dead as an uncalled function."""
     assert _orphans(methods=True)[0] == []
+
+
+# parameters with a default that no call in the package or the acceptance
+# battery passes, by design
+UNPASSED = {
+    "profiles.build_t4.s_values": "the s-ladder that only the unit test "
+                                  "reaching FitIllConditioned replaces",
+}
+
+
+def _calls(trees) -> dict:
+    """Callee name -> [(positional count, keyword names)] of every call in
+    the trees. Positional arguments after a *-splat are not counted, and a
+    **-splat passes no name."""
+    out = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            npos = next((i for i, a in enumerate(node.args)
+                         if isinstance(a, ast.Starred)), len(node.args))
+            out.setdefault(name, []).append(
+                (npos, {k.arg for k in node.keywords if k.arg}))
+    return out
+
+
+def _defaulted(tree):
+    """(callee name, qualified name, parameter, position) for each parameter
+    with a default of the module's functions, methods and dataclasses. The
+    position counts the arguments of a call: a method's self is not passed
+    and a class is called for its __init__ or its dataclass fields."""
+    def params(fn, owner, skip):
+        a = fn.args
+        pos = a.posonlyargs + a.args
+        first = len(pos) - len(a.defaults)
+        name = owner.name if fn.name == "__init__" else fn.name
+        qual = f"{owner.name}.{fn.name}" if owner else fn.name
+        for i, arg in enumerate(pos[first:], first):
+            yield name, qual, arg.arg, i - skip
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield name, qual, arg.arg, None
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.FunctionDef):
+                    yield from params(inner, None, 0)
+        elif isinstance(node, ast.ClassDef):
+            if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                fields = [item for item in node.body
+                          if isinstance(item, ast.AnnAssign)]
+                for i, item in enumerate(fields):
+                    if item.value is not None:
+                        yield node.name, node.name, item.target.id, i
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(ast.unparse(d) == "staticmethod"
+                                 for d in item.decorator_list)
+                    yield from params(item, node, 0 if static else 1)
+
+
+def test_every_defaulted_parameter_is_passed():
+    """A parameter with a default that no caller passes is an option
+    nothing uses: the default is the only value it takes."""
+    modules = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    calls = _calls([*modules.values(), ast.parse(ACCEPTANCE.read_text())])
+    unpassed = []
+    for mod, tree in modules.items():
+        for name, qual, param, pos in _defaulted(tree):
+            if not any(param in kws or (pos is not None and npos > pos)
+                       for npos, kws in calls.get(name, [])):
+                unpassed.append(f"{mod}.{qual}.{param}")
+    assert sorted(set(unpassed) - set(UNPASSED)) == []
+    assert set(UNPASSED) <= set(unpassed)  # a stale entry is an error too

@@ -340,6 +340,24 @@ def test_report_on_one_sample_and_on_missing_columns(runner, outroot):
     assert _error_manifest(outroot, "rep").startswith("ValueError")
 
 
+@pytest.mark.parametrize("row, column", [(95, "lambda"), (10, "eta")])
+def test_report_refuses_a_non_finite_series(runner, outroot, row, column):
+    # row 95 of 100 lies in the tail that asymptotics fits, row 10 before it
+    t = np.linspace(-1.0, -0.05, 100)
+    cols = {"t": t, "lambda": -t, "gamma": np.zeros_like(t), "b": -t,
+            "eta": np.zeros_like(t)}
+    cols[column][row] = np.nan
+    rundir = outroot / "nan"
+    rundir.mkdir(parents=True)
+    CLI.write_series(rundir, cols)
+    res = runner.invoke(main, ["report", str(rundir), "--out", "rep"])
+    assert res.exit_code == 2, res.output
+    assert f"non-finite values in the columns {column}" in res.output
+    assert "Traceback" not in res.output
+    assert _error_manifest(outroot, "rep").startswith("ValueError")
+    assert not (outroot / "rep" / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # evolve
 
@@ -459,6 +477,29 @@ def test_evolve_bad_config_is_usage_error(runner, outroot, args, error):
     assert "Error: " + error in res.output
     assert "Traceback" not in res.output
     assert _error_manifest(outroot, "bad").startswith(error)
+
+
+@pytest.mark.parametrize("args, error", [
+    (["--t0", "nan", "--tend", "1"], "t0 must be finite, got nan"),
+    (["--t0", "0", "--tend", "nan"], "t_end must be finite, got nan"),
+    (["--t0", "0", "--tend", "1", "--dt", "nan"],
+     "dt must be positive and finite, got nan"),
+    (["--t0", "0", "--tend", "1", "--dt", "inf"],
+     "dt must be positive and finite, got inf"),
+])
+def test_evolve_non_finite_time_is_usage_error(tmp_path, args, error):
+    # a NaN time never reaches t_end: a regression runs into the timeout
+    res = _run_module(["evolve", "--data", "Q", "--m", "1",
+                       "--grid", "n=512,r_min=0.1,r_max=50",
+                       "--monitor-stride", "50", "--out", "t"] + args,
+                      tmp_path, timeout=30)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    errors = [ln for ln in res.stderr.splitlines() if ln.startswith("Error:")]
+    assert errors == ["Error: ValueError: " + error]
+    manifest = json.loads((tmp_path / "runs" / "t" / "manifest.json")
+                          .read_text())
+    assert manifest["error"] == "ValueError: " + error
 
 
 def test_evolve_stability_guard_is_clean_error(runner, outroot):
@@ -825,13 +866,13 @@ def _module_env() -> dict:
         + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
 
 
-def _run_module(args, cwd):
+def _run_module(args, cwd, timeout=120):
     """`python -m csslab.cli args` run in cwd, its output root cwd/runs."""
     env = _module_env()
     env.pop("CSSLAB_OUTPUT_ROOT", None)
     return subprocess.run([sys.executable, "-m", "csslab.cli", *args],
                           cwd=cwd, env=env, capture_output=True, text=True,
-                          timeout=120)
+                          timeout=timeout)
 
 
 def test_evolve_stdout_is_the_same_with_out(tmp_path):
@@ -886,8 +927,7 @@ def test_decompose_field_file(runner, tmp_path, outroot):
     assert res.exit_code == 0, res.output
     rep = json.loads(res.output)
     assert rep["converged"]
-    assert set(_timings(outroot, "df")) == {"read", "ortho_profiles",
-                                            "decompose"}
+    assert set(_timings(outroot, "df")) == {"read", "decompose"}
     assert abs(rep["state"]["lambda"] - 0.8) < 1e-6
     assert abs(rep["state"]["gamma"] - 0.7) < 1e-6
     assert abs(rep["state"]["b"]) < 1e-6
@@ -915,7 +955,7 @@ def test_decompose_scale_out_of_range_is_clean_error(runner, tmp_path,
     assert _error_manifest(outroot, "dec").startswith("ScaleOutOfRange")
     assert not (outroot / "dec" / "report.json").exists()
     # the phases finished before the failure
-    assert set(_timings(outroot, "dec")) == {"read", "ortho_profiles"}
+    assert set(_timings(outroot, "dec")) == {"read"}
 
 
 @pytest.mark.parametrize("args", [

@@ -15,20 +15,11 @@ import pytest
 from csslab import diagnostics as D
 from csslab import gauge as GA
 from csslab import grid as G
+from csslab import linops as L
 from csslab import modulation as MOD
 from csslab import profiles as PR
 from csslab.evolve import Monitor, SolverConfig, run
 from csslab.soliton import SymmetryParams, blowup_s, modulate
-
-
-@pytest.fixture(scope="module")
-def table1(grid):
-    return PR.build_t_tables(1, grid)
-
-
-@pytest.fixture(scope="module")
-def ortho1(grid):
-    return MOD.build_ortho_profiles(1, grid)
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +28,7 @@ def s_traj(grid):
     set by the beta * delta-s <= 0.01 rule at beta ~ 1): the run and its
     monitors."""
     u0 = blowup_s(1, -1.0, grid)
-    cfg = SolverConfig(grid=grid, dt=1e-3, t_end=-0.9, monitor_stride=5,
+    cfg = SolverConfig(dt=1e-3, t_end=-0.9, monitor_stride=5,
                        decompose_flag=True, tube_radius=0.5)
     mons = []
     return run(u0, cfg, mons.append, t0=-1.0), mons
@@ -86,12 +77,12 @@ def test_frame_lower_bounds(s_frames):
         assert fr.V72 >= math.sqrt(fr.mu) * fr.X3
 
 
-def test_frame_scale_invariance(grid, table1, ortho1):
+def test_frame_scale_invariance(grid):
     u = blowup_s(1, -0.8, grid)
-    d1 = MOD.decompose(u, ortho1, table=table1, tube_radius=0.5)
+    d1 = MOD.decompose(u, tube_radius=0.5)
     fr1 = D.frame(d1, GA.energy_mass(u)[0])
     u2 = modulate(u, SymmetryParams(1.15, 0.0))
-    d2 = MOD.decompose(u2, ortho1, table=table1, tube_radius=0.5)
+    d2 = MOD.decompose(u2, tube_radius=0.5)
     fr2 = D.frame(d2, GA.energy_mass(u2)[0])
     assert d2.state.lam == pytest.approx(1.15 * d1.state.lam, rel=1e-6)
     for key, tol in (("mu", 1e-6), ("beta", 1e-6), ("X2", 1e-6),
@@ -187,11 +178,11 @@ def _synthetic_decomps(m, grid, b0, eta0, t_end, n, use_p3=True):
     return decomps
 
 
-def test_monitor_synthetic_floor(grid, table1):
+def test_monitor_synthetic_floor(grid):
     # pure-ODE trajectory (eps = 0): residuals at the finite-difference
     # floor; hat residuals pick up exactly the dropped cubic terms
     decomps = _synthetic_decomps(1, grid, 0.05, 0.02, 0.5, 201)
-    mon = D.mod_residual_monitor(decomps, table=table1)
+    mon = D.mod_residual_monitor(decomps)
     for key in ("r1", "r2", "r3", "r4"):
         assert np.max(np.abs(mon[key])) < 1e-8, key
     beta_max = max(mon.d.state.beta for mon in decomps)
@@ -199,13 +190,13 @@ def test_monitor_synthetic_floor(grid, table1):
     assert np.max(np.abs(mon["r4_hat"])) < 2.0 * beta_max**3
 
 
-def test_monitor_insufficient_sampling(grid, table1):
+def test_monitor_insufficient_sampling(grid):
     decomps = _synthetic_decomps(1, grid, 0.05, 0.02, 0.5, 201)
     with pytest.raises(D.InsufficientSampling):
-        D.mod_residual_monitor(decomps[:3], table=table1)
+        D.mod_residual_monitor(decomps[:3])
     coarse = _synthetic_decomps(1, grid, 0.08, 0.0, 4.0, 9)
     with pytest.raises(D.InsufficientSampling):
-        D.mod_residual_monitor(coarse, table=table1)
+        D.mod_residual_monitor(coarse)
 
 
 def test_monitor_s_run(s_traj):
@@ -220,6 +211,27 @@ def test_monitor_s_run(s_traj):
     # the cubic correction far outside its validity range at b ~ 1
     assert np.max(np.abs(mon["r4_hat"])) < 0.05 * np.max(np.abs(mon["r4"]))
     assert np.max(np.abs(mon["r1"]) / mon["bound_12"]) < 1.0
+
+
+def test_no_shared_array_is_written(grid, s_traj):
+    # the T-table, orthogonality profiles and Morawetz weight of a grid are
+    # built once and shared: decompositions, frames and monitors only read
+    table = PR.build_t_tables(1, grid)
+    ortho = MOD.build_ortho_profiles(1, grid)
+    weight = L.morawetz_weight(D.DEFAULT_DELTA, grid)
+    arrays = [*table.entries.values(), table.p3_b, table.p3_eta,
+              *(z.values for z in (ortho.Z1, ortho.Z2, ortho.Z3t, ortho.Z4t)),
+              weight.psi_prime, weight.psi_dprime, weight.laplacian_psi,
+              weight.bilaplacian_psi]
+    before = [a.tobytes() for a in arrays]
+    p = PR.assemble(PR.ProfileParams(0.03, 0.02), table).P
+    # beta inside the chart, then beyond it
+    for u in (modulate(p, SymmetryParams(0.9, 0.4)), blowup_s(1, -0.5, grid)):
+        D.frame(MOD.decompose(u, tube_radius=0.5), 1.0)
+    traj, mons = s_traj
+    D.frames_along(mons, traj.series)
+    D.mod_residual_monitor(mons)
+    assert [a.tobytes() for a in arrays] == before
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +291,7 @@ def _hybrid_probe(m, grid, probe_grid, b0=0.01):
     assert out["stop"] == "blowup-reached"
     ell, gamma_star, fits = D.asymptotics(out)
     table = PR.build_t_tables(m, probe_grid)
-    mon = D.profile_monitor(m, out, grid, table)
+    mon = D.profile_monitor(out, grid, table)
     return D.singular_profile_probe(mon, ell, gamma_star), ell, fits
 
 
@@ -305,13 +317,13 @@ def test_hybrid_probe_m3_no_singular_part(grid, probe_grid):
     assert abs(rec3["c"]) < 0.1 * abs(rec1["c"])
 
 
-def test_probe_annulus_unresolved(grid, table1):
+def test_probe_annulus_unresolved():
     out = MOD.ode_integrate(1, MOD.ModState(0.01, 0.0, 0.01, 0.0),
                             (0.0, 0.015), use_p3=True, lam_min=5e-4,
                             n_eval=500)
     coarse = G.build_grid(r_min=0.5, r_max=200.0, n=256)
     table = PR.build_t_tables(1, G.build_grid(r_min=1e-4, r_max=8000.0,
                                               n=4096))
-    mon = D.profile_monitor(1, out, coarse, table)
+    mon = D.profile_monitor(out, coarse, table)
     with pytest.raises(D.AnnulusUnresolved):
         D.singular_profile_probe(mon, 1.0, 0.0)

@@ -21,7 +21,6 @@ from csslab import evolve
 from csslab import gauge as GA
 from csslab import grid as G
 from csslab import modulation as MOD
-from csslab import profiles as PR
 from csslab.evolve import (KineticSolver, SolverConfig, StabilityGuardTripped,
                            potential, run, sponge_profile, step,
                            validate_exact)
@@ -45,7 +44,7 @@ def s_mons(pde_grid):
     """The monitors of the reference S-trajectory run from t = -1 to -0.4
     with per-monitor decomposition."""
     u0 = blowup_s(1, -1.0, pde_grid)
-    cfg = SolverConfig(grid=pde_grid, dt=4e-4, t_end=-0.4,
+    cfg = SolverConfig(dt=4e-4, t_end=-0.4,
                        monitor_stride=250, decompose_flag=True,
                        tube_radius=0.5)
     mons = []
@@ -139,7 +138,7 @@ def test_kinetic_solve_matches_solve_banded(m, rng):
 
 def test_q_run_mass_energy_drift(grid):
     q = soliton_q(1, grid)
-    cfg = SolverConfig(grid=grid, dt=1e-3, t_end=1.0, monitor_stride=100)
+    cfg = SolverConfig(dt=1e-3, t_end=1.0, monitor_stride=100)
     mons = []
     traj = run(q, cfg, mons.append)
     mass = traj.series["mass"]
@@ -157,7 +156,7 @@ def test_phase_convention_consistency(grid):
     gamma0 = 0.8
     q = soliton_q(1, grid)
     u0 = q.with_values(np.exp(1j * gamma0) * q.values)
-    cfg = SolverConfig(grid=grid, dt=1e-3, t_end=0.3, monitor_stride=100)
+    cfg = SolverConfig(dt=1e-3, t_end=0.3, monitor_stride=100)
     mons = []
     run(u0, cfg, mons.append)
     rep = [validate_exact(mon, lambda t: u0) for mon in mons]
@@ -168,7 +167,7 @@ def test_virial_identities(grid):
     y = grid.r
     vals = 1.2 * y * np.exp(-(y**2)) * np.exp(0.5j * y**2)
     u0 = RadialField(1, vals, grid, decay=None)
-    cfg = SolverConfig(grid=grid, dt=2e-4, t_end=0.2, monitor_stride=25)
+    cfg = SolverConfig(dt=2e-4, t_end=0.2, monitor_stride=25)
     traj = run(u0, cfg, discard)
     t = traj.series["t"]
     v1, v2 = traj.series["v1"], traj.series["v2"]
@@ -249,7 +248,7 @@ def test_run_computes_one_potential_per_step(grid, monkeypatch):
         return potential(u)
 
     monkeypatch.setattr(evolve, "potential", counted)
-    cfg = SolverConfig(grid=grid, dt=1e-3, t_end=0.05, monitor_stride=20)
+    cfg = SolverConfig(dt=1e-3, t_end=0.05, monitor_stride=20)
     mons = []
     traj = run(soliton_q(1, grid), cfg, mons.append)
     assert traj.stop_reason == "t_end"
@@ -288,7 +287,7 @@ def _reference_chain(u, dt, stride, steps):
 def test_run_snapshots_match_reference_chain_bit_for_bit(grid):
     dt, stride = 1e-3, 5
     u = blowup_s(1, -1.0, grid)
-    cfg = SolverConfig(grid=grid, dt=dt, t_end=-0.95, monitor_stride=stride)
+    cfg = SolverConfig(dt=dt, t_end=-0.95, monitor_stride=stride)
     mons = []
     traj = run(u, cfg, mons.append, t0=-1.0)
     assert traj.stop_reason == "t_end" and traj.counters["steps"] == 50
@@ -303,9 +302,9 @@ def test_forked_stepper_gives_the_in_process_run_bit_for_bit(grid):
     # and rows are those of the in-process run and the plain chain
     dt, stride = 1e-3, 5
     u = blowup_s(1, -1.0, grid)
-    plain = run(u, SolverConfig(grid=grid, dt=dt, t_end=-0.95,
+    plain = run(u, SolverConfig(dt=dt, t_end=-0.95,
                                 monitor_stride=stride), discard, t0=-1.0)
-    cfg = SolverConfig(grid=grid, dt=dt, t_end=-0.95, monitor_stride=stride,
+    cfg = SolverConfig(dt=dt, t_end=-0.95, monitor_stride=stride,
                        decompose_flag=True, tube_radius=0.5)
     mons = []
     traj = run(u, cfg, mons.append, t0=-1.0)
@@ -336,7 +335,7 @@ def test_nonfinite_state_trips_the_guard(grid, monkeypatch, bad, node):
         return x
 
     monkeypatch.setattr(KineticSolver, "solve", solve)
-    cfg = SolverConfig(grid=grid, dt=1e-3, t_end=0.05, monitor_stride=5)
+    cfg = SolverConfig(dt=1e-3, t_end=0.05, monitor_stride=5)
     mons = []
     with np.errstate(invalid="ignore"):
         traj = run(soliton_q(1, grid), cfg, mons.append)
@@ -372,7 +371,7 @@ def test_guard_trip_stays_the_reason_when_the_last_state_fails(
         return original_decompose(*args, **kwargs)
     monkeypatch.setattr(KineticSolver, "solve", solve)
     monkeypatch.setattr(MOD, "decompose", decompose)
-    cfg = SolverConfig(grid=grid, dt=1e-3, t_end=0.05, monitor_stride=5,
+    cfg = SolverConfig(dt=1e-3, t_end=0.05, monitor_stride=5,
                        decompose_flag=True, tube_radius=0.5)
     mons = []
     with np.errstate(invalid="ignore"):
@@ -406,7 +405,7 @@ def test_half_phase_is_exp_bit_for_bit(grid, monkeypatch, case):
 @pytest.fixture(scope="module")
 def warm_mons(grid):
     """S from t = -1 with a decomposition every 5 steps: 12 monitors."""
-    cfg = SolverConfig(grid=grid, dt=1e-3, t_end=-0.945, monitor_stride=5,
+    cfg = SolverConfig(dt=1e-3, t_end=-0.945, monitor_stride=5,
                        decompose_flag=True, tube_radius=0.5)
     mons = []
     run(blowup_s(1, -1.0, grid), cfg, mons.append, t0=-1.0)
@@ -420,18 +419,16 @@ def test_predicted_warm_starts_take_two_pairings(warm_mons):
     assert all(k <= 2 for k in iters[3:]), iters
 
 
-def test_predicted_start_agrees_with_cold_decomposition(warm_mons, grid):
+def test_predicted_start_agrees_with_cold_decomposition(warm_mons):
     u, warm = warm_mons[-1].u, warm_mons[-1].d
-    ortho = MOD.build_ortho_profiles(1, grid)
-    table = PR.build_t_tables(1, grid)
-    cold = MOD.decompose(u, ortho, table=table, tube_radius=0.5)
+    cold = MOD.decompose(u, tube_radius=0.5)
     assert cold.converged and warm.converged
     assert cold.iterations > warm.iterations
     for k in ("lam", "gamma", "b"):
         assert getattr(warm.state, k) == pytest.approx(
             getattr(cold.state, k), rel=1e-10, abs=0.0)
     # the monitor's energy gives the same mu as decompose's own
-    assert cold.mu == MOD.decompose(u, ortho, table=table, tube_radius=0.5,
+    assert cold.mu == MOD.decompose(u, tube_radius=0.5,
                                     energy=GA.energy_mass(u)[0]).mu
 
 
@@ -441,7 +438,7 @@ def test_run_memory_does_not_grow_with_monitors(grid):
     u0 = blowup_s(1, -1.0, grid)
 
     def peak(monitors):
-        cfg = SolverConfig(grid=grid, dt=1e-3,
+        cfg = SolverConfig(dt=1e-3,
                            t_end=-1.0 + 5e-3 * (monitors - 1),
                            monitor_stride=5, decompose_flag=True,
                            tube_radius=0.5)
@@ -458,7 +455,7 @@ def test_run_memory_does_not_grow_with_monitors(grid):
 
 def test_lambda_min_stop(pde_grid):
     u0 = blowup_s(1, -1.0, pde_grid)
-    cfg = SolverConfig(grid=pde_grid, dt=4e-4, t_end=-0.4, lambda_min=0.93,
+    cfg = SolverConfig(dt=4e-4, t_end=-0.4, lambda_min=0.93,
                        monitor_stride=50, decompose_flag=True,
                        tube_radius=0.5)
     mons = []
@@ -470,7 +467,7 @@ def test_lambda_min_stop(pde_grid):
 
 def test_lambda_min_stop_without_t_end_ends_the_stepper(grid):
     # the stepper process would step forever; the stop ends it at once
-    cfg = SolverConfig(grid=grid, dt=1e-3, lambda_min=0.993,
+    cfg = SolverConfig(dt=1e-3, lambda_min=0.993,
                        monitor_stride=5, decompose_flag=True,
                        tube_radius=0.5)
     mons = []
@@ -510,7 +507,7 @@ def test_steps_past_the_stop_are_not_counted(grid, monkeypatch, outcome,
     # the third decomposition (t = -0.99) stops the run: the steps count up
     # to it, as when the run stepped only after each decomposition
     _slow_decompose(monkeypatch, 3, outcome)
-    cfg = SolverConfig(grid=grid, dt=1e-3, t_end=-0.9, monitor_stride=5,
+    cfg = SolverConfig(dt=1e-3, t_end=-0.9, monitor_stride=5,
                        decompose_flag=True, tube_radius=0.5)
     mons = []
     traj = run(blowup_s(1, -1.0, grid), cfg, mons.append, t0=-1.0)
@@ -524,7 +521,7 @@ def test_an_error_in_the_sink_ends_the_stepper(grid):
     def sink(mon):
         if mon.t > -1.0:
             raise KeyError("unexpected")
-    cfg = SolverConfig(grid=grid, dt=1e-3, t_end=-0.9, monitor_stride=5,
+    cfg = SolverConfig(dt=1e-3, t_end=-0.9, monitor_stride=5,
                        decompose_flag=True, tube_radius=0.5)
     with pytest.raises(KeyError):
         run(blowup_s(1, -1.0, grid), cfg, sink, t0=-1.0)
@@ -549,7 +546,7 @@ def test_an_error_in_the_stepper_is_raised_with_its_type(grid, monkeypatch,
             raise failure
         return original(self, v)
     monkeypatch.setattr(KineticSolver, "solve", solve)
-    cfg = SolverConfig(grid=grid, dt=1e-3, t_end=-0.9, monitor_stride=5,
+    cfg = SolverConfig(dt=1e-3, t_end=-0.9, monitor_stride=5,
                        decompose_flag=True, tube_radius=0.5)
     with pytest.raises(type(failure)) as info:
         run(blowup_s(1, -1.0, grid), cfg, discard, t0=-1.0)
@@ -595,11 +592,11 @@ def test_guard_trip_survives_a_pickle(margin):
 
 def test_config_validation(grid):
     with pytest.raises(ValueError):
-        SolverConfig(grid=grid, dt=-1e-3, t_end=1.0)
+        SolverConfig(dt=-1e-3, t_end=1.0)
     with pytest.raises(ValueError):
-        SolverConfig(grid=grid, dt=1e-3)
+        SolverConfig(dt=1e-3)
     with pytest.raises(ValueError):
-        SolverConfig(grid=grid, dt=1e-3, lambda_min=0.5)
+        SolverConfig(dt=1e-3, lambda_min=0.5)
 
 
 @pytest.mark.parametrize("strides", [{"monitor_stride": 0},
@@ -607,4 +604,4 @@ def test_config_validation(grid):
 def test_config_rejects_nonpositive_strides(grid, strides):
     # a zero monitor stride never advances t
     with pytest.raises(ValueError, match="stride"):
-        SolverConfig(grid=grid, dt=1e-3, t_end=1.0, **strides)
+        SolverConfig(dt=1e-3, t_end=1.0, **strides)

@@ -15,6 +15,7 @@ import pytest
 
 from csslab import gauge as GA
 from csslab import grid as G
+from csslab import linops as L
 from csslab import modulation as MOD
 from csslab import profiles as PR
 from csslab.grid import RadialField
@@ -48,7 +49,6 @@ def ortho2(grid):
 @pytest.mark.parametrize("m", [1, 2])
 def test_gauge_residuals(grid, m, ortho1, ortho2):
     pr = {1: ortho1, 2: ortho2}[m]
-    import csslab.linops as L
     rho = L.rho(m, grid)
     scale = G.l2(rho) * G.l2(pr.Z1)
     assert abs(G.inner(rho, pr.Z1)) < 1e-8 * scale
@@ -86,6 +86,24 @@ def test_supports_and_transversality(grid, ortho1):
     assert abs(t1) > 1.0 and abs(t2) > 1.0
 
 
+def test_per_grid_builds_are_shared():
+    # a grid rebuilt with equal parameters finds the same objects
+    grid, again = (G.build_grid(1e-3, 50.0, 1024) for _ in range(2))
+    assert again is not grid
+    assert PR.build_t_tables(1, again) is PR.build_t_tables(1, grid)
+    assert build_ortho_profiles(1, again) is build_ortho_profiles(1, grid)
+    assert L.morawetz_weight(0.3, again) is L.morawetz_weight(0.3, grid)
+
+
+def test_second_decomposition_builds_nothing(grid):
+    u = modulate(soliton_q(1, grid), SymmetryParams(1.3, 0.7))
+    decompose(u)
+    caches = (PR.build_t_tables, build_ortho_profiles)
+    misses = [f.cache_info().misses for f in caches]
+    decompose(u)
+    assert [f.cache_info().misses for f in caches] == misses
+
+
 # ---------------------------------------------------------------------------
 # Decomposition
 
@@ -94,10 +112,10 @@ def _wrap(x):
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def test_decompose_exact_orbit(grid, ortho1, table1):
+def test_decompose_exact_orbit(grid):
     q = soliton_q(1, grid)
     u = modulate(q, SymmetryParams(1.3, 0.7))
-    d = decompose(u, ortho1, table=table1)
+    d = decompose(u)
     assert d.converged
     assert d.state.lam == pytest.approx(1.3, rel=1e-7)
     assert _wrap(d.state.gamma - 0.7) == pytest.approx(0.0, abs=1e-7)
@@ -107,25 +125,25 @@ def test_decompose_exact_orbit(grid, ortho1, table1):
 
 
 def _synthetic_datum(grid, table, b, eta, lam, gamma, amp=1e-3):
-    pset = PR.assemble(1, ProfileParams(b, eta), table)
+    pset = PR.assemble(ProfileParams(b, eta), table)
     y = grid.r
     bump = amp * y * np.exp(-((y - 1.5) ** 2)) * (1.0 + 0.5j)
     v = RadialField(1, pset.P.values + bump, grid, decay=3.0)
     return modulate(v, SymmetryParams(lam, gamma))
 
 
-def test_decompose_round_trip(grid, ortho1, table1):
+def test_decompose_round_trip(grid, table1):
     u = _synthetic_datum(grid, table1, 0.03, 0.02, 0.9, 0.4)
-    d1 = decompose(u, ortho1, table=table1)
+    d1 = decompose(u)
     assert d1.converged
     # re-modulate the decomposed flat-frame data with fresh parameters:
     # the orthogonality conditions already hold, so the decomposition
     # must return exactly the new symmetry parameters and the same (b, eta)
     s1 = d1.state
-    pset = PR.assemble(1, ProfileParams(s1.b, s1.eta), table1)
+    pset = PR.assemble(ProfileParams(s1.b, s1.eta), table1)
     w = RadialField(1, pset.P.values + d1.eps.values, grid, decay=3.0)
     u2 = modulate(w, SymmetryParams(1.1, -0.3))
-    d2 = decompose(u2, ortho1, table=table1)
+    d2 = decompose(u2)
     assert d2.state.lam == pytest.approx(1.1, rel=1e-8)
     assert _wrap(d2.state.gamma + 0.3) == pytest.approx(0.0, abs=1e-8)
     assert d2.state.b == pytest.approx(s1.b, abs=1e-8)
@@ -133,23 +151,23 @@ def test_decompose_round_trip(grid, ortho1, table1):
     assert G.l2(d2.eps.with_values(d2.eps.values - d1.eps.values)) < 1e-7
 
 
-def test_decompose_equivariance(grid, ortho1, table1):
+def test_decompose_equivariance(grid, table1):
     u = _synthetic_datum(grid, table1, 0.02, -0.01, 1.0, 0.2)
-    d1 = decompose(u, ortho1, table=table1)
+    d1 = decompose(u)
     u2 = modulate(u, SymmetryParams(1.2, 0.5))
-    d2 = decompose(u2, ortho1, table=table1)
+    d2 = decompose(u2)
     assert d2.state.lam == pytest.approx(1.2 * d1.state.lam, rel=1e-6)
     assert _wrap(d2.state.gamma - d1.state.gamma - 0.5) == pytest.approx(0.0, abs=1e-6)
     assert d2.state.b == pytest.approx(d1.state.b, abs=1e-6)
     assert d2.state.eta == pytest.approx(d1.state.eta, abs=1e-6)
 
 
-def test_decompose_builds_one_sampler(grid, ortho1, table1, monkeypatch):
+def test_decompose_builds_one_sampler(grid, table1, monkeypatch):
     # one tridiagonal solve per call (the amplitude and phase splines of u
     # share it), however many Newton pairings the call makes
     from csslab import soliton as S
     u = _synthetic_datum(grid, table1, 0.03, 0.02, 0.9, 0.4)
-    exact = decompose(u, ortho1, table=table1).state
+    exact = decompose(u).state
     real, solves, iters = S.dgtsv, [], []
 
     def counting(*args, **kwargs):
@@ -159,18 +177,18 @@ def test_decompose_builds_one_sampler(grid, ortho1, table1, monkeypatch):
     monkeypatch.setattr(S, "dgtsv", counting)
     for init in (None, exact):
         solves.clear()
-        d = decompose(u, ortho1, init=init, table=table1)
+        d = decompose(u, init=init)
         assert d.converged and len(solves) == 1
         iters.append(d.iterations)
     assert iters[0] > iters[1]
 
 
-def test_decompose_not_in_tube(grid, ortho1, table1):
+def test_decompose_not_in_tube(grid):
     y = grid.r
     vals = 5.0 * y * np.exp(-(y**2) / 4.0)
     u = RadialField(1, vals, grid)
     with pytest.raises(NotInTube):
-        decompose(u, ortho1, table=table1)
+        decompose(u)
 
 
 def _count_calls(monkeypatch, name):
@@ -184,42 +202,41 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_decompose_not_in_tube_warm(grid, ortho1, table1, monkeypatch):
+def test_decompose_not_in_tube_warm(grid, monkeypatch):
     # neither the predicted state nor the fallback fit is inside the tube
     y = grid.r
     u = RadialField(1, 5.0 * y * np.exp(-(y**2) / 4.0), grid)
     fits = _count_calls(monkeypatch, "proximity_fit")
     with pytest.raises(NotInTube) as err:
-        decompose(u, ortho1, init=ModState(1.0, 0.0, 0.0, 0.0), table=table1)
+        decompose(u, init=ModState(1.0, 0.0, 0.0, 0.0))
     assert len(fits) == 1 and err.value.iterations == 0
 
 
-def test_decompose_stale_prediction_falls_back_to_the_fit(grid, ortho1, table1,
-                                                          monkeypatch):
+def test_decompose_stale_prediction_falls_back_to_the_fit(grid, monkeypatch):
     q = soliton_q(1, grid)
     u = modulate(q, SymmetryParams(1.3, 0.7))
-    cold = decompose(u, ortho1, table=table1)
+    cold = decompose(u)
     stale = ModState(1.6, 0.7, 0.0, 0.0)
     w = MOD.flat(u, SymmetryParams(stale.lam, stale.gamma))
     assert G.hdot1(w.with_values(w.values - q.values)) / G.hdot1(q) > 0.2
     fits = _count_calls(monkeypatch, "proximity_fit")
-    d = decompose(u, ortho1, init=stale, table=table1)
+    d = decompose(u, init=stale)
     assert d.converged and len(fits) == 1
     assert d.tube_distance == cold.tube_distance < 1e-6
     assert d.state.lam == pytest.approx(1.3, rel=1e-10)
     assert _wrap(d.state.gamma - 0.7) == pytest.approx(0.0, abs=1e-10)
 
 
-def test_decompose_fits_only_when_cold(grid, ortho1, table1, monkeypatch):
+def test_decompose_fits_only_when_cold(grid, table1, monkeypatch):
     u = _synthetic_datum(grid, table1, 0.03, 0.02, 0.9, 0.4)
     fits = _count_calls(monkeypatch, "proximity_fit")
     flats = _count_calls(monkeypatch, "flat")
-    cold = decompose(u, ortho1, table=table1)
+    cold = decompose(u)
     assert len(fits) == 1 and len(flats) == cold.iterations + 1
     fits.clear()
     flats.clear()
     near = dataclasses.replace(cold.state, lam=1.001 * cold.state.lam)
-    warm = decompose(u, ortho1, init=near, table=table1)
+    warm = decompose(u, init=near)
     assert warm.converged and warm.iterations >= 2
     assert fits == [] and len(flats) == warm.iterations
     assert 0.0 < warm.tube_distance < 0.2
@@ -235,10 +252,10 @@ def _eps2_reference(u, state, table):
     b, eta, beta = state.b, state.eta, state.beta
     if beta <= MOD._CHART_BETA:
         cutoffs = not (beta > 0.0 and 2.0 / beta > grid.r_max)
-        p2 = PR.assemble(1, ProfileParams(b, eta), table, cutoffs=cutoffs).P2
+        p2 = PR.assemble(ProfileParams(b, eta), table, cutoffs=cutoffs).P2
         return a_w.values - p2.values
     b_c, eta_c = b * (MOD._CHART_BETA / beta), eta * (MOD._CHART_BETA / beta)
-    pset = PR.assemble(1, ProfileParams(b_c, eta_c), table)
+    pset = PR.assemble(ProfileParams(b_c, eta_c), table)
     y = grid.r
     phase = np.exp(-0.25j * (b - b_c) * y**2)
     tp = -0.5j * (b - b_c) * y
@@ -248,19 +265,17 @@ def _eps2_reference(u, state, table):
 
 @pytest.mark.parametrize("case", ["cutoffs", "no_cutoffs", "beta_zero",
                                   "beyond_chart", "beyond_chart_n16384"])
-def test_eps2_is_a_w_minus_the_full_p2(grid, ortho1, table1, monkeypatch,
-                                       case):
+def test_eps2_is_a_w_minus_the_full_p2(grid, table1, monkeypatch, case):
     init = None
     if case == "beyond_chart_n16384":
         # arrays of 256 KiB, where numpy reuses temporaries' buffers
         grid = G.build_grid(1e-3, 100.0, 16384)
-        ortho1, table1 = (build_ortho_profiles(1, grid),
-                          PR.build_t_tables(1, grid))
+        table1 = PR.build_t_tables(1, grid)
         case = "beyond_chart"
     if case == "cutoffs":
         u = _synthetic_datum(grid, table1, 0.03, 0.02, 0.9, 0.4)
     elif case == "no_cutoffs":
-        pset = PR.assemble(1, ProfileParams(0.004, 0.003), table1,
+        pset = PR.assemble(ProfileParams(0.004, 0.003), table1,
                            cutoffs=False)
         u = modulate(RadialField(1, pset.P.values, grid, decay=3.0),
                      SymmetryParams(0.9, 0.3))
@@ -270,7 +285,7 @@ def test_eps2_is_a_w_minus_the_full_p2(grid, ortho1, table1, monkeypatch,
         init = ModState(1.1, 0.2, 0.0, 0.0)
     else:
         u = blowup_s(1, -0.5, grid)
-    d = decompose(u, ortho1, init=init, table=table1, tube_radius=0.5)
+    d = decompose(u, init=init, tube_radius=0.5)
     beta = d.state.beta
     assert d.converged and case == (
         "beta_zero" if beta == 0.0 else
@@ -281,8 +296,8 @@ def test_eps2_is_a_w_minus_the_full_p2(grid, ortho1, table1, monkeypatch,
 
 
 @pytest.mark.parametrize("failure", ["pairing", "jacobian"])
-def test_failed_decomposition_carries_its_iterations(grid, ortho1, table1,
-                                                     monkeypatch, failure):
+def test_failed_decomposition_carries_its_iterations(grid, monkeypatch,
+                                                     failure):
     # from a stale start Newton takes five pairings; the third pairing
     # fails, or the third Jacobian is singular
     u = modulate(soliton_q(1, grid), SymmetryParams(1.3, 0.7))
@@ -299,7 +314,7 @@ def test_failed_decomposition_carries_its_iterations(grid, ortho1, table1,
         return original(*args, **kwargs)
     monkeypatch.setattr(MOD, name, failing)
     with pytest.raises(MOD.DECOMPOSE_FAILURES) as err:
-        decompose(u, ortho1, init=init, table=table1)
+        decompose(u, init=init)
     assert isinstance(err.value, MOD.NoConvergence) == (failure == "jacobian")
     assert err.value.iterations == (2 if failure == "pairing" else 3)
 
@@ -330,7 +345,7 @@ def test_extrapolate_short_histories():
 def test_jacobian_structure(grid, ortho1, table1):
     # finite-difference Jacobian at a converged beta = 0.02 state
     u = _synthetic_datum(grid, table1, 0.02, 0.0, 1.0, 0.0, amp=2e-4)
-    d = decompose(u, ortho1, table=table1)
+    d = decompose(u)
     s = d.state
     x0 = np.array([math.log(s.lam), s.gamma, s.b, s.eta])
     h = 1e-6
@@ -368,7 +383,7 @@ def test_analytic_jacobian_matches_central_differences(grid, ortho1, table1,
         u = _synthetic_datum(grid, table1, 0.02, 0.0, 1.0, 0.0)
         s = ModState(1.01, 0.05, 0.019, 0.006)
     elif case == "no_cutoffs":  # 2/beta > r_max: the chart drops the cutoffs
-        pset = PR.assemble(1, ProfileParams(0.004, 0.003), table1,
+        pset = PR.assemble(ProfileParams(0.004, 0.003), table1,
                            cutoffs=False)
         u = modulate(RadialField(1, pset.P.values, grid, decay=3.0),
                      SymmetryParams(0.9, 0.3))

@@ -45,13 +45,13 @@ def test_t_tables_refuse_index_below_one(grid, m):
 
 def test_assemble_rejects_large_beta(table1):
     with pytest.raises(ValueError):
-        assemble(1, ProfileParams(0.2, 0.0), table1)
+        assemble(ProfileParams(0.2, 0.0), table1)
 
 
 def test_assemble_grid_too_small(table1):
     # 2 B1 = 400 > r_max = 200
     with pytest.raises(GridTooSmall):
-        assemble(1, ProfileParams(0.005, 0.0), table1)
+        assemble(ProfileParams(0.005, 0.0), table1)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -139,7 +139,7 @@ def test_solvability_table_values(table1):
 @pytest.mark.parametrize("beta", [0.04, 0.02, 0.01])
 def test_solvability_inner_product(table1, direction, beta):
     params = ProfileParams(beta * direction[0], beta * direction[1])
-    assert solvability_inner(1, params, table1) < 1e-6 * beta**3
+    assert solvability_inner(params, table1) < 1e-6 * beta**3
 
 
 def test_t3_2_tail_stable_under_refinement(grid, table1):
@@ -161,7 +161,7 @@ def test_t3_2_tail_stable_under_refinement(grid, table1):
 def test_assemble_leading_p1(table1):
     # P1 ~ -i b (y/2) Q at leading order on moderate radii
     beta = 0.01
-    ps = assemble(1, ProfileParams(beta, 0.0), table1)
+    ps = assemble(ProfileParams(beta, 0.0), table1)
     g = ps.P1.grid
     msk = g.r <= 10.0
     lead = -1j * beta * (g.r / 2.0) * q_values(1, g.r)
@@ -170,14 +170,14 @@ def test_assemble_leading_p1(table1):
 
 
 def test_assemble_zero_limit(grid, table1):
-    ps = assemble(1, ProfileParams(1e-6, 0.0), table1, cutoffs=False)
+    ps = assemble(ProfileParams(1e-6, 0.0), table1, cutoffs=False)
     q = soliton_q(1, grid)
     assert np.abs(ps.P.values - q.values).max() < 3e-6
 
 
 def test_assemble_support(grid, table1):
     beta = 0.04
-    ps = assemble(1, ProfileParams(beta, 0.0), table1)
+    ps = assemble(ProfileParams(beta, 0.0), table1)
     q = soliton_q(1, grid)
     far = grid.r > 2.0 / beta
     assert np.array_equal(ps.P.values[far], q.values[far])
@@ -188,8 +188,8 @@ def test_assemble_support(grid, table1):
 def test_assemble_parity(grid, table1):
     # flipping b -> -b flips exactly the odd-j1 monomials of each T-field
     b, eta = 0.02, 0.015
-    plus = assemble(1, ProfileParams(b, eta), table1)
-    minus = assemble(1, ProfileParams(-b, eta), table1)
+    plus = assemble(ProfileParams(b, eta), table1)
+    minus = assemble(ProfileParams(-b, eta), table1)
     even = [t * ((len(t) - 1 - np.arange(len(t))) % 2 == 0)[:, None]
             for t in (table1.entries[k] for k in ("T1_0", "T2_0", "T3_0"))]
     chi = G.smooth_bump(grid.r * math.hypot(b, eta))
@@ -210,7 +210,7 @@ def test_cutoff_cancellation_rounding_zero(grid):
 
 def test_residuals_zero_params(grid, table1):
     params = ProfileParams(0.0, 0.0)
-    rep = residuals(1, params, assemble(1, params, table1))
+    rep = residuals(params, assemble(params, table1))
     for f in rep.fields.values():
         assert not np.any(f.values)
 
@@ -220,7 +220,7 @@ def test_residual_support(grid, m):
     beta = 0.04
     params = ProfileParams(beta * 0.8, beta * 0.6)
     tab = build_t_tables(m, grid)
-    rep = residuals(m, params, assemble(m, params, tab))
+    rep = residuals(params, assemble(params, tab))
     far = grid.r >= 4.0 / beta
     # Psi1, Psi2 are pure profile content: cut off exactly
     assert not np.any(rep.fields["Psi1"].values[far])
@@ -233,7 +233,7 @@ def test_residual_support(grid, m):
 def test_phase_correction(grid, table1):
     for beta in (0.04, 0.02, 0.01):
         params = ProfileParams(0.6 * beta, 0.8 * beta)
-        rep = residuals(1, params, assemble(1, params, table1))
+        rep = residuals(params, assemble(params, table1))
         assert abs(rep.phase_corr + 4.0 * params.eta) < 2.0 * beta**2
 
 
@@ -241,7 +241,7 @@ def test_compat_defect_scalings(grid, table1):
     vals = {}
     for beta in (0.04, 0.02):
         params = ProfileParams(beta, 0.0)
-        rep = residuals(1, params, assemble(1, params, table1))
+        rep = residuals(params, assemble(params, table1))
         vals[beta] = (rep.compat1, rep.compat2)
     for idx, order in ((0, 1.0), (1, 2.0)):
         ratio = vals[0.04][0][idx] / vals[0.02][0][idx]
@@ -258,7 +258,7 @@ def test_mod_vectors_limits(grid, table1):
     # parts of the decomposition's Jacobian columns at w = P, tend to the
     # generalized kernel (Lambda Q, -i Q, i (y^2/4) Q, 2 rho) as beta -> 0
     beta = 0.01
-    pset = assemble(1, ProfileParams(beta, 0.0), table1)
+    pset = assemble(ProfileParams(beta, 0.0), table1)
     v0 = (G.scale_gen(pset.P).values, -1j * pset.P.values,
           -pset.dP_db.values, -pset.dP_deta.values)
     q = soliton_q(1, grid)
@@ -276,7 +276,7 @@ def test_mod_vectors_limits(grid, table1):
 def test_mod_vectors_v1_b_derivative(grid, table1):
     # -d_b P1 (a Jacobian column) and Lambda_{-2} P2
     beta = 0.02
-    pset = assemble(1, ProfileParams(beta, 0.0), table1)
+    pset = assemble(ProfileParams(beta, 0.0), table1)
     y = grid.r
     qv = q_values(1, y)
     chi = G.smooth_bump(y * beta)
@@ -362,8 +362,8 @@ def test_t4_matches_the_lstsq_fit(grid, m):
     rows = []
     for s in s_values:
         params = ProfileParams(s, 0.0)
-        pset = assemble(m, params, table, cutoffs=False)
-        rows.append(residuals(m, params, pset).fields["Psi2"].values)
+        pset = assemble(params, table, cutoffs=False)
+        rows.append(residuals(params, pset).fields["Psi2"].values)
     smat = np.array([[s**d for d in range(3, 9)] for s in s_values])
     f4 = np.linalg.lstsq(smat, np.array(rows), rcond=None)[0][1]
     got = PR.quartic_coefficient(m, grid, (1.0, 0.0))

@@ -32,6 +32,14 @@ def test_q_tail_power(m):
     assert ratio == pytest.approx(2.0 ** (-(m + 2)), rel=1e-4)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_q_field_is_q_values(grid, m):
+    # one formula for Q: the field holds q_values' bits
+    q = soliton_q(m, grid)
+    assert np.array_equal(q.values, S.q_values(m, grid.r))
+    assert q.values.dtype == np.complex128 and q.decay == m + 2
+
+
 def test_q_invalid_index(grid):
     with pytest.raises(UnsupportedIndex):
         soliton_q(0, grid)
