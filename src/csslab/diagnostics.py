@@ -169,9 +169,9 @@ def _fd_derivative(s: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 def _phase_integral_w(d: DecompResult, table: TTable) -> float:
     """int_0^infty Re(conj(w) w1) dy with w = P + eps, w1 = P1 + eps1."""
-    chart = MOD._assemble_chart(d.state.b, d.state.eta, table, derivs=False)
-    w = chart.P.values + d.eps.values
-    w1 = chart.P1.values + d.eps1.values
+    p, p1 = MOD._Chart(d.state.b, d.state.eta, table).values()
+    w = p + d.eps.values
+    w1 = p1 + d.eps1.values
     dens = np.real(np.conj(w) * w1)
     return float(G.integrate_dy(d.eps.grid, dens))
 

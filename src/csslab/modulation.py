@@ -13,7 +13,7 @@ where eps1 = D_w w - P1 at w = u^flat, solved by Newton iteration in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -57,6 +57,8 @@ class OrthoProfiles:
     Z4t: RadialField
     R_circ: float
     transversality: tuple  # ((LambdaQ, Z1)_r, (-iQ, -iZ2)_r-type diagonal)
+    support: int  # Z1-Z4t vanish from this node on
+    q_hdot1: float  # ||Q||_{H1-dot}, the tube distance's scale
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,9 @@ def build_ortho_profiles(m: int, grid: Grid) -> OrthoProfiles:
     r_circ = float(y[idx])
     chi = G.smooth_bump(y / r_circ)
 
-    lam_q = np.real(G.scale_gen(soliton_q(m, grid)).values)
+    qf = soliton_q(m, grid)
+    lam_qf = G.scale_gen(qf)
+    lam_q = np.real(lam_qf.values)
     rho = np.real(L.rho(m, grid).values)
     c1_den = float(G.integrate_samples(grid, chi * rho * rho))
     c1 = float(G.integrate_samples(grid, chi * rho * lam_q)) / c1_den
@@ -117,14 +121,13 @@ def build_ortho_profiles(m: int, grid: Grid) -> OrthoProfiles:
     z3 = -1j * (y / 2.0) * q * chi
     z4 = -(y / 2.0) * q * chi
 
-    t1 = float(G.integrate_samples(grid, z1 * lam_q))
-    t2 = float(np.real(G.integrate_samples(grid, np.conj(z2) * (-1j) * q)))
+    z1f, z2f = RadialField(m, z1.astype(complex), grid), RadialField(m, z2, grid)
     return OrthoProfiles(
-        Z1=RadialField(m, z1.astype(complex), grid),
-        Z2=RadialField(m, z2, grid),
-        Z3t=RadialField(m + 1, z3, grid),
-        Z4t=RadialField(m + 1, z4.astype(complex), grid),
-        R_circ=r_circ, transversality=(t1, t2))
+        Z1=z1f, Z2=z2f, Z3t=RadialField(m + 1, z3, grid),
+        Z4t=RadialField(m + 1, z4.astype(complex), grid), R_circ=r_circ,
+        transversality=(G.inner(z1f, lam_qf),
+                        G.inner(z2f, qf.with_values(-1j * qf.values))),
+        support=int(np.flatnonzero(chi)[-1]) + 1, q_hdot1=G.hdot1(qf))
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +139,11 @@ _NEWTON_TOL = 1e-10  # on the largest pairing, relative to ||Q||_{L2}
 _NEWTON_MAX_ITER = 50
 
 
-def _assemble_chart(b: float, eta: float, table: TTable,
-                    derivs: bool = True) -> PR.ProfileSet:
-    """Profiles as the decomposition's coordinate chart: P, P1 and their
-    (b, eta)-derivatives for a Newton pairing, or (derivs=False) P, P1, P2.
+class _Chart:
+    """The profiles as the decomposition's coordinate chart at (b, eta).
 
     Inside the validity range (beta <= _CHART_BETA) this is the assembled
-    profile set (without cutoffs when B1 would leave the grid: the
+    P and P1 (without cutoffs when B1 would leave the grid: the
     corrections are negligible there and the orthogonality profiles are
     compactly supported). Beyond it, the b-direction of the expansion is
     the Taylor series of the quadratic phase e^{-i b y^2/4}, so the chart
@@ -155,76 +156,126 @@ def _assemble_chart(b: float, eta: float, table: TTable,
 
     theta = -delta y^2/4, which is how the covariant derivatives D and A
     conjugate under the multiplication. eps absorbs the remaining
-    (eta - eta_c) mismatch. The (b, eta)-derivatives of P and P1 follow
-    the chain rule through (b_c, eta_c, delta), with d_delta e^{i theta}
-    = -(i y^2/4) e^{i theta} and d_delta (i theta') = -i y/2."""
-    grid = table.grid
-    beta = math.hypot(b, eta)
-    if beta <= _CHART_BETA:
-        cutoffs = not (beta > 0.0 and 2.0 / beta > grid.r_max)
-        return PR.assemble(ProfileParams(b, eta), table, cutoffs=cutoffs,
-                           derivs=derivs, p2=not derivs)
-    scale = _CHART_BETA / beta
-    b_c, eta_c = b * scale, eta * scale
-    pset = PR.assemble(ProfileParams(b_c, eta_c), table, derivs=derivs,
-                       p2=not derivs)
-    delta = b - b_c
-    y = grid.r
-    phase = np.exp(-0.25j * delta * y**2)
-    tp = -0.5j * delta * y  # i theta'
-    p, p1 = pset.P.values, pset.P1.values
-    p1t = p1 + tp * p
+    (eta - eta_c) mismatch. The (b, eta)-derivatives follow the chain
+    rule through (b_c, eta_c, delta), with d_delta e^{i theta} =
+    -(i y^2/4) e^{i theta} and d_delta (i theta') = -i y/2.
 
-    def chart(**fields):  # P and P1 built last keeps the peak RSS down
-        return replace(pset, P=pset.P.with_values(phase * p, decay=None),
-                       P1=pset.P1.with_values(phase * p1t, decay=None),
-                       **fields)
+    A chart holds P and P1 at (b_c, eta_c) before the phase, and the
+    phase; P2 and the derivatives are built only when asked for."""
+
+    def __init__(self, b: float, eta: float, table: TTable):
+        self.b, self.eta, self.table = b, eta, table
+        grid, beta = table.grid, math.hypot(b, eta)
+        self.delta = 0.0
+        if beta > _CHART_BETA:
+            b, eta = b * (_CHART_BETA / beta), eta * (_CHART_BETA / beta)
+            self.delta, beta = self.b - b, math.hypot(b, eta)
+            self.phase = np.exp(-0.25j * self.delta * grid.r**2)
+        self.at, self.cut = (b, eta), beta > 0.0 and 2.0 / beta <= grid.r_max
+        self.chi = G.smooth_bump(grid.r * beta) if self.cut else None
+        self.p = q_values(table.m, grid.r) + self._cut(0)
+        self.p1 = self._cut(1)
+
+    def _cut(self, k: int) -> np.ndarray:
+        """The k-th expansion at (b_c, eta_c), times the B1 cutoff."""
+        v = PR.expansion(self.table, k, *self.at)
+        return self.chi * v if self.cut else v
+
+    def _tp(self, n: int | None = None):
+        """y and i theta' on the first n nodes."""
+        y = self.table.grid.r[:n]
+        return y, -0.5j * self.delta * y
+
     # products of phase and a temporary stay inline: from 256 KiB (n =
     # 16384) numpy multiplies into the temporary, swapped, moving last bits
-    if not derivs:
-        return chart(P2=pset.P2.with_values(
-            phase * (pset.P2.values + 2.0 * tp * p1 + tp**2 * p), decay=None))
-    c3 = _CHART_BETA / beta**3
-    dP, dP1 = [], []
-    # d(b_c, eta_c, delta)/db and /deta
-    for db_c, deta_c, ddelta in ((c3 * eta**2, -c3 * b * eta, 1.0 - c3 * eta**2),
-                                 (-c3 * b * eta, c3 * b**2, c3 * b * eta)):
-        gp = db_c * pset.dP_db.values + deta_c * pset.dP_deta.values
-        gp1 = db_c * pset.dP1_db.values + deta_c * pset.dP1_deta.values
-        dP.append(pset.dP_db.with_values(
-            phase * (gp - ddelta * 0.25j * y**2 * p), decay=None))
-        dP1.append(pset.dP1_db.with_values(phase * (gp1 + tp * gp - ddelta * (
-            0.25j * y**2 * p1t + 0.5j * y * p)), decay=None))
-    return chart(dP_db=dP[0], dP_deta=dP[1], dP1_db=dP1[0], dP1_deta=dP1[1])
+    def values(self):
+        """P and P1 on the grid."""
+        if not self.delta:
+            return self.p, self.p1
+        _, tp = self._tp()
+        p1t = self.p1 + tp * self.p
+        return self.phase * self.p, self.phase * p1t
+
+    def p2(self) -> np.ndarray:
+        """P2 on the grid, from the chart's P and P1 and the k = 2 terms."""
+        p2 = self._cut(2)
+        if not self.delta:
+            return p2
+        _, tp = self._tp()
+        return self.phase * (p2 + 2.0 * tp * self.p1 + tp**2 * self.p)
+
+    def directions(self, n: int):
+        """The derivatives (d P, d P1) along b_c, eta_c and, phase-factored,
+        delta on the first n nodes: those of the Z support, where the B1
+        cutoff (beyond y = 1/_CHART_BETA) is one."""
+        y, tp = self._tp(n)
+        for wrt in ("b", "eta"):
+            d, d1 = (PR.expansion(self.table, k, *self.at, wrt, n=n)
+                     for k in (0, 1))
+            yield (d, d1) if not self.delta else (
+                self.phase[:n] * d, self.phase[:n] * (d1 + tp * d))
+        if self.delta:
+            p, p1, phase = self.p[:n], self.p1[:n], self.phase[:n]
+            y2 = -0.25j * y**2
+            yield phase * (y2 * p), phase * (y2 * (p1 + tp * p) - 0.5j * y * p)
+
+    def chain(self) -> np.ndarray:
+        """d(b_c, eta_c, delta)/d(b, eta), or the identity in range."""
+        if not self.delta:
+            return np.eye(2)
+        b, eta = self.b, self.eta
+        c3 = _CHART_BETA / math.hypot(b, eta)**3
+        return np.array([[c3 * eta**2, -c3 * b * eta],
+                         [-c3 * b * eta, c3 * b**2],
+                         [1.0 - c3 * eta**2, c3 * b * eta]])
 
 
-def _pairings(u: RadialField, state: ModState, table: TTable,
-              profiles: OrthoProfiles, sample=None):
+def _quadrature(profiles: OrthoProfiles) -> tuple:
+    """(2 pi w r^2, z1, z2, z3, z4) on the first profiles.support nodes:
+    G.inner's weights and the real arrays of Z1, -i Z2, -i Z3t and Z4t,
+    each Z being real or imaginary."""
+    grid, k = profiles.Z1.grid, profiles.support
+    wr = G.TWO_PI * G._gregory_weights(grid.n, grid.h)[:k] * grid.r[:k]**2
+    return (wr, profiles.Z1.values.real[:k], profiles.Z2.values.imag[:k],
+            profiles.Z3t.values.imag[:k], profiles.Z4t.values.real[:k])
+
+
+def _pair4(f: np.ndarray, f1: np.ndarray, quad: tuple) -> np.ndarray:
+    """((f, Z1), (f, Z2), (f1, Z3t), (f1, Z4t)) for f of index m, f1 of
+    m+1, as weighted dot products over the Z support (einsum: a BLAS dot
+    of this size starts threads)."""
+    wr, z1, z2, z3, z4 = quad
+    k = wr.size
+    return np.array([np.einsum("i,i,i->", wr, z, part[:k]) for z, part in
+                     ((z1, f.real), (z2, f.imag), (z3, f1.imag), (z4, f1.real))])
+
+
+def _pairings(u: RadialField, state: ModState, table: TTable, quad: tuple,
+              sample=None):
     w = flat(u, SymmetryParams(state.lam, state.gamma), sample)
-    chart = _assemble_chart(state.b, state.eta, table)
-    eps = w.with_values(w.values - chart.P.values, decay=None)
+    chart = _Chart(state.b, state.eta, table)
+    p, p1 = chart.values()
+    eps = w.with_values(w.values - p, decay=None)
     gf = GA.gauge_fields(w)
     d_w = GA.cov_d(w, w, gf)
-    eps1 = d_w.with_values(d_w.values - chart.P1.values, decay=None)
-    return _pair4(eps, eps1, profiles), (w, gf, d_w, chart, eps, eps1)
+    eps1 = d_w.with_values(d_w.values - p1, decay=None)
+    return _pair4(eps.values, eps1.values, quad), (w, gf, d_w, chart, eps, eps1)
 
 
-def _pair4(f: RadialField, f1: RadialField, profiles: OrthoProfiles):
-    """((f, Z1), (f, Z2), (f1, Z3t), (f1, Z4t)) for f of index m, f1 of m+1."""
-    return np.array([G.inner(f, profiles.Z1), G.inner(f, profiles.Z2),
-                     G.inner(f1, profiles.Z3t), G.inner(f1, profiles.Z4t)])
-
-
-def _jacobian(aux, profiles: OrthoProfiles) -> np.ndarray:
-    """d(pairings)/d(log lambda, gamma, b, eta) from the data of one pairing."""
+def _jacobian(aux, quad: tuple) -> np.ndarray:
+    """d(pairings)/d(log lambda, gamma, b, eta) from the data of one
+    pairing, each direction paired as it is made, on the Z support."""
     w, _, d_w, chart, _, _ = aux
-    cols = [(G.scale_gen(w).values, G.scale_gen(d_w, -1.0).values),
-            (-1j * w.values, -1j * d_w.values)]
-    cols += [(-chart.dP_db.values, -chart.dP1_db.values),
-             (-chart.dP_deta.values, -chart.dP1_deta.values)]
-    return np.column_stack([
-        _pair4(w.with_values(c, decay=None), d_w.with_values(c1, decay=None),
-               profiles) for c, c1 in cols])
+    k = quad[0].size
+    wv, dv = w.values, d_w.values
+    jac = np.empty((4, 4))
+    # Lambda w and Lambda_{-1} D_w w; the x-stencil reaches two nodes on
+    jac[:, 0] = _pair4(G.dx(w.grid, wv[:k + 2])[:k] + wv[:k],
+                       G.dx(w.grid, dv[:k + 2])[:k] + 2.0 * dv[:k], quad)
+    jac[:, 1] = _pair4(-1j * wv[:k], -1j * dv[:k], quad)
+    jac[:, 2:] = -np.column_stack(
+        [_pair4(d, d1, quad) for d, d1 in chart.directions(k)]) @ chart.chain()
+    return jac
 
 
 def extrapolate(history: list, t: float) -> ModState | None:
@@ -251,8 +302,9 @@ def decompose(u: RadialField, init: ModState | None = None,
     (Lambda w, Lambda_{-1} D_w w) for log lambda (A_theta is scaling
     invariant, so D_w w has weight 2), (-i w, -i D_w w) for gamma, and
     (-d_b P, -d_b P1), (-d_eta P, -d_eta P1) for b and eta, through the
-    phase-factored chart beyond _CHART_BETA. A pairing builds P, P1 and
-    their derivatives only; P2 is built once, at the converged state.
+    phase-factored chart beyond _CHART_BETA. A pairing builds P and P1
+    only; the derivatives are built, on the support of Z1-Z4t, only when a
+    Newton step follows, and P2 once, from the converged pairing's chart.
 
     The T-table and orthogonality profiles are those of (u.m, u.grid).
     u is resampled through one sampler(u), built here and shared by the
@@ -269,11 +321,13 @@ def decompose(u: RadialField, init: ModState | None = None,
     m = u.m
     table = PR.build_t_tables(m, u.grid)
     profiles = build_ortho_profiles(m, u.grid)
+    quad = _quadrature(profiles)
     q = soliton_q(m, u.grid)
     sample = sampler(u)
 
     def distance(w):
-        return G.hdot1(w.with_values(w.values - q.values, decay=None)) / G.hdot1(q)
+        return (G.hdot1(w.with_values(w.values - q.values, decay=None))
+                / profiles.q_hdot1)
 
     def fitted():
         fit = proximity_fit(u, q, sample)
@@ -295,15 +349,18 @@ def decompose(u: RadialField, init: ModState | None = None,
 
     converged, it = False, 0
     try:
-        vec, aux = _pairings(u, state_of(x), table, profiles, sample)
+        vec, aux = _pairings(u, state_of(x), table, quad, sample)
         if warm and (dist := distance(aux[0])) >= tube_radius:
             _, dist = fitted()
         for it in range(1, _NEWTON_MAX_ITER + 1):
             if np.max(np.abs(vec)) < tol:
                 converged = True
                 break
+            jac = _jacobian(aux, quad)
+            if not (np.isfinite(jac).all() and np.isfinite(vec).all()):
+                raise NoConvergence("non-finite Newton system")
             try:
-                dx = np.linalg.solve(_jacobian(aux, profiles), vec)
+                dx = np.linalg.solve(jac, vec)
             except np.linalg.LinAlgError as exc:
                 raise NoConvergence(f"singular Newton system: {exc}") from exc
             # damp large steps so intermediate iterates stay on the chart
@@ -312,19 +369,18 @@ def decompose(u: RadialField, init: ModState | None = None,
                 dx = dx / cap
             x = x - dx
             aux = None  # free this pairing's arrays before the next is built
-            vec, aux = _pairings(u, state_of(x), table, profiles, sample)
+            vec, aux = _pairings(u, state_of(x), table, quad, sample)
     except DECOMPOSE_FAILURES as exc:
         exc.iterations = it
         raise
     converged = converged or np.max(np.abs(vec)) < tol
 
     state = state_of(x)
-    # the last chart stays alive while P2's is built, and eps2 takes A_w w's
+    # P2 comes from the converged pairing's chart, and eps2 takes A_w w's
     # buffer: other orders fragment the heap more over a run (peak RSS)
-    w, gf, d_w, _, eps, eps1 = aux
+    w, gf, d_w, chart, eps, eps1 = aux
     a_w = GA.a_u(w, d_w, gf)
-    p2 = _assemble_chart(state.b, state.eta, table, derivs=False).P2
-    np.subtract(a_w.values, p2.values, out=a_w.values)
+    np.subtract(a_w.values, chart.p2(), out=a_w.values)
     eps2 = a_w.with_values(a_w.values, decay=None)
     if energy is None:
         energy, _, _ = GA.energy_mass(u)

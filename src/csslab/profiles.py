@@ -233,10 +233,12 @@ def build_t_tables(m: int, grid: Grid) -> TTable:
 
 
 def expansion(table: TTable, k: int, b: float, eta: float,
-              wrt: str | None = None) -> np.ndarray:
+              wrt: str | None = None, n: int | None = None) -> np.ndarray:
     """sum_j T_j^{(k)}(b, eta), the correction carried by P (k = 0), P1
-    (k = 1) or P2 (k = 2), or its derivative in wrt = "b" or "eta"."""
-    return _peval([table.entries[nm] for nm in _EXPANSIONS[k]], b, eta, wrt)
+    (k = 1) or P2 (k = 2), or its derivative in wrt = "b" or "eta", on
+    the first n nodes (all by default)."""
+    return _peval([table.entries[nm][:, :n] for nm in _EXPANSIONS[k]],
+                  b, eta, wrt)
 
 
 def solvability_inner(params: ProfileParams, table: TTable) -> float:
@@ -288,13 +290,12 @@ _BETA_MAX = 0.1  # the accuracy range of the expansion
 
 
 def assemble(params: ProfileParams, table: TTable,
-             t4_dir: RadialField | None = None, cutoffs: bool = True,
-             derivs: bool = True, p2: bool = True) -> ProfileSet:
+             t4_dir: RadialField | None = None,
+             cutoffs: bool = True) -> ProfileSet:
     """Build P, P1, P2 and their analytic (b, eta)-derivatives for beta <
-    _BETA_MAX; derivs=False leaves out the derivatives and p2=False P2 and
-    its own, as None. cutoffs=False returns the unlocalized profiles (for
-    the quartic extraction). Beyond modulation._CHART_BETA the
-    decomposition phase-factors the chart instead of assembling there."""
+    _BETA_MAX. cutoffs=False returns the unlocalized profiles (for the
+    quartic extraction). Beyond modulation._CHART_BETA the decomposition
+    phase-factors its chart instead of assembling there."""
     m, grid = table.m, table.grid
     if params.beta >= _BETA_MAX:
         raise ValueError(
@@ -302,9 +303,8 @@ def assemble(params: ProfileParams, table: TTable,
     b, eta, beta = params.b, params.eta, params.beta
     q = q_values(m, grid.r)
 
-    wrts = (None, "b", "eta") if derivs else (None,)
-    groups = [[expansion(table, k, b, eta, wrt) for wrt in wrts]
-              for k in range(3 if p2 else 2)]
+    groups = [[expansion(table, k, b, eta, wrt) for wrt in (None, "b", "eta")]
+              for k in range(3)]
 
     if cutoffs and beta == 0.0:
         cutoffs = False  # B1 = infinity: the cutoffs are identically one
@@ -320,9 +320,8 @@ def assemble(params: ProfileParams, table: TTable,
                   for v, *v_ds in groups]
     else:
         fields = groups
-    # (value, d_b, d_eta) of P, P1 and P2, None where not built
-    (p_vals, p_db, p_de), (p1_vals, p1_db, p1_de), (p2_vals, p2_db, p2_de) = (
-        (f + [None, None])[:3] for f in fields + [[None]] * (not p2))
+    # (value, d_b, d_eta) of P, P1 and P2
+    (p_vals, p_db, p_de), (p1_vals, p1_db, p1_de), (p2_vals, p2_db, p2_de) = fields
     p_vals = q + p_vals
     if t4_dir is not None and cutoffs:
         chi0, dchi0_b, dchi0_e = _cut_and_derivs(grid, beta, b, eta, 0.5)
@@ -336,7 +335,7 @@ def assemble(params: ProfileParams, table: TTable,
         p2_de = p2_de + 4.0 * beta**2 * eta * t4_dir.values
 
     def mk(idx, vals, decay=None):
-        return None if vals is None else RadialField(idx, vals, grid, decay)
+        return RadialField(idx, vals, grid, decay)
     return ProfileSet(
         P=mk(m, p_vals, float(m + 2)), P1=mk(m + 1, p1_vals), P2=mk(m + 2, p2_vals),
         dP_db=mk(m, p_db), dP_deta=mk(m, p_de),

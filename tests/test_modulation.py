@@ -349,13 +349,14 @@ def test_jacobian_structure(grid, ortho1, table1):
     s = d.state
     x0 = np.array([math.log(s.lam), s.gamma, s.b, s.eta])
     h = 1e-6
-    base, _ = MOD._pairings(u, s, table1, ortho1)
+    quad = MOD._quadrature(ortho1)
+    base, _ = MOD._pairings(u, s, table1, quad)
     jac = np.empty((4, 4))
     for j in range(4):
         xp = x0.copy()
         xp[j] += h
         vp, _ = MOD._pairings(
-            u, ModState(math.exp(xp[0]), xp[1], xp[2], xp[3]), table1, ortho1)
+            u, ModState(math.exp(xp[0]), xp[1], xp[2], xp[3]), table1, quad)
         jac[:, j] = (vp - base) / h
     q = soliton_q(1, grid)
     lam_q = G.scale_gen(q)
@@ -393,8 +394,9 @@ def test_analytic_jacobian_matches_central_differences(grid, ortho1, table1,
         u = blowup_s(1, -0.5, grid)
         s = ModState(0.5, 0.1, 0.49, 0.03)
         assert s.beta > MOD._CHART_BETA
-    _, aux = MOD._pairings(u, s, table1, ortho1)
-    jac = MOD._jacobian(aux, ortho1)
+    quad = MOD._quadrature(ortho1)
+    _, aux = MOD._pairings(u, s, table1, quad)
+    jac = MOD._jacobian(aux, quad)
     x0 = np.array([math.log(s.lam), s.gamma, s.b, s.eta])
     h = 1e-6
     fd = np.empty((4, 4))
@@ -403,9 +405,9 @@ def test_analytic_jacobian_matches_central_differences(grid, ortho1, table1,
         xp[j] += h
         xm[j] -= h
         vp, _ = MOD._pairings(u, ModState(math.exp(xp[0]), *xp[1:]), table1,
-                              ortho1)
+                              quad)
         vm, _ = MOD._pairings(u, ModState(math.exp(xm[0]), *xm[1:]), table1,
-                              ortho1)
+                              quad)
         fd[:, j] = (vp - vm) / (2.0 * h)
     rel = np.linalg.norm(jac - fd, axis=0) / np.linalg.norm(fd, axis=0)
     assert np.all(rel <= 1e-6), rel
