@@ -731,8 +731,11 @@ def cmd_evolve(data, m, t0, tend, dt, grid, monitor_stride, decompose,
 @out_option
 def cmd_decompose(field, m, tube_radius, out):
     """Tube decomposition of a single stored field."""
-    with timed("read"):
-        try:
+    try:  # fail() after a timed block: the manifest keeps its seconds
+        with timed("read"):
+            if not 0.0 < tube_radius < math.inf:
+                raise ValueError("tube_radius must be positive and "
+                                 f"finite, got {tube_radius}")
             raw = np.loadtxt(field, delimiter=",", skiprows=1, ndmin=2)
             if raw.shape[1] != 3:
                 raise ValueError("field CSV needs the three columns r,re,im")
@@ -742,13 +745,13 @@ def cmd_decompose(field, m, tube_radius, out):
             if not np.allclose(grid.r, r, rtol=1e-9):
                 raise G.GridError("field radii are not a geometric grid")
             u = RadialField(m, vals, grid)
-        except (OSError, ValueError) as exc:
-            fail(exc, out, usage=True)
-    with timed("decompose"):
-        try:
+    except (OSError, ValueError) as exc:
+        fail(exc, out, usage=True)
+    try:
+        with timed("decompose"):
             d = MOD.decompose(u, tube_radius=tube_radius)
-        except MOD.DECOMPOSE_FAILURES as exc:
-            fail(exc, out, grid)
+    except MOD.DECOMPOSE_FAILURES as exc:
+        fail(exc, out, grid)
     report = {
         "state": {"lambda": d.state.lam, "gamma": d.state.gamma,
                   "b": d.state.b, "eta": d.state.eta},
@@ -769,8 +772,8 @@ def cmd_report(rundir, out):
     """Blow-up asymptotics of a recorded trajectory directory."""
     path = Path(rundir) / "series.csv"
     names = ("t", "lambda", "gamma", "b", "eta")
-    with timed("read"):
-        try:
+    try:
+        with timed("read"):
             header = path.read_text().partition("\n")[0].split(",")
             raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
             if not set(names) <= set(header) or raw.shape[1] != len(header):
@@ -782,8 +785,8 @@ def cmd_report(rundir, out):
             if bad:
                 raise ValueError(f"{path} has non-finite values in the "
                                  f"columns {','.join(bad)}")
-        except (OSError, ValueError) as exc:
-            fail(exc, out, usage=True)
+    except (OSError, ValueError) as exc:
+        fail(exc, out, usage=True)
     report = {"rundir": rundir, "n_samples": len(raw),
               "lambda_final": float(col["lambda"][-1])}
     with timed("asymptotics"):

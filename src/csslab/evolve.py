@@ -84,6 +84,9 @@ class SolverConfig:
             raise ValueError("lambda_min stop rule requires decompose_flag")
         if self.monitor_stride < 1:
             raise ValueError("monitor_stride must be >= 1")
+        if not 0.0 < self.tube_radius < math.inf:  # NaN would pass dist >= it
+            raise ValueError("tube_radius must be positive and finite, got "
+                             f"{self.tube_radius}")
 
     def reached(self, t: float) -> bool:
         """Whether a run at time t has reached t_end."""

@@ -164,16 +164,21 @@ class _Chart:
     phase; P2 and the derivatives are built only when asked for."""
 
     def __init__(self, b: float, eta: float, table: TTable):
-        self.b, self.eta, self.table = b, eta, table
-        grid, beta = table.grid, math.hypot(b, eta)
-        self.delta = 0.0
+        self.table, y, beta = table, table.grid.r, math.hypot(b, eta)
+        self.delta, self.chain = 0.0, np.eye(2)
         if beta > _CHART_BETA:
-            b, eta = b * (_CHART_BETA / beta), eta * (_CHART_BETA / beta)
-            self.delta, beta = self.b - b, math.hypot(b, eta)
-            self.phase = np.exp(-0.25j * self.delta * grid.r**2)
-        self.at, self.cut = (b, eta), beta > 0.0 and 2.0 / beta <= grid.r_max
-        self.chi = G.smooth_bump(grid.r * beta) if self.cut else None
-        self.p = q_values(table.m, grid.r) + self._cut(0)
+            c3, scale = _CHART_BETA / beta**3, _CHART_BETA / beta
+            # d(b_c, eta_c, delta)/d(b, eta)
+            self.chain = np.array([[c3 * eta**2, -c3 * b * eta],
+                                   [-c3 * b * eta, c3 * b**2],
+                                   [1.0 - c3 * eta**2, c3 * b * eta]])
+            b, eta, self.delta = b * scale, eta * scale, b - b * scale
+            beta = math.hypot(b, eta)
+            self.phase = np.exp(-0.25j * self.delta * y**2)
+            self.tp = -0.5j * self.delta * y  # i theta'
+        self.at, self.cut = (b, eta), beta > 0.0 and 2.0 / beta <= y[-1]
+        self.chi = G.smooth_bump(y * beta) if self.cut else None
+        self.p = q_values(table.m, y) + self._cut(0)
         self.p1 = self._cut(1)
 
     def _cut(self, k: int) -> np.ndarray:
@@ -181,19 +186,13 @@ class _Chart:
         v = PR.expansion(self.table, k, *self.at)
         return self.chi * v if self.cut else v
 
-    def _tp(self, n: int | None = None):
-        """y and i theta' on the first n nodes."""
-        y = self.table.grid.r[:n]
-        return y, -0.5j * self.delta * y
-
     # products of phase and a temporary stay inline: from 256 KiB (n =
     # 16384) numpy multiplies into the temporary, swapped, moving last bits
     def values(self):
         """P and P1 on the grid."""
         if not self.delta:
             return self.p, self.p1
-        _, tp = self._tp()
-        p1t = self.p1 + tp * self.p
+        p1t = self.p1 + self.tp * self.p
         return self.phase * self.p, self.phase * p1t
 
     def p2(self) -> np.ndarray:
@@ -201,33 +200,24 @@ class _Chart:
         p2 = self._cut(2)
         if not self.delta:
             return p2
-        _, tp = self._tp()
-        return self.phase * (p2 + 2.0 * tp * self.p1 + tp**2 * self.p)
+        return self.phase * (p2 + 2.0 * self.tp * self.p1
+                             + self.tp**2 * self.p)
 
     def directions(self, n: int):
         """The derivatives (d P, d P1) along b_c, eta_c and, phase-factored,
         delta on the first n nodes: those of the Z support, where the B1
         cutoff (beyond y = 1/_CHART_BETA) is one."""
-        y, tp = self._tp(n)
         for wrt in ("b", "eta"):
             d, d1 = (PR.expansion(self.table, k, *self.at, wrt, n=n)
                      for k in (0, 1))
             yield (d, d1) if not self.delta else (
-                self.phase[:n] * d, self.phase[:n] * (d1 + tp * d))
+                self.phase[:n] * d, self.phase[:n] * (d1 + self.tp[:n] * d))
         if self.delta:
-            p, p1, phase = self.p[:n], self.p1[:n], self.phase[:n]
+            y, p, phase, tp = (a[:n] for a in (self.table.grid.r, self.p,
+                                               self.phase, self.tp))
             y2 = -0.25j * y**2
-            yield phase * (y2 * p), phase * (y2 * (p1 + tp * p) - 0.5j * y * p)
-
-    def chain(self) -> np.ndarray:
-        """d(b_c, eta_c, delta)/d(b, eta), or the identity in range."""
-        if not self.delta:
-            return np.eye(2)
-        b, eta = self.b, self.eta
-        c3 = _CHART_BETA / math.hypot(b, eta)**3
-        return np.array([[c3 * eta**2, -c3 * b * eta],
-                         [-c3 * b * eta, c3 * b**2],
-                         [1.0 - c3 * eta**2, c3 * b * eta]])
+            yield phase * (y2 * p), phase * (y2 * (self.p1[:n] + tp * p)
+                                             - 0.5j * y * p)
 
 
 def _quadrature(profiles: OrthoProfiles) -> tuple:
@@ -274,7 +264,7 @@ def _jacobian(aux, quad: tuple) -> np.ndarray:
                        G.dx(w.grid, dv[:k + 2])[:k] + 2.0 * dv[:k], quad)
     jac[:, 1] = _pair4(-1j * wv[:k], -1j * dv[:k], quad)
     jac[:, 2:] = -np.column_stack(
-        [_pair4(d, d1, quad) for d, d1 in chart.directions(k)]) @ chart.chain()
+        [_pair4(d, d1, quad) for d, d1 in chart.directions(k)]) @ chart.chain
     return jac
 
 

@@ -356,6 +356,7 @@ def test_report_refuses_a_non_finite_series(runner, outroot, row, column):
     assert "Traceback" not in res.output
     assert _error_manifest(outroot, "rep").startswith("ValueError")
     assert not (outroot / "rep" / "report.json").exists()
+    assert set(_timings(outroot, "rep")) == {"read"}  # the failed phase's
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +501,34 @@ def test_evolve_non_finite_time_is_usage_error(tmp_path, args, error):
     manifest = json.loads((tmp_path / "runs" / "t" / "manifest.json")
                           .read_text())
     assert manifest["error"] == "ValueError: " + error
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("verb", ["evolve", "decompose"])
+def test_tube_radius_must_be_positive_and_finite(tmp_path, verb, radius):
+    # at NaN the tube check dist >= tube_radius never fires
+    if verb == "evolve":
+        args = ["evolve", "--data", "Q", "--m", "1", "--t0", "0",
+                "--tend", "0.01", "--grid", "n=512,r_min=0.1,r_max=50",
+                "--decompose"]
+    else:
+        grid = G.build_grid(n=256)
+        field = tmp_path / "q.csv"
+        field.write_text("r,re,im\n" + "".join(
+            f"{r:.17g},{v.real:.17g},0\n"
+            for r, v in zip(grid.r, soliton_q(1, grid).values)))
+        args = ["decompose", "--field", str(field), "--m", "1"]
+    res = _run_module(args + ["--tube-radius", radius, "--out", "t"],
+                      tmp_path, timeout=60)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    error = ("ValueError: tube_radius must be positive and finite, got "
+             f"{float(radius)}")
+    errors = [ln for ln in res.stderr.splitlines() if ln.startswith("Error:")]
+    assert errors == ["Error: " + error]
+    manifest = json.loads((tmp_path / "runs" / "t" / "manifest.json")
+                          .read_text())
+    assert manifest["error"] == error
 
 
 def test_evolve_stability_guard_is_clean_error(runner, outroot):
@@ -954,8 +983,8 @@ def test_decompose_scale_out_of_range_is_clean_error(runner, tmp_path,
     assert "Traceback" not in res.output
     assert _error_manifest(outroot, "dec").startswith("ScaleOutOfRange")
     assert not (outroot / "dec" / "report.json").exists()
-    # the phases finished before the failure
-    assert set(_timings(outroot, "dec")) == {"read"}
+    # the phases run, the failed one's seconds included
+    assert set(_timings(outroot, "dec")) == {"read", "decompose"}
 
 
 @pytest.mark.parametrize("args", [

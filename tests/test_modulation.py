@@ -295,6 +295,129 @@ def test_eps2_is_a_w_minus_the_full_p2(grid, table1, monkeypatch, case):
     assert d.eps2.values.tobytes() == want.tobytes()
 
 
+# Decompositions pinned as the code gave them before the chart built its
+# derivatives only before a Newton step and the pairings became weighted
+# dot products (17-digit literals): (log lambda, gamma, b, eta, iterations)
+# and, for each of eps, eps1 and eps2, its L2 norm and the real and
+# imaginary part of its pairing with g = exp(-(log y)^2).
+_PIN_SEED = 7351
+_PINNED = {
+    "S(-0.5)": (-0.69316194345088278, 6.2830828686810793, 0.49970501856975896, -0.00086385540590637184, 6, 0.40045439820874784, 0.0016581287359946171, -0.0021171243843830429, 1.116008736821442, -1.4568491822111642e-05, -0.0039130295963338314, 3.4023470781014655, 0.0035644737953438705, 0.0015173946242130467),
+    "Q m=1": (0.21318298036127636, 3.8880112871519144, 0.0011024904056621909, -0.0028634438629817544, 3, 0.094425518575674855, 0.0050458730531970598, -0.003661436481200184, 0.0063911778087576481, 0.0023374595312044676, -0.0015392617620548306, 0.010323294481780258, 0.026340165449552092, -0.011254323197093338),
+    "Q m=2": (0.015440397859756047, 1.194482428915141, 0.0010535238261811532, -2.0328208507198336e-05, 3, 0.00312146601791178, 5.7450836049241882e-05, -0.0070022737575722981, 0.0044157385390805491, 6.8639756596250757e-05, -0.0081487332633919038, 0.0095468354774544371, 0.00034134363480637378, -0.027270551253859347),
+    "P m=1": (-0.044686867414818532, 0.87871574556339405, -0.056247959975387708, 0.042704582885248241, 4, 0.011671061123989759, 0.00079949730387388865, -0.00075462368399785917, 0.071241670752971484, 0.001521787423491791, 0.0036982639083590532, 0.027703416975310688, 0.00091856743728741962, 0.0057695883551334929),
+    "S(-0.6) n=16384": (-0.51079977414711641, 6.2848205770009882, 0.59932763859192673, 0.010994951494842873, 6, 0.39436059927945843, -0.0022969056210960489, -0.008202155376033601, 1.3587105720082735, -0.0030763777104734404, -0.0023231905561473302, 5.1674224741407961, -0.0041719644464060807, -0.073112460998984358),
+}
+
+
+def _pinned_fields():
+    """(name, u, tube_radius) of the pinned decompositions, drawn from
+    _PIN_SEED: S(-0.5) (the phase-factored chart), perturbed Q of m = 1
+    and 2 (the assembled chart without cutoffs), a perturbed modified
+    profile of m = 1 (with cutoffs), and a perturbed S(-0.6) at n = 16384,
+    where numpy reuses temporaries' buffers."""
+    rng = np.random.default_rng(_PIN_SEED)
+    grid = G.build_grid()
+
+    def bump(g, m):
+        c = complex(*rng.normal(size=2))
+        x0 = rng.uniform(-0.5, 0.5)
+        return 1e-3 * c * g.r**m * np.exp(-(np.log(g.r) - x0) ** 2)
+
+    def sym():
+        return SymmetryParams(rng.uniform(0.8, 1.25),
+                              rng.uniform(0.0, 2.0 * math.pi))
+
+    yield "S(-0.5)", blowup_s(1, -0.5, grid), 0.5
+    for m in (1, 2):
+        q = soliton_q(m, grid)
+        yield f"Q m={m}", modulate(q.with_values(q.values + bump(grid, m)),
+                                   sym()), 0.2
+    b, eta = rng.uniform(0.02, 0.06, 2) * rng.choice([-1.0, 1.0], 2)
+    p = PR.assemble(ProfileParams(b, eta), PR.build_t_tables(1, grid)).P
+    yield "P m=1", modulate(p.with_values(p.values + bump(grid, 1)), sym()), 0.2
+    big = G.build_grid(1e-3, 100.0, 16384)
+    s = blowup_s(1, -0.6, big)
+    yield "S(-0.6) n=16384", s.with_values(s.values * (1.0 + bump(big, 0))), 0.5
+
+
+def test_decompositions_stay_pinned():
+    # the state within 1e-12, iterations equal, and eps, eps1 and eps2
+    # within 1e-12 relative: their norms, and their pairings with g
+    # relative to ||f|| ||g||
+    for name, u, tube_radius in _pinned_fields():
+        d = decompose(u, tube_radius=tube_radius)
+        want = _PINNED[name]
+        st = d.state
+        got = (math.log(st.lam), st.gamma, st.b, st.eta)
+        assert d.converged and d.iterations == want[4], name
+        assert np.max(np.abs(np.subtract(got, want[:4]))) <= 1e-12, name
+        for f, (norm, re, im) in zip((d.eps, d.eps1, d.eps2),
+                                     np.reshape(want[5:], (3, 3))):
+            g = np.exp(-np.log(f.grid.r) ** 2)
+            pair = complex(G.integrate_samples(f.grid, np.conj(g) * f.values))
+            scale = norm * G.l2_samples(f.grid, g)
+            assert abs(G.l2(f) - norm) <= 1e-12 * norm, name
+            assert abs(pair - complex(re, im)) <= 1e-12 * scale, name
+
+
+def test_chart_derivatives_only_before_a_newton_step(grid, table1,
+                                                     monkeypatch):
+    # the (b, eta)-derivatives are built once per Newton step, on the Z
+    # support, never for the converged check; P2 once per call
+    support = build_ortho_profiles(1, grid).support
+    assert support < grid.n
+    expansion, directions, p2 = PR.expansion, MOD._Chart.directions, MOD._Chart.p2
+    steps, derivs, p2s = [], [], []
+
+    def counted_directions(self, n):
+        steps.append(n)
+        yield from directions(self, n)
+
+    def counted_expansion(table, k, b, eta, wrt=None, n=None):
+        if wrt is not None:
+            derivs.append(n)
+        return expansion(table, k, b, eta, wrt, n)
+
+    def counted_p2(self):
+        p2s.append(1)
+        return p2(self)
+    monkeypatch.setattr(MOD._Chart, "directions", counted_directions)
+    monkeypatch.setattr(MOD._Chart, "p2", counted_p2)
+    monkeypatch.setattr(PR, "expansion", counted_expansion)
+    for u in (blowup_s(1, -0.5, grid),  # the phase-factored chart
+              _synthetic_datum(grid, table1, 0.03, 0.02, 0.9, 0.4)):
+        for warm in (False, True):
+            for calls in (steps, derivs, p2s):
+                calls.clear()
+            init = (dataclasses.replace(d.state, lam=1.001 * d.state.lam)
+                    if warm else None)
+            d = decompose(u, init=init, tube_radius=0.5)
+            assert d.converged and d.iterations >= 2
+            assert steps == [support] * (d.iterations - 1)
+            assert derivs == [support] * 4 * (d.iterations - 1)
+            assert p2s == [1]
+
+
+def test_warm_decomposition_memory_peak(grid):
+    # tracemalloc peak of a warm decomposition with caches built. Before
+    # the chart built its derivatives only before a Newton step it was
+    # 1,778,052 bytes (1,736.4 KiB) here; the bound is that, to the KiB
+    import tracemalloc
+    u = blowup_s(1, -0.8, grid)
+    cold = decompose(u, tube_radius=0.5)
+    init = dataclasses.replace(cold.state, lam=1.001 * cold.state.lam)
+    decompose(u, init=init, tube_radius=0.5)
+    tracemalloc.start()
+    try:
+        d = decompose(u, init=init, tube_radius=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.converged and d.iterations == 3
+    assert peak <= 1737 * 1024
+
+
 @pytest.mark.parametrize("failure", ["pairing", "jacobian"])
 def test_failed_decomposition_carries_its_iterations(grid, monkeypatch,
                                                      failure):
