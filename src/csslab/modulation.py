@@ -175,16 +175,21 @@ class _Chart:
             b, eta, self.delta = b * scale, eta * scale, b - b * scale
             beta = math.hypot(b, eta)
             self.phase = np.exp(-0.25j * self.delta * y**2)
-            self.tp = -0.5j * self.delta * y  # i theta'
         self.at, self.cut = (b, eta), beta > 0.0 and 2.0 / beta <= y[-1]
-        self.chi = G.smooth_bump(y * beta) if self.cut else None
-        self.p = q_values(table.m, y) + self._cut(0)
-        self.p1 = self._cut(1)
+        p, self.p1 = self._cut(0, 1)
+        self.p = q_values(table.m, y) + p
 
-    def _cut(self, k: int) -> np.ndarray:
-        """The k-th expansion at (b_c, eta_c), times the B1 cutoff."""
-        v = PR.expansion(self.table, k, *self.at)
-        return self.chi * v if self.cut else v
+    def _cut(self, *ks) -> list:
+        """The expansions k in ks at (b_c, eta_c), times the B1 cutoff."""
+        vs = [PR.expansion(self.table, k, *self.at) for k in ks]
+        if not self.cut:
+            return vs
+        chi = G.smooth_bump(self.table.grid.r * math.hypot(*self.at))
+        return [chi * v for v in vs]
+
+    def _tp(self, n: int | None = None) -> np.ndarray:
+        """i theta' on the first n nodes."""
+        return -0.5j * self.delta * self.table.grid.r[:n]
 
     # products of phase and a temporary stay inline: from 256 KiB (n =
     # 16384) numpy multiplies into the temporary, swapped, moving last bits
@@ -192,29 +197,29 @@ class _Chart:
         """P and P1 on the grid."""
         if not self.delta:
             return self.p, self.p1
-        p1t = self.p1 + self.tp * self.p
+        p1t = self.p1 + self._tp() * self.p
         return self.phase * self.p, self.phase * p1t
 
     def p2(self) -> np.ndarray:
         """P2 on the grid, from the chart's P and P1 and the k = 2 terms."""
-        p2 = self._cut(2)
+        p2, = self._cut(2)
         if not self.delta:
             return p2
-        return self.phase * (p2 + 2.0 * self.tp * self.p1
-                             + self.tp**2 * self.p)
+        tp = self._tp()
+        return self.phase * (p2 + 2.0 * tp * self.p1 + tp**2 * self.p)
 
     def directions(self, n: int):
         """The derivatives (d P, d P1) along b_c, eta_c and, phase-factored,
         delta on the first n nodes: those of the Z support, where the B1
         cutoff (beyond y = 1/_CHART_BETA) is one."""
+        phase, tp = (self.phase[:n], self._tp(n)) if self.delta else (1, 0)
         for wrt in ("b", "eta"):
             d, d1 = (PR.expansion(self.table, k, *self.at, wrt, n=n)
                      for k in (0, 1))
-            yield (d, d1) if not self.delta else (
-                self.phase[:n] * d, self.phase[:n] * (d1 + self.tp[:n] * d))
+            yield (d, d1) if not self.delta else (phase * d,
+                                                  phase * (d1 + tp * d))
         if self.delta:
-            y, p, phase, tp = (a[:n] for a in (self.table.grid.r, self.p,
-                                               self.phase, self.tp))
+            y, p = self.table.grid.r[:n], self.p[:n]
             y2 = -0.25j * y**2
             yield phase * (y2 * p), phase * (y2 * (self.p1[:n] + tp * p)
                                              - 0.5j * y * p)
@@ -366,6 +371,7 @@ def decompose(u: RadialField, init: ModState | None = None,
     converged = converged or np.max(np.abs(vec)) < tol
 
     state = state_of(x)
+    del sample  # its splines go before the last arrays are built
     # P2 comes from the converged pairing's chart, and eps2 takes A_w w's
     # buffer: other orders fragment the heap more over a run (peak RSS)
     w, gf, d_w, chart, eps, eps1 = aux

@@ -334,10 +334,9 @@ def assemble(params: ProfileParams, table: TTable,
         p2_db = p2_db + 4.0 * beta**2 * b * t4_dir.values
         p2_de = p2_de + 4.0 * beta**2 * eta * t4_dir.values
 
-    def mk(idx, vals, decay=None):
-        return RadialField(idx, vals, grid, decay)
+    mk = partial(RadialField, grid=grid)
     return ProfileSet(
-        P=mk(m, p_vals, float(m + 2)), P1=mk(m + 1, p1_vals), P2=mk(m + 2, p2_vals),
+        P=mk(m, p_vals, decay=float(m + 2)), P1=mk(m + 1, p1_vals), P2=mk(m + 2, p2_vals),
         dP_db=mk(m, p_db), dP_deta=mk(m, p_de),
         dP1_db=mk(m + 1, p1_db), dP1_deta=mk(m + 1, p1_de),
         dP2_db=mk(m + 2, p2_db), dP2_deta=mk(m + 2, p2_de))

@@ -361,6 +361,30 @@ def test_decompositions_stay_pinned():
             assert abs(pair - complex(re, im)) <= 1e-12 * scale, name
 
 
+def test_weighted_pairings_match_inner(grid, ortho1):
+    # the einsum pairings over the Z support against grid.inner on the
+    # whole grid, to rounding
+    rng = np.random.default_rng(3)
+    f, f1 = (RadialField(m, rng.normal(size=grid.n)
+                         + 1j * rng.normal(size=grid.n), grid) for m in (1, 2))
+    pairs = ((f, ortho1.Z1), (f, ortho1.Z2), (f1, ortho1.Z3t),
+             (f1, ortho1.Z4t))
+    got = MOD._pair4(f.values, f1.values, MOD._quadrature(ortho1))
+    for value, (g, z) in zip(got, pairs):  # relative to the summed |terms|
+        size = G.integrate_samples(grid, np.abs(g.values * z.values))
+        assert abs(value - G.inner(g, z)) <= 1e-14 * size
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_b1_cutoff_is_one_on_the_z_support(m):
+    # the chart builds its derivatives on the Z support without cutoff
+    # terms: B1 = 1/beta >= 1/_CHART_BETA lies beyond it on every grid
+    for grid in (G.build_grid(), G.build_grid(1e-3, 100.0, 16384),
+                 G.build_grid(1e-3, 3.0, 1024)):
+        support = build_ortho_profiles(m, grid).support
+        assert grid.r[support - 1] * MOD._CHART_BETA < 1.0
+
+
 def test_chart_derivatives_only_before_a_newton_step(grid, table1,
                                                      monkeypatch):
     # the (b, eta)-derivatives are built once per Newton step, on the Z
@@ -397,6 +421,17 @@ def test_chart_derivatives_only_before_a_newton_step(grid, table1,
             assert steps == [support] * (d.iterations - 1)
             assert derivs == [support] * 4 * (d.iterations - 1)
             assert p2s == [1]
+
+
+def test_phase_factored_chart_inside_2_b1():
+    # r_max = 15 < 2 B1 = 2/_CHART_BETA: beyond the chart the profiles go
+    # without cutoffs, as inside it (before, assemble raised GridTooSmall)
+    g = G.build_grid(1e-3, 15.0, 2048)
+    assert 2.0 / MOD._CHART_BETA > g.r_max
+    d = decompose(blowup_s(2, -0.5, g), tube_radius=0.5)
+    assert d.converged and d.state.beta > MOD._CHART_BETA
+    assert d.state.lam == pytest.approx(0.5, rel=1e-5)
+    assert d.state.b == pytest.approx(0.5, rel=1e-4)
 
 
 def test_warm_decomposition_memory_peak(grid):
