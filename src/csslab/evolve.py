@@ -117,9 +117,9 @@ def potential(u: RadialField) -> np.ndarray:
     """V[u] = ((m + A_theta)^2 - m^2)/r^2 + A_t - |u|^2."""
     dens = np.abs(u.values) ** 2
     gf = GA.gauge_fields(u, dens)
-    r = u.grid.r
-    m = u.m
-    return (((m + gf.a_theta) ** 2 - m**2) / r**2 + gf.a_t - dens)
+    r, m = u.grid.r, u.m
+    return (((m + gf.a_theta) ** 2 - m**2) / r**2 + GA.a_t(u, dens, gf)
+            - dens)
 
 
 class KineticSolver:
@@ -296,10 +296,7 @@ def _segments(u0: RadialField, t0: float, config: SolverConfig,
         clock = time.perf_counter()
         row = None
         if taken or margin is None:
-            e, mass, e_sd = GA.energy_mass(u)
-            v1, v2 = GA.virial(u)
-            tri = GA.conjugate_triple(u)
-            row = (t, mass, e, e_sd, v1, v2, G.l2(tri.u1), G.l2(tri.u2))
+            row = (t, *GA.monitor_row(u))
         yield (t, u.values if taken else None, row, margin, taken, trip,
                step_s, time.perf_counter() - clock)
         if trip is not None or config.reached(t):

@@ -26,8 +26,6 @@ from .grid import Grid, IndexMismatch, RadialField
 @dataclass(frozen=True)
 class GaugeFields:
     a_theta: np.ndarray
-    a_t: np.ndarray
-    m: int
 
 
 def a_theta_pol(grid: Grid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -37,14 +35,17 @@ def a_theta_pol(grid: Grid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def gauge_fields(u: RadialField, dens: np.ndarray | None = None) -> GaugeFields:
-    """A_theta and A_t of u; dens is |u|^2 when the caller has it already."""
+    """A_theta of u; dens is |u|^2 when the caller has it already."""
     if dens is None:
         dens = np.abs(u.values) ** 2
-    a_theta = -0.5 * G.cumulative_rdr(u.grid, dens)
-    integrand = (u.m + a_theta) * dens / u.grid.r
+    return GaugeFields(a_theta=-0.5 * G.cumulative_rdr(u.grid, dens))
+
+
+def a_t(u: RadialField, dens: np.ndarray, gf: GaugeFields) -> np.ndarray:
+    """A_t of u from its density |u|^2 and gauge fields."""
+    integrand = (u.m + gf.a_theta) * dens / u.grid.r
     tail_p = None if u.decay is None else 2.0 * u.decay + 1.0
-    a_t = -G.backward_dy(u.grid, integrand, tail_power=tail_p)
-    return GaugeFields(a_theta=a_theta, a_t=a_t, m=u.m)
+    return -G.backward_dy(u.grid, integrand, tail_power=tail_p)
 
 
 def cov_d(u: RadialField, f: RadialField, gf: GaugeFields | None = None) -> RadialField:
@@ -77,17 +78,23 @@ def a_u_star(u: RadialField, h: RadialField, gf: GaugeFields) -> RadialField:
     return RadialField(h.m - 1, vals, h.grid)
 
 
-def energy_mass(u: RadialField) -> tuple[float, float, float]:
-    """(E, M, E_selfdual): Coulomb-form energy, mass, and 1/2 ||D_u u||^2."""
+def _parts(u: RadialField) -> tuple:
+    """(|u|^2, gauge fields, polar_derivs) of u."""
     dens = np.abs(u.values) ** 2
-    gf = gauge_fields(u, dens)
+    return dens, gauge_fields(u, dens), G.polar_derivs(u.grid, u.values)
+
+
+def energy_mass(u: RadialField, parts: tuple | None = None,
+                d_u: RadialField | None = None) -> tuple[float, float, float]:
+    """(E, M, E_selfdual): Coulomb-form energy, mass, and 1/2 ||D_u u||^2;
+    parts and D_u u are _parts(u) and cov_d(u, u) when the caller has them."""
+    dens, gf, polar = parts or _parts(u)
     r = u.grid.r
     # |d_r u|^2 and |D_u u|^2 via amplitude/phase so oscillatory tails stay
     # accurate: D_u u = (a' - (m+A_theta) a / r) e^{i phi} + i a phi' e^{i phi}
-    polar = G.polar_derivs(u.grid, u.values)
     if polar is None:
         grad2 = np.abs(G.d_dr(u.grid, u.values, 1)) ** 2
-        dsq = np.abs(cov_d(u, u, gf).values) ** 2
+        dsq = np.abs((d_u or cov_d(u, u, gf)).values) ** 2
     else:
         a, da, dphi = polar
         grad2 = da**2 + a**2 * dphi**2
@@ -102,14 +109,14 @@ def energy_mass(u: RadialField) -> tuple[float, float, float]:
     return E, M, E_sd
 
 
-def virial(u: RadialField) -> tuple[float, float]:
+def virial(u: RadialField, parts: tuple | None = None) -> tuple[float, float]:
     """V1 = int r^2 |u|^2 and V2 = int Im(conj(u) r d_r u)."""
     r = u.grid.r
-    dens = np.abs(u.values) ** 2
+    dens, _, polar = parts or (np.abs(u.values) ** 2, None,
+                               G.polar_derivs(u.grid, u.values))
     d1 = None if u.decay is None else 2.0 * u.decay - 2.0
     v1 = float(G.integrate_samples(u.grid, r**2 * dens, d1))
     # Im(conj(u) d_r u) = a^2 d_r phi for a zero-free field
-    polar = G.polar_derivs(u.grid, u.values)
     if polar is None:
         im_grad = np.imag(np.conj(u.values) * G.d_dr(u.grid, u.values, 1))
     else:
@@ -124,8 +131,18 @@ class ConjugateTriple:
     u2: RadialField
 
 
-def conjugate_triple(u: RadialField) -> ConjugateTriple:
-    gf = gauge_fields(u)
+def conjugate_triple(u: RadialField,
+                     gf: GaugeFields | None = None) -> ConjugateTriple:
+    gf = gf or gauge_fields(u)
     u1 = cov_d(u, u, gf)
     u2 = a_u(u, u1, gf)
     return ConjugateTriple(u1=u1, u2=u2)
+
+
+def monitor_row(u: RadialField) -> tuple:
+    """(M, E, E_sd, V1, V2, ||D_u u||, ||A_u D_u u||) as energy_mass, virial
+    and conjugate_triple give them, from one _parts(u) and one D_u u."""
+    parts = _parts(u)
+    tri = conjugate_triple(u, parts[1])
+    e, mass, e_sd = energy_mass(u, parts, tri.u1)
+    return (mass, e, e_sd, *virial(u, parts), G.l2(tri.u1), G.l2(tri.u2))

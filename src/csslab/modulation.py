@@ -273,6 +273,17 @@ def _jacobian(aux, quad: tuple) -> np.ndarray:
     return jac
 
 
+def _virial_b(w: RadialField, quad: tuple) -> float:
+    """b from the virial ratio of w = u^flat on the Z support, which
+    radiation beyond the core does not reach: Im(conj(w) y d_y w) =
+    -(b/2) y^2 |w|^2 for w = Q e^{-i b y^2/4}. 0 if it is not finite."""
+    wr, k, wv = quad[0], quad[0].size, w.values
+    num = np.einsum("i,i->", wr, np.imag(np.conj(wv[:k])
+                                         * G.dx(w.grid, wv[:k + 2])[:k]))
+    den = np.einsum("i,i->", wr, w.grid.r[:k]**2 * np.abs(wv[:k])**2)
+    return float(-2.0 * num / den) if den > 0.0 and np.isfinite(num) else 0.0
+
+
 def extrapolate(history: list, t: float) -> ModState | None:
     """Start state for a warm decomposition at time t: the Lagrange
     polynomial in t of (log lambda, gamma, b, eta) through the last three
@@ -306,12 +317,12 @@ def decompose(u: RadialField, init: ModState | None = None,
     proximity fit, the tube check and every pairing; each pairing's arrays
     are dropped before the next is made, and nothing outlives the call.
 
-    Newton starts from `init` (e.g. extrapolate()'s prediction), or from
-    the proximity fit when it is None, and the tube check, the relative H1
-    distance of u^flat from Q, is taken there; a warm call falls back to
-    the fit outside tube_radius. Both bound the distance to the soliton
-    orbit from above, so NotInTube fires only where the fit alone would.
-    Typed failures after the first pairing carry `iterations`.
+    Newton starts from `init` (e.g. extrapolate()'s prediction), or when it
+    is None from the proximity fit with b = _virial_b, and the tube check,
+    the relative H1 distance of u^flat from Q, is taken there; a warm call
+    falls back to the fit outside tube_radius. Both bound the distance to
+    the soliton orbit from above, so NotInTube fires only where the fit
+    alone would. Typed failures after the first pairing carry `iterations`.
     `energy` is E[u] if the caller has it (mu needs it); None computes it."""
     m = u.m
     table = PR.build_t_tables(m, u.grid)
@@ -325,16 +336,16 @@ def decompose(u: RadialField, init: ModState | None = None,
                 / profiles.q_hdot1)
 
     def fitted():
+        """The cold start and its tube distance."""
         fit = proximity_fit(u, q, sample)
-        dist = distance(flat(u, fit, sample))
-        if dist >= tube_radius:
+        w = flat(u, fit, sample)
+        if (dist := distance(w)) >= tube_radius:
             raise NotInTube(f"not-in-tube: relative H1 distance {dist:.3f}")
-        return fit, dist
+        return ModState(fit.lam, fit.gamma, _virial_b(w, quad), 0.0), dist
 
     warm = init is not None
     if not warm:
-        fit, dist = fitted()
-        init = ModState(fit.lam, fit.gamma, 0.0, 0.0)
+        init, dist = fitted()
 
     tol = _NEWTON_TOL * G.l2(q)
     x = np.array([math.log(init.lam), init.gamma, init.b, init.eta])

@@ -730,10 +730,10 @@ def test_evolve_computes_one_energy_per_monitor(runner, outroot,
     calls = multiprocessing.Value("i", 0)
     energies = []
 
-    def energy_mass(u):
+    def energy_mass(u, *parts):
         with calls.get_lock():
             calls.value += 1
-        return original(u)
+        return original(u, *parts)
 
     def decompose(*args, **kwargs):
         energies.append(kwargs["energy"])

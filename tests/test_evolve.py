@@ -259,11 +259,12 @@ def test_run_computes_one_potential_per_step(grid, monkeypatch):
 
 
 def _reference_potential(u):
-    """V[u] from gauge_fields and the field's own density."""
+    """V[u] from gauge_fields, a_t and the field's own density."""
     gf = GA.gauge_fields(u)
     r, m = u.grid.r, u.m
-    return (((m + gf.a_theta) ** 2 - m**2) / r**2 + gf.a_t
-            - np.abs(u.values) ** 2)
+    dens = np.abs(u.values) ** 2
+    return (((m + gf.a_theta) ** 2 - m**2) / r**2 + GA.a_t(u, dens, gf)
+            - dens)
 
 
 def _reference_chain(u, dt, stride, steps):

@@ -16,8 +16,10 @@ from csslab.soliton import blowup_s, soliton_q
 
 
 def test_gauge_zero(grid):
-    gf = GA.gauge_fields(G.zero_field(1, grid))
-    assert np.all(gf.a_theta == 0) and np.all(gf.a_t == 0)
+    z = G.zero_field(1, grid)
+    gf = GA.gauge_fields(z)
+    assert np.all(gf.a_theta == 0)
+    assert np.all(GA.a_t(z, np.abs(z.values) ** 2, gf) == 0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -36,7 +38,7 @@ def test_a_theta_monotone_and_origin(grid):
     gf = GA.gauge_fields(q)
     assert np.all(np.diff(gf.a_theta) <= 1e-15)
     assert abs(gf.a_theta[0]) < grid.r_min**2 * np.abs(q.values).max() ** 2
-    assert abs(gf.a_t[-1]) < 1e-8
+    assert abs(GA.a_t(q, np.abs(q.values) ** 2, gf)[-1]) < 1e-8
 
 
 def test_polarization_diagonal(grid):
@@ -174,3 +176,40 @@ def test_conjugate_triple_linearization(grid, rng):
         dev = G.l2_samples(grid, tri.u1.values - 2.0 * tri_half.u1.values)
         devs.append(dev)
     assert devs[1] < 0.35 * devs[0]
+
+
+def _row_fields(grid):
+    """A zero-free field (perturbed S, the polar path) and one that
+    vanishes on part of the grid (the Cartesian path)."""
+    s = blowup_s(1, -0.7, grid)
+    bump = 0.01 * (0.3 + 0.4j) * np.exp(-np.log(grid.r / 0.7) ** 2 / 0.18)
+    zero_free = s.with_values(s.values * (1.0 + bump), decay=None)
+    q = soliton_q(2, grid)
+    vanishing = q.with_values(np.where(grid.r < 40.0, q.values, 0.0),
+                              decay=None)
+    return zero_free, vanishing
+
+
+def test_monitor_row_is_the_three_functionals_bit_for_bit(grid):
+    for u, polar in zip(_row_fields(grid), (True, False)):
+        assert (G.polar_derivs(grid, u.values) is not None) == polar
+        e, mass, e_sd = GA.energy_mass(u)
+        tri = GA.conjugate_triple(u)
+        want = (mass, e, e_sd, *GA.virial(u), G.l2(tri.u1), G.l2(tri.u2))
+        got = GA.monitor_row(u)
+        assert len(got) == 7
+        assert (np.array(got).view(np.uint64)
+                == np.array(want).view(np.uint64)).all()
+
+
+def test_monitor_row_builds_each_part_once(grid, monkeypatch):
+    # one |u|^2 integral for A_theta, one phase unwrap, one D_u u
+    counts = {"cumulative_rdr": 0, "smart_unwrap": 0, "cov_d": 0}
+    for mod, name in ((G, "cumulative_rdr"), (G, "smart_unwrap"),
+                      (GA, "cov_d")):
+        def counted(*args, _f=getattr(mod, name), _n=name, **kwargs):
+            counts[_n] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    GA.monitor_row(_row_fields(grid)[0])
+    assert counts == {"cumulative_rdr": 1, "smart_unwrap": 1, "cov_d": 1}

@@ -183,6 +183,83 @@ def test_decompose_builds_one_sampler(grid, table1, monkeypatch):
     assert iters[0] > iters[1]
 
 
+def _cold_start(u, monkeypatch, tube_radius=0.5):
+    """The state a cold decompose(u) starts Newton from, and its result."""
+    pairings, starts = MOD._pairings, []
+
+    def recorded(u, state, *args):
+        starts.append(state)
+        return pairings(u, state, *args)
+    monkeypatch.setattr(MOD, "_pairings", recorded)
+    d = decompose(u, tube_radius=tube_radius)
+    monkeypatch.setattr(MOD, "_pairings", pairings)
+    return starts[0], d
+
+
+@pytest.mark.parametrize("m, t", [(1, -0.3), (1, -0.6), (1, -0.9), (2, -0.5)])
+def test_virial_seed_saves_newton_iterations(grid, monkeypatch, m, t):
+    # on the pseudoconformal orbit the cold start's b is the virial ratio;
+    # from b = 0 at the same fit Newton takes more steps to the same state
+    u = blowup_s(m, t, grid)
+    start, d = _cold_start(u, monkeypatch)
+    fit = MOD.proximity_fit(u, soliton_q(m, grid))
+    assert (start.lam, start.gamma, start.eta) == (fit.lam, fit.gamma, 0.0)
+    # about (lam_fit / lam)^2 b: b at the scale of the proximity fit
+    assert start.b == pytest.approx(-t, rel=0.15)
+    from_zero = decompose(u, init=ModState(fit.lam, fit.gamma, 0.0, 0.0),
+                          tube_radius=0.5)
+    assert d.converged and from_zero.converged
+    assert d.iterations < from_zero.iterations
+    a, b = d.state, from_zero.state
+    assert np.max(np.abs(np.subtract(
+        (math.log(a.lam), a.gamma, a.b, a.eta),
+        (math.log(b.lam), b.gamma, b.b, b.eta)))) <= 2e-10
+
+
+def test_virial_seed_ignores_radiation_beyond_the_core(grid, monkeypatch):
+    # an outgoing shell at r = 30 with 1 % of the L2 norm moves the ratio
+    # over the whole grid by a factor 13, and the seed by under 1 %
+    s = blowup_s(1, -0.6, grid)
+    shell = np.exp(-((grid.r - 30.0) / 2.0) ** 2 + 1j * grid.r**2 / 2.4)
+    shell *= 0.01 * G.l2(s) / G.l2_samples(grid, shell)
+    u = s.with_values(s.values + shell, decay=None)
+    ratios = [-2.0 * GA.virial(f)[1] / GA.virial(f)[0] for f in (s, u)]
+    assert ratios[1] > 10.0 * ratios[0]
+    bare, with_shell = (_cold_start(f, monkeypatch)[0].b for f in (s, u))
+    assert with_shell == pytest.approx(bare, rel=1e-2)
+
+
+def test_virial_seed_is_zero_on_the_soliton(grid, monkeypatch):
+    q = soliton_q(1, grid)
+    for u in (q, modulate(q, SymmetryParams(1.3, 0.7))):
+        assert abs(_cold_start(u, monkeypatch, 0.2)[0].b) < 1e-6
+
+
+def test_virial_seed_falls_back_to_zero(grid, ortho1):
+    quad = MOD._quadrature(ortho1)
+    nan = G.zero_field(1, grid)
+    nan.values[0] = np.nan
+    for w in (G.zero_field(1, grid), nan):
+        assert MOD._virial_b(w, quad) == 0.0
+
+
+def test_pairing_builds_no_time_potential(grid, table1, ortho1, monkeypatch):
+    # a pairing reads A_theta only: no backward integral (A_t) is built
+    calls = []
+    backward = G.backward_dy
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return backward(*args, **kwargs)
+    monkeypatch.setattr(G, "backward_dy", counted)
+    u = _synthetic_datum(grid, table1, 0.03, 0.02, 0.9, 0.4)
+    MOD._pairings(u, ModState(0.9, 0.4, 0.03, 0.02), table1,
+                  MOD._quadrature(ortho1))
+    assert calls == []
+    GA.a_t(u, np.abs(u.values) ** 2, GA.gauge_fields(u))
+    assert calls == [1]
+
+
 def test_decompose_not_in_tube(grid):
     y = grid.r
     vals = 5.0 * y * np.exp(-(y**2) / 4.0)
@@ -295,13 +372,22 @@ def test_eps2_is_a_w_minus_the_full_p2(grid, table1, monkeypatch, case):
     assert d.eps2.values.tobytes() == want.tobytes()
 
 
-# Decompositions pinned as the code gave them before the chart built its
-# derivatives only before a Newton step and the pairings became weighted
-# dot products (17-digit literals): (log lambda, gamma, b, eta, iterations)
-# and, for each of eps, eps1 and eps2, its L2 norm and the real and
-# imaginary part of its pairing with g = exp(-(log y)^2).
+# Decompositions pinned as the code gives them (17-digit literals):
+# (log lambda, gamma, b, eta, iterations) and, for each of eps, eps1 and
+# eps2, its L2 norm and the real and imaginary part of its pairing with
+# g = exp(-(log y)^2). _PINNED_B0_START holds them as they were when a
+# cold decomposition started Newton at b = 0 (and as they stayed when the
+# chart came to build its derivatives only before a Newton step and the
+# pairings became weighted dot products).
 _PIN_SEED = 7351
 _PINNED = {
+    "S(-0.5)": (-0.69316194345070303, 6.2830828686804523, 0.49970501856682764, -0.00086385541935154813, 4, 0.40045439822128914, 0.0016581287094931058, -0.0021171243893428459, 1.1160087368465357, -1.4568541876673457e-05, -0.0039130296056007988, 3.4023470781336722, 0.0035644737931209329, 0.0015173946643193149),
+    "Q m=1": (0.2131829803616985, 3.8880112871510653, 0.0011024904004923303, -0.0028634438705958574, 3, 0.094425518885618689, 0.0050458729927393671, -0.0036614365384320317, 0.0063911778131664036, 0.0023374594106760904, -0.0015392618436376859, 0.010323294481685175, 0.026340165448778968, -0.01125432319726642),
+    "Q m=2": (0.015440397859756485, 1.194482428915141, 0.0010535238261832414, -2.0328208490343753e-05, 3, 0.0031214660179077064, 5.745083610308412e-05, -0.0070022737575469113, 0.0044157385390790182, 6.863975685459525e-05, -0.0081487332633595824, 0.0095468354774537936, 0.000341343634733198, -0.02727055125385983),
+    "P m=1": (-0.044686867413889532, 0.87871574556107468, -0.056247959988769587, 0.042704582874070439, 4, 0.011671061190740923, 0.00079949724394735443, -0.00075462383107971324, 0.07124167074465998, 0.0015217872846940432, 0.0036982636943050482, 0.027703416975780291, 0.00091856747419415347, 0.0057695883531812524),
+    "S(-0.6) n=16384": (-0.51079977414546285, 6.2848205770068732, 0.59932763861241656, 0.010994951605334044, 4, 0.39436059919788113, -0.0022969054963676147, -0.0082021553873889638, 1.3587105718028387, -0.0030763774017248742, -0.0023231905244206199, 5.1674224737748045, -0.0041719644636356587, -0.073112461287282535),
+}
+_PINNED_B0_START = {
     "S(-0.5)": (-0.69316194345088278, 6.2830828686810793, 0.49970501856975896, -0.00086385540590637184, 6, 0.40045439820874784, 0.0016581287359946171, -0.0021171243843830429, 1.116008736821442, -1.4568491822111642e-05, -0.0039130295963338314, 3.4023470781014655, 0.0035644737953438705, 0.0015173946242130467),
     "Q m=1": (0.21318298036127636, 3.8880112871519144, 0.0011024904056621909, -0.0028634438629817544, 3, 0.094425518575674855, 0.0050458730531970598, -0.003661436481200184, 0.0063911778087576481, 0.0023374595312044676, -0.0015392617620548306, 0.010323294481780258, 0.026340165449552092, -0.011254323197093338),
     "Q m=2": (0.015440397859756047, 1.194482428915141, 0.0010535238261811532, -2.0328208507198336e-05, 3, 0.00312146601791178, 5.7450836049241882e-05, -0.0070022737575722981, 0.0044157385390805491, 6.8639756596250757e-05, -0.0081487332633919038, 0.0095468354774544371, 0.00034134363480637378, -0.027270551253859347),
@@ -341,6 +427,31 @@ def _pinned_fields():
     yield "S(-0.6) n=16384", s.with_values(s.values * (1.0 + bump(big, 0))), 0.5
 
 
+def _pinned_values(d: DecompResult):
+    """The pinned state, then per eps, eps1 and eps2 its norm and the
+    pairing with g."""
+    st = d.state
+    out = [(math.log(st.lam), st.gamma, st.b, st.eta)]
+    for f in (d.eps, d.eps1, d.eps2):
+        g = np.exp(-np.log(f.grid.r) ** 2)
+        pair = complex(G.integrate_samples(f.grid, np.conj(g) * f.values))
+        out.append((G.l2(f), pair, G.l2_samples(f.grid, g)))
+    return out
+
+
+def test_virial_seed_moves_decompositions_within_tolerance():
+    # against a start at b = 0: the state within 2e-10, eps, eps1 and eps2
+    # norms within 1e-8 relative, and no more iterations
+    for name, u, tube_radius in _pinned_fields():
+        d = decompose(u, tube_radius=tube_radius)
+        want = _PINNED_B0_START[name]
+        state, *fields = _pinned_values(d)
+        assert d.converged and d.iterations <= want[4], name
+        assert np.max(np.abs(np.subtract(state, want[:4]))) <= 2e-10, name
+        for (norm, _, _), want_norm in zip(fields, want[5::3]):
+            assert abs(norm - want_norm) <= 1e-8 * want_norm, name
+
+
 def test_decompositions_stay_pinned():
     # the state within 1e-12, iterations equal, and eps, eps1 and eps2
     # within 1e-12 relative: their norms, and their pairings with g
@@ -348,17 +459,13 @@ def test_decompositions_stay_pinned():
     for name, u, tube_radius in _pinned_fields():
         d = decompose(u, tube_radius=tube_radius)
         want = _PINNED[name]
-        st = d.state
-        got = (math.log(st.lam), st.gamma, st.b, st.eta)
+        state, *fields = _pinned_values(d)
         assert d.converged and d.iterations == want[4], name
-        assert np.max(np.abs(np.subtract(got, want[:4]))) <= 1e-12, name
-        for f, (norm, re, im) in zip((d.eps, d.eps1, d.eps2),
-                                     np.reshape(want[5:], (3, 3))):
-            g = np.exp(-np.log(f.grid.r) ** 2)
-            pair = complex(G.integrate_samples(f.grid, np.conj(g) * f.values))
-            scale = norm * G.l2_samples(f.grid, g)
-            assert abs(G.l2(f) - norm) <= 1e-12 * norm, name
-            assert abs(pair - complex(re, im)) <= 1e-12 * scale, name
+        assert np.max(np.abs(np.subtract(state, want[:4]))) <= 1e-12, name
+        for (got, pair, g_norm), (norm, re, im) in zip(
+                fields, np.reshape(want[5:], (3, 3))):
+            assert abs(got - norm) <= 1e-12 * norm, name
+            assert abs(pair - complex(re, im)) <= 1e-12 * norm * g_norm, name
 
 
 def test_weighted_pairings_match_inner(grid, ortho1):
