@@ -15,6 +15,7 @@ CSSLAB_OUTPUT_ROOT environment variable.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from . import grid as G
 from . import linops as L
 from . import modulation as MOD
 from . import profiles as PR
-from .evolve import SolverConfig, fork_with_pipe, run, validate_exact
+from .evolve import SolverConfig, run, validate_exact
 from .grid import RadialField
 from .soliton import blowup_s, soliton_q
 
@@ -98,21 +99,18 @@ def _blocks(table: np.ndarray) -> list[np.ndarray]:
             for start in range(0, len(table), CSV_BLOCK)]
 
 
-def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> int:
+def write_csv(path: Path, header: list[str], columns: list[np.ndarray],
+              patterns: list[bytes] | None = None) -> int:
     """The columns as comma-separated %.17g rows under a header line: the
     bytes NumPy's text writer gives for fmt="%.17g", delimiter="," and
     comments="" (tests/test_cli.py compares the two). Each block of
     CSV_BLOCK rows is formatted by one bytes % over Python floats, which
-    bounds the transient objects. Returns the bytes written."""
+    bounds the transient objects; `patterns`, one per block, may hold
+    leading columns formatted already. Returns the bytes written."""
     table = np.column_stack(columns)
-    row = b",".join([b"%.17g"] * table.shape[1]) + b"\n"
-    return _write_blocks(path, header, table,
-                         [row * len(block) for block in _blocks(table)])
-
-
-def _write_blocks(path: Path, header: list[str], table: np.ndarray,
-                  patterns: list[bytes]) -> int:
-    """write_csv's writer: one row pattern per block of the table."""
+    if patterns is None:
+        row = b",".join([b"%.17g"] * table.shape[1]) + b"\n"
+        patterns = [row * len(block) for block in _blocks(table)]
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + b"\n")
         for pattern, block in zip(patterns, _blocks(table), strict=True):
@@ -402,62 +400,21 @@ def write_series(outdir: Path, cols: dict) -> int:
                       np.hypot(cols["b"], cols["eta"]) / cols["lambda"]])
 
 
-def _snapshot_writer(conn, snapdir: Path, r: np.ndarray) -> None:
-    """SnapshotWriter's process: writes the values of each state received
-    as the next snap_NNNN.csv (write_csv's bytes, r formatted once) until
-    an empty message, then sends back the sizes of its files or the first
-    error it hit, having read every message. If the caller goes first, it
-    ends quietly and the files written stay."""
-    patterns = [(b"%.17g,%%.17g,%%.17g\n" * len(block)) % tuple(block.tolist())
-                for block in _blocks(r)]
-    sizes, error = [], None
-    try:
-        for data in iter(conn.recv_bytes, b""):
-            if error is None:
-                try:
-                    sizes.append(_write_blocks(
-                        snapdir / f"snap_{len(sizes):04d}.csv",
-                        ["r", "re", "im"],
-                        np.frombuffer(data, np.float64).reshape(-1, 2),
-                        patterns))
-                except OSError as exc:
-                    error = exc
-    except EOFError:  # the caller has gone
-        return
-    conn.send(sizes if error is None else error)
+def snapshot_writer(snapdir: Path):
+    """A write(u) for evolve.run: writes u as the next snap_NNNN.csv in
+    snapdir (write_csv's bytes) and returns the bytes written. run calls
+    it in its stepper process, where the first call formats r for all."""
+    patterns, count = [], itertools.count()
 
-
-class SnapshotWriter:
-    """Writes the states sent to it, all on one grid, as
-    outdir/snapshots/snap_NNNN.csv from a process forked at the first
-    state, beside the caller's work; it runs only the formatting and the
-    writes, which need no lock or BLAS pool of the caller's threads."""
-
-    def __init__(self, outdir: Path):
-        self.outdir, self._proc = outdir, None
-
-    def send(self, u: RadialField) -> None:
-        if self._proc is None:
-            snapdir = self.outdir / "snapshots"
-            snapdir.mkdir(exist_ok=True)
-            self._proc, self._conn = fork_with_pipe(_snapshot_writer, snapdir,
-                                                    u.grid.r)
-        self._conn.send_bytes(u.values)
-
-    def close(self) -> list[int] | Exception:
-        """Ends the writer process and waits for it; returns the sizes of
-        the files it wrote or the error it hit, and [] once closed."""
-        if self._proc is None:
-            return []
-        try:
-            self._conn.send_bytes(b"")
-            return self._conn.recv()
-        except (OSError, EOFError) as exc:  # the process died
-            return ChildProcessError(f"snapshot writer: {exc!r}")
-        finally:
-            self._conn.close()
-            self._proc.join()
-            self._proc = None
+    def write(u: RadialField) -> int:
+        if not patterns:
+            patterns.extend((b"%.17g,%%.17g,%%.17g\n" * len(block))
+                            % tuple(block.tolist())
+                            for block in _blocks(u.grid.r))
+        return write_csv(snapdir / f"snap_{next(count):04d}.csv",
+                         ["r", "re", "im"], [u.values.real, u.values.imag],
+                         patterns)
+    return write
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +534,9 @@ def cmd_ode(m, eta0, lam0, b0, window, p3, phase, lam_min, grid, out):
         if not (t0 != t1 and math.isfinite(t0) and math.isfinite(t1)):
             raise ValueError(
                 f"--window needs two distinct finite times, got {window!r}")
+        if not 0.0 < lam_min < math.inf:  # at NaN the stop never fires
+            raise ValueError(
+                f"--lam-min must be positive and finite, got {lam_min}")
         grid = parse_grid(grid)
     except ValueError as exc:
         fail(exc, out, usage=True)
@@ -634,9 +594,9 @@ def cmd_ode(m, eta0, lam0, b0, window, p3, phase, lam_min, grid, out):
 def cmd_evolve(data, m, t0, tend, dt, grid, monitor_stride, decompose,
                tube_radius, lambda_min, out):
     """Split-step PDE run from a named datum. Each monitor is reduced at
-    once to what the verb writes of it, and a SnapshotWriter writes its
-    state while the run goes on, so memory does not grow with the monitors.
-    timings.output covers the other files and the wait for the writer."""
+    once to what the verb writes of it, and the run's stepper process writes
+    its state as a snapshot, so memory does not grow with the monitors.
+    timings.snapshots covers those writes, timings.output the other files."""
     try:
         grid = parse_grid(grid)
     except ValueError as exc:
@@ -654,14 +614,15 @@ def cmd_evolve(data, m, t0, tend, dt, grid, monitor_stride, decompose,
     exact = (lambda t: blowup_s(m, t, grid)) if data == "S" else (lambda t: u0)
     errs, margins, history, hats = [], [], [], []
     newton = {"iterations": [], "residual_max": [], "converged": []}
-    writer = None
-    if out is not None:  # closed by the context on every path too
-        writer = SnapshotWriter(output_dir(out))
-        click.get_current_context().call_on_close(writer.close)
+    write = None
+    if out is not None:
+        snapdir = output_dir(out) / "snapshots"
+        snapdir.mkdir(exist_ok=True)
+        write = snapshot_writer(snapdir)
 
     def keep(mon):  # what the verb writes of a monitor; its arrays then go
         errs.append(validate_exact(mon, exact))
-        if writer is None:  # without --out only the error is printed
+        if out is None:  # without --out only the error is printed
             return
         margins.append(mon.margin)
         if decompose:
@@ -674,12 +635,18 @@ def cmd_evolve(data, m, t0, tend, dt, grid, monitor_stride, decompose,
                 hats.append(MOD.corrected_params(d))
             except (PR.GridTooSmall, ValueError):
                 hats.append((math.nan, math.nan))
-        writer.send(mon.u)
 
     try:
-        traj = run(u0, config, keep, t0=t0)
+        traj = run(u0, config, keep, t0=t0, write=write)
     except MOD.DECOMPOSE_FAILURES as exc:  # at the first monitor: no data
         fail(exc, out, grid)
+    finally:  # the snapshots written past the stop are speculative
+        if out is not None:
+            for path in snapdir.glob("snap_*.csv"):
+                if int(path.stem[5:]) >= len(errs):
+                    path.unlink()
+            if not errs:
+                snapdir.rmdir()
     meta = {"data": data, "m": m, "t0": t0, "t_end": tend, "dt": dt,
             "stop_reason": traj.stop_reason,
             "mass_drift": float(np.max(np.abs(
@@ -710,12 +677,11 @@ def cmd_evolve(data, m, t0, tend, dt, grid, monitor_stride, decompose,
                 meta["guard_trip"] = ("margin" if math.isfinite(margin)
                                       else "non-finite-state")
             meta["snapshot_times"] = traj.series["t"].tolist()
-            written = writer.close()
-            if isinstance(written, Exception):  # outranks the run's error
-                error = written
+            if isinstance(traj.written, OSError):  # outranks the run's error
+                error = traj.written
             else:
-                traj.counters |= {"csv_files": len(sizes) + len(written),
-                                  "csv_bytes": sum(sizes) + sum(written)}
+                traj.counters |= {"csv_files": len(sizes) + len(traj.written),
+                                  "csv_bytes": sum(sizes) + sum(traj.written)}
     if error is not None:
         fail(error, out, grid, files={"meta.json": meta})
     write_outputs(out, {"meta.json": meta}, grid)

@@ -24,16 +24,15 @@ Dirichlet at r_max with sponge damping on the last 5% of nodes. A run
 multiplies by the damping factor on those nodes only: it is exactly 1.0
 on all the others.
 
-With decompose_flag a run steps in a forked process that streams each
-monitor's state and row ahead to the caller, which decomposes and stops it.
+With decompose_flag or a snapshot writer, a run steps in one forked process
+that writes the snapshots and streams each monitor's state and row ahead to
+the caller, which decomposes and stops it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -82,6 +81,9 @@ class SolverConfig:
             raise ValueError("stop rule required: t_end or lambda_min")
         if self.lambda_min is not None and not self.decompose_flag:
             raise ValueError("lambda_min stop rule requires decompose_flag")
+        if self.lambda_min is not None and not 0.0 < self.lambda_min < math.inf:
+            raise ValueError("lambda_min must be positive and finite, got "
+                             f"{self.lambda_min}")  # NaN never stops a run
         if self.monitor_stride < 1:
             raise ValueError("monitor_stride must be >= 1")
         if not 0.0 < self.tube_radius < math.inf:  # NaN would pass dist >= it
@@ -111,6 +113,7 @@ class Trajectory:
     error: Exception | None  # the typed failure that ended the run
     timings: dict  # perf_counter seconds by phase of the run
     counters: dict  # steps, KineticSolver factorizations, Newton iterations
+    written: list | OSError  # the snapshots' bytes, or the error of a write
 
 
 def potential(u: RadialField) -> np.ndarray:
@@ -238,26 +241,9 @@ def step(u: RadialField, kinetic: KineticSolver,
     return u.with_values(phase * vals, decay=None), phase, max(margin, margin2)
 
 
-_CALLER_ENDS = weakref.WeakSet()  # caller pipe ends; a fork closes its copies
-os.register_at_fork(after_in_child=lambda: [c.close() for c in _CALLER_ENDS])
-
-
-def fork_with_pipe(target: Callable, *args):
-    """Starts target(conn, *args) in a forked process (nothing pickled);
-    returns it and the caller's end of the Pipe whose other end is conn,
-    where the child sees EOF or EPIPE once the caller's end closes."""
-    import multiprocessing  # loaded by a run that forks
-    ctx = multiprocessing.get_context("fork")
-    ours, theirs = ctx.Pipe()
-    _CALLER_ENDS.add(ours)
-    proc = ctx.Process(target=target, args=(theirs, *args))
-    proc.start()
-    theirs.close()
-    return proc, ours
-
-
-def _stream(conn, records) -> None:
+def _stream(conn, ours, records) -> None:
     """_forked's process: sends each record, then None or the exception."""
+    ours.close()  # its copy, so that the caller's going is EPIPE on conn
     try:
         for item in records:
             conn.send(item)
@@ -271,25 +257,32 @@ def _stream(conn, records) -> None:
 def _forked(records):
     """Yields and raises what the generator `records` does, run ahead in a
     forked process by what the pipe buffer holds; closing ends it at once."""
-    proc, conn = fork_with_pipe(_stream, records)
+    import multiprocessing  # loaded by a run that forks
+    ctx = multiprocessing.get_context("fork")
+    ours, theirs = ctx.Pipe()
+    proc = ctx.Process(target=_stream, args=(theirs, ours, records))
+    proc.start()
+    theirs.close()
     try:
-        while (item := conn.recv()) is not None:
+        while (item := ours.recv()) is not None:
             if isinstance(item, Exception):
                 raise item
             yield item
     finally:
         proc.terminate()  # at an early stop it is still stepping
-        conn.close()
+        ours.close()
         proc.join()
 
 
 def _segments(u0: RadialField, t0: float, config: SolverConfig,
-              kin: KineticSolver, damping: np.ndarray):
+              kin: KineticSolver, damping: np.ndarray, write):
     """The FSAL steps of a run, monitor_stride at a time up to t_end or a
     guard trip. Yields (t, values, row, margin, taken, trip, step_s, row_s)
     at t0 (values, margin None) and after each segment: the state, its
     conservation row (None if a trip left no new state), the segment's
-    largest guard margin, steps, trip and seconds of steps and row."""
+    largest guard margin, steps, trip and seconds of steps and row. With
+    write, each one with a row is followed by (bytes or OSError, seconds)
+    of write(state); an OSError ends the writes."""
     u, t, phase = u0, t0, None
     margin, taken, trip, step_s = None, 0, None, 0.0
     while True:
@@ -299,6 +292,13 @@ def _segments(u0: RadialField, t0: float, config: SolverConfig,
             row = (t, *GA.monitor_row(u))
         yield (t, u.values if taken else None, row, margin, taken, trip,
                step_s, time.perf_counter() - clock)
+        if write is not None and row is not None:
+            clock = time.perf_counter()
+            try:
+                size = write(u)
+            except OSError as exc:
+                size, write = exc, None
+            yield size, time.perf_counter() - clock
         if trip is not None or config.reached(t):
             return
         margin, taken = 0.0, 0
@@ -318,14 +318,19 @@ def _segments(u0: RadialField, t0: float, config: SolverConfig,
 
 
 def run(u0: RadialField, config: SolverConfig,
-        sink: Callable[[Monitor], object], t0: float = 0.0) -> Trajectory:
+        sink: Callable[[Monitor], object], t0: float = 0.0,
+        write: Callable[[RadialField], int] | None = None) -> Trajectory:
     """Integrate from t0, recording a monitor every monitor_stride steps:
     its conservation/virial row in series and, optionally, a tube
     decomposition, which must succeed for the monitor to be recorded. Each
     recorded Monitor goes to sink at once and is not kept: the run holds
     series and the last three decomposed (t, state) pairs only.
-    With decompose_flag, _segments steps in a forked process ahead of the
-    decompositions done here; what it steps past the stop is not counted.
+    With decompose_flag or write, _segments steps in one forked process
+    ahead of the decompositions done here, and calls write(state) after
+    sending each state. The outcome is read here after the sink: written
+    holds the bytes of each recorded write, or the first OSError, which
+    ends the writes. What the process steps or writes past the stop is
+    not counted; those writes are the caller's to delete.
     The first decomposition starts Newton from the cold proximity fit,
     each later one from modulation.extrapolate of the last (up to three),
     reusing the monitor's energy. An unconverged one ends the run with
@@ -335,8 +340,9 @@ def run(u0: RadialField, config: SolverConfig,
     tripped stability guard ends it with "stability-guard", after
     recording the last good state if a step has succeeded since the last
     monitor. error holds either failure. timings holds the perf_counter
-    seconds of the steps, monitors and decompositions; counters the
-    steps, factorizations and Newton iterations, a failed one's included."""
+    seconds of the steps, monitors, decompositions and snapshot writes;
+    counters the steps, factorizations and Newton iterations, a failed
+    one's included."""
     grid = u0.grid
     kin = KineticSolver(grid, u0.m, config.dt)
     counters = {"steps": 0, "factorizations": 1, "newton_iterations": 0}
@@ -347,10 +353,11 @@ def run(u0: RadialField, config: SolverConfig,
                     ("t", "mass", "energy", "e_selfdual", "v1", "v2",
                      "u1_l2", "u2_l2")}
     recent = []  # the last decomposed (t, state) pairs, for extrapolate
-    timings = {"steps": 0.0, "monitors": 0.0, "decompositions": 0.0}
-    stop, error = "t_end", None
-    records = _segments(u0, t0, config, kin, damping)
-    if config.decompose_flag:
+    timings = {"steps": 0.0, "monitors": 0.0, "decompositions": 0.0,
+               "snapshots": 0.0}
+    stop, error, written = "t_end", None, []
+    records = _segments(u0, t0, config, kin, damping, write)
+    if config.decompose_flag or write is not None:
         records = _forked(records)
     try:
         for t, vals, row, margin, taken, trip, step_s, row_s in records:
@@ -385,6 +392,13 @@ def run(u0: RadialField, config: SolverConfig,
             for column, value in zip(series.values(), row):
                 column.append(value)
             sink(Monitor(t, u, d, margin))
+            if write is not None:
+                size, seconds = next(records)
+                timings["snapshots"] += seconds
+                if isinstance(size, OSError):  # the process writes no more
+                    written, write = size, None
+                else:
+                    written.append(size)
             if error is not None:
                 break
             # an unconverged one neither warm-starts nor stops on lambda
@@ -400,7 +414,7 @@ def run(u0: RadialField, config: SolverConfig,
 
     return Trajectory(series={k: np.array(v) for k, v in series.items()},
                       stop_reason=stop, error=error, timings=timings,
-                      counters=counters)
+                      counters=counters, written=written)
 
 
 def validate_exact(mon: Monitor, reference) -> float:

@@ -25,7 +25,8 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Each test ends with no child process running: a writer process left
-    behind would hang the interpreter at exit, which joins it."""
+    """Each test ends with no child process running: a run's stepper
+    process left behind would hang the interpreter at exit, which joins
+    it."""
     yield
     assert multiprocessing.active_children() == []

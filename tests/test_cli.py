@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 
 import numpy as np
@@ -85,10 +86,9 @@ def test_write_csv_matches_savetxt(tmp_path, rows):
     snaps = [(t, RadialField(1, np.resize(special[:1] + special[4:], rows)
                              + 1j * rng.standard_normal(rows) * 10.0**t,
                              grid)) for t in (-30, 0)]
-    writer = CLI.SnapshotWriter(tmp_path)
-    for _, u in snaps:
-        writer.send(u)
-    sizes = writer.close()
+    (tmp_path / "snapshots").mkdir()
+    write = CLI.snapshot_writer(tmp_path / "snapshots")
+    sizes = [write(u) for _, u in snaps]
     for i, (_, u) in enumerate(snaps):
         oracle = tmp_path / f"snap_{i}_np.csv"
         np.savetxt(oracle, np.column_stack([grid.r, u.values.real,
@@ -296,6 +296,24 @@ def test_ode_leaving_the_profile_range_is_a_clean_error(tmp_path):
     assert manifest["timings"]["integrate"] > 0.0
 
 
+@pytest.mark.parametrize("lam_min", ["nan", "inf", "0", "-1"])
+def test_ode_lam_min_must_be_positive_and_finite(runner, outroot, lam_min):
+    # the README cubic run: at NaN or 0 it integrated through the blow-up
+    # at t = 0.05 and reported stop t_end
+    res = runner.invoke(main, ["ode", "--m", "1", "--eta0", "0",
+                               "--lam0", "0.05", "--b0", "0.05",
+                               "--window", "0,0.075", "--p3",
+                               "--lam-min", lam_min, "--out", "lm"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    error = ("ValueError: --lam-min must be positive and finite, got "
+             f"{float(lam_min)}")
+    assert "Error: " + error in res.output
+    assert "Traceback" not in res.output
+    assert [p.name for p in (outroot / "lm").iterdir()] == ["manifest.json"]
+    assert _error_manifest(outroot, "lm") == error
+
+
 def test_ode_refuses_missing_eta0(runner):
     res = runner.invoke(main, ["ode", "--m", "1"])
     assert res.exit_code != 0
@@ -450,6 +468,30 @@ def test_evolve_stops_on_unconverged_decomposition(runner, outroot,
     assert (outroot / "nc" / "manifest.json").exists()
 
 
+def _snapshots(rundir) -> int:
+    """The number of files in a run's snapshots directory."""
+    return len(list((rundir / "snapshots").iterdir()))
+
+
+def test_evolve_lambda_min_stop_keeps_one_snapshot_per_monitor(runner,
+                                                                outroot):
+    # the stepper runs and writes ahead of the stop; what it wrote past
+    # the last recorded monitor goes
+    res = runner.invoke(main, [
+        "evolve", "--data", "S", "--m", "1", "--t0", "-1", "--tend", "-0.9",
+        "--dt", "1e-3", "--grid", "default", "--monitor-stride", "5",
+        "--decompose", "--lambda-min", "0.993", "--out", "lm"])
+    assert res.exit_code == 0, res.output
+    rundir = outroot / "lm"
+    meta = json.loads((rundir / "meta.json").read_text())
+    assert meta["stop_reason"] == "lambda_min"
+    assert meta["snapshot_times"] == pytest.approx([-1.0, -0.995, -0.99])
+    monitors = (rundir / "monitors.csv").read_text().splitlines()
+    assert _snapshots(rundir) == len(monitors) - 1 == 3
+    counters = json.loads((rundir / "manifest.json").read_text())["counters"]
+    assert counters["csv_files"] == 2 + 3 and counters["steps"] == 10
+
+
 def test_evolve_refuses_missing_grid(runner):
     res = runner.invoke(main, ["evolve", "--data", "Q", "--m", "1",
                                "--t0", "0", "--tend", "0.01"])
@@ -468,6 +510,10 @@ def _error_manifest(outroot, name):
     (["--t0", "-1", "--tend", "-0.99", "--monitor-stride", "0",
       "--no-decompose"],
      "ValueError: monitor_stride must be >= 1"),
+    # lam < nan is never true: the stop rule would never fire
+    *[(["--t0", "-1", "--lambda-min", lam, "--decompose"],
+       "ValueError: lambda_min must be positive and finite, got "
+       f"{float(lam)}") for lam in ("nan", "0", "-1")],
 ])
 def test_evolve_bad_config_is_usage_error(runner, outroot, args, error):
     res = runner.invoke(main, ["evolve", "--data", "S", "--m", "1",
@@ -546,6 +592,7 @@ def test_evolve_stability_guard_is_clean_error(runner, outroot):
     assert meta["guard_trip"] == "margin"
     monitors = (outroot / "guard" / "monitors.csv").read_text().splitlines()
     assert len(monitors) == 2  # header and the one row at t0
+    assert _snapshots(outroot / "guard") == len(monitors) - 1
 
 
 def test_evolve_records_a_non_finite_guard_trip(runner, outroot,
@@ -572,6 +619,7 @@ def test_evolve_records_a_non_finite_guard_trip(runner, outroot,
     assert meta["guard_trip"] == "non-finite-state"
     monitors = (outroot / "nf" / "monitors.csv").read_text().splitlines()
     assert len(meta["guard_margin"]) == len(monitors) - 1 == 3
+    assert _snapshots(outroot / "nf") == len(monitors) - 1
     assert all(g <= 1.0 for g in meta["guard_margin"][:-1])
     assert meta["guard_margin"][-1] == "nan"  # dumps17 writes it so
 
@@ -593,6 +641,7 @@ def test_evolve_guard_trip_mid_segment_keeps_last_good_state(runner,
     assert meta["snapshot_times"] == pytest.approx([-0.4, -0.33])
     monitors = (outroot / "trip" / "monitors.csv").read_text().splitlines()
     assert len(monitors) - 1 == 2
+    assert _snapshots(outroot / "trip") == len(monitors) - 1
     assert len(meta["guard_margin"]) == 2
     assert meta["guard_margin"][0] <= 1.0 < meta["guard_margin"][1]
     assert meta["newton"]["converged"] == [True, True]
@@ -648,7 +697,8 @@ def test_evolve_decomposition_failure_keeps_the_run(runner, outroot,
     assert manifest["counters"]["csv_files"] == 4
     assert manifest["counters"]["steps"] == 10
     assert set(manifest["timings"]) == {"steps", "monitors",
-                                        "decompositions", "output"}
+                                        "decompositions", "snapshots",
+                                        "output"}
     # the failed call's seconds count as decomposition time too
     assert len(inside) == 3 and inside[2] >= 0.05
     assert manifest["timings"]["decompositions"] >= sum(inside)
@@ -719,7 +769,8 @@ def test_evolve_decompose_byte_determinism(runner, outroot):
         "energy_drift", "tracking_error_l2_max"]
     # the timings of a run go to the manifest only
     assert set(_timings(outroot, "e1")) == {"steps", "monitors",
-                                            "decompositions", "output"}
+                                            "decompositions", "snapshots",
+                                            "output"}
 
 
 def test_evolve_computes_one_energy_per_monitor(runner, outroot,
@@ -777,20 +828,26 @@ def _bits(x) -> bytes:
 
 
 def test_evolve_csv_round_trips_bitwise(runner, outroot, monkeypatch):
-    original = CLI.run
-    mons = []
+    original, original_start = CLI.run, BaseProcess.start
+    mons, starts = [], []
 
     def run(u0, config, sink, **kwargs):
         def keep(mon):
             mons.append(mon)
             sink(mon)
         return original(u0, config, keep, **kwargs)
+
+    def start(self):
+        starts.append(self)
+        return original_start(self)
     monkeypatch.setattr(CLI, "run", run)
+    monkeypatch.setattr(BaseProcess, "start", start)
     res = runner.invoke(main, [
         "evolve", "--data", "S", "--m", "1", "--t0", "-1", "--tend", "-0.99",
         "--dt", "1e-3", "--grid", "default", "--monitor-stride", "5",
         "--decompose", "--out", "rt"])
     assert res.exit_code == 0, res.output
+    assert len(starts) == 1  # one child steps and writes the snapshots
     snaps = sorted((outroot / "rt" / "snapshots").glob("snap_*.csv"))
     assert len(snaps) == len(mons) == 3
     for path, u in zip(snaps, (mon.u for mon in mons)):
@@ -807,15 +864,16 @@ def test_evolve_csv_round_trips_bitwise(runner, outroot, monkeypatch):
 
 def test_evolve_snapshot_writer_failure_keeps_the_run(runner, outroot,
                                                       monkeypatch):
-    # the writer process, forked with this patch in place, fails on the
-    # second snapshot; the run goes on and ends in a clean error
-    original = CLI._write_blocks
+    # the stepper process, forked with this patch in place, fails on the
+    # second snapshot and writes no more; the run goes on and ends in a
+    # clean error
+    original = CLI.write_csv
 
-    def write_blocks(path, *args):
+    def write_csv(path, *args):
         if path.name == "snap_0001.csv":
             raise OSError(28, "No space left on device", str(path))
         return original(path, *args)
-    monkeypatch.setattr(CLI, "_write_blocks", write_blocks)
+    monkeypatch.setattr(CLI, "write_csv", write_csv)
     res = runner.invoke(main, [
         "evolve", "--data", "S", "--m", "1", "--t0", "-1", "--tend", "-0.985",
         "--dt", "1e-3", "--grid", "default", "--monitor-stride", "5",
@@ -842,8 +900,9 @@ def test_evolve_snapshot_writer_failure_keeps_the_run(runner, outroot,
 
 def test_evolve_unexpected_error_ends_the_snapshot_writer(runner, outroot,
                                                           monkeypatch):
-    # an exception no handler expects, raised with the writer running,
-    # still ends and joins it (the autouse fixture checks)
+    # an exception no handler expects, raised with the stepper running,
+    # still ends and joins it (the autouse fixture checks), and the
+    # snapshot it wrote past the last recorded monitor goes
     original = MOD.decompose
     calls = []
 
@@ -861,19 +920,6 @@ def test_evolve_unexpected_error_ends_the_snapshot_writer(runner, outroot,
     assert len(calls) == 3
     snaps = sorted(p.name for p in (outroot / "ux" / "snapshots").iterdir())
     assert snaps == ["snap_0000.csv", "snap_0001.csv"]
-
-
-def test_snapshot_writer_ends_quietly_when_its_caller_goes(tmp_path,
-                                                           capfd):
-    # the caller's end closes without the empty message that ends a run
-    grid = G.build_grid(1e-3, 100, 256)
-    proc, conn = EV.fork_with_pipe(CLI._snapshot_writer, tmp_path, grid.r)
-    conn.send_bytes(blowup_s(1, -1.0, grid).values)
-    conn.close()
-    proc.join(10)
-    assert proc.exitcode == 0
-    assert (tmp_path / "snap_0000.csv").read_text().count("\n") == 257
-    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_importing_the_cli_loads_no_scipy_beyond_linalg():

@@ -9,9 +9,14 @@ identities d/dt V1 = 4 V2 and d/dt V2 = 4 E.
 import dataclasses
 import math
 import multiprocessing
+import os
 import pickle
+import signal
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -558,28 +563,51 @@ def test_an_error_in_the_stepper_is_raised_with_its_type(grid, monkeypatch,
     assert calls == []  # the solves ran in the stepper process
 
 
-def _until_eof(conn):
-    with pytest.raises(EOFError):
-        conn.recv_bytes()
+_KILLED_IN_ITS_SINK = """
+import multiprocessing, os, signal
+from csslab.evolve import SolverConfig, run
+from csslab.grid import build_grid
+from csslab.soliton import soliton_q
+
+def sink(mon):
+    print(multiprocessing.active_children()[0].pid, flush=True)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+run(soliton_q(1, build_grid(n=4096)),
+    SolverConfig(dt=1e-3, t_end=1e3, monitor_stride=1, decompose_flag=True),
+    sink)
+"""
 
 
-def test_each_forked_process_holds_only_its_own_pipe_ends():
-    # the first process sees EOF when the caller closes its end, although
-    # the second was forked while that end was open
-    first, first_end = evolve.fork_with_pipe(_until_eof)
-    second, second_end = evolve.fork_with_pipe(_until_eof)
+def _ended(pid: int) -> bool:
+    """Whether process pid has exited: it is gone or a zombie."""
     try:
-        first_end.close()
-        first.join(timeout=10)
-        assert first.exitcode == 0
-        second_end.close()
-        second.join(timeout=10)
-        assert second.exitcode == 0
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rpartition(")")[2].split()[0] == "Z"
+
+
+def test_the_stepper_ends_when_its_caller_is_killed():
+    # the caller dies by SIGKILL at its first monitor, while the stepper,
+    # which would step for 1e6 steps, waits on a full pipe: it has closed
+    # its copy of the caller's end, so its next send fails and it ends
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(evolve.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    caller = subprocess.Popen([sys.executable, "-c", _KILLED_IN_ITS_SINK],
+                              env=env, stdout=subprocess.PIPE, text=True)
+    with caller.stdout:
+        pid = int(caller.stdout.readline())
+    try:
+        assert caller.wait(timeout=60) == -signal.SIGKILL
+        deadline = time.monotonic() + 10.0
+        while not _ended(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _ended(pid)
     finally:
-        for proc, end in ((first, first_end), (second, second_end)):
-            end.close()
-            proc.terminate()
-            proc.join()
+        if not _ended(pid):
+            os.kill(pid, signal.SIGKILL)
 
 
 @pytest.mark.parametrize("margin", [1.5, math.nan, math.inf])
@@ -598,6 +626,9 @@ def test_config_validation(grid):
         SolverConfig(dt=1e-3)
     with pytest.raises(ValueError):
         SolverConfig(dt=1e-3, lambda_min=0.5)
+    for lam in (math.nan, 0.0, -1.0):  # a stop rule that never fires
+        with pytest.raises(ValueError, match="lambda_min must be positive"):
+            SolverConfig(dt=1e-3, lambda_min=lam, decompose_flag=True)
 
 
 @pytest.mark.parametrize("strides", [{"monitor_stride": 0},
