@@ -449,6 +449,10 @@ def cmd_verify(ctx, suite, grid, seed, delta, samples, out):
     """Run a named assertion battery; exit 0 iff every check passes."""
     try:
         grid = parse_grid(grid)
+        if not 0.0 <= delta < 1.0:
+            raise ValueError(f"--delta must lie in [0, 1), got {delta}")
+        if samples < 1:
+            raise ValueError(f"--samples must be positive, got {samples}")
     except ValueError as exc:
         fail(exc, out, usage=True)
     with timed("checks"):
@@ -486,8 +490,8 @@ def cmd_profiles(m, betas, direction, t4, grid, out):
     try:
         grid = parse_grid(grid)
         beta_list = parse_floats("betas", betas)
-        if not all(0.0 < b < 0.1 for b in beta_list):
-            raise ValueError("betas must lie in (0, 1/10)")
+        if not all(0.0 < b <= PR.CHART_BETA for b in beta_list):
+            raise ValueError(f"betas must lie in (0, {PR.CHART_BETA}]")
         db, de = parse_floats("direction", direction, 2)
         if not 0.0 < math.hypot(db, de) < math.inf:
             raise ValueError("--direction must be a finite nonzero vector, "
@@ -537,6 +541,9 @@ def cmd_ode(m, eta0, lam0, b0, window, p3, phase, lam_min, grid, out):
         if not 0.0 < lam_min < math.inf:  # at NaN the stop never fires
             raise ValueError(
                 f"--lam-min must be positive and finite, got {lam_min}")
+        for name, v in (("eta0", eta0), ("b0", b0), ("lam0", lam0)):
+            if v is not None and not math.isfinite(v):
+                raise ValueError(f"--{name} must be finite, got {v}")
         grid = parse_grid(grid)
     except ValueError as exc:
         fail(exc, out, usage=True)
@@ -547,7 +554,7 @@ def cmd_ode(m, eta0, lam0, b0, window, p3, phase, lam_min, grid, out):
     except ValueError as exc:  # an initial scale that is not positive
         fail(exc, out, usage=True, lam0=lam0, b0=b0)
     if phase == "auto":
-        phase = "leading" if state0.beta >= 0.1 else "profile"
+        phase = "leading" if state0.beta >= PR.BETA_MAX else "profile"
     try:
         with timed("integrate"):
             outres = MOD.ode_integrate(m, state0, (t0, t1), grid=grid,

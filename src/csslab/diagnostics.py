@@ -169,7 +169,7 @@ def _fd_derivative(s: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 def _phase_integral_w(d: DecompResult, table: TTable) -> float:
     """int_0^infty Re(conj(w) w1) dy with w = P + eps, w1 = P1 + eps1."""
-    p, p1 = MOD._Chart(d.state.b, d.state.eta, table).values()
+    p, p1 = PR.assemble(table, d.state.b, d.state.eta).values()
     w = p + d.eps.values
     w1 = p1 + d.eps1.values
     dens = np.real(np.conj(w) * w1)
@@ -344,14 +344,15 @@ def singular_profile_probe(mon: Monitor, ell: float, gamma_star: float) -> dict:
 
 def profile_monitor(ode_out: dict, snap_grid: Grid,
                     table: TTable) -> Monitor:
-    """Synthetic monitor whose state is the pure modified profile
+    """Synthetic monitor whose state is the chart's profile
     [P(b, eta)]_{lambda, gamma} at the end of a modulation-ODE run
     (eps = 0); used for ODE/PDE hybrid probes of the singular profile."""
     m = table.m
     tt, lam, gam, b, eta = (float(ode_out[k][-1])
                             for k in ("t", "lambda", "gamma", "b", "eta"))
-    pset = PR.assemble(PR.ProfileParams(b, eta), table)
-    vals = cmath.exp(1j * gam) / lam * sampler(pset.P)(snap_grid.r / lam)
+    p = RadialField(m, PR.assemble(table, b, eta).values()[0], table.grid,
+                    decay=float(m + 2))
+    vals = cmath.exp(1j * gam) / lam * sampler(p)(snap_grid.r / lam)
     u = RadialField(m, vals, snap_grid, decay=None)
     energy, _, _ = GA.energy_mass(u)
     d = DecompResult(state=ModState(lam, gam, b, eta),

@@ -6,8 +6,10 @@ with the four real orthogonality conditions
 
     (eps, Z1)_r = (eps, Z2)_r = (eps1, Z3t)_r = (eps1, Z4t)_r = 0,
 
-where eps1 = D_w w - P1 at w = u^flat, solved by Newton iteration in
-(log lambda, gamma, b, eta) with the Jacobian in closed form (see decompose).
+where eps1 = D_w w - P1 at w = u^flat and P, P1 are profiles.assemble's
+chart, solved by Newton iteration in (log lambda, gamma, b, eta) with the
+Jacobian in closed form (see decompose). The ODE's phase integral
+(_phase_integral) keeps its own cutoff, at y = min(1/beta, r_max/4).
 """
 
 from __future__ import annotations
@@ -134,95 +136,8 @@ def build_ortho_profiles(m: int, grid: Grid) -> OrthoProfiles:
 # Decomposition
 
 
-_CHART_BETA = 0.099
 _NEWTON_TOL = 1e-10  # on the largest pairing, relative to ||Q||_{L2}
 _NEWTON_MAX_ITER = 50
-
-
-class _Chart:
-    """The profiles as the decomposition's coordinate chart at (b, eta).
-
-    Inside the validity range (beta <= _CHART_BETA) this is the assembled
-    P and P1 (without cutoffs when B1 would leave the grid: the
-    corrections are negligible there and the orthogonality profiles are
-    compactly supported). Beyond it, the b-direction of the expansion is
-    the Taylor series of the quadratic phase e^{-i b y^2/4}, so the chart
-    factors that phase exactly: with (b_c, eta_c) = (b, eta) scaled back
-    to the validity boundary and delta = b - b_c,
-
-        P   -> e^{i theta} P,
-        P1  -> e^{i theta} (P1 + i theta' P),
-        P2  -> e^{i theta} (P2 + 2 i theta' P1 - theta'^2 P),
-
-    theta = -delta y^2/4, which is how the covariant derivatives D and A
-    conjugate under the multiplication. eps absorbs the remaining
-    (eta - eta_c) mismatch. The (b, eta)-derivatives follow the chain
-    rule through (b_c, eta_c, delta), with d_delta e^{i theta} =
-    -(i y^2/4) e^{i theta} and d_delta (i theta') = -i y/2.
-
-    A chart holds P and P1 at (b_c, eta_c) before the phase, and the
-    phase; P2 and the derivatives are built only when asked for."""
-
-    def __init__(self, b: float, eta: float, table: TTable):
-        self.table, y, beta = table, table.grid.r, math.hypot(b, eta)
-        self.delta, self.chain = 0.0, np.eye(2)
-        if beta > _CHART_BETA:
-            c3, scale = _CHART_BETA / beta**3, _CHART_BETA / beta
-            # d(b_c, eta_c, delta)/d(b, eta)
-            self.chain = np.array([[c3 * eta**2, -c3 * b * eta],
-                                   [-c3 * b * eta, c3 * b**2],
-                                   [1.0 - c3 * eta**2, c3 * b * eta]])
-            b, eta, self.delta = b * scale, eta * scale, b - b * scale
-            beta = math.hypot(b, eta)
-            self.phase = np.exp(-0.25j * self.delta * y**2)
-        self.at, self.cut = (b, eta), beta > 0.0 and 2.0 / beta <= y[-1]
-        p, self.p1 = self._cut(0, 1)
-        self.p = q_values(table.m, y) + p
-
-    def _cut(self, *ks) -> list:
-        """The expansions k in ks at (b_c, eta_c), times the B1 cutoff."""
-        vs = [PR.expansion(self.table, k, *self.at) for k in ks]
-        if not self.cut:
-            return vs
-        chi = G.smooth_bump(self.table.grid.r * math.hypot(*self.at))
-        return [chi * v for v in vs]
-
-    def _tp(self, n: int | None = None) -> np.ndarray:
-        """i theta' on the first n nodes."""
-        return -0.5j * self.delta * self.table.grid.r[:n]
-
-    # products of phase and a temporary stay inline: from 256 KiB (n =
-    # 16384) numpy multiplies into the temporary, swapped, moving last bits
-    def values(self):
-        """P and P1 on the grid."""
-        if not self.delta:
-            return self.p, self.p1
-        p1t = self.p1 + self._tp() * self.p
-        return self.phase * self.p, self.phase * p1t
-
-    def p2(self) -> np.ndarray:
-        """P2 on the grid, from the chart's P and P1 and the k = 2 terms."""
-        p2, = self._cut(2)
-        if not self.delta:
-            return p2
-        tp = self._tp()
-        return self.phase * (p2 + 2.0 * tp * self.p1 + tp**2 * self.p)
-
-    def directions(self, n: int):
-        """The derivatives (d P, d P1) along b_c, eta_c and, phase-factored,
-        delta on the first n nodes: those of the Z support, where the B1
-        cutoff (beyond y = 1/_CHART_BETA) is one."""
-        phase, tp = (self.phase[:n], self._tp(n)) if self.delta else (1, 0)
-        for wrt in ("b", "eta"):
-            d, d1 = (PR.expansion(self.table, k, *self.at, wrt, n=n)
-                     for k in (0, 1))
-            yield (d, d1) if not self.delta else (phase * d,
-                                                  phase * (d1 + tp * d))
-        if self.delta:
-            y, p = self.table.grid.r[:n], self.p[:n]
-            y2 = -0.25j * y**2
-            yield phase * (y2 * p), phase * (y2 * (self.p1[:n] + tp * p)
-                                             - 0.5j * y * p)
 
 
 def _quadrature(profiles: OrthoProfiles) -> tuple:
@@ -248,7 +163,7 @@ def _pair4(f: np.ndarray, f1: np.ndarray, quad: tuple) -> np.ndarray:
 def _pairings(u: RadialField, state: ModState, table: TTable, quad: tuple,
               sample=None):
     w = flat(u, SymmetryParams(state.lam, state.gamma), sample)
-    chart = _Chart(state.b, state.eta, table)
+    chart = PR.assemble(table, state.b, state.eta)
     p, p1 = chart.values()
     eps = w.with_values(w.values - p, decay=None)
     gf = GA.gauge_fields(w)
@@ -308,7 +223,7 @@ def decompose(u: RadialField, init: ModState | None = None,
     (Lambda w, Lambda_{-1} D_w w) for log lambda (A_theta is scaling
     invariant, so D_w w has weight 2), (-i w, -i D_w w) for gamma, and
     (-d_b P, -d_b P1), (-d_eta P, -d_eta P1) for b and eta, through the
-    phase-factored chart beyond _CHART_BETA. A pairing builds P and P1
+    phase-factored chart beyond PR.CHART_BETA. A pairing builds P and P1
     only; the derivatives are built, on the support of Z1-Z4t, only when a
     Newton step follows, and P2 once, from the converged pairing's chart.
 
@@ -449,7 +364,7 @@ def ode_rhs(m: int, state: ModState, table: TTable | None = None,
     if leading_order:
         phase = -2.0 * (m + 1) * eta
     else:
-        if state.beta >= 0.1:
+        if state.beta >= PR.BETA_MAX:
             raise OdeFailure(
                 f"beta = {state.beta} out of range for the profile-assembled "
                 "phase integral (need < 1/10)")

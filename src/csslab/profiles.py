@@ -233,11 +233,11 @@ def build_t_tables(m: int, grid: Grid) -> TTable:
 
 
 def expansion(table: TTable, k: int, b: float, eta: float,
-              wrt: str | None = None, n: int | None = None) -> np.ndarray:
+              wrt: str | None = None, nodes: slice = slice(None)) -> np.ndarray:
     """sum_j T_j^{(k)}(b, eta), the correction carried by P (k = 0), P1
     (k = 1) or P2 (k = 2), or its derivative in wrt = "b" or "eta", on
-    the first n nodes (all by default)."""
-    return _peval([table.entries[nm][:, :n] for nm in _EXPANSIONS[k]],
+    the nodes of the slice (all by default)."""
+    return _peval([table.entries[nm][:, nodes] for nm in _EXPANSIONS[k]],
                   b, eta, wrt)
 
 
@@ -258,99 +258,141 @@ def solvability_inner(params: ProfileParams, table: TTable) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Assembly
+# The chart
+
+
+BETA_MAX = 0.1  # the accuracy range of the expansion
+CHART_BETA = 0.099  # beyond it the chart factors the quadratic phase
 
 
 @dataclass(frozen=True)
-class ProfileSet:
-    P: RadialField
-    P1: RadialField
-    P2: RadialField
-    dP_db: RadialField
-    dP_deta: RadialField
-    dP1_db: RadialField
-    dP1_deta: RadialField
-    dP2_db: RadialField
-    dP2_deta: RadialField
+class Chart:
+    """P, P1 and P2 at (b, eta), built by assemble: the one assembly of the
+    profiles, shared by the decomposition, the residuals and diagnostics.
+
+    Inside the validity range (beta <= CHART_BETA) these are the expansions
+    times the B1 cutoff chi(y beta), P with Q added (without the cutoff
+    when 2 B1 lies beyond r_max: the corrections are negligible there and
+    the orthogonality profiles are compactly supported). Beyond it, the
+    b-direction of the expansion is the Taylor series of the quadratic
+    phase e^{-i b y^2/4}, so the chart factors that phase exactly: with
+    (b_c, eta_c) = (b, eta) scaled back to the validity boundary and
+    delta = b - b_c,
+
+        P   -> e^{i theta} P,
+        P1  -> e^{i theta} (P1 + i theta' P),
+        P2  -> e^{i theta} (P2 + 2 i theta' P1 - theta'^2 P),
+
+    theta = -delta y^2/4, which is how the covariant derivatives D and A
+    conjugate under the multiplication. eps absorbs the remaining
+    (eta - eta_c) mismatch. The (b, eta)-derivatives follow the chain
+    rule through (b_c, eta_c, delta), with d_delta e^{i theta} =
+    -(i y^2/4) e^{i theta} and d_delta (i theta') = -i y/2.
+
+    A chart holds P and P1 at (b_c, eta_c) before the phase, and the
+    phase; P2 and the derivatives are built only when asked for."""
+
+    table: TTable
+    at: tuple  # (b_c, eta_c), where the expansions are evaluated
+    cut: bool  # whether the B1 cutoff applies
+    delta: float  # b - b_c, zero inside the validity range
+    chain: np.ndarray  # d(b_c, eta_c[, delta])/d(b, eta)
+    phase: np.ndarray | None  # e^{i theta} beyond the validity range
+    p: np.ndarray  # P and P1 at (b_c, eta_c), before the phase
+    p1: np.ndarray
+
+    def _tp(self, n: int | None = None) -> np.ndarray:
+        """i theta' on the first n nodes."""
+        return -0.5j * self.delta * self.table.grid.r[:n]
+
+    # products of phase and a temporary stay inline: from 256 KiB (n =
+    # 16384) numpy multiplies into the temporary, swapped, moving last bits
+    def values(self):
+        """P and P1 on the grid."""
+        if not self.delta:
+            return self.p, self.p1
+        p1t = self.p1 + self._tp() * self.p
+        return self.phase * self.p, self.phase * p1t
+
+    def p2(self) -> np.ndarray:
+        """P2 on the grid, from the chart's P and P1 and the k = 2 terms."""
+        p2 = expansion(self.table, 2, *self.at)
+        if self.cut:
+            p2 = G.smooth_bump(self.table.grid.r * math.hypot(*self.at)) * p2
+        if not self.delta:
+            return p2
+        tp = self._tp()
+        return self.phase * (p2 + 2.0 * tp * self.p1 + tp**2 * self.p)
+
+    def derivs(self, k: int, n: int | None = None) -> list:
+        """[d_b, d_eta] of P, P1 or P2 (k = 0, 1, 2) at (b_c, eta_c) before
+        the phase, on the first n nodes. The cutoff's own terms enter where
+        chi(y beta_c) is not one: beyond y = 1/CHART_BETA and the Z support."""
+        ds = [expansion(self.table, k, *self.at, wrt=wrt, nodes=slice(n))
+              for wrt in ("b", "eta")]
+        if self.cut:
+            beta, y = math.hypot(*self.at), self.table.grid.r[:n]
+            j = int(np.searchsorted(y * beta, 1.0, side="right"))
+            v = expansion(self.table, k, *self.at, nodes=slice(j, n))
+            chi, slope = _cutoff(y[j:], beta)
+            for d, c in zip(ds, self.at):
+                d[j:] = chi * d[j:] + slope * c * v
+        return ds
+
+    def directions(self, n: int):
+        """The derivatives (d P, d P1) along b_c, eta_c and, phase-factored,
+        delta on the first n nodes, those of the Z support."""
+        phase, tp = (self.phase[:n], self._tp(n)) if self.delta else (1, 0)
+        for d, d1 in zip(self.derivs(0, n), self.derivs(1, n)):
+            yield (d, d1) if not self.delta else (phase * d,
+                                                  phase * (d1 + tp * d))
+        if self.delta:
+            y, p = self.table.grid.r[:n], self.p[:n]
+            y2 = -0.25j * y**2
+            yield phase * (y2 * p), phase * (y2 * (self.p1[:n] + tp * p)
+                                             - 0.5j * y * p)
 
 
-def _cut_and_derivs(grid: Grid, beta: float, b: float, eta: float, scale_pow: float):
-    """chi(y beta^p) with its analytic b- and eta-derivatives;
-    scale_pow = 1 for the B1 cutoff, 1/2 for the B0 cutoff."""
-    y = grid.r
-    arg = y * beta**scale_pow
-    chi = G.smooth_bump(arg)
-    chi_p = G.smooth_bump_prime(arg)
-    # d/db beta^p = p beta^{p-1} (b/beta)
-    common = y * chi_p * scale_pow * beta ** (scale_pow - 1.0) / beta
-    return chi, common * b, common * eta
+def assemble(table: TTable, b: float, eta: float,
+             cutoffs: bool = True) -> Chart:
+    """The chart at (b, eta). cutoffs=False leaves the B1 cutoff off (the
+    quartic extraction), as does a 2 B1 beyond r_max."""
+    y, beta = table.grid.r, math.hypot(b, eta)
+    delta, chain, phase = 0.0, np.eye(2), None
+    if beta > CHART_BETA:
+        c3, scale = CHART_BETA / beta**3, CHART_BETA / beta
+        # d(b_c, eta_c, delta)/d(b, eta)
+        chain = np.array([[c3 * eta**2, -c3 * b * eta],
+                          [-c3 * b * eta, c3 * b**2],
+                          [1.0 - c3 * eta**2, c3 * b * eta]])
+        b, eta, delta = b * scale, eta * scale, b - b * scale
+        beta = math.hypot(b, eta)
+        phase = np.exp(-0.25j * delta * y**2)
+    cut = cutoffs and beta > 0.0 and 2.0 / beta <= y[-1]
+    p, p1 = (expansion(table, k, b, eta) for k in (0, 1))
+    if cut:
+        chi = G.smooth_bump(y * beta)
+        p, p1 = chi * p, chi * p1
+    return Chart(table, (b, eta), cut, delta, chain, phase,
+                 q_values(table.m, y) + p, p1)
 
 
-_BETA_MAX = 0.1  # the accuracy range of the expansion
-
-
-def assemble(params: ProfileParams, table: TTable,
-             t4_dir: RadialField | None = None,
-             cutoffs: bool = True) -> ProfileSet:
-    """Build P, P1, P2 and their analytic (b, eta)-derivatives for beta <
-    _BETA_MAX. cutoffs=False returns the unlocalized profiles (for the
-    quartic extraction). Beyond modulation._CHART_BETA the decomposition
-    phase-factors its chart instead of assembling there."""
-    m, grid = table.m, table.grid
-    if params.beta >= _BETA_MAX:
-        raise ValueError(
-            f"beta = {params.beta} out of range (need < {_BETA_MAX})")
-    b, eta, beta = params.b, params.eta, params.beta
-    q = q_values(m, grid.r)
-
-    groups = [[expansion(table, k, b, eta, wrt) for wrt in (None, "b", "eta")]
-              for k in range(3)]
-
-    if cutoffs and beta == 0.0:
-        cutoffs = False  # B1 = infinity: the cutoffs are identically one
-    if cutoffs:
-        if 2.0 / beta > grid.r_max:
-            raise GridTooSmall(
-                f"grid-too-small: 2 B1 = {2/beta:g} exceeds r_max = {grid.r_max:g}")
-        chi1, *dchi1 = _cut_and_derivs(grid, beta, b, eta, 1.0)
-        # a new name keeps `groups` alive to the return: freeing its arrays
-        # here lets malloc trim the heap and page-fault on each call
-        fields = [[chi1 * v] + [chi1 * v_d + dchi * v
-                                for v_d, dchi in zip(v_ds, dchi1)]
-                  for v, *v_ds in groups]
-    else:
-        fields = groups
-    # (value, d_b, d_eta) of P, P1 and P2
-    (p_vals, p_db, p_de), (p1_vals, p1_db, p1_de), (p2_vals, p2_db, p2_de) = fields
-    p_vals = q + p_vals
-    if t4_dir is not None and cutoffs:
-        chi0, dchi0_b, dchi0_e = _cut_and_derivs(grid, beta, b, eta, 0.5)
-        t4 = beta**4 * t4_dir.values
-        p2_vals = p2_vals + chi0 * t4
-        p2_db = p2_db + chi0 * 4.0 * beta**2 * b * t4_dir.values + dchi0_b * t4
-        p2_de = p2_de + chi0 * 4.0 * beta**2 * eta * t4_dir.values + dchi0_e * t4
-    elif t4_dir is not None:
-        p2_vals = p2_vals + beta**4 * t4_dir.values
-        p2_db = p2_db + 4.0 * beta**2 * b * t4_dir.values
-        p2_de = p2_de + 4.0 * beta**2 * eta * t4_dir.values
-
-    mk = partial(RadialField, grid=grid)
-    return ProfileSet(
-        P=mk(m, p_vals, decay=float(m + 2)), P1=mk(m + 1, p1_vals), P2=mk(m + 2, p2_vals),
-        dP_db=mk(m, p_db), dP_deta=mk(m, p_de),
-        dP1_db=mk(m + 1, p1_db), dP1_deta=mk(m + 1, p1_de),
-        dP2_db=mk(m + 2, p2_db), dP2_deta=mk(m + 2, p2_de))
+def _cutoff(y: np.ndarray, beta: float, power: float = 1.0):
+    """chi(y beta^power) and its beta-derivative over beta, which times b
+    (eta) is its b- (eta-) derivative: power 1 for the B1 cutoff, 1/2 for
+    the B0 cutoff."""
+    arg = y * beta**power
+    return (G.smooth_bump(arg),
+            y * G.smooth_bump_prime(arg) * power * beta ** (power - 1.0) / beta)
 
 
 def cutoff_cancellation(params: ProfileParams, grid: Grid) -> np.ndarray:
-    """The field [(b^2 + eta^2) d_b - b y d_y] chi_{B1}, which vanishes to
-    rounding because d_b chi(y beta) = y chi'(y beta) b / beta."""
-    y = grid.r
-    b, beta = params.b, params.beta
-    chi_p = G.smooth_bump_prime(y * beta)
-    term_db = (b**2 + params.eta**2) * y * chi_p * (b / beta)
-    term_scale = b * y * beta * chi_p
-    return term_db - term_scale
+    """The field [(b^2 + eta^2) d_b - b y d_y] chi_{B1}, with the
+    b-derivative the chart takes, which vanishes to rounding because
+    d_b chi(y beta) = y chi'(y beta) b / beta."""
+    y, b, beta = grid.r, params.b, params.beta
+    return ((b**2 + params.eta**2) * (_cutoff(y, beta)[1] * b)
+            - b * y * beta * G.smooth_bump_prime(y * beta))
 
 
 # ---------------------------------------------------------------------------
@@ -372,19 +414,43 @@ class ResidualReport:
 _SUP_RADII = (2.0, 5.0)  # radii of the local sup norms of Psi
 
 
-def residuals(params: ProfileParams, p: ProfileSet) -> ResidualReport:
-    """Evaluate the three profile-equation residuals with the formal laws
-    (Mod = 0): lambda_s/lambda = -b, gamma_s = -(m+1) eta - I0,
-    b_s = -(b^2+eta^2) - p3_b, eta_s = -p3_eta."""
-    m, grid = p.P.m, p.P.grid
+def residuals(params: ProfileParams, table: TTable,
+              t4_dir: RadialField | None = None,
+              cutoffs: bool = True) -> ResidualReport:
+    """The three profile-equation residuals of the chart at params (beta <=
+    CHART_BETA) with the formal laws (Mod = 0): lambda_s/lambda = -b,
+    gamma_s = -(m+1) eta - I0, b_s = -(b^2+eta^2) - p3_b, eta_s = -p3_eta.
+    t4_dir adds beta^4 T4 to P2 under the B0 cutoff chi(y beta^{1/2});
+    cutoffs=False leaves both cutoffs off (the quartic extraction)."""
+    m, grid = table.m, table.grid
     y = grid.r
-    b, eta = params.b, params.eta
+    b, eta, beta = params.b, params.eta, params.beta
+    if not beta <= CHART_BETA:
+        raise ValueError(f"beta = {beta} out of range (need <= {CHART_BETA})")
+    if cutoffs and beta > 0.0 and 2.0 / beta > grid.r_max:
+        raise GridTooSmall(
+            f"grid-too-small: 2 B1 = {2/beta:g} exceeds r_max = {grid.r_max:g}")
+    chart = assemble(table, b, eta, cutoffs)
+    (p_vals, p1_vals), p2_vals = chart.values(), chart.p2()
+    (p_db, p_de), (p1_db, p1_de), (p2_db, p2_de) = (chart.derivs(k)
+                                                    for k in range(3))
+    if t4_dir is not None:
+        chi0, slope0 = _cutoff(y, beta, 0.5) if chart.cut else (1.0, 0.0)
+        t4 = beta**4 * t4_dir.values
+        p2_vals = p2_vals + chi0 * t4
+        p2_db = (p2_db + chi0 * 4.0 * beta**2 * b * t4_dir.values
+                 + slope0 * b * t4)
+        p2_de = (p2_de + chi0 * 4.0 * beta**2 * eta * t4_dir.values
+                 + slope0 * eta * t4)
+    P = RadialField(m, p_vals, grid, decay=float(m + 2))
+    P1, P2 = RadialField(m + 1, p1_vals, grid), RadialField(m + 2, p2_vals, grid)
+
     p3b, p3e = p3(m, params)
     b_s = -(b**2 + eta**2) - p3b
     eta_s = -p3e
 
-    gf = GA.gauge_fields(p.P)
-    dens01 = np.real(np.conj(p.P.values) * p.P1.values)
+    gf = GA.gauge_fields(P)
+    dens01 = np.real(np.conj(p_vals) * p1_vals)
     i_tail = G.backward_dy(grid, dens01)
     i0 = float(i_tail[0])
     gamma_s = -(m + 1) * eta - i0
@@ -392,25 +458,25 @@ def residuals(params: ProfileParams, p: ProfileSet) -> ResidualReport:
     def lam_k(fld, k):
         return G.scale_gen(fld, s=-float(k)).values
 
-    d_star_p1 = GA.cov_d_star(p.P, p.P1, gf).values
-    lhs0 = (b_s * p.dP_db.values + eta_s * p.dP_deta.values
-            + b * lam_k(p.P, 0) + 1j * gamma_s * p.P.values
-            + 1j * d_star_p1 + 1j * i_tail * p.P.values)
+    d_star_p1 = GA.cov_d_star(P, P1, gf).values
+    lhs0 = (b_s * p_db + eta_s * p_de
+            + b * lam_k(P, 0) + 1j * gamma_s * p_vals
+            + 1j * d_star_p1 + 1j * i_tail * p_vals)
     psi = -1j * lhs0
 
-    a_star_p2 = GA.a_u_star(p.P, p.P2, gf).values
-    lhs1 = (b_s * p.dP1_db.values + eta_s * p.dP1_deta.values
-            + b * lam_k(p.P1, 1) + 1j * gamma_s * p.P1.values
-            + 1j * a_star_p2 + 1j * i_tail * p.P1.values)
+    a_star_p2 = GA.a_u_star(P, P2, gf).values
+    lhs1 = (b_s * p1_db + eta_s * p1_de
+            + b * lam_k(P1, 1) + 1j * gamma_s * p1_vals
+            + 1j * a_star_p2 + 1j * i_tail * p1_vals)
     psi1 = -1j * lhs1
 
-    vtd = (m + 2 + gf.a_theta) ** 2 + 0.5 * y**2 * np.abs(p.P.values) ** 2
-    htd_p2 = (-G.d_dr(grid, p.P2.values, 2) - G.d_dr(grid, p.P2.values, 1) / y
-              + vtd / y**2 * p.P2.values)
-    lhs2 = (b_s * p.dP2_db.values + eta_s * p.dP2_deta.values
-            + b * lam_k(p.P2, 2) + 1j * gamma_s * p.P2.values
-            + 1j * htd_p2 + 1j * i_tail * p.P2.values
-            - 1j * np.conj(p.P.values) * p.P1.values**2)
+    vtd = (m + 2 + gf.a_theta) ** 2 + 0.5 * y**2 * np.abs(p_vals) ** 2
+    htd_p2 = (-G.d_dr(grid, p2_vals, 2) - G.d_dr(grid, p2_vals, 1) / y
+              + vtd / y**2 * p2_vals)
+    lhs2 = (b_s * p2_db + eta_s * p2_de
+            + b * lam_k(P2, 2) + 1j * gamma_s * p2_vals
+            + 1j * htd_p2 + 1j * i_tail * p2_vals
+            - 1j * np.conj(p_vals) * p1_vals**2)
     psi2 = -1j * lhs2
 
     psi_f = RadialField(m, psi, grid)
@@ -420,10 +486,10 @@ def residuals(params: ProfileParams, p: ProfileSet) -> ResidualReport:
     local_sup = {R: float(np.max(np.abs(psi[y <= R]))) for R in _SUP_RADII}
     psi1_l1 = float(G.integrate_samples(grid, np.abs(psi1) / y**2))
 
-    d_pp = GA.cov_d(p.P, p.P, gf)
-    c1 = d_pp.with_values(d_pp.values - p.P1.values)
-    a_pp1 = GA.a_u(p.P, p.P1, gf)
-    c2 = a_pp1.with_values(a_pp1.values - p.P2.values)
+    d_pp = GA.cov_d(P, P, gf)
+    c1 = d_pp.with_values(d_pp.values - p1_vals)
+    a_pp1 = GA.a_u(P, P1, gf)
+    c2 = a_pp1.with_values(a_pp1.values - p2_vals)
     compat1 = (G.l2(c1), G.hdot1(c1), G.hdotk_hardy(c1, 2))
     compat2 = (G.l2(c2), G.hdot1(c2), math.sqrt(G.v32_sq(c2)))
 
@@ -516,8 +582,8 @@ def quartic_coefficient(m: int, grid: Grid, direction: tuple[float, float],
     f4 = np.zeros(grid.n, dtype=complex)
     for s, weight in zip(s_values, pinv[_FIT_DEGREES.index(4)]):
         params = ProfileParams(s * db, s * de)
-        pset = assemble(params, table, t4_dir=t4_dir, cutoffs=False)
-        f4 += weight * residuals(params, pset).fields["Psi2"].values
+        f4 += weight * residuals(params, table, t4_dir,
+                                 cutoffs=False).fields["Psi2"].values
     return f4
 
 
@@ -540,8 +606,7 @@ def scaling_sweep(m: int, betas, direction: tuple[float, float],
     }
     for beta in betas:
         params = ProfileParams(beta * db, beta * de)
-        pset = assemble(params, table, t4_dir=t4_dir)
-        rep = residuals(params, pset)
+        rep = residuals(params, table, t4_dir)
         series["psi_sup_R2"].append(rep.psi_local_sup[2.0])
         series["psi_sup_R5"].append(rep.psi_local_sup[5.0])
         series["psi1_L1w"].append(rep.psi1_weighted_L1)

@@ -154,6 +154,25 @@ def test_verify_morawetz_pass_and_fail(runner):
     assert "node y=" in rep["checks"][0]["error"]
 
 
+@pytest.mark.parametrize("args, error", [
+    (["coercivity", "--samples", "0"], "--samples must be positive, got 0"),
+    (["coercivity", "--samples", "-3"], "--samples must be positive, got -3"),
+    (["morawetz", "--delta", "nan"], "--delta must lie in [0, 1), got nan"),
+    (["morawetz", "--delta", "1.5"], "--delta must lie in [0, 1), got 1.5"),
+])
+def test_verify_bad_samples_or_delta_is_usage_error(runner, outroot, args,
+                                                    error):
+    # --samples 0 ended in min() of an empty list; a --delta outside
+    # [0, 1) in morawetz_weight's ValueError, both with a traceback
+    res = runner.invoke(main, ["verify", *args, "--grid", "n=512",
+                               "--out", "vb"])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Error: ValueError: " + error in res.output
+    assert "Traceback" not in res.output
+    assert _error_manifest(outroot, "vb") == "ValueError: " + error
+
+
 def test_verify_requires_grid(runner):
     res = runner.invoke(main, ["verify", "identities"])
     assert res.exit_code != 0
@@ -194,6 +213,16 @@ def test_profiles_rejects_large_beta(runner):
     res = runner.invoke(main, ["profiles", "--m", "1", "--betas", "0.2",
                                "--grid", "default"])
     assert res.exit_code != 0
+
+
+def test_profiles_betas_stay_on_the_unfactored_chart(runner):
+    # a residual is evaluated on the chart without the factored phase,
+    # beta <= CHART_BETA = 0.099; below 1/10 is no longer enough
+    res = runner.invoke(main, ["profiles", "--m", "1", "--betas", "0.0995",
+                               "--grid", "n=512"])
+    assert res.exit_code == 2, res.output
+    assert "Error: ValueError: betas must lie in (0, 0.099]" in res.output
+    assert "Traceback" not in res.output
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +341,25 @@ def test_ode_lam_min_must_be_positive_and_finite(runner, outroot, lam_min):
     assert "Traceback" not in res.output
     assert [p.name for p in (outroot / "lm").iterdir()] == ["manifest.json"]
     assert _error_manifest(outroot, "lm") == error
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--eta0", "nan"), ("--b0", "nan"), ("--b0", "-inf"), ("--lam0", "inf"),
+    ("--lam0", "nan")])
+def test_ode_initial_state_must_be_finite(runner, outroot, option, value):
+    # --b0 nan ended in solve_ivp's ValueError with a traceback, exit 1
+    # and no manifest record
+    args = {"--eta0": "0", "--b0": "0.05", "--lam0": "0.05", option: value}
+    res = runner.invoke(main, ["ode", "--m", "1", *(x for kv in args.items()
+                                                   for x in kv),
+                               "--window", "0,0.075", "--out", "ob"])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    error = f"ValueError: {option} must be finite, got {float(value)}"
+    assert "Error: " + error in res.output
+    assert "Traceback" not in res.output
+    assert [p.name for p in (outroot / "ob").iterdir()] == ["manifest.json"]
+    assert _error_manifest(outroot, "ob") == error
 
 
 def test_ode_refuses_missing_eta0(runner):

@@ -224,7 +224,7 @@ def test_no_shared_array_is_written(grid, s_traj):
               weight.psi_prime, weight.psi_dprime, weight.laplacian_psi,
               weight.bilaplacian_psi]
     before = [a.tobytes() for a in arrays]
-    p = PR.assemble(PR.ProfileParams(0.03, 0.02), table).P
+    p = G.RadialField(1, PR.assemble(table, 0.03, 0.02).p, grid, decay=3.0)
     # beta inside the chart, then beyond it
     for u in (modulate(p, SymmetryParams(0.9, 0.4)), blowup_s(1, -0.5, grid)):
         D.frame(MOD.decompose(u, tube_radius=0.5), 1.0)

@@ -22,7 +22,7 @@ from csslab.grid import RadialField
 from csslab.modulation import (DecompResult, ModState, NotInTube,
                                build_ortho_profiles, corrected_params,
                                decompose, ode_integrate, ode_rhs)
-from csslab.profiles import GridTooSmall, ProfileParams
+from csslab.profiles import GridTooSmall
 from csslab.soliton import (ScaleOutOfRange, SymmetryParams, blowup_s,
                              modulate, q_values, soliton_q)
 
@@ -125,10 +125,9 @@ def test_decompose_exact_orbit(grid):
 
 
 def _synthetic_datum(grid, table, b, eta, lam, gamma, amp=1e-3):
-    pset = PR.assemble(ProfileParams(b, eta), table)
     y = grid.r
     bump = amp * y * np.exp(-((y - 1.5) ** 2)) * (1.0 + 0.5j)
-    v = RadialField(1, pset.P.values + bump, grid, decay=3.0)
+    v = RadialField(1, PR.assemble(table, b, eta).p + bump, grid, decay=3.0)
     return modulate(v, SymmetryParams(lam, gamma))
 
 
@@ -140,8 +139,8 @@ def test_decompose_round_trip(grid, table1):
     # the orthogonality conditions already hold, so the decomposition
     # must return exactly the new symmetry parameters and the same (b, eta)
     s1 = d1.state
-    pset = PR.assemble(ProfileParams(s1.b, s1.eta), table1)
-    w = RadialField(1, pset.P.values + d1.eps.values, grid, decay=3.0)
+    p = PR.assemble(table1, s1.b, s1.eta).p
+    w = RadialField(1, p + d1.eps.values, grid, decay=3.0)
     u2 = modulate(w, SymmetryParams(1.1, -0.3))
     d2 = decompose(u2)
     assert d2.state.lam == pytest.approx(1.1, rel=1e-8)
@@ -320,24 +319,27 @@ def test_decompose_fits_only_when_cold(grid, table1, monkeypatch):
 
 
 def _eps2_reference(u, state, table):
-    """a_w - P2 at `state`, with P2 from the full profile set: assembled
-    in the validity range, phase-factored beyond it."""
+    """a_w - P2 at `state`, with P2 the k = 2 expansion at the chart's
+    (b_c, eta_c), times the B1 cutoff where 2 B1 fits in the grid, and
+    beyond CHART_BETA phase-factored with the chart's own pre-phase P and
+    P1 (assembling at (b_c, eta_c) would round beta_c just above
+    CHART_BETA and factor the phase a second time)."""
     grid = u.grid
     w = MOD.flat(u, SymmetryParams(state.lam, state.gamma))
     gf = GA.gauge_fields(w)
     a_w = GA.a_u(w, GA.cov_d(w, w, gf), gf)
-    b, eta, beta = state.b, state.eta, state.beta
-    if beta <= MOD._CHART_BETA:
-        cutoffs = not (beta > 0.0 and 2.0 / beta > grid.r_max)
-        p2 = PR.assemble(ProfileParams(b, eta), table, cutoffs=cutoffs).P2
-        return a_w.values - p2.values
-    b_c, eta_c = b * (MOD._CHART_BETA / beta), eta * (MOD._CHART_BETA / beta)
-    pset = PR.assemble(ProfileParams(b_c, eta_c), table)
+    chart = PR.assemble(table, state.b, state.eta)
+    b_c, eta_c = chart.at
+    beta_c = math.hypot(b_c, eta_c)
+    p2 = PR.expansion(table, 2, b_c, eta_c)
+    if beta_c > 0.0 and 2.0 / beta_c <= grid.r_max:
+        p2 = G.smooth_bump(grid.r * beta_c) * p2
+    if state.beta <= PR.CHART_BETA:
+        return a_w.values - p2
     y = grid.r
-    phase = np.exp(-0.25j * (b - b_c) * y**2)
-    tp = -0.5j * (b - b_c) * y
-    p, p1, p2 = pset.P.values, pset.P1.values, pset.P2.values
-    return a_w.values - phase * (p2 + 2.0 * tp * p1 + tp**2 * p)
+    phase = np.exp(-0.25j * (state.b - b_c) * y**2)
+    tp = -0.5j * (state.b - b_c) * y
+    return a_w.values - phase * (p2 + 2.0 * tp * chart.p1 + tp**2 * chart.p)
 
 
 @pytest.mark.parametrize("case", ["cutoffs", "no_cutoffs", "beta_zero",
@@ -352,9 +354,8 @@ def test_eps2_is_a_w_minus_the_full_p2(grid, table1, monkeypatch, case):
     if case == "cutoffs":
         u = _synthetic_datum(grid, table1, 0.03, 0.02, 0.9, 0.4)
     elif case == "no_cutoffs":
-        pset = PR.assemble(ProfileParams(0.004, 0.003), table1,
-                           cutoffs=False)
-        u = modulate(RadialField(1, pset.P.values, grid, decay=3.0),
+        p = PR.assemble(table1, 0.004, 0.003, cutoffs=False).p
+        u = modulate(RadialField(1, p, grid, decay=3.0),
                      SymmetryParams(0.9, 0.3))
     elif case == "beta_zero":  # Newton stops at its start, b = eta = 0
         monkeypatch.setattr(MOD, "_NEWTON_TOL", 1.0)
@@ -366,7 +367,7 @@ def test_eps2_is_a_w_minus_the_full_p2(grid, table1, monkeypatch, case):
     beta = d.state.beta
     assert d.converged and case == (
         "beta_zero" if beta == 0.0 else
-        "beyond_chart" if beta > MOD._CHART_BETA else
+        "beyond_chart" if beta > PR.CHART_BETA else
         "no_cutoffs" if 2.0 / beta > grid.r_max else "cutoffs")
     want = _eps2_reference(u, d.state, table1)
     assert d.eps2.values.tobytes() == want.tobytes()
@@ -420,8 +421,9 @@ def _pinned_fields():
         yield f"Q m={m}", modulate(q.with_values(q.values + bump(grid, m)),
                                    sym()), 0.2
     b, eta = rng.uniform(0.02, 0.06, 2) * rng.choice([-1.0, 1.0], 2)
-    p = PR.assemble(ProfileParams(b, eta), PR.build_t_tables(1, grid)).P
-    yield "P m=1", modulate(p.with_values(p.values + bump(grid, 1)), sym()), 0.2
+    p = PR.assemble(PR.build_t_tables(1, grid), b, eta).p
+    yield "P m=1", modulate(RadialField(1, p + bump(grid, 1), grid, decay=3.0),
+                            sym()), 0.2
     big = G.build_grid(1e-3, 100.0, 16384)
     s = blowup_s(1, -0.6, big)
     yield "S(-0.6) n=16384", s.with_values(s.values * (1.0 + bump(big, 0))), 0.5
@@ -485,11 +487,11 @@ def test_weighted_pairings_match_inner(grid, ortho1):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_b1_cutoff_is_one_on_the_z_support(m):
     # the chart builds its derivatives on the Z support without cutoff
-    # terms: B1 = 1/beta >= 1/_CHART_BETA lies beyond it on every grid
+    # terms: B1 = 1/beta >= 1/CHART_BETA lies beyond it on every grid
     for grid in (G.build_grid(), G.build_grid(1e-3, 100.0, 16384),
                  G.build_grid(1e-3, 3.0, 1024)):
         support = build_ortho_profiles(m, grid).support
-        assert grid.r[support - 1] * MOD._CHART_BETA < 1.0
+        assert grid.r[support - 1] * PR.CHART_BETA < 1.0
 
 
 def test_chart_derivatives_only_before_a_newton_step(grid, table1,
@@ -498,23 +500,23 @@ def test_chart_derivatives_only_before_a_newton_step(grid, table1,
     # support, never for the converged check; P2 once per call
     support = build_ortho_profiles(1, grid).support
     assert support < grid.n
-    expansion, directions, p2 = PR.expansion, MOD._Chart.directions, MOD._Chart.p2
+    expansion, directions, p2 = PR.expansion, PR.Chart.directions, PR.Chart.p2
     steps, derivs, p2s = [], [], []
 
     def counted_directions(self, n):
         steps.append(n)
         yield from directions(self, n)
 
-    def counted_expansion(table, k, b, eta, wrt=None, n=None):
+    def counted_expansion(table, k, b, eta, wrt=None, nodes=slice(None)):
         if wrt is not None:
-            derivs.append(n)
-        return expansion(table, k, b, eta, wrt, n)
+            derivs.append(nodes.stop)
+        return expansion(table, k, b, eta, wrt, nodes)
 
     def counted_p2(self):
         p2s.append(1)
         return p2(self)
-    monkeypatch.setattr(MOD._Chart, "directions", counted_directions)
-    monkeypatch.setattr(MOD._Chart, "p2", counted_p2)
+    monkeypatch.setattr(PR.Chart, "directions", counted_directions)
+    monkeypatch.setattr(PR.Chart, "p2", counted_p2)
     monkeypatch.setattr(PR, "expansion", counted_expansion)
     for u in (blowup_s(1, -0.5, grid),  # the phase-factored chart
               _synthetic_datum(grid, table1, 0.03, 0.02, 0.9, 0.4)):
@@ -531,12 +533,12 @@ def test_chart_derivatives_only_before_a_newton_step(grid, table1,
 
 
 def test_phase_factored_chart_inside_2_b1():
-    # r_max = 15 < 2 B1 = 2/_CHART_BETA: beyond the chart the profiles go
+    # r_max = 15 < 2 B1 = 2/CHART_BETA: beyond the chart the profiles go
     # without cutoffs, as inside it (before, assemble raised GridTooSmall)
     g = G.build_grid(1e-3, 15.0, 2048)
-    assert 2.0 / MOD._CHART_BETA > g.r_max
+    assert 2.0 / PR.CHART_BETA > g.r_max
     d = decompose(blowup_s(2, -0.5, g), tube_radius=0.5)
-    assert d.converged and d.state.beta > MOD._CHART_BETA
+    assert d.converged and d.state.beta > PR.CHART_BETA
     assert d.state.lam == pytest.approx(0.5, rel=1e-5)
     assert d.state.b == pytest.approx(0.5, rel=1e-4)
 
@@ -649,16 +651,15 @@ def test_analytic_jacobian_matches_central_differences(grid, ortho1, table1,
         u = _synthetic_datum(grid, table1, 0.02, 0.0, 1.0, 0.0)
         s = ModState(1.01, 0.05, 0.019, 0.006)
     elif case == "no_cutoffs":  # 2/beta > r_max: the chart drops the cutoffs
-        pset = PR.assemble(ProfileParams(0.004, 0.003), table1,
-                           cutoffs=False)
-        u = modulate(RadialField(1, pset.P.values, grid, decay=3.0),
+        p = PR.assemble(table1, 0.004, 0.003, cutoffs=False).p
+        u = modulate(RadialField(1, p, grid, decay=3.0),
                      SymmetryParams(0.9, 0.3))
         s = ModState(0.91, 0.28, 0.004, 0.003)
         assert 2.0 / s.beta > grid.r_max
-    else:  # beyond _CHART_BETA: the phase-factored chart
+    else:  # beyond CHART_BETA: the phase-factored chart
         u = blowup_s(1, -0.5, grid)
         s = ModState(0.5, 0.1, 0.49, 0.03)
-        assert s.beta > MOD._CHART_BETA
+        assert s.beta > PR.CHART_BETA
     quad = MOD._quadrature(ortho1)
     _, aux = MOD._pairings(u, s, table1, quad)
     jac = MOD._jacobian(aux, quad)

@@ -43,15 +43,18 @@ def test_t_tables_refuse_index_below_one(grid, m):
         build_t_tables(m, grid)
 
 
-def test_assemble_rejects_large_beta(table1):
-    with pytest.raises(ValueError):
-        assemble(ProfileParams(0.2, 0.0), table1)
+@pytest.mark.parametrize("beta", [0.2, 0.0995, math.nan])
+def test_residuals_reject_beta_beyond_the_chart(table1, beta):
+    # a residual is evaluated on the unfactored chart only
+    with pytest.raises(ValueError, match="out of range"):
+        residuals(ProfileParams(beta, 0.0), table1)
 
 
-def test_assemble_grid_too_small(table1):
-    # 2 B1 = 400 > r_max = 200
+def test_residuals_grid_too_small(table1):
+    # 2 B1 = 400 > r_max = 200; without cutoffs the chart needs no room
     with pytest.raises(GridTooSmall):
-        assemble(ProfileParams(0.005, 0.0), table1)
+        residuals(ProfileParams(0.005, 0.0), table1)
+    residuals(ProfileParams(0.005, 0.0), table1, cutoffs=False)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -161,42 +164,61 @@ def test_t3_2_tail_stable_under_refinement(grid, table1):
 def test_assemble_leading_p1(table1):
     # P1 ~ -i b (y/2) Q at leading order on moderate radii
     beta = 0.01
-    ps = assemble(ProfileParams(beta, 0.0), table1)
-    g = ps.P1.grid
+    _, p1 = assemble(table1, beta, 0.0).values()
+    g = table1.grid
     msk = g.r <= 10.0
     lead = -1j * beta * (g.r / 2.0) * q_values(1, g.r)
-    dev = np.abs(ps.P1.values - lead)[msk].max()
+    dev = np.abs(p1 - lead)[msk].max()
     assert dev < 0.05 * np.abs(lead[msk]).max()
 
 
 def test_assemble_zero_limit(grid, table1):
-    ps = assemble(ProfileParams(1e-6, 0.0), table1, cutoffs=False)
+    chart = assemble(table1, 1e-6, 0.0, cutoffs=False)
     q = soliton_q(1, grid)
-    assert np.abs(ps.P.values - q.values).max() < 3e-6
+    assert np.abs(chart.p - q.values).max() < 3e-6
 
 
 def test_assemble_support(grid, table1):
     beta = 0.04
-    ps = assemble(ProfileParams(beta, 0.0), table1)
+    chart = assemble(table1, beta, 0.0)
     q = soliton_q(1, grid)
     far = grid.r > 2.0 / beta
-    assert np.array_equal(ps.P.values[far], q.values[far])
-    assert not np.any(ps.P1.values[far])
-    assert not np.any(ps.P2.values[far])
+    assert np.array_equal(chart.p[far], q.values[far])
+    assert not np.any(chart.p1[far])
+    assert not np.any(chart.p2()[far])
+    for k in range(3):
+        assert not any(np.any(d[far]) for d in chart.derivs(k))
 
 
 def test_assemble_parity(grid, table1):
     # flipping b -> -b flips exactly the odd-j1 monomials of each T-field
     b, eta = 0.02, 0.015
-    plus = assemble(ProfileParams(b, eta), table1)
-    minus = assemble(ProfileParams(-b, eta), table1)
+    plus = assemble(table1, b, eta)
+    minus = assemble(table1, -b, eta)
     even = [t * ((len(t) - 1 - np.arange(len(t))) % 2 == 0)[:, None]
             for t in (table1.entries[k] for k in ("T1_0", "T2_0", "T3_0"))]
     chi = G.smooth_bump(grid.r * math.hypot(b, eta))
     recon = 2.0 * (q_values(1, grid.r)
                    + chi * PR._peval(even, b, eta))
-    assert np.allclose(plus.P.values + minus.P.values, recon,
+    assert np.allclose(plus.p + minus.p, recon,
                        rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_chart_derivs_match_central_differences(grid, table1, k):
+    # d_b and d_eta of P, P1, P2 on the whole grid against central
+    # differences of the chart's own values: beta = 0.03 puts 2 B1 inside
+    # r_max, so the B1 cutoff's own terms take part
+    b, eta, h = 0.024, 0.018, 1e-7
+    assert 2.0 / math.hypot(b, eta) < grid.r_max
+
+    def value(b, eta):
+        chart = assemble(table1, b, eta)
+        return (*chart.values(), chart.p2())[k]
+    want = ((value(b + h, eta) - value(b - h, eta)) / (2.0 * h),
+            (value(b, eta + h) - value(b, eta - h)) / (2.0 * h))
+    for got, fd in zip(assemble(table1, b, eta).derivs(k), want):
+        assert np.max(np.abs(got - fd)) <= 1e-7 * np.max(np.abs(fd))
 
 
 def test_cutoff_cancellation_rounding_zero(grid):
@@ -210,7 +232,7 @@ def test_cutoff_cancellation_rounding_zero(grid):
 
 def test_residuals_zero_params(grid, table1):
     params = ProfileParams(0.0, 0.0)
-    rep = residuals(params, assemble(params, table1))
+    rep = residuals(params, table1)
     for f in rep.fields.values():
         assert not np.any(f.values)
 
@@ -220,7 +242,7 @@ def test_residual_support(grid, m):
     beta = 0.04
     params = ProfileParams(beta * 0.8, beta * 0.6)
     tab = build_t_tables(m, grid)
-    rep = residuals(params, assemble(params, tab))
+    rep = residuals(params, tab)
     far = grid.r >= 4.0 / beta
     # Psi1, Psi2 are pure profile content: cut off exactly
     assert not np.any(rep.fields["Psi1"].values[far])
@@ -233,7 +255,7 @@ def test_residual_support(grid, m):
 def test_phase_correction(grid, table1):
     for beta in (0.04, 0.02, 0.01):
         params = ProfileParams(0.6 * beta, 0.8 * beta)
-        rep = residuals(params, assemble(params, table1))
+        rep = residuals(params, table1)
         assert abs(rep.phase_corr + 4.0 * params.eta) < 2.0 * beta**2
 
 
@@ -241,7 +263,7 @@ def test_compat_defect_scalings(grid, table1):
     vals = {}
     for beta in (0.04, 0.02):
         params = ProfileParams(beta, 0.0)
-        rep = residuals(params, assemble(params, table1))
+        rep = residuals(params, table1)
         vals[beta] = (rep.compat1, rep.compat2)
     for idx, order in ((0, 1.0), (1, 2.0)):
         ratio = vals[0.04][0][idx] / vals[0.02][0][idx]
@@ -258,9 +280,10 @@ def test_mod_vectors_limits(grid, table1):
     # parts of the decomposition's Jacobian columns at w = P, tend to the
     # generalized kernel (Lambda Q, -i Q, i (y^2/4) Q, 2 rho) as beta -> 0
     beta = 0.01
-    pset = assemble(ProfileParams(beta, 0.0), table1)
-    v0 = (G.scale_gen(pset.P).values, -1j * pset.P.values,
-          -pset.dP_db.values, -pset.dP_deta.values)
+    chart = assemble(table1, beta, 0.0)
+    p = G.RadialField(1, chart.p, grid)
+    d_b, d_eta = chart.derivs(0)
+    v0 = (G.scale_gen(p).values, -1j * chart.p, -d_b, -d_eta)
     q = soliton_q(1, grid)
     lam_q = G.scale_gen(q).values
     msk = grid.r <= 5.0
@@ -276,17 +299,17 @@ def test_mod_vectors_limits(grid, table1):
 def test_mod_vectors_v1_b_derivative(grid, table1):
     # -d_b P1 (a Jacobian column) and Lambda_{-2} P2
     beta = 0.02
-    pset = assemble(ProfileParams(beta, 0.0), table1)
+    chart = assemble(table1, beta, 0.0)
     y = grid.r
     qv = q_values(1, y)
     chi = G.smooth_bump(y * beta)
-    dev = np.abs(-pset.dP1_db.values - chi * 1j * (y / 2.0) * qv)
+    dev = np.abs(-chart.derivs(1)[0] - chi * 1j * (y / 2.0) * qv)
     env = np.where(y <= 2.0, beta * y**4, beta)
     msk = y <= 2.0 / beta
     assert (dev[msk] / env[msk]).max() < 10.0
     # (v2)_1 degeneracy: quadratic in beta with y^3 vanishing at the origin
     msk2 = y <= 2.0
-    lam_p2 = G.scale_gen(pset.P2, -2.0).values
+    lam_p2 = G.scale_gen(G.RadialField(3, chart.p2(), grid), -2.0).values
     assert (np.abs(lam_p2[msk2]) / (beta**2 * y[msk2] ** 3)).max() < 10.0
 
 
@@ -362,8 +385,8 @@ def test_t4_matches_the_lstsq_fit(grid, m):
     rows = []
     for s in s_values:
         params = ProfileParams(s, 0.0)
-        pset = assemble(params, table, cutoffs=False)
-        rows.append(residuals(params, pset).fields["Psi2"].values)
+        rows.append(residuals(params, table,
+                              cutoffs=False).fields["Psi2"].values)
     smat = np.array([[s**d for d in range(3, 9)] for s in s_values])
     f4 = np.linalg.lstsq(smat, np.array(rows), rcond=None)[0][1]
     got = PR.quartic_coefficient(m, grid, (1.0, 0.0))
