@@ -498,9 +498,12 @@ def cmd_profiles(m, betas, direction, t4, grid, out):
                              f"got {direction!r}")
     except ValueError as exc:
         fail(exc, out, usage=True)
-    with timed("sweep"):
-        sweep = PR.scaling_sweep(m, beta_list, (db, de), grid=grid,
-                                 include_t4=t4)
+    try:
+        with timed("sweep"):
+            sweep = PR.scaling_sweep(m, beta_list, (db, de), grid=grid,
+                                     include_t4=t4)
+    except PR.SolvabilityViolated as exc:  # the grid's T-table
+        fail(exc, out, grid)
     report = {"m": m, "betas": beta_list, "direction": [db, de],
               "include_t4": t4, "slopes": sweep["slopes"],
               "series": sweep["series"]}
@@ -561,7 +564,7 @@ def cmd_ode(m, eta0, lam0, b0, window, p3, phase, lam_min, grid, out):
                                        use_p3=p3,
                                        leading_order=(phase == "leading"),
                                        lam_min=lam_min)
-    except MOD.OdeFailure as exc:  # its manifest holds timings.integrate
+    except (MOD.OdeFailure, PR.SolvabilityViolated) as exc:  # with timings
         fail(exc, out, grid, lam0=lam0, b0=b0, phase=phase)
     delta_gamma = float(outres["gamma"][-1] - outres["gamma"][0])
     meta = {"m": m, "eta0": eta0, "lam0": lam0, "b0": b0,

@@ -9,7 +9,9 @@ with the four real orthogonality conditions
 where eps1 = D_w w - P1 at w = u^flat and P, P1 are profiles.assemble's
 chart, solved by Newton iteration in (log lambda, gamma, b, eta) with the
 Jacobian in closed form (see decompose). The ODE's phase integral
-(_phase_integral) keeps its own cutoff, at y = min(1/beta, r_max/4).
+(_phase_integral) keeps its own cutoff, at y = min(1/beta, r_max/4): that
+is one below min(1/BETA_MAX, r_max/4), where a run pairs the expansions'
+rows once, so each call evaluates the integrand up to r_max/2 only.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ class OdeFailure(RuntimeError):
     integrator failed."""
 
 
-# the typed numerical failures of decompose
-DECOMPOSE_FAILURES = (ScaleOutOfRange, NotInTube, NoConvergence)
+# the typed numerical failures of decompose, its grid's T-table's among them
+DECOMPOSE_FAILURES = (ScaleOutOfRange, NotInTube, NoConvergence,
+                      PR.SolvabilityViolated)
 
 
 @dataclass(frozen=True)
@@ -338,40 +341,62 @@ def corrected_params(d: DecompResult) -> tuple[float, float]:
 # Modulation ODE
 
 
-def _phase_integral(b: float, eta: float, table: TTable) -> float:
-    """int_0^infty Re(conj(P) P1) dy from the assembled profiles; the cutoff
-    radius is capped at r_max/4 so the integral stays available as beta -> 0."""
-    beta = math.hypot(b, eta)
-    if beta == 0.0:
-        return 0.0
+def _phase_integral(table: TTable):
+    """The run's phase integral: (b, eta) -> int_0^infty Re(conj(P) P1) dy,
+    P = Q + chi E0 and P1 = chi E1 with the expansions E_k and the ODE's own
+    cutoff chi(y/B), B = min(1/beta, r_max/4). Every beta < BETA_MAX has
+    B >= y_lo = min(1/BETA_MAX, r_max/4), so chi is one up to y_lo, where
+    the integral is a bilinear form in the monomials of E0's and E1's rows,
+    paired once here, and zero from 2 B <= r_max/2 on: a call evaluates
+    the integrand on [y_lo, r_max/2) only."""
     grid = table.grid
-    y = grid.r
-    b_eff = min(1.0 / beta, grid.r_max / 4.0)
-    chi = G.smooth_bump(y / b_eff)
-    p_vals = q_values(table.m, y) + chi * PR.expansion(table, 0, b, eta)
-    dens = np.real(np.conj(p_vals) * (chi * PR.expansion(table, 1, b, eta)))
-    return float(G.integrate_dy(grid, dens))
+    y, q = grid.r, q_values(table.m, grid.r)
+    wy = G._gregory_weights(grid.n, grid.h) * y  # integrate_dy's weights
+    lo = int(np.searchsorted(y, min(1.0 / PR.BETA_MAX, grid.r_max / 4.0),
+                             side="right"))
+    win = slice(lo, int(np.searchsorted(y, grid.r_max / 2.0)))
+    (rows0, pow0), (rows1, pow1) = (PR.expansion_rows(table, k)
+                                    for k in (0, 1))
+    # np.sum's pairwise sums: einsum's running sum loses digits over lo nodes
+    w = wy[:lo]
+    f0 = np.array([np.sum(w * q[:lo] * r1[:lo].real) for r1 in rows1])
+    g0 = np.array([[np.sum(w * np.real(np.conj(r0[:lo]) * r1[:lo]))
+                    for r1 in rows1] for r0 in rows0])
+    y, q, wy = y[win], q[win], wy[win]
+
+    def integral(b: float, eta: float) -> float:
+        beta = math.hypot(b, eta)
+        if beta == 0.0:
+            return 0.0
+        v = b**pow1[0] * eta**pow1[1]
+        chi = G.smooth_bump(y / min(1.0 / beta, grid.r_max / 4.0))
+        p = q + chi * PR.expansion(table, 0, b, eta, nodes=win)
+        dens = np.real(np.conj(p) * (chi * PR.expansion(table, 1, b, eta,
+                                                        nodes=win)))
+        return float(f0 @ v + (b**pow0[0] * eta**pow0[1]) @ g0 @ v
+                     + np.sum(wy * dens))
+    return integral
 
 
-def ode_rhs(m: int, state: ModState, table: TTable | None = None,
-            use_p3: bool = True,
+def ode_rhs(m: int, state: ModState, phase=None, use_p3: bool = True,
             leading_order: bool = False) -> tuple[float, float, float, float]:
     """s-derivatives (lambda_s, gamma_s, b_s, eta_s) of the closed formal
     system: lambda_s/lambda = -b, gamma_s = -(m+1) eta - phase integral,
     b_s = -(b^2 + eta^2) - p3_b, eta_s = -p3_eta. The profile-assembled
-    phase integral needs the T-table; the leading-order phase does not."""
+    phase integral is the run's `phase` (_phase_integral of its T-table);
+    the leading-order phase needs none."""
     b, eta = state.b, state.eta
     if leading_order:
-        phase = -2.0 * (m + 1) * eta
+        i0 = -2.0 * (m + 1) * eta
     else:
         if state.beta >= PR.BETA_MAX:
             raise OdeFailure(
                 f"beta = {state.beta} out of range for the profile-assembled "
                 "phase integral (need < 1/10)")
-        phase = _phase_integral(b, eta, table)
+        i0 = phase(b, eta)
     p3b, p3e = PR.p3(m, ProfileParams(b, eta)) if use_p3 else (0.0, 0.0)
     lam_s = -b * state.lam
-    gam_s = -(m + 1) * eta - phase
+    gam_s = -(m + 1) * eta - i0
     b_s = -(b**2 + eta**2) - p3b
     eta_s = -p3e
     return lam_s, gam_s, b_s, eta_s
@@ -384,15 +409,15 @@ def ode_integrate(m: int, state0: ModState, t_span: tuple[float, float],
     """Integrate the modulation system in the original time variable t
     (ds = dt / lambda^2) with an adaptive Runge-Kutta method."""
     from scipy.integrate import solve_ivp  # loaded by a run that integrates
-    table = None
+    phase = None
     if not leading_order:
-        table = PR.build_t_tables(m, grid if grid is not None
-                                  else G.build_grid())
+        phase = _phase_integral(PR.build_t_tables(
+            m, grid if grid is not None else G.build_grid()))
 
     def rhs(t, yv):
         lam, gam, b, eta, s = yv
         st = ModState(max(lam, 1e-300), gam, b, eta)
-        lam_s, gam_s, b_s, eta_s = ode_rhs(m, st, table=table,
+        lam_s, gam_s, b_s, eta_s = ode_rhs(m, st, phase=phase,
                                            use_p3=use_p3,
                                            leading_order=leading_order)
         inv = 1.0 / lam**2

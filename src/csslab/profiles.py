@@ -241,6 +241,15 @@ def expansion(table: TTable, k: int, b: float, eta: float,
                   b, eta, wrt)
 
 
+def expansion_rows(table: TTable, k: int) -> tuple[list, np.ndarray]:
+    """The coefficient rows that expansion k sums, in _peval's order, and
+    their exponents (i, l) as two int arrays: row r multiplies
+    b**i[r] * eta**l[r]."""
+    polys = [table.entries[nm] for nm in _EXPANSIONS[k]]
+    powers = [(len(p) - 1 - l, l) for p in polys for l in range(len(p))]
+    return [row for p in polys for row in p], np.array(powers).T
+
+
 def solvability_inner(params: ProfileParams, table: TTable) -> float:
     """Absolute value of the m=1 solvability pairing at the given parameters
     (zero by construction of p3, up to quadrature error)."""
@@ -405,8 +414,6 @@ class ResidualReport:
     psi1_weighted_L1: float      # || Psi_1 / y^2 ||_{L^1}
     psi2_L2: float
     psi2_H1: float
-    compat1: tuple               # D_P P - P1 in (L2, H1, H2)
-    compat2: tuple               # A_P P1 - P2 in (L2, H1, V3/2)
     phase_corr: float            # int_0^infty Re(conj(P) P1) dy
     fields: dict                 # name -> RadialField
 
@@ -486,17 +493,9 @@ def residuals(params: ProfileParams, table: TTable,
     local_sup = {R: float(np.max(np.abs(psi[y <= R]))) for R in _SUP_RADII}
     psi1_l1 = float(G.integrate_samples(grid, np.abs(psi1) / y**2))
 
-    d_pp = GA.cov_d(P, P, gf)
-    c1 = d_pp.with_values(d_pp.values - p1_vals)
-    a_pp1 = GA.a_u(P, P1, gf)
-    c2 = a_pp1.with_values(a_pp1.values - p2_vals)
-    compat1 = (G.l2(c1), G.hdot1(c1), G.hdotk_hardy(c1, 2))
-    compat2 = (G.l2(c2), G.hdot1(c2), math.sqrt(G.v32_sq(c2)))
-
     return ResidualReport(
         psi_local_sup=local_sup, psi1_weighted_L1=psi1_l1,
-        psi2_L2=G.l2(psi2_f), psi2_H1=G.hdot1(psi2_f),
-        compat1=compat1, compat2=compat2, phase_corr=i0,
+        psi2_L2=G.l2(psi2_f), psi2_H1=G.hdot1(psi2_f), phase_corr=i0,
         fields={"Psi": psi_f, "Psi1": psi1_f, "Psi2": psi2_f})
 
 

@@ -1081,6 +1081,30 @@ def test_decompose_scale_out_of_range_is_clean_error(runner, tmp_path,
     assert set(_timings(outroot, "dec")) == {"read", "decompose"}
 
 
+@pytest.mark.parametrize("verb", ["ode", "profiles", "evolve", "decompose"])
+def test_solvability_violated_is_clean_error(runner, tmp_path, outroot, verb):
+    # on n = 256 the m = 1 T-table fails its solvability check, which each
+    # of these verbs reaches through profiles.build_t_tables
+    grid = CLI.parse_grid("n=256")
+    path, u = tmp_path / "field.csv", blowup_s(1, -0.5, grid).values
+    CLI.write_csv(path, ["r", "re", "im"], [grid.r, u.real, u.imag])
+    args = {"ode": ["ode", "--m", "1", "--eta0", "0.05", "--phase",
+                    "profile", "--grid", "n=256"],
+            "profiles": ["profiles", "--m", "1", "--betas", "0.04,0.02",
+                         "--grid", "n=256"],
+            "evolve": ["evolve", "--data", "S", "--m", "1", "--t0", "-1",
+                       "--tend", "-0.99", "--grid", "n=256", "--decompose"],
+            "decompose": ["decompose", "--field", str(path), "--m", "1",
+                          "--tube-radius", "0.5"]}[verb]
+    res = runner.invoke(main, [*args, "--out", "sv"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "Error: SolvabilityViolated: solvability-violated" in res.output
+    assert "Traceback" not in res.output
+    assert _error_manifest(outroot, "sv").startswith("SolvabilityViolated")
+    assert [p.name for p in (outroot / "sv").iterdir()] == ["manifest.json"]
+
+
 @pytest.mark.parametrize("args", [
     ["verify", "identities", "--grid", "n4096"],
     ["verify", "identities", "--grid", "n=abc"],

@@ -751,9 +751,83 @@ def test_ode_rhs_conserves_beta_over_lambda():
 
 def test_ode_rhs_profile_phase_near_leading(table1):
     st = ModState(1.0, 0.0, 0.0, 0.03)
-    _, gs_full, _, _ = ode_rhs(1, st, table=table1, use_p3=False)
+    _, gs_full, _, _ = ode_rhs(1, st, phase=MOD._phase_integral(table1),
+                               use_p3=False)
     _, gs_lead, _, _ = ode_rhs(1, st, use_p3=False, leading_order=True)
     assert abs(gs_full - gs_lead) < 3.0 * st.beta**2
+
+
+def _phase_integral_reference(b, eta, table):
+    """The phase integral by quadrature of the whole grid, as one call of
+    the modulation ODE computed it before a run paired the expansion rows."""
+    beta = math.hypot(b, eta)
+    if beta == 0.0:
+        return 0.0
+    grid = table.grid
+    y = grid.r
+    chi = G.smooth_bump(y / min(1.0 / beta, grid.r_max / 4.0))
+    p_vals = q_values(table.m, y) + chi * PR.expansion(table, 0, b, eta)
+    dens = np.real(np.conj(p_vals) * (chi * PR.expansion(table, 1, b, eta)))
+    return float(G.integrate_dy(grid, dens))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("grid_args", [(), (1e-3, 36.0, 4096)])
+def test_phase_integral_matches_quadrature(m, grid_args):
+    # the ode default grid (r_max = 200): B = 1/beta for beta > 4/r_max and
+    # r_max/4 below; r_max = 36: r_max/4 < 1/BETA_MAX, so B = r_max/4 always
+    table = PR.build_t_tables(m, G.build_grid(*grid_args))
+    phase = MOD._phase_integral(table)
+    top = PR.BETA_MAX * (1.0 - 1e-12)
+    points = [(0.0, 0.0), (top, 0.0), (0.0, -top), (-0.6 * top, 0.8 * top),
+              (1e-3, 0.0), (0.01, -0.005), (-0.015, 0.01)]
+    points += [(beta * math.cos(a), beta * math.sin(a))
+               for beta in (0.03, 0.06, 0.09) for a in np.linspace(0.3, 6.0, 5)]
+    for b, eta in points:
+        assert abs(phase(b, eta) - _phase_integral_reference(b, eta, table)) \
+            < 1e-14, (b, eta)
+    assert phase(0.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("m, state0, p3", [
+    (1, ModState(0.05, 0.0, 0.05, 0.0), True),  # the README cubic run
+    (2, ModState(0.05, 0.0, 0.05, 0.0), True),
+    (3, ModState(0.05, 0.0, 0.05, 0.0), False),
+    (1, ModState(0.05, 0.0, 0.04, 0.03), True)])  # eta != 0: no blow-up
+def test_ode_runs_match_the_quadrature(monkeypatch, m, state0, p3):
+    # the paired phase integral moves a run by rounding only: the same
+    # steps, and states within 1e-12 relative
+    def run():
+        return ode_integrate(m, state0, (0.0, 0.075), use_p3=p3,
+                             lam_min=0.0025)
+    out = run()
+    monkeypatch.setattr(MOD, "_phase_integral", lambda table: (
+        lambda b, eta: _phase_integral_reference(b, eta, table)))
+    ref = run()
+    assert out["stop"] == ref["stop"]
+    for key in ("t", "s", "lambda", "gamma", "b", "eta"):
+        np.testing.assert_allclose(out[key], ref[key], rtol=1e-12,
+                                   atol=1e-13, err_msg=key)
+
+
+def test_ode_run_memory_peak():
+    # tracemalloc peak of the README cubic run with the T-table built: a
+    # phase integral on the whole grid per call took it to 476,158 bytes
+    # (465 KiB); the paired one takes 236 KiB
+    import tracemalloc
+    st = ModState(0.05, 0.0, 0.05, 0.0)
+
+    def run():
+        return ode_integrate(1, st, (0.0, 0.075), lam_min=0.0025)
+    run()
+    tracemalloc.start()
+    try:
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out["stop"] == "blowup-reached"
+    assert peak <= 256 * 1024
 
 
 def test_ode_integrate_pseudoconformal_law():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csslab import gauge as GA
 from csslab import grid as G
 from csslab import linops as L
 from csslab import profiles as PR
@@ -260,11 +261,20 @@ def test_phase_correction(grid, table1):
 
 
 def test_compat_defect_scalings(grid, table1):
+    # D_P P - P1 in (L2, H1, H2) and A_P P1 - P2 in (L2, H1, V3/2), on the
+    # chart and gauge fields residuals builds
     vals = {}
     for beta in (0.04, 0.02):
-        params = ProfileParams(beta, 0.0)
-        rep = residuals(params, table1)
-        vals[beta] = (rep.compat1, rep.compat2)
+        chart = assemble(table1, beta, 0.0)
+        (p, p1), p2 = chart.values(), chart.p2()
+        P = G.RadialField(1, p, grid, decay=3.0)
+        gf = GA.gauge_fields(P)
+        d_pp = GA.cov_d(P, P, gf)
+        c1 = d_pp.with_values(d_pp.values - p1)
+        a_pp1 = GA.a_u(P, G.RadialField(2, p1, grid), gf)
+        c2 = a_pp1.with_values(a_pp1.values - p2)
+        vals[beta] = ((G.l2(c1), G.hdot1(c1), G.hdotk_hardy(c1, 2)),
+                      (G.l2(c2), G.hdot1(c2), math.sqrt(G.v32_sq(c2))))
     for idx, order in ((0, 1.0), (1, 2.0)):
         ratio = vals[0.04][0][idx] / vals[0.02][0][idx]
         assert ratio > 2.0 ** (order - 0.4)
