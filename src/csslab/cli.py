@@ -292,8 +292,10 @@ def suite_identities(grid: G.Grid) -> list[dict]:
         q = soliton_q(m, grid)
         y = grid.r
         scale = G.hdot1(q)
+        a_theta = GA.gauge_fields(q)
         lq = L.OperatorKind("LQ", m)
-        checks.append(_check(f"D_QQ_m{m}", G.l2(GA.cov_d(q, q)) / scale, 1e-5))
+        checks.append(_check(f"D_QQ_m{m}", G.l2(G.d_plus(q, a_theta)) / scale,
+                             1e-5))
         checks.append(_check(f"LQ_LambdaQ_m{m}",
                              G.l2(L.apply(lq, G.scale_gen(q))) / scale, 1e-5))
         checks.append(_check(f"LQ_iQ_m{m}",
@@ -318,7 +320,7 @@ def suite_identities(grid: G.Grid) -> list[dict]:
         _, mass, _ = GA.energy_mass(q)
         checks.append(_check(f"mass_Q_m{m}",
                              abs(mass / (8.0 * math.pi * (m + 1)) - 1.0), 1e-6))
-        ath_inf = float(GA.gauge_fields(q).a_theta[-1])
+        ath_inf = float(a_theta[-1])
         checks.append(_check(f"atheta_inf_m{m}",
                              abs(ath_inf / (-2.0 * (m + 1)) - 1.0), 1e-6))
         p_quad = float(G.integrate_dy(
@@ -512,8 +514,7 @@ def cmd_profiles(m, betas, direction, t4, grid, out):
             table = PR.build_t_tables(m, grid)
             norm = math.hypot(db, de)
             report["solvability"] = [
-                PR.solvability_inner(PR.ProfileParams(b * db / norm,
-                                                      b * de / norm), table)
+                PR.solvability_inner(table, b * db / norm, b * de / norm)
                 for b in beta_list]
     click.echo(dumps17(report))
     write_outputs(out, {"report.json": report}, grid)

@@ -213,8 +213,7 @@ def mod_residual_monitor(monitors: list) -> dict:
     hats = np.array([MOD.corrected_params(d) for d in ds_list])
     b_hat, eta_hat = hats[:, 0], hats[:, 1]
     phase = np.array([_phase_integral_w(d, table) for d in ds_list])
-    p3_pairs = np.array([PR.p3(m, PR.ProfileParams(bi, ei))
-                         for bi, ei in zip(b, eta)])
+    p3_pairs = np.array([PR.p3(m, bi, ei) for bi, ei in zip(b, eta)])
     x3 = np.array([G.hdot1(d.eps2) + d.mu * (G.l2(d.eps2) + d.mu**2)
                    for d in ds_list])
     v72 = np.array([math.sqrt(G.v32_sq(d.eps2)) for d in ds_list]) \

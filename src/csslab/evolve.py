@@ -119,9 +119,9 @@ class Trajectory:
 def potential(u: RadialField) -> np.ndarray:
     """V[u] = ((m + A_theta)^2 - m^2)/r^2 + A_t - |u|^2."""
     dens = np.abs(u.values) ** 2
-    gf = GA.gauge_fields(u, dens)
+    a_theta = GA.gauge_fields(u, dens)
     r, m = u.grid.r, u.m
-    return (((m + gf.a_theta) ** 2 - m**2) / r**2 + GA.a_t(u, dens, gf)
+    return (((m + a_theta) ** 2 - m**2) / r**2 + GA.a_t(u, dens, a_theta)
             - dens)
 
 

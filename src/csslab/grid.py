@@ -124,16 +124,6 @@ def zero_field(m: int, grid: Grid) -> RadialField:
     return RadialField(m, np.zeros(grid.n, dtype=np.complex128), grid)
 
 
-def check_same_grid(f: RadialField, g: RadialField):
-    if f.grid != g.grid:
-        raise GridError("grid-mismatch")
-
-
-def check_same_index(f: RadialField, g: RadialField):
-    if f.m != g.m:
-        raise IndexMismatch(f"index-mismatch: {f.m} vs {g.m}")
-
-
 # ---------------------------------------------------------------------------
 # Finite differences (uniform in x = log r)
 
@@ -303,8 +293,10 @@ def polar_derivs(grid: Grid, vals: np.ndarray):
 
 def inner(f: RadialField, g: RadialField) -> float:
     """Real inner product (f, g)_r = 2*pi int Re(conj(f) g) r dr."""
-    check_same_grid(f, g)
-    check_same_index(f, g)
+    if f.grid != g.grid:
+        raise GridError("grid-mismatch")
+    if f.m != g.m:
+        raise IndexMismatch(f"index-mismatch: {f.m} vs {g.m}")
     decay = None
     if f.decay is not None and g.decay is not None:
         decay = f.decay + g.decay
@@ -485,10 +477,20 @@ def hdotk_hardy(f: RadialField, k: int) -> float:
     return l2_samples(f.grid, abs_minus_k(f, k))
 
 
-def d_plus(f: RadialField) -> RadialField:
-    """The Cauchy-Riemann derivative (d_r - m/r) f, raising the index by one."""
-    vals = d_dr(f.grid, f.values, 1) - (f.m / f.grid.r) * f.values
+def d_plus(f: RadialField, a: float | np.ndarray) -> RadialField:
+    """(d_r - (k + a)/r) f at f's own index k, raising the index by one:
+    with a = A_theta[u], D_u at k = m and A_u at k = m + 1; with a = 0.0,
+    the Cauchy-Riemann derivative (d_r - k/r) f."""
+    vals = d_dr(f.grid, f.values, 1) - ((f.m + a) / f.grid.r) * f.values
     return RadialField(f.m + 1, vals, f.grid)
+
+
+def d_minus(f: RadialField, a: float | np.ndarray) -> RadialField:
+    """(-d_r - (k + a)/r) f at f's own index k, lowering the index by one:
+    the adjoint of d_plus at index k - 1, so D_u^* at k = m + 1 and A_u^*
+    at k = m + 2 for a = A_theta[u]."""
+    vals = -d_dr(f.grid, f.values, 1) - ((f.m + a) / f.grid.r) * f.values
+    return RadialField(f.m - 1, vals, f.grid)
 
 
 def v32_sq(f: RadialField) -> float:
@@ -513,7 +515,7 @@ def calh2(f: RadialField) -> float:
     m, r = f.m, f.grid.r
     if m >= 2:
         return hdotk_hardy(f, 2)
-    dp = d_plus(f)
+    dp = d_plus(f, 0.0)
     t1 = hdot1(dp, m=2)
     t2 = l2_samples(f.grid, d_dr(f.grid, f.values, 2))
     t3 = l2_samples(f.grid, abs_minus_k(f, 1) / (log_minus_weight(r) * r))
@@ -524,7 +526,7 @@ def calh3(f: RadialField) -> float:
     m, r = f.m, f.grid.r
     if m >= 3:
         return hdotk_hardy(f, 3)
-    dp = d_plus(f)
+    dp = d_plus(f, 0.0)
     if m == 2:
         t1 = hdotk_hardy(dp, 2)
         t2 = l2_samples(f.grid, d_dr(f.grid, f.values, 3))

@@ -88,32 +88,26 @@ def p_const(m: int) -> float:
 # Forward application
 
 
-def _check_domain(kind: OperatorKind, f: RadialField):
+def apply(kind: OperatorKind, f: RadialField) -> RadialField:
     if f.m != kind.domain_index:
         raise IndexMismatch(
             f"{kind.tag} expects index {kind.domain_index}, got {f.m}")
-
-
-def apply(kind: OperatorKind, f: RadialField) -> RadialField:
-    _check_domain(kind, f)
     g, r, m = f.grid, f.grid.r, kind.m
     a = a_theta_q(m, r)
     q = q_values(m, r)
     tag = kind.tag
     if tag == "LQ":
         # D_Q f - (2/y) A_theta[Q, f] Q with A_theta[Q, f] = -1/2 C, so + C Q / y
-        d = G.d_dr(g, f.values, 1) - ((m + a) / r) * f.values
         c = G.cumulative_rdr(g, np.real(q * f.values))
-        vals = d + c * q / r
+        vals = G.d_plus(f, a).values + c * q / r
     elif tag == "LQ_star":
-        d = -G.d_dr(g, f.values, 1) - ((m + 1 + a) / r) * f.values
         tail_p = None if f.decay is None else f.decay + m + 2
         back = G.backward_dy(g, np.real(q * f.values), tail_power=tail_p)
-        vals = d + back * q
+        vals = G.d_minus(f, a).values + back * q
     elif tag == "AQ":
-        vals = G.d_dr(g, f.values, 1) - ((m + 1 + a) / r) * f.values
+        return G.d_plus(f, a)
     elif tag == "AQ_star":
-        vals = -G.d_dr(g, f.values, 1) - ((m + 2 + a) / r) * f.values
+        return G.d_minus(f, a)
     elif tag == "HQ":
         vals = (-G.d_dr(g, f.values, 2) - G.d_dr(g, f.values, 1) / r
                 + v_q(m, r) / r**2 * f.values)
@@ -184,7 +178,9 @@ def rho(m: int, grid: Grid) -> RadialField:
 
 def right_inverse(kind: OperatorKind, f: RadialField,
                   branch: str = "outgoing") -> RadialField:
-    _check_range(kind, f)
+    if f.m != kind.range_index:
+        raise IndexMismatch(
+            f"right_inverse({kind.tag}) expects index {kind.range_index}, got {f.m}")
     if branch not in ("outgoing", "inner"):
         raise ValueError(f"unknown branch {branch!r}")
     if branch == "inner" and kind.tag != "HtdQ":
@@ -228,12 +224,6 @@ def right_inverse(kind: OperatorKind, f: RadialField,
     else:
         raise ValueError("L_Q* has no implemented right inverse")
     return RadialField(kind.domain_index, vals, g)
-
-
-def _check_range(kind: OperatorKind, f: RadialField):
-    if f.m != kind.range_index:
-        raise IndexMismatch(
-            f"right_inverse({kind.tag}) expects index {kind.range_index}, got {f.m}")
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from . import grid as G
 from . import linops as L
 from . import profiles as PR
 from .grid import Grid, RadialField
-from .profiles import ProfileParams, TTable
+from .profiles import TTable
 from .soliton import (ScaleOutOfRange, SymmetryParams, flat, proximity_fit,
                       q_values, sampler, soliton_q)
 
@@ -169,10 +169,10 @@ def _pairings(u: RadialField, state: ModState, table: TTable, quad: tuple,
     chart = PR.assemble(table, state.b, state.eta)
     p, p1 = chart.values()
     eps = w.with_values(w.values - p, decay=None)
-    gf = GA.gauge_fields(w)
-    d_w = GA.cov_d(w, w, gf)
+    a = GA.gauge_fields(w)
+    d_w = G.d_plus(w, a)
     eps1 = d_w.with_values(d_w.values - p1, decay=None)
-    return _pair4(eps.values, eps1.values, quad), (w, gf, d_w, chart, eps, eps1)
+    return _pair4(eps.values, eps1.values, quad), (w, a, d_w, chart, eps, eps1)
 
 
 def _jacobian(aux, quad: tuple) -> np.ndarray:
@@ -303,8 +303,8 @@ def decompose(u: RadialField, init: ModState | None = None,
     del sample  # its splines go before the last arrays are built
     # P2 comes from the converged pairing's chart, and eps2 takes A_w w's
     # buffer: other orders fragment the heap more over a run (peak RSS)
-    w, gf, d_w, chart, eps, eps1 = aux
-    a_w = GA.a_u(w, d_w, gf)
+    _, a, d_w, chart, eps, eps1 = aux
+    a_w = G.d_plus(d_w, a)
     np.subtract(a_w.values, chart.p2(), out=a_w.values)
     eps2 = a_w.with_values(a_w.values, decay=None)
     if energy is None:
@@ -378,6 +378,15 @@ def _phase_integral(table: TTable):
     return integral
 
 
+def _in_range(state: ModState) -> None:
+    """Refuse a state whose beta the profile-assembled phase integral
+    does not reach."""
+    if state.beta >= PR.BETA_MAX:
+        raise OdeFailure(
+            f"beta = {state.beta} out of range for the profile-assembled "
+            "phase integral (need < 1/10)")
+
+
 def ode_rhs(m: int, state: ModState, phase=None, use_p3: bool = True,
             leading_order: bool = False) -> tuple[float, float, float, float]:
     """s-derivatives (lambda_s, gamma_s, b_s, eta_s) of the closed formal
@@ -389,12 +398,9 @@ def ode_rhs(m: int, state: ModState, phase=None, use_p3: bool = True,
     if leading_order:
         i0 = -2.0 * (m + 1) * eta
     else:
-        if state.beta >= PR.BETA_MAX:
-            raise OdeFailure(
-                f"beta = {state.beta} out of range for the profile-assembled "
-                "phase integral (need < 1/10)")
+        _in_range(state)
         i0 = phase(b, eta)
-    p3b, p3e = PR.p3(m, ProfileParams(b, eta)) if use_p3 else (0.0, 0.0)
+    p3b, p3e = PR.p3(m, b, eta) if use_p3 else (0.0, 0.0)
     lam_s = -b * state.lam
     gam_s = -(m + 1) * eta - i0
     b_s = -(b**2 + eta**2) - p3b
@@ -408,11 +414,13 @@ def ode_integrate(m: int, state0: ModState, t_span: tuple[float, float],
                   n_eval: int = 400) -> dict:
     """Integrate the modulation system in the original time variable t
     (ds = dt / lambda^2) with an adaptive Runge-Kutta method."""
-    from scipy.integrate import solve_ivp  # loaded by a run that integrates
     phase = None
     if not leading_order:
+        _in_range(state0)  # before the T-table: the initial beta decides
         phase = _phase_integral(PR.build_t_tables(
             m, grid if grid is not None else G.build_grid()))
+
+    from scipy.integrate import solve_ivp  # loaded by a run that integrates
 
     def rhs(t, yv):
         lam, gam, b, eta, s = yv

@@ -46,26 +46,13 @@ class GridTooSmall(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ProfileParams:
-    b: float
-    eta: float
-
-    @property
-    def beta(self) -> float:
-        return math.hypot(self.b, self.eta)
-
-    @property
-    def bbeta(self) -> complex:
-        return 1j * self.b + self.eta
-
-
-def p3(m: int, params: ProfileParams) -> tuple[float, float]:
+def p3(m: int, b: float, eta: float) -> tuple[float, float]:
     """Cubic corrections to the (b, eta) laws: p3_b - i p3_eta =
-    8 pi bbeta^3 / ||yQ||^2 when m = 1, zero otherwise."""
+    8 pi bbeta^3 / ||yQ||^2 with bbeta = i b + eta when m = 1, zero
+    otherwise."""
     if m >= 2:
         return 0.0, 0.0
-    val = 8.0 * math.pi * params.bbeta**3 / (8.0 * math.pi**2)
+    val = 8.0 * math.pi * (1j * b + eta)**3 / (8.0 * math.pi**2)
     return float(val.real), float(-val.imag)
 
 
@@ -250,7 +237,7 @@ def expansion_rows(table: TTable, k: int) -> tuple[list, np.ndarray]:
     return [row for p in polys for row in p], np.array(powers).T
 
 
-def solvability_inner(params: ProfileParams, table: TTable) -> float:
+def solvability_inner(table: TTable, b: float, eta: float) -> float:
     """Absolute value of the m=1 solvability pairing at the given parameters
     (zero by construction of p3, up to quadrature error)."""
     m, grid = table.m, table.grid
@@ -259,9 +246,9 @@ def solvability_inner(params: ProfileParams, table: TTable) -> float:
     y = grid.r
     q = q_values(m, y)
     inner32 = _aq_star_term(m, grid, table.entries["T1_0"])
-    p3b_v = _peval([table.p3_b], params.b, params.eta)
-    p3e_v = _peval([table.p3_eta], params.b, params.eta)
-    vals = _peval([inner32], params.b, params.eta) \
+    p3b_v = _peval([table.p3_b], b, eta)
+    p3e_v = _peval([table.p3_eta], b, eta)
+    vals = _peval([inner32], b, eta) \
         - p3b_v * (y / 2.0) * q + 1j * p3e_v * (y / 2.0) * q
     return abs(_yq_pairing(grid, q, vals))
 
@@ -395,12 +382,12 @@ def _cutoff(y: np.ndarray, beta: float, power: float = 1.0):
             y * G.smooth_bump_prime(arg) * power * beta ** (power - 1.0) / beta)
 
 
-def cutoff_cancellation(params: ProfileParams, grid: Grid) -> np.ndarray:
+def cutoff_cancellation(grid: Grid, b: float, eta: float) -> np.ndarray:
     """The field [(b^2 + eta^2) d_b - b y d_y] chi_{B1}, with the
     b-derivative the chart takes, which vanishes to rounding because
     d_b chi(y beta) = y chi'(y beta) b / beta."""
-    y, b, beta = grid.r, params.b, params.beta
-    return ((b**2 + params.eta**2) * (_cutoff(y, beta)[1] * b)
+    y, beta = grid.r, math.hypot(b, eta)
+    return ((b**2 + eta**2) * (_cutoff(y, beta)[1] * b)
             - b * y * beta * G.smooth_bump_prime(y * beta))
 
 
@@ -421,17 +408,17 @@ class ResidualReport:
 _SUP_RADII = (2.0, 5.0)  # radii of the local sup norms of Psi
 
 
-def residuals(params: ProfileParams, table: TTable,
+def residuals(table: TTable, b: float, eta: float,
               t4_dir: RadialField | None = None,
               cutoffs: bool = True) -> ResidualReport:
-    """The three profile-equation residuals of the chart at params (beta <=
+    """The three profile-equation residuals of the chart at (b, eta) (beta <=
     CHART_BETA) with the formal laws (Mod = 0): lambda_s/lambda = -b,
     gamma_s = -(m+1) eta - I0, b_s = -(b^2+eta^2) - p3_b, eta_s = -p3_eta.
     t4_dir adds beta^4 T4 to P2 under the B0 cutoff chi(y beta^{1/2});
     cutoffs=False leaves both cutoffs off (the quartic extraction)."""
     m, grid = table.m, table.grid
     y = grid.r
-    b, eta, beta = params.b, params.eta, params.beta
+    beta = math.hypot(b, eta)
     if not beta <= CHART_BETA:
         raise ValueError(f"beta = {beta} out of range (need <= {CHART_BETA})")
     if cutoffs and beta > 0.0 and 2.0 / beta > grid.r_max:
@@ -452,11 +439,11 @@ def residuals(params: ProfileParams, table: TTable,
     P = RadialField(m, p_vals, grid, decay=float(m + 2))
     P1, P2 = RadialField(m + 1, p1_vals, grid), RadialField(m + 2, p2_vals, grid)
 
-    p3b, p3e = p3(m, params)
+    p3b, p3e = p3(m, b, eta)
     b_s = -(b**2 + eta**2) - p3b
     eta_s = -p3e
 
-    gf = GA.gauge_fields(P)
+    a_theta = GA.gauge_fields(P)
     dens01 = np.real(np.conj(p_vals) * p1_vals)
     i_tail = G.backward_dy(grid, dens01)
     i0 = float(i_tail[0])
@@ -465,19 +452,19 @@ def residuals(params: ProfileParams, table: TTable,
     def lam_k(fld, k):
         return G.scale_gen(fld, s=-float(k)).values
 
-    d_star_p1 = GA.cov_d_star(P, P1, gf).values
+    d_star_p1 = G.d_minus(P1, a_theta).values
     lhs0 = (b_s * p_db + eta_s * p_de
             + b * lam_k(P, 0) + 1j * gamma_s * p_vals
             + 1j * d_star_p1 + 1j * i_tail * p_vals)
     psi = -1j * lhs0
 
-    a_star_p2 = GA.a_u_star(P, P2, gf).values
+    a_star_p2 = G.d_minus(P2, a_theta).values
     lhs1 = (b_s * p1_db + eta_s * p1_de
             + b * lam_k(P1, 1) + 1j * gamma_s * p1_vals
             + 1j * a_star_p2 + 1j * i_tail * p1_vals)
     psi1 = -1j * lhs1
 
-    vtd = (m + 2 + gf.a_theta) ** 2 + 0.5 * y**2 * np.abs(p_vals) ** 2
+    vtd = (m + 2 + a_theta) ** 2 + 0.5 * y**2 * np.abs(p_vals) ** 2
     htd_p2 = (-G.d_dr(grid, p2_vals, 2) - G.d_dr(grid, p2_vals, 1) / y
               + vtd / y**2 * p2_vals)
     lhs2 = (b_s * p2_db + eta_s * p2_de
@@ -499,7 +486,7 @@ def residuals(params: ProfileParams, table: TTable,
         fields={"Psi": psi_f, "Psi1": psi1_f, "Psi2": psi2_f})
 
 
-def taylor_deviations(params: ProfileParams, table: TTable) -> dict:
+def taylor_deviations(table: TTable, b: float, eta: float) -> dict:
     """Sup over y in [2, 2 B1] of the far-field Taylor deviations of the
     T-fields, each normalized by its pointwise envelope:
 
@@ -512,9 +499,9 @@ def taylor_deviations(params: ProfileParams, table: TTable) -> dict:
     """
     m, grid = table.m, table.grid
     y = grid.r
-    b, eta, bb = params.b, params.eta, params.bbeta
+    bb = 1j * b + eta
     q = q_values(m, y)
-    msk = (y >= 2.0) & (y <= 2.0 / params.beta)
+    msk = (y >= 2.0) & (y <= 2.0 / math.hypot(b, eta))
 
     def ev(name):
         return _peval([table.entries[name]], b, eta)
@@ -580,8 +567,7 @@ def quartic_coefficient(m: int, grid: Grid, direction: tuple[float, float],
     table = build_t_tables(m, grid)
     f4 = np.zeros(grid.n, dtype=complex)
     for s, weight in zip(s_values, pinv[_FIT_DEGREES.index(4)]):
-        params = ProfileParams(s * db, s * de)
-        f4 += weight * residuals(params, table, t4_dir,
+        f4 += weight * residuals(table, s * db, s * de, t4_dir,
                                  cutoffs=False).fields["Psi2"].values
     return f4
 
@@ -604,16 +590,16 @@ def scaling_sweep(m: int, betas, direction: tuple[float, float],
         "t1_dev": [], "t2_dev": [], "t3_dev": [],
     }
     for beta in betas:
-        params = ProfileParams(beta * db, beta * de)
-        rep = residuals(params, table, t4_dir)
+        b, eta = beta * db, beta * de
+        rep = residuals(table, b, eta, t4_dir)
         series["psi_sup_R2"].append(rep.psi_local_sup[2.0])
         series["psi_sup_R5"].append(rep.psi_local_sup[5.0])
         series["psi1_L1w"].append(rep.psi1_weighted_L1)
         series["psi2_L2"].append(rep.psi2_L2)
         series["psi2_H1"].append(rep.psi2_H1)
         series["phase_corr_dev"].append(
-            abs(rep.phase_corr + 2.0 * (m + 1) * params.eta))
-        for name, val in taylor_deviations(params, table).items():
+            abs(rep.phase_corr + 2.0 * (m + 1) * eta))
+        for name, val in taylor_deviations(table, b, eta).items():
             series[name].append(val)
     logb = np.log(np.asarray(betas, dtype=float))
     fit = np.unique(logb).size > 1  # a line needs two distinct betas

@@ -20,6 +20,7 @@ import csslab
 from csslab import gauge as GA
 from csslab import grid as G
 from csslab import modulation as MOD
+from csslab import profiles as PR
 from csslab import cli as CLI
 from csslab import evolve as EV
 from csslab.cli import dumps17, fmt17, main
@@ -1084,11 +1085,13 @@ def test_decompose_scale_out_of_range_is_clean_error(runner, tmp_path,
 @pytest.mark.parametrize("verb", ["ode", "profiles", "evolve", "decompose"])
 def test_solvability_violated_is_clean_error(runner, tmp_path, outroot, verb):
     # on n = 256 the m = 1 T-table fails its solvability check, which each
-    # of these verbs reaches through profiles.build_t_tables
+    # of these verbs reaches through profiles.build_t_tables (ode from an
+    # initial beta inside BETA_MAX)
     grid = CLI.parse_grid("n=256")
     path, u = tmp_path / "field.csv", blowup_s(1, -0.5, grid).values
     CLI.write_csv(path, ["r", "re", "im"], [grid.r, u.real, u.imag])
-    args = {"ode": ["ode", "--m", "1", "--eta0", "0.05", "--phase",
+    args = {"ode": ["ode", "--m", "1", "--eta0", "0.05", "--b0", "0.05",
+                    "--lam0", "0.05", "--window", "0,0.075", "--phase",
                     "profile", "--grid", "n=256"],
             "profiles": ["profiles", "--m", "1", "--betas", "0.04,0.02",
                          "--grid", "n=256"],
@@ -1103,6 +1106,23 @@ def test_solvability_violated_is_clean_error(runner, tmp_path, outroot, verb):
     assert "Traceback" not in res.output
     assert _error_manifest(outroot, "sv").startswith("SolvabilityViolated")
     assert [p.name for p in (outroot / "sv").iterdir()] == ["manifest.json"]
+
+
+def test_ode_refuses_initial_beta_before_the_t_table(runner, outroot,
+                                                     monkeypatch):
+    # beta0 = 100 is beyond BETA_MAX: the run ends before the T-table (one
+    # that would fail its solvability check on n = 256) is built
+    def built(*args, **kwargs):
+        raise AssertionError("build_t_tables called")
+    monkeypatch.setattr(PR, "build_t_tables", built)
+    res = runner.invoke(main, ["ode", "--m", "1", "--eta0", "0.05",
+                               "--phase", "profile", "--grid", "n=256",
+                               "--out", "sv"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "Error: OdeFailure: beta = 100.0" in res.output
+    assert "out of range" in res.output
+    assert _error_manifest(outroot, "sv").startswith("OdeFailure")
 
 
 @pytest.mark.parametrize("args", [

@@ -265,10 +265,10 @@ def test_run_computes_one_potential_per_step(grid, monkeypatch):
 
 def _reference_potential(u):
     """V[u] from gauge_fields, a_t and the field's own density."""
-    gf = GA.gauge_fields(u)
+    a_theta = GA.gauge_fields(u)
     r, m = u.grid.r, u.m
     dens = np.abs(u.values) ** 2
-    return (((m + gf.a_theta) ** 2 - m**2) / r**2 + GA.a_t(u, dens, gf)
+    return (((m + a_theta) ** 2 - m**2) / r**2 + GA.a_t(u, dens, a_theta)
             - dens)
 
 

@@ -326,8 +326,8 @@ def _eps2_reference(u, state, table):
     CHART_BETA and factor the phase a second time)."""
     grid = u.grid
     w = MOD.flat(u, SymmetryParams(state.lam, state.gamma))
-    gf = GA.gauge_fields(w)
-    a_w = GA.a_u(w, GA.cov_d(w, w, gf), gf)
+    a_theta = GA.gauge_fields(w)
+    a_w = G.d_plus(G.d_plus(w, a_theta), a_theta)
     chart = PR.assemble(table, state.b, state.eta)
     b_c, eta_c = chart.at
     beta_c = math.hypot(b_c, eta_c)

@@ -15,8 +15,8 @@ from csslab import gauge as GA
 from csslab import grid as G
 from csslab import linops as L
 from csslab import profiles as PR
-from csslab.profiles import (FitIllConditioned, GridTooSmall, ProfileParams,
-                             assemble, build_t4, build_t_tables,
+from csslab.profiles import (FitIllConditioned, GridTooSmall, assemble,
+                             build_t4, build_t_tables,
                              cutoff_cancellation, p3, residuals,
                              scaling_sweep, solvability_inner)
 from csslab.soliton import UnsupportedIndex, q_values, soliton_q
@@ -32,12 +32,6 @@ def table2(grid):
     return build_t_tables(2, grid)
 
 
-def test_params_properties():
-    p = ProfileParams(0.03, 0.04)
-    assert p.beta == pytest.approx(0.05)
-    assert p.bbeta == pytest.approx(0.03j + 0.04)
-
-
 @pytest.mark.parametrize("m", [0, -1])
 def test_t_tables_refuse_index_below_one(grid, m):
     with pytest.raises(UnsupportedIndex):
@@ -48,27 +42,27 @@ def test_t_tables_refuse_index_below_one(grid, m):
 def test_residuals_reject_beta_beyond_the_chart(table1, beta):
     # a residual is evaluated on the unfactored chart only
     with pytest.raises(ValueError, match="out of range"):
-        residuals(ProfileParams(beta, 0.0), table1)
+        residuals(table1, beta, 0.0)
 
 
 def test_residuals_grid_too_small(table1):
     # 2 B1 = 400 > r_max = 200; without cutoffs the chart needs no room
     with pytest.raises(GridTooSmall):
-        residuals(ProfileParams(0.005, 0.0), table1)
-    residuals(ProfileParams(0.005, 0.0), table1, cutoffs=False)
+        residuals(table1, 0.005, 0.0)
+    residuals(table1, 0.005, 0.0, cutoffs=False)
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_p3_vanishes_above_m1(m):
-    assert p3(m, ProfileParams(0.02, 0.01)) == (0.0, 0.0)
+    assert p3(m, 0.02, 0.01) == (0.0, 0.0)
 
 
 def test_p3_m1_closed_form():
     beta = 0.03
-    p3b, p3e = p3(1, ProfileParams(beta, 0.0))
+    p3b, p3e = p3(1, beta, 0.0)
     assert p3b == pytest.approx(0.0, abs=1e-18)
     assert p3e == pytest.approx(beta**3 / math.pi, rel=1e-12)
-    p3b, p3e = p3(1, ProfileParams(0.0, beta))
+    p3b, p3e = p3(1, 0.0, beta)
     assert p3b == pytest.approx(beta**3 / math.pi, rel=1e-12)
     assert p3e == pytest.approx(0.0, abs=1e-18)
 
@@ -142,8 +136,8 @@ def test_solvability_table_values(table1):
 @pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8)])
 @pytest.mark.parametrize("beta", [0.04, 0.02, 0.01])
 def test_solvability_inner_product(table1, direction, beta):
-    params = ProfileParams(beta * direction[0], beta * direction[1])
-    assert solvability_inner(params, table1) < 1e-6 * beta**3
+    assert solvability_inner(table1, beta * direction[0],
+                             beta * direction[1]) < 1e-6 * beta**3
 
 
 def test_t3_2_tail_stable_under_refinement(grid, table1):
@@ -224,16 +218,15 @@ def test_chart_derivs_match_central_differences(grid, table1, k):
 
 def test_cutoff_cancellation_rounding_zero(grid):
     for b, eta in ((0.04, 0.0), (0.02, 0.01), (0.007, 0.007)):
-        params = ProfileParams(b, eta)
-        field = cutoff_cancellation(params, grid)
-        chi_p = G.smooth_bump_prime(grid.r * params.beta)
-        scale = max(abs(b) * params.beta * np.abs(grid.r * chi_p).max(), 1e-300)
+        beta = math.hypot(b, eta)
+        field = cutoff_cancellation(grid, b, eta)
+        chi_p = G.smooth_bump_prime(grid.r * beta)
+        scale = max(abs(b) * beta * np.abs(grid.r * chi_p).max(), 1e-300)
         assert np.abs(field).max() <= 1e-13 * scale
 
 
 def test_residuals_zero_params(grid, table1):
-    params = ProfileParams(0.0, 0.0)
-    rep = residuals(params, table1)
+    rep = residuals(table1, 0.0, 0.0)
     for f in rep.fields.values():
         assert not np.any(f.values)
 
@@ -241,9 +234,8 @@ def test_residuals_zero_params(grid, table1):
 @pytest.mark.parametrize("m", [1, 2])
 def test_residual_support(grid, m):
     beta = 0.04
-    params = ProfileParams(beta * 0.8, beta * 0.6)
     tab = build_t_tables(m, grid)
-    rep = residuals(params, tab)
+    rep = residuals(tab, beta * 0.8, beta * 0.6)
     far = grid.r >= 4.0 / beta
     # Psi1, Psi2 are pure profile content: cut off exactly
     assert not np.any(rep.fields["Psi1"].values[far])
@@ -255,23 +247,23 @@ def test_residual_support(grid, m):
 
 def test_phase_correction(grid, table1):
     for beta in (0.04, 0.02, 0.01):
-        params = ProfileParams(0.6 * beta, 0.8 * beta)
-        rep = residuals(params, table1)
-        assert abs(rep.phase_corr + 4.0 * params.eta) < 2.0 * beta**2
+        eta = 0.8 * beta
+        rep = residuals(table1, 0.6 * beta, eta)
+        assert abs(rep.phase_corr + 4.0 * eta) < 2.0 * beta**2
 
 
 def test_compat_defect_scalings(grid, table1):
     # D_P P - P1 in (L2, H1, H2) and A_P P1 - P2 in (L2, H1, V3/2), on the
-    # chart and gauge fields residuals builds
+    # chart and A_theta residuals builds
     vals = {}
     for beta in (0.04, 0.02):
         chart = assemble(table1, beta, 0.0)
         (p, p1), p2 = chart.values(), chart.p2()
         P = G.RadialField(1, p, grid, decay=3.0)
-        gf = GA.gauge_fields(P)
-        d_pp = GA.cov_d(P, P, gf)
+        a_theta = GA.gauge_fields(P)
+        d_pp = G.d_plus(P, a_theta)
         c1 = d_pp.with_values(d_pp.values - p1)
-        a_pp1 = GA.a_u(P, G.RadialField(2, p1, grid), gf)
+        a_pp1 = G.d_plus(G.RadialField(2, p1, grid), a_theta)
         c2 = a_pp1.with_values(a_pp1.values - p2)
         vals[beta] = ((G.l2(c1), G.hdot1(c1), G.hdotk_hardy(c1, 2)),
                       (G.l2(c2), G.hdot1(c2), math.sqrt(G.v32_sq(c2))))
@@ -394,8 +386,7 @@ def test_t4_matches_the_lstsq_fit(grid, m):
     table = build_t_tables(m, grid)
     rows = []
     for s in s_values:
-        params = ProfileParams(s, 0.0)
-        rows.append(residuals(params, table,
+        rows.append(residuals(table, s, 0.0,
                               cutoffs=False).fields["Psi2"].values)
     smat = np.array([[s**d for d in range(3, 9)] for s in s_values])
     f4 = np.linalg.lstsq(smat, np.array(rows), rcond=None)[0][1]
