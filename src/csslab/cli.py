@@ -20,6 +20,7 @@ import json
 import math
 import os
 import time
+import warnings
 from pathlib import Path
 
 import click
@@ -175,6 +176,8 @@ def parse_grid(spec: str) -> G.Grid:
             key = key.strip()
             if key not in ("n", "r_min", "r_max"):
                 raise ValueError(f"unknown grid key {key!r}")
+            if key in kw:
+                raise ValueError(f"repeated grid key {key!r}")
             kw[key] = int(val) if key == "n" else float(val)
         return G.build_grid(**kw)
     except ValueError as exc:  # a malformed key or number, or a GridError
@@ -192,6 +195,14 @@ def parse_floats(option: str, text: str, count: int | None = None) -> list[float
         pass
     raise ValueError(f"--{option} needs {count or 'some'} comma-separated "
                      f"numbers, got {text!r}")
+
+
+def read_rows(path) -> np.ndarray:
+    """The numbers under a CSV's header line, one row per line: no rows
+    when there are none, without numpy's warning about empty input."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
 def grid_id(grid: G.Grid) -> str:
@@ -293,29 +304,28 @@ def suite_identities(grid: G.Grid) -> list[dict]:
         y = grid.r
         scale = G.hdot1(q)
         a_theta = GA.gauge_fields(q)
-        lq = L.OperatorKind("LQ", m)
         checks.append(_check(f"D_QQ_m{m}", G.l2(G.d_plus(q, a_theta)) / scale,
                              1e-5))
         checks.append(_check(f"LQ_LambdaQ_m{m}",
-                             G.l2(L.apply(lq, G.scale_gen(q))) / scale, 1e-5))
+                             G.l2(L.apply("LQ", G.scale_gen(q))) / scale, 1e-5))
         checks.append(_check(f"LQ_iQ_m{m}",
-                             G.l2(L.apply(lq, q.with_values(1j * q.values)))
+                             G.l2(L.apply("LQ", q.with_values(1j * q.values)))
                              / scale, 1e-5))
         yq = RadialField(m + 1, y * q.values, grid, decay=m + 1)
         checks.append(_check(f"AQ_yQ_m{m}",
-                             G.l2(L.apply(L.OperatorKind("AQ", m), yq))
+                             G.l2(L.apply("AQ", yq))
                              / G.l2(yq), 1e-5))
         f = q.with_values(1j * (y**2 / 4.0) * q.values, decay=None)
         tgt = 1j * (y / 2.0) * q.values
         checks.append(_check(
             f"LQ_iy24Q_m{m}",
-            G.l2_samples(grid, L.apply(lq, f).values - tgt)
+            G.l2_samples(grid, L.apply("LQ", f).values - tgt)
             / G.l2_samples(grid, tgt), 1e-5))
         rho = L.rho(m, grid)
         tgt = y * q.values / (2.0 * (m + 1))
         checks.append(_check(
             f"LQ_rho_m{m}",
-            G.l2_samples(grid, L.apply(lq, rho).values - tgt)
+            G.l2_samples(grid, L.apply("LQ", rho).values - tgt)
             / G.l2_samples(grid, tgt), 1e-5))
         _, mass, _ = GA.energy_mass(q)
         checks.append(_check(f"mass_Q_m{m}",
@@ -343,12 +353,11 @@ def suite_inverses(grid: G.Grid, seed: int) -> list[dict]:
     fields = _battery(grid, rng)
     checks = []
     for tag in ("LQ", "AQ", "AQ_star", "HQ", "HtdQ"):
-        kind = L.OperatorKind(tag, 1)
         worst = 0.0
         for vals in fields:
-            f = RadialField(kind.range_index, vals, grid)
-            inv = L.right_inverse(kind, f, "outgoing")
-            err = G.l2_samples(grid, L.apply(kind, inv).values - f.values)
+            f = RadialField(1 + L.INDEX[tag][1], vals, grid)
+            inv = L.right_inverse(tag, f, "outgoing")
+            err = G.l2_samples(grid, L.apply(tag, inv).values - f.values)
             worst = max(worst, err / G.l2(f))
         checks.append(_check(f"roundtrip_{tag}", worst, 1e-4))
     return checks
@@ -713,7 +722,7 @@ def cmd_decompose(field, m, tube_radius, out):
             if not 0.0 < tube_radius < math.inf:
                 raise ValueError("tube_radius must be positive and "
                                  f"finite, got {tube_radius}")
-            raw = np.loadtxt(field, delimiter=",", skiprows=1, ndmin=2)
+            raw = read_rows(field)
             if raw.shape[1] != 3:
                 raise ValueError("field CSV needs the three columns r,re,im")
             r, vals = raw[:, 0], raw[:, 1] + 1j * raw[:, 2]
@@ -752,7 +761,7 @@ def cmd_report(rundir, out):
     try:
         with timed("read"):
             header = path.read_text().partition("\n")[0].split(",")
-            raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            raw = read_rows(path)
             if not set(names) <= set(header) or raw.shape[1] != len(header):
                 raise ValueError(f"{path} needs the columns "
                                  f"{','.join(names)} and a row of numbers "

@@ -26,21 +26,21 @@ from .grid import Grid, RadialField
 def a_theta_pol(grid: Grid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Polarized potential A_theta[f, g] = -1/2 int_0^r Re(conj(f) g) r' dr'
     of two sample arrays (or coefficient rows) on the grid."""
-    return -0.5 * G.cumulative_rdr(grid, np.real(np.conj(f) * g))
+    return -0.5 * G.cumulative(grid, np.real(np.conj(f) * g), 2)
 
 
 def gauge_fields(u: RadialField, dens: np.ndarray | None = None) -> np.ndarray:
     """A_theta of u; dens is |u|^2 when the caller has it already."""
     if dens is None:
         dens = np.abs(u.values) ** 2
-    return -0.5 * G.cumulative_rdr(u.grid, dens)
+    return -0.5 * G.cumulative(u.grid, dens, 2)
 
 
 def a_t(u: RadialField, dens: np.ndarray, a_theta: np.ndarray) -> np.ndarray:
     """A_t of u from its density |u|^2 and A_theta."""
     integrand = (u.m + a_theta) * dens / u.grid.r
     tail_p = None if u.decay is None else 2.0 * u.decay + 1.0
-    return -G.backward_dy(u.grid, integrand, tail_power=tail_p)
+    return -G.backward(u.grid, integrand, 1, tail_p)
 
 
 def _parts(u: RadialField) -> tuple:

@@ -335,12 +335,14 @@ def _interval_increments(grid: Grid, gvals: np.ndarray) -> np.ndarray:
     return inc
 
 
-def _forward(grid: Grid, vals: np.ndarray, k: int, include_origin: bool) -> np.ndarray:
-    """C(r_j) = int_0^{r_j} vals r'^{k-1} dr'. The [0, r_min] piece is
-    completed by a local power law vals ~ r^q fitted on the first two
-    nodes, q clamped to [0.1 - k, 40] so that the piece stays finite
-    (negligible for smooth equivariant data, but kept for exactness of
-    closed-form comparisons)."""
+def cumulative(grid: Grid, vals: np.ndarray, k: int,
+               include_origin: bool = True) -> np.ndarray:
+    """C(r_j) = int_0^{r_j} vals r'^{k-1} dr', so k = 2 is the r dr measure
+    and k = 1 the plain one; real input gives a real result. The
+    [0, r_min] piece is completed by a local power law vals ~ r^q fitted on
+    the first two nodes, q clamped to [0.1 - k, 40] so that the piece stays
+    finite (negligible for smooth equivariant data, but kept for exactness
+    of closed-form comparisons)."""
     vals = np.asarray(vals)
     inc = _interval_increments(grid, vals * grid.r**k)
     c = np.empty(inc.size + 1, dtype=inc.dtype)
@@ -350,6 +352,8 @@ def _forward(grid: Grid, vals: np.ndarray, k: int, include_origin: bool) -> np.n
     if include_origin and v0 != 0.0:
         v1 = vals[1].item()
         q = 0.0
+        # not redundant: with inf at node 0 the ratio is 0, and math.log
+        # would raise before evolve's stability guard sees the non-finite state
         if abs(v1) > 0 and abs(v0) > 0:
             ratio = abs(v1) / abs(v0)
             if ratio > 0:
@@ -359,11 +363,12 @@ def _forward(grid: Grid, vals: np.ndarray, k: int, include_origin: bool) -> np.n
     return c
 
 
-def _backward(grid: Grid, vals: np.ndarray, k: int, tail_power: float | None) -> np.ndarray:
+def backward(grid: Grid, vals: np.ndarray, k: int,
+             tail_power: float | None = None) -> np.ndarray:
     """B(r_j) = int_{r_j}^{r_max} vals r'^{k-1} dr', plus the algebraic tail
-    beyond r_max when vals ~ c r^{-p} with p = tail_power > k. The sum runs
-    from the far end so the tail values are not lost to cancellation
-    against the bulk."""
+    beyond r_max when vals ~ c r^{-p} with p = tail_power > k; real input
+    gives a real result. The sum runs from the far end so the tail values
+    are not lost to cancellation against the bulk."""
     vals = np.asarray(vals)
     inc = _interval_increments(grid, vals * grid.r**k)
     out = np.empty(inc.size + 1, dtype=inc.dtype)
@@ -372,29 +377,6 @@ def _backward(grid: Grid, vals: np.ndarray, k: int, tail_power: float | None) ->
     if tail_power is not None and tail_power > k:
         out = out + vals[-1].item() * grid.r_max**k / (tail_power - k)
     return out
-
-
-def cumulative_rdr(grid: Grid, vals: np.ndarray, include_origin: bool = True) -> np.ndarray:
-    """C(r_j) = int_0^{r_j} vals r' dr'; real input gives a real result."""
-    return _forward(grid, vals, 2, include_origin)
-
-
-def cumulative_dy(grid: Grid, vals: np.ndarray, include_origin: bool = True) -> np.ndarray:
-    """C(r_j) = int_0^{r_j} vals dr' (plain measure); real input gives a
-    real result."""
-    return _forward(grid, vals, 1, include_origin)
-
-
-def backward_rdr(grid: Grid, vals: np.ndarray, tail_power: float | None = None) -> np.ndarray:
-    """B(r_j) = int_{r_j}^{r_max} vals r' dr', plus the tail beyond r_max
-    when tail_power > 2; real input gives a real result."""
-    return _backward(grid, vals, 2, tail_power)
-
-
-def backward_dy(grid: Grid, vals: np.ndarray, tail_power: float | None = None) -> np.ndarray:
-    """B(r_j) = int_{r_j}^{r_max} vals dr', plus the tail beyond r_max when
-    tail_power > 1; real input gives a real result."""
-    return _backward(grid, vals, 1, tail_power)
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +444,10 @@ def log_minus_weight(r: np.ndarray) -> np.ndarray:
     return np.sqrt(1.0 + lm**2)
 
 
-def hdot1(f: RadialField, m: int | None = None) -> float:
-    """Equivariant homogeneous H^1 norm at index m (default: f's own)."""
-    mm = f.m if m is None else m
+def hdot1(f: RadialField) -> float:
+    """Equivariant homogeneous H^1 norm at f's own index."""
     fr = d_dr(f.grid, f.values, 1)
-    dens = np.abs(fr) ** 2 + (mm / f.grid.r) ** 2 * np.abs(f.values) ** 2
+    dens = np.abs(fr) ** 2 + (f.m / f.grid.r) ** 2 * np.abs(f.values) ** 2
     dd = None if f.decay is None else 2.0 * (f.decay + 1.0)
     value = integrate_samples(f.grid, dens, dd)
     return math.sqrt(max(float(value), 0.0))
@@ -515,8 +496,7 @@ def calh2(f: RadialField) -> float:
     m, r = f.m, f.grid.r
     if m >= 2:
         return hdotk_hardy(f, 2)
-    dp = d_plus(f, 0.0)
-    t1 = hdot1(dp, m=2)
+    t1 = hdot1(d_plus(f, 0.0))
     t2 = l2_samples(f.grid, d_dr(f.grid, f.values, 2))
     t3 = l2_samples(f.grid, abs_minus_k(f, 1) / (log_minus_weight(r) * r))
     return t1 + t2 + t3

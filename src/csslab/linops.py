@@ -9,6 +9,10 @@ with t = y^{2m+2}. Index bookkeeping (base index m):
     A_Q, A_Q*   : m+1 <-> m+2
     H_Q = A_Q* A_Q   on index m+1, potential V_Q = (m+1+A)^2 - y^2 Q^2 / 2
     Htd_Q = A_Q A_Q* on index m+2, potential Vtd_Q = (m+2+A)^2 + y^2 Q^2 / 2
+
+INDEX holds this table as the (domain, range) offsets from m of each
+operator tag. apply and right_inverse take the tag and read m from the
+index of the field they act on; an unknown tag raises KeyError.
 """
 
 from __future__ import annotations
@@ -20,10 +24,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import grid as G
-from .grid import Grid, IndexMismatch, RadialField
+from .grid import Grid, RadialField
 from .soliton import q_values
 
-TAGS = ("LQ", "LQ_star", "AQ", "AQ_star", "HQ", "HtdQ")
+# operator tag -> (domain, range) index offsets from the base index m
+INDEX = {"LQ": (0, 1), "LQ_star": (1, 0), "AQ": (1, 2), "AQ_star": (2, 1),
+         "HQ": (1, 1), "HtdQ": (2, 2)}
 
 
 class TailDivergent(ValueError):
@@ -32,30 +38,6 @@ class TailDivergent(ValueError):
 
 class RepulsivityViolated(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class OperatorKind:
-    """Operator tag together with the base equivariance index m."""
-
-    tag: str
-    m: int = 1
-
-    def __post_init__(self):
-        if self.tag not in TAGS:
-            raise ValueError(f"unknown operator tag {self.tag!r}")
-
-    @property
-    def domain_index(self) -> int:
-        return {"LQ": self.m, "LQ_star": self.m + 1, "AQ": self.m + 1,
-                "AQ_star": self.m + 2, "HQ": self.m + 1,
-                "HtdQ": self.m + 2}[self.tag]
-
-    @property
-    def range_index(self) -> int:
-        return {"LQ": self.m + 1, "LQ_star": self.m, "AQ": self.m + 2,
-                "AQ_star": self.m + 1, "HQ": self.m + 1,
-                "HtdQ": self.m + 2}[self.tag]
 
 
 # ---------------------------------------------------------------------------
@@ -88,33 +70,28 @@ def p_const(m: int) -> float:
 # Forward application
 
 
-def apply(kind: OperatorKind, f: RadialField) -> RadialField:
-    if f.m != kind.domain_index:
-        raise IndexMismatch(
-            f"{kind.tag} expects index {kind.domain_index}, got {f.m}")
-    g, r, m = f.grid, f.grid.r, kind.m
+def apply(tag: str, f: RadialField) -> RadialField:
+    domain, range_ = INDEX[tag]
+    g, r, m = f.grid, f.grid.r, f.m - domain
     a = a_theta_q(m, r)
     q = q_values(m, r)
-    tag = kind.tag
     if tag == "LQ":
         # D_Q f - (2/y) A_theta[Q, f] Q with A_theta[Q, f] = -1/2 C, so + C Q / y
-        c = G.cumulative_rdr(g, np.real(q * f.values))
+        c = G.cumulative(g, np.real(q * f.values), 2)
         vals = G.d_plus(f, a).values + c * q / r
     elif tag == "LQ_star":
         tail_p = None if f.decay is None else f.decay + m + 2
-        back = G.backward_dy(g, np.real(q * f.values), tail_power=tail_p)
+        back = G.backward(g, np.real(q * f.values), 1, tail_p)
         vals = G.d_minus(f, a).values + back * q
     elif tag == "AQ":
         return G.d_plus(f, a)
     elif tag == "AQ_star":
         return G.d_minus(f, a)
-    elif tag == "HQ":
+    else:  # HQ, HtdQ
+        pot = (v_q if tag == "HQ" else vtd_q)(m, r)
         vals = (-G.d_dr(g, f.values, 2) - G.d_dr(g, f.values, 1) / r
-                + v_q(m, r) / r**2 * f.values)
-    else:  # HtdQ
-        vals = (-G.d_dr(g, f.values, 2) - G.d_dr(g, f.values, 1) / r
-                + vtd_q(m, r) / r**2 * f.values)
-    return RadialField(kind.range_index, vals, g)
+                + pot / r**2 * f.values)
+    return RadialField(m + range_, vals, g)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +132,8 @@ def _kernel_pair_htd(grid: Grid, m: int):
     y = grid.r
     q = q_values(m, y)
     yq2 = (y * q) ** 2
-    fwd = G.cumulative_rdr(grid, yq2)
-    back = G.backward_rdr(grid, yq2, tail_power=2 * m + 2)
+    fwd = G.cumulative(grid, yq2, 2)
+    back = G.backward(grid, yq2, 2, 2 * m + 2)
     p = p_const(m)
     h1 = fwd / (y**2 * q)
     h2 = back / (y**2 * q * p)
@@ -172,58 +149,53 @@ def rho(m: int, grid: Grid) -> RadialField:
     a real field of index m with rho <~ y^2 Q."""
     q1 = q_values(m, grid.r)
     f = RadialField(m + 1, grid.r * q1 / (2.0 * (m + 1)), grid, decay=m + 1)
-    out = right_inverse(OperatorKind("LQ", m), f, "outgoing")
+    out = right_inverse("LQ", f, "outgoing")
     return RadialField(m, np.real(out.values).astype(complex), grid, decay=float(m))
 
 
-def right_inverse(kind: OperatorKind, f: RadialField,
+def right_inverse(tag: str, f: RadialField,
                   branch: str = "outgoing") -> RadialField:
-    if f.m != kind.range_index:
-        raise IndexMismatch(
-            f"right_inverse({kind.tag}) expects index {kind.range_index}, got {f.m}")
+    domain, range_ = INDEX[tag]
     if branch not in ("outgoing", "inner"):
         raise ValueError(f"unknown branch {branch!r}")
-    if branch == "inner" and kind.tag != "HtdQ":
+    if branch == "inner" and tag != "HtdQ":
         raise ValueError("inner branch is defined for HtdQ only")
-    g, y, m = f.grid, f.grid.r, kind.m
+    g, y, m = f.grid, f.grid.r, f.m - range_
     q = q_values(m, y)
-    tag = kind.tag
 
     if tag == "LQ":
         j1, j1p, j2, j2p = j_pair(g, m)
         u = np.real(f.values) / q
-        i2 = G.cumulative_rdr(g, j2p * u, include_origin=False)
-        i1 = G.cumulative_rdr(g, j1p * u, include_origin=False)
+        i2 = G.cumulative(g, j2p * u, 2, include_origin=False)
+        i1 = G.cumulative(g, j1p * u, 2, include_origin=False)
         re = q * (j1 * i2 - j2 * i1)
-        im = q * G.cumulative_dy(g, np.imag(f.values) / q,
-                                 include_origin=False)
+        im = q * G.cumulative(g, np.imag(f.values) / q, 1, include_origin=False)
         vals = re + 1j * im
     elif tag == "AQ":
-        vals = y * q * G.cumulative_dy(g, f.values / (y * q),
-                                       include_origin=False)
+        vals = y * q * G.cumulative(g, f.values / (y * q), 1, include_origin=False)
     elif tag == "AQ_star":
-        vals = -G.cumulative_rdr(g, y * q * f.values) / (y**2 * q)
+        vals = -G.cumulative(g, y * q * f.values, 2) / (y**2 * q)
     elif tag == "HQ":
         h1, h2 = _kernel_pair_hq(g, m)
-        i1 = G.cumulative_rdr(g, h1 * f.values, include_origin=False)
-        i2 = G.cumulative_rdr(g, h2 * f.values, include_origin=False)
+        i1 = G.cumulative(g, h1 * f.values, 2, include_origin=False)
+        i2 = G.cumulative(g, h2 * f.values, 2, include_origin=False)
         vals = h1 * i2 - h2 * i1
     elif tag == "HtdQ":
         h1, h2 = _kernel_pair_htd(g, m)
-        i1 = G.cumulative_rdr(g, h1 * f.values, include_origin=False)
+        i1 = G.cumulative(g, h1 * f.values, 2, include_origin=False)
         if branch == "inner":
             integ = np.abs(h2 * f.values) * y**2
             if integ[-1] > 4.0 * integ[-8]:
                 raise TailDivergent(
                     "inner HtdQ inverse: h2~*f not integrable at infinity")
-            j2 = G.backward_rdr(g, h2 * f.values)
+            j2 = G.backward(g, h2 * f.values, 2)
             vals = h2 * i1 + h1 * j2
         else:
-            i2 = G.cumulative_rdr(g, h2 * f.values, include_origin=False)
+            i2 = G.cumulative(g, h2 * f.values, 2, include_origin=False)
             vals = h2 * i1 - h1 * i2
     else:
         raise ValueError("L_Q* has no implemented right inverse")
-    return RadialField(kind.domain_index, vals, g)
+    return RadialField(m + domain, vals, g)
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ def build_ortho_profiles(m: int, grid: Grid) -> OrthoProfiles:
     q = q_values(m, y)
     yq_norm2 = G.l2_samples(grid, y * q, decay=m + 1) ** 2
     # smallest radius with the outer mass of yQ at most a quarter of the total
-    tail2 = yq_norm2 - 2.0 * math.pi * G.cumulative_rdr(grid, (y * q) ** 2)
+    tail2 = yq_norm2 - 2.0 * math.pi * G.cumulative(grid, (y * q) ** 2, 2)
     idx = int(np.argmax(tail2 <= 0.25 * yq_norm2))
     r_circ = float(y[idx])
     chi = G.smooth_bump(y / r_circ)

@@ -121,8 +121,8 @@ def _yq_pairing(grid: Grid, q: np.ndarray, arr: np.ndarray) -> complex:
 def _pinverse(tag: str, m: int, p, grid: Grid):
     """The outgoing right inverse of operator `tag`, applied row by row
     (valid for the real-linear L_Q too, because the monomials are real)."""
-    kind = L.OperatorKind(tag, m)
-    return np.array([L.right_inverse(kind, RadialField(kind.range_index, row, grid)).values
+    k = m + L.INDEX[tag][1]
+    return np.array([L.right_inverse(tag, RadialField(k, row, grid)).values
                      for row in p])
 
 
@@ -156,8 +156,7 @@ def _p3_rows(m: int):
 
 def _aq_star_term(m: int, grid: Grid, t1_0):
     """bbeta^2 A_Q*((y^2/4) T1^(0)), row by row (complex-linear operator)."""
-    aqs = L.OperatorKind("AQ_star", m)
-    return _pmul(_BBETA2, np.array([L.apply(aqs, RadialField(m + 2, row, grid)).values
+    return _pmul(_BBETA2, np.array([L.apply("AQ_star", RadialField(m + 2, row, grid)).values
                                     for row in t1_0 * (grid.r**2 / 4.0)]))
 
 
@@ -445,7 +444,7 @@ def residuals(table: TTable, b: float, eta: float,
 
     a_theta = GA.gauge_fields(P)
     dens01 = np.real(np.conj(p_vals) * p1_vals)
-    i_tail = G.backward_dy(grid, dens01)
+    i_tail = G.backward(grid, dens01, 1)
     i0 = float(i_tail[0])
     gamma_s = -(m + 1) * eta - i0
 
@@ -536,10 +535,9 @@ def build_t4(m: int, grid: Grid, direction: tuple[float, float],
     the given unit (b, eta)-direction (cutoffs removed, T4 omitted) by a
     per-node least-squares fit in s over a geometric ladder, then return
     T4 = -out Htd_Q^{-1} F4 (m = 1) or -inn Htd_Q^{-1} F4 (m >= 2)."""
-    f4 = quartic_coefficient(m, grid, direction, None, s_values)
-    kind = L.OperatorKind("HtdQ", m)
+    f4 = quartic_coefficient(m, grid, direction, s_values=s_values)
     branch = "outgoing" if m == 1 else "inner"
-    inv = L.right_inverse(kind, RadialField(m + 2, f4, grid), branch)
+    inv = L.right_inverse("HtdQ", RadialField(m + 2, f4, grid), branch)
     return RadialField(m + 2, -inv.values, grid)
 
 

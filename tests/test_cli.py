@@ -1167,6 +1167,37 @@ def test_malformed_arguments_are_usage_errors(runner, tmp_path, outroot, args):
         assert manifest["command"] == "verify identities"
 
 
+def test_repeated_grid_key_is_usage_error(runner, outroot):
+    # "n=4096,n=1024" ran on the last value, n = 1024
+    res = runner.invoke(main, ["verify", "identities", "--grid",
+                               "n=4096,n=1024", "--out", "dup"])
+    assert res.exit_code == 2, res.output
+    assert "repeated grid key 'n'" in res.output
+    assert "Traceback" not in res.output
+    error = _error_manifest(outroot, "dup")
+    assert error.startswith("ValueError") and "repeated grid key 'n'" in error
+
+
+@pytest.mark.parametrize("verb, text, error", [
+    ("report", "t,lambda,gamma,b,eta\n", "and a row of numbers under its header"),
+    ("decompose", "r,re,im\n", "field CSV needs the three columns r,re,im"),
+    ("decompose", "", "field CSV needs the three columns r,re,im"),
+], ids=["report-header-only", "decompose-header-only", "decompose-blank"])
+def test_empty_data_file_is_a_clean_usage_error(tmp_path, verb, text, error):
+    # numpy's "input contained no data" warning went to stderr first
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "series.csv").write_text(text)
+    (tmp_path / "field.csv").write_text(text)
+    args = (["report", "run"] if verb == "report"
+            else ["decompose", "--field", "field.csv", "--m", "1"])
+    res = _run_module(args + ["--out", "e"], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "Warning" not in res.stderr and "Traceback" not in res.stderr
+    assert res.stderr.endswith(f"{error}\n")
+    manifest = json.loads((tmp_path / "runs" / "e" / "manifest.json").read_text())
+    assert manifest["error"].startswith("ValueError") and error in manifest["error"]
+
+
 @pytest.mark.parametrize("args", [
     ["profiles", "--betas", "0.02", "--grid", "n=512"],
     ["ode", "--eta0", "0.05"],

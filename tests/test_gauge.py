@@ -206,15 +206,15 @@ def test_monitor_row_is_the_three_functionals_bit_for_bit(grid):
 def test_monitor_row_builds_each_part_once(grid, monkeypatch):
     # one |u|^2 integral for A_theta, one phase unwrap, one D_u u and one
     # A_u D_u u
-    counts = {"cumulative_rdr": 0, "smart_unwrap": 0, "d_plus": 0}
-    for mod, name in ((G, "cumulative_rdr"), (G, "smart_unwrap"),
+    counts = {"cumulative": 0, "smart_unwrap": 0, "d_plus": 0}
+    for mod, name in ((G, "cumulative"), (G, "smart_unwrap"),
                       (G, "d_plus")):
         def counted(*args, _f=getattr(mod, name), _n=name, **kwargs):
             counts[_n] += 1
             return _f(*args, **kwargs)
         monkeypatch.setattr(mod, name, counted)
     GA.monitor_row(_row_fields(grid)[0])
-    assert counts == {"cumulative_rdr": 1, "smart_unwrap": 1, "d_plus": 2}
+    assert counts == {"cumulative": 1, "smart_unwrap": 1, "d_plus": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,7 @@ def test_ladder_is_the_eight_expressions_bit_for_bit(n, m):
         for tag, k, step in (("AQ", m + 1, G.d_plus),
                              ("AQ_star", m + 2, G.d_minus)):
             f = G.RadialField(k, u.values, grid)
-            got = L.apply(L.OperatorKind(tag, m), f)
+            got = L.apply(tag, f)
             assert (_bits(got.values) == _bits(step(f, a_q).values)).all()
 
 

@@ -218,27 +218,27 @@ def test_radial_field_rejects_non_finite_parts(grid, bad, part):
 def test_cumulative_rdr(grid):
     # int_0^y exp(-r) r dr = 1 - (1+y) exp(-y)
     vals = np.exp(-grid.r)
-    c = G.cumulative_rdr(grid, vals.astype(complex))
+    c = G.cumulative(grid, vals.astype(complex), 2)
     expect = 1.0 - (1.0 + grid.r) * np.exp(-grid.r)
     assert np.max(np.abs(c - expect)) < 1e-9
     # real input stays real and equals the real part of the complex result
-    for fn in (G.cumulative_rdr, G.cumulative_dy):
+    for k in (2, 1):
         for origin in (True, False):
-            real = fn(grid, vals, include_origin=origin)
+            real = G.cumulative(grid, vals, k, include_origin=origin)
             assert real.dtype == np.float64
             assert np.array_equal(
-                real, np.real(fn(grid, vals.astype(complex),
-                                 include_origin=origin)))
+                real, np.real(G.cumulative(grid, vals.astype(complex), k,
+                                           include_origin=origin)))
 
 
 def test_backward_dy(grid):
     # int_y^inf r^-3 dr = y^-2 / 2
     vals = grid.r**-3.0
-    b = G.backward_dy(grid, vals.astype(complex), tail_power=3.0)
+    b = G.backward(grid, vals.astype(complex), 1, tail_power=3.0)
     expect = grid.r**-2.0 / 2.0
     rel = np.abs(b - expect) / expect
     assert rel.max() < 1e-6
-    real = G.backward_dy(grid, vals, tail_power=3.0)
+    real = G.backward(grid, vals, 1, tail_power=3.0)
     assert real.dtype == np.float64
     assert np.array_equal(real, np.real(b))
 
@@ -246,10 +246,10 @@ def test_backward_dy(grid):
 def test_backward_cumulative_rdr(grid):
     # int_y^inf r^-4 r dr = y^-2 / 2
     vals = grid.r**-4.0
-    b = G.backward_rdr(grid, vals.astype(complex), tail_power=4.0)
+    b = G.backward(grid, vals.astype(complex), 2, tail_power=4.0)
     expect = grid.r**-2.0 / 2.0
     assert (np.abs(b - expect) / expect).max() < 1e-6
-    real = G.backward_rdr(grid, vals, tail_power=4.0)
+    real = G.backward(grid, vals, 2, tail_power=4.0)
     assert real.dtype == np.float64
     assert np.array_equal(real, np.real(b))
 
@@ -416,7 +416,7 @@ def test_integral_operator_bounds(rng):
         worst22, worst1inf = 0.0, 0.0
         for _ in range(30):
             f = random_equivariant(g, 1, rng)
-            c = G.cumulative_rdr(g, f.values)
+            c = G.cumulative(g, f.values, 2)
             num22 = G.l2_samples(g, c / g.r)
             den22 = G.l2(f)
             worst22 = max(worst22, num22 / den22)

@@ -6,13 +6,14 @@ L_Q(i y^2/4 Q) = i (y/2) Q, and the constant p = int (yQ)^2 y dy =
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from csslab import grid as G
 from csslab import linops as L
-from csslab.grid import IndexMismatch, RadialField
+from csslab.grid import RadialField
 from csslab.soliton import q_values, soliton_q
 
 ALL_TAGS = ("LQ", "LQ_star", "AQ", "AQ_star", "HQ", "HtdQ")
@@ -41,30 +42,53 @@ def battery(grid, rng, count=10):
 # Operator kinds and forward application
 
 
-def test_operator_kind_indices():
-    k = L.OperatorKind("LQ", 2)
-    assert (k.domain_index, k.range_index) == (2, 3)
-    k = L.OperatorKind("HtdQ", 1)
-    assert (k.domain_index, k.range_index) == (3, 3)
-    with pytest.raises(ValueError):
-        L.OperatorKind("bogus", 1)
+def docstring_table():
+    """(domain, range) offsets from m of each tag, read off the index
+    bookkeeping lines of the linops docstring ("m+1" -> 1)."""
+    table = {}
+    for name, lo, hi in re.findall(r"(\w+), \w+\*\s+: m\+?(\d?) <-> m\+?(\d?)",
+                                   L.__doc__):
+        lo, hi = int(lo or 0), int(hi or 0)
+        table[name.replace("_", "")] = (lo, hi)
+        table[name.replace("_", "") + "_star"] = (hi, lo)
+    for name, k in re.findall(r"(\w+) = \w+\*? \w+\*?\s+on index m\+(\d)", L.__doc__):
+        table[name.replace("_", "")] = (int(k), int(k))
+    return table
 
 
-def test_apply_index_mismatch(grid):
+def test_index_table_matches_docstring():
+    assert L.INDEX == docstring_table()
+    assert set(L.INDEX) == set(ALL_TAGS)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_apply_and_inverse_read_the_index(grid, rng, m):
+    # apply maps index m + domain to m + range; right_inverse maps back
+    vals = battery(grid, rng, count=1)[0]
+    for tag, (dom, ran) in docstring_table().items():
+        out = L.apply(tag, RadialField(m + dom, vals, grid))
+        assert out.m == m + ran, tag
+        if tag in INVERTIBLE:
+            inv = L.right_inverse(tag, RadialField(m + ran, vals, grid))
+            assert inv.m == m + dom, tag
+
+
+def test_unknown_tag_raises_key_error(grid):
     q = soliton_q(1, grid)
-    with pytest.raises(IndexMismatch):
-        L.apply(L.OperatorKind("AQ", 1), q)  # AQ wants index 2
+    with pytest.raises(KeyError):
+        L.apply("bogus", q)
+    with pytest.raises(KeyError):
+        L.right_inverse("bogus", q)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_kernel_relations(grid, m):
     q = soliton_q(m, grid)
     scale = G.hdot1(q)
-    k = L.OperatorKind("LQ", m)
-    assert G.l2(L.apply(k, G.scale_gen(q))) < 1e-6 * scale
-    assert G.l2(L.apply(k, q.with_values(1j * q.values))) < 1e-6 * scale
+    assert G.l2(L.apply("LQ", G.scale_gen(q))) < 1e-6 * scale
+    assert G.l2(L.apply("LQ", q.with_values(1j * q.values))) < 1e-6 * scale
     yq = RadialField(m + 1, grid.r * q.values, grid, decay=m + 1)
-    assert G.l2(L.apply(L.OperatorKind("AQ", m), yq)) < 1e-6 * G.l2(yq)
+    assert G.l2(L.apply("AQ", yq)) < 1e-6 * G.l2(yq)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -73,7 +97,7 @@ def test_generalized_kernel_relation(grid, m):
     q = soliton_q(m, grid)
     y = grid.r
     f = q.with_values(1j * (y**2 / 4.0) * q.values, decay=None)
-    out = L.apply(L.OperatorKind("LQ", m), f)
+    out = L.apply("LQ", f)
     tgt = 1j * (y / 2.0) * q.values
     assert np.max(np.abs(out.values - tgt)) < 1e-6 * np.abs(tgt).max()
 
@@ -100,7 +124,7 @@ def test_vtd_repulsivity_closed_forms(grid):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_rho_round_trip(grid, m):
     rho = L.rho(m, grid)
-    out = L.apply(L.OperatorKind("LQ", m), rho)
+    out = L.apply("LQ", rho)
     tgt = grid.r * q_values(m, grid.r) / (2.0 * (m + 1))
     assert G.l2_samples(grid, out.values - tgt) < 1e-5 * G.l2_samples(grid, tgt)
     assert np.max(np.abs(rho.values.imag)) == 0.0
@@ -124,8 +148,8 @@ def test_rho_composed_identity(grid):
     # i (L_Q* L_Q) rho = i Q
     for m in (1, 2):
         rho = L.rho(m, grid)
-        mid = L.apply(L.OperatorKind("LQ", m), rho)
-        out = L.apply(L.OperatorKind("LQ_star", m), mid)
+        mid = L.apply("LQ", rho)
+        out = L.apply("LQ_star", mid)
         q = soliton_q(m, grid)
         assert G.l2_samples(grid, out.values - q.values) < 1e-4 * G.l2(q)
 
@@ -190,11 +214,10 @@ def test_right_inverse_battery(grid, rng):
     # round-trip residual < 1e-4 for all five invertible kinds
     fields = battery(grid, rng)
     for tag in INVERTIBLE:
-        kind = L.OperatorKind(tag, 1)
         for vals in fields:
-            f = RadialField(kind.range_index, vals, grid)
-            inv = L.right_inverse(kind, f, "outgoing")
-            back = L.apply(kind, inv)
+            f = RadialField(1 + L.INDEX[tag][1], vals, grid)
+            inv = L.right_inverse(tag, f, "outgoing")
+            back = L.apply(tag, inv)
             err = G.l2_samples(grid, back.values - f.values)
             assert err < 1e-4 * G.l2(f), (tag, err / G.l2(f))
 
@@ -205,37 +228,34 @@ def test_right_inverse_higher_index(grid, rng):
     vals = battery(grid, rng, count=1)[0]
     for m in (2, 3):
         for tag in INVERTIBLE:
-            kind = L.OperatorKind(tag, m)
-            f = RadialField(kind.range_index, vals, grid)
-            inv = L.right_inverse(kind, f, "outgoing")
-            back = L.apply(kind, inv)
+            f = RadialField(m + L.INDEX[tag][1], vals, grid)
+            inv = L.right_inverse(tag, f, "outgoing")
+            back = L.apply(tag, inv)
             assert G.l2_samples(grid, back.values - f.values) < 1e-3 * G.l2(f)
 
 
 def test_right_inverse_zero(grid):
     for tag in INVERTIBLE:
-        kind = L.OperatorKind(tag, 1)
-        z = G.zero_field(kind.range_index, grid)
-        assert G.l2(L.right_inverse(kind, z, "outgoing")) == 0.0
+        z = G.zero_field(1 + L.INDEX[tag][1], grid)
+        assert G.l2(L.right_inverse(tag, z, "outgoing")) == 0.0
 
 
 def test_right_inverse_inner_htd(grid, rng):
-    kind = L.OperatorKind("HtdQ", 1)
     for vals in battery(grid, rng, count=3):
         f = RadialField(3, vals, grid)
-        inv = L.right_inverse(kind, f, "inner")
-        back = L.apply(kind, inv)
+        inv = L.right_inverse("HtdQ", f, "inner")
+        back = L.apply("HtdQ", inv)
         assert G.l2_samples(grid, back.values - f.values) < 1e-4 * G.l2(f)
 
 
 def test_right_inverse_branch_validation(grid):
     f = G.zero_field(2, grid)
     with pytest.raises(ValueError):
-        L.right_inverse(L.OperatorKind("LQ", 1), f, "inner")
+        L.right_inverse("LQ", f, "inner")
     with pytest.raises(ValueError):
-        L.right_inverse(L.OperatorKind("LQ", 1), f, "orthogonal")
+        L.right_inverse("LQ", f, "orthogonal")
     with pytest.raises(ValueError):
-        L.right_inverse(L.OperatorKind("LQ", 1), f, "sideways")
+        L.right_inverse("LQ", f, "sideways")
 
 
 def test_outgoing_vanishes_with_input(grid, rng):
@@ -246,9 +266,8 @@ def test_outgoing_vanishes_with_input(grid, rng):
         * (1.0 - G.smooth_bump(y / 0.5))
     a_mask = y <= 0.45
     for tag in INVERTIBLE:
-        kind = L.OperatorKind(tag, 1)
-        f = RadialField(kind.range_index, vals, grid)
-        inv = L.right_inverse(kind, f, "outgoing")
+        f = RadialField(1 + L.INDEX[tag][1], vals, grid)
+        inv = L.right_inverse(tag, f, "outgoing")
         inner_part = np.max(np.abs(inv.values[a_mask]))
         assert inner_part < 1e-12 * max(np.max(np.abs(inv.values)), 1e-300)
 
@@ -261,8 +280,8 @@ def test_adjointness(grid, rng):
     for vals_f, vals_g in zip(battery(grid, rng, 3), battery(grid, rng, 3)):
         f = RadialField(2, vals_f, grid)
         h = RadialField(3, vals_g, grid)
-        lhs = G.inner(L.apply(L.OperatorKind("AQ", 1), f), h)
-        rhs = G.inner(f, L.apply(L.OperatorKind("AQ_star", 1), h))
+        lhs = G.inner(L.apply("AQ", f), h)
+        rhs = G.inner(f, L.apply("AQ_star", h))
         assert abs(lhs - rhs) < 1e-7 * (abs(lhs) + 1.0)
 
 
@@ -273,13 +292,13 @@ def test_factorizations(grid):
     vals = y**2 * np.exp(-y) * (1 + 0.4j)
     f1 = RadialField(2, vals, grid)
     f2 = RadialField(3, vals, grid)
-    hq_pot = L.apply(L.OperatorKind("HQ", 1), f1)
-    hq_fac = L.apply(L.OperatorKind("AQ_star", 1),
-                     L.apply(L.OperatorKind("AQ", 1), f1))
+    hq_pot = L.apply("HQ", f1)
+    hq_fac = L.apply("AQ_star",
+                     L.apply("AQ", f1))
     assert G.l2_samples(grid, hq_pot.values - hq_fac.values) < 1e-8 * G.l2(hq_pot)
-    ht_pot = L.apply(L.OperatorKind("HtdQ", 1), f2)
-    ht_fac = L.apply(L.OperatorKind("AQ", 1),
-                     L.apply(L.OperatorKind("AQ_star", 1), f2))
+    ht_pot = L.apply("HtdQ", f2)
+    ht_fac = L.apply("AQ",
+                     L.apply("AQ_star", f2))
     assert G.l2_samples(grid, ht_pot.values - ht_fac.values) < 1e-8 * G.l2(ht_pot)
 
 
@@ -344,7 +363,7 @@ def test_quadform_identity(grid, rng):
     # integrated-by-parts value equals the direct pairing (Htd_Q f, Lambda_psi f)_r
     w = L.morawetz_weight(0.3, grid)
     f = L.random_smooth_field(3, 2, grid, rng)
-    direct = G.inner(L.apply(L.OperatorKind("HtdQ", 1), f), L.lambda_psi(w, f))
+    direct = G.inner(L.apply("HtdQ", f), L.lambda_psi(w, f))
     qf, _ = L.morawetz_quadform(f, w)
     assert abs(direct - qf) < 1e-6 * abs(qf)
 
@@ -374,5 +393,5 @@ def test_quadform_positive_ratio(grid):
 def test_probe_kernel_direction(grid):
     q = soliton_q(1, grid)
     comb = q.with_values(0.7 * G.scale_gen(q).values + 0.3j * q.values, decay=None)
-    ratio = G.l2(L.apply(L.OperatorKind("LQ", 1), comb)) / G.hdot1(comb)
+    ratio = G.l2(L.apply("LQ", comb)) / G.hdot1(comb)
     assert ratio < 1e-5

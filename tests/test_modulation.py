@@ -245,12 +245,12 @@ def test_virial_seed_falls_back_to_zero(grid, ortho1):
 def test_pairing_builds_no_time_potential(grid, table1, ortho1, monkeypatch):
     # a pairing reads A_theta only: no backward integral (A_t) is built
     calls = []
-    backward = G.backward_dy
+    backward = G.backward
 
     def counted(*args, **kwargs):
         calls.append(1)
         return backward(*args, **kwargs)
-    monkeypatch.setattr(G, "backward_dy", counted)
+    monkeypatch.setattr(G, "backward", counted)
     u = _synthetic_datum(grid, table1, 0.03, 0.02, 0.9, 0.4)
     MOD._pairings(u, ModState(0.9, 0.4, 0.03, 0.02), table1,
                   MOD._quadrature(ortho1))

@@ -393,8 +393,7 @@ def test_t4_matches_the_lstsq_fit(grid, m):
     got = PR.quartic_coefficient(m, grid, (1.0, 0.0))
     assert np.max(np.abs(got - f4)) <= 1e-12 * np.max(np.abs(f4))
     branch = "outgoing" if m == 1 else "inner"
-    want = -L.right_inverse(L.OperatorKind("HtdQ", m),
-                            G.RadialField(m + 2, f4, grid), branch).values
+    want = -L.right_inverse("HtdQ", G.RadialField(m + 2, f4, grid), branch).values
     got = build_t4(m, grid, (1.0, 0.0)).values
     tol = {1: 1e-11, 2: 3e-11}[m]
     assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
