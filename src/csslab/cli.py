@@ -464,6 +464,8 @@ def cmd_verify(ctx, suite, grid, seed, delta, samples, out):
             raise ValueError(f"--delta must lie in [0, 1), got {delta}")
         if samples < 1:
             raise ValueError(f"--samples must be positive, got {samples}")
+        if seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {seed}")
     except ValueError as exc:
         fail(exc, out, usage=True)
     with timed("checks"):
@@ -771,6 +773,11 @@ def cmd_report(rundir, out):
             if bad:
                 raise ValueError(f"{path} has non-finite values in the "
                                  f"columns {','.join(bad)}")
+            dt = np.diff(col["t"])
+            if not ((dt > 0).all() or (dt < 0).all()):
+                raise ValueError(f"{path} needs a strictly monotone t column")
+            if (col["lambda"] <= 0).any():
+                raise ValueError(f"{path} has a lambda that is not positive")
     except (OSError, ValueError) as exc:
         fail(exc, out, usage=True)
     report = {"rundir": rundir, "n_samples": len(raw),

@@ -29,7 +29,7 @@ from .evolve import Monitor
 from .grid import Grid, RadialField
 from .modulation import DecompResult, ModState
 from .profiles import TTable
-from .soliton import SymmetryParams, modulate, sampler, soliton_q
+from .soliton import modulate, sampler, soliton_q
 
 # the constants A and delta (of the weight psi) in the functional F
 DEFAULT_A = 10.0
@@ -325,8 +325,7 @@ def singular_profile_probe(mon: Monitor, ell: float, gamma_star: float) -> dict:
         raise AnnulusUnresolved(
             f"annulus-unresolved: {n_nodes} nodes in "
             f"[{r_a}, {r_b}] (need {_PROBE_MIN_NODES})")
-    q_sharp = modulate(soliton_q(m, grid),
-                       SymmetryParams(mon.d.state.lam, mon.d.state.gamma))
+    q_sharp = modulate(soliton_q(m, grid), mon.d.state.lam, mon.d.state.gamma)
     res = mon.u.values - q_sharp.values
     rm = grid.r ** m
     num = G.integrate_samples(grid, np.where(mask, res * rm, 0.0))

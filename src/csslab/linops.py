@@ -73,20 +73,20 @@ def p_const(m: int) -> float:
 def apply(tag: str, f: RadialField) -> RadialField:
     domain, range_ = INDEX[tag]
     g, r, m = f.grid, f.grid.r, f.m - domain
-    a = a_theta_q(m, r)
-    q = q_values(m, r)
     if tag == "LQ":
         # D_Q f - (2/y) A_theta[Q, f] Q with A_theta[Q, f] = -1/2 C, so + C Q / y
+        q = q_values(m, r)
         c = G.cumulative(g, np.real(q * f.values), 2)
-        vals = G.d_plus(f, a).values + c * q / r
+        vals = G.d_plus(f, a_theta_q(m, r)).values + c * q / r
     elif tag == "LQ_star":
+        q = q_values(m, r)
         tail_p = None if f.decay is None else f.decay + m + 2
         back = G.backward(g, np.real(q * f.values), 1, tail_p)
-        vals = G.d_minus(f, a).values + back * q
+        vals = G.d_minus(f, a_theta_q(m, r)).values + back * q
     elif tag == "AQ":
-        return G.d_plus(f, a)
+        return G.d_plus(f, a_theta_q(m, r))
     elif tag == "AQ_star":
-        return G.d_minus(f, a)
+        return G.d_minus(f, a_theta_q(m, r))
     else:  # HQ, HtdQ
         pot = (v_q if tag == "HQ" else vtd_q)(m, r)
         vals = (-G.d_dr(g, f.values, 2) - G.d_dr(g, f.values, 1) / r

@@ -28,8 +28,8 @@ from . import linops as L
 from . import profiles as PR
 from .grid import Grid, RadialField
 from .profiles import TTable
-from .soliton import (ScaleOutOfRange, SymmetryParams, flat, proximity_fit,
-                      q_values, sampler, soliton_q)
+from .soliton import (ScaleOutOfRange, flat, proximity_fit, q_values,
+                      sampler, soliton_q)
 
 
 class NotInTube(ValueError):
@@ -165,7 +165,7 @@ def _pair4(f: np.ndarray, f1: np.ndarray, quad: tuple) -> np.ndarray:
 
 def _pairings(u: RadialField, state: ModState, table: TTable, quad: tuple,
               sample=None):
-    w = flat(u, SymmetryParams(state.lam, state.gamma), sample)
+    w = flat(u, state.lam, state.gamma, sample)
     chart = PR.assemble(table, state.b, state.eta)
     p, p1 = chart.values()
     eps = w.with_values(w.values - p, decay=None)
@@ -255,11 +255,11 @@ def decompose(u: RadialField, init: ModState | None = None,
 
     def fitted():
         """The cold start and its tube distance."""
-        fit = proximity_fit(u, q, sample)
-        w = flat(u, fit, sample)
+        lam, gamma = proximity_fit(u, q, sample)
+        w = flat(u, lam, gamma, sample)
         if (dist := distance(w)) >= tube_radius:
             raise NotInTube(f"not-in-tube: relative H1 distance {dist:.3f}")
-        return ModState(fit.lam, fit.gamma, _virial_b(w, quad), 0.0), dist
+        return ModState(lam, gamma, _virial_b(w, quad), 0.0), dist
 
     warm = init is not None
     if not warm:
@@ -448,7 +448,7 @@ def ode_integrate(m: int, state0: ModState, t_span: tuple[float, float],
     if sol.t_events[0].size:
         stop = "blowup-reached"
         t_ev = sol.t_events[0][0]
-        msk = t < t_ev
+        msk = t < t_ev if t_span[0] < t_span[1] else t > t_ev
         t = np.append(t[msk], t_ev)
         states = np.column_stack([states[:, msk], sol.y_events[0][0]])
     return {"t": t, "s": states[4], "lambda": states[0], "gamma": states[1],

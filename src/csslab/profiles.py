@@ -1,6 +1,7 @@
 """Modified blow-up profiles P, P1, P2, their parameter derivatives,
 the cubic modulation corrections, the quartic correction T4, and the
-profile-equation residuals with beta-scaling sweeps.
+profile-equation residuals (Psi, Psi1, Psi2 and the phase integral I0)
+with the beta-scaling sweeps of their norms.
 
 Every T-field is a homogeneous polynomial of degree j in the real
 parameters (b, eta) with complex coefficient fields,
@@ -394,27 +395,20 @@ def cutoff_cancellation(grid: Grid, b: float, eta: float) -> np.ndarray:
 # Residuals
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    psi_local_sup: dict          # R -> sup_{r <= R} |Psi|, R in _SUP_RADII
-    psi1_weighted_L1: float      # || Psi_1 / y^2 ||_{L^1}
-    psi2_L2: float
-    psi2_H1: float
-    phase_corr: float            # int_0^infty Re(conj(P) P1) dy
-    fields: dict                 # name -> RadialField
-
-
-_SUP_RADII = (2.0, 5.0)  # radii of the local sup norms of Psi
-
-
 def residuals(table: TTable, b: float, eta: float,
-              t4_dir: RadialField | None = None,
-              cutoffs: bool = True) -> ResidualReport:
-    """The three profile-equation residuals of the chart at (b, eta) (beta <=
-    CHART_BETA) with the formal laws (Mod = 0): lambda_s/lambda = -b,
-    gamma_s = -(m+1) eta - I0, b_s = -(b^2+eta^2) - p3_b, eta_s = -p3_eta.
-    t4_dir adds beta^4 T4 to P2 under the B0 cutoff chi(y beta^{1/2});
-    cutoffs=False leaves both cutoffs off (the quartic extraction)."""
+              t4_dir: RadialField | None = None, cutoffs: bool = True):
+    """(Psi, Psi1, Psi2, I0): the residuals, of index m, m+1 and m+2, of the
+    three profile equations of the chart at (b, eta) (beta <= CHART_BETA)
+
+        i Psi_k = b_s d_b P_k + eta_s d_eta P_k + b Lambda_{-k} P_k
+                  + i gamma_s P_k + i op_k + i I(y) P_k  [- i conj(P) P1^2]
+
+    with op_k = D_P^* P1, A_P^* P2, Htd_P P2, the bracket for k = 2 only,
+    I(y) = int_y^infty Re(conj(P) P1) dy, I0 = I(0), and the formal laws
+    (Mod = 0) lambda_s/lambda = -b, gamma_s = -(m+1) eta - I0, b_s =
+    -(b^2+eta^2) - p3_b, eta_s = -p3_eta. t4_dir adds beta^4 T4 to P2 under
+    the B0 cutoff chi(y beta^{1/2}); cutoffs=False leaves both cutoffs off
+    (the quartic extraction)."""
     m, grid = table.m, table.grid
     y = grid.r
     beta = math.hypot(b, eta)
@@ -424,65 +418,36 @@ def residuals(table: TTable, b: float, eta: float,
         raise GridTooSmall(
             f"grid-too-small: 2 B1 = {2/beta:g} exceeds r_max = {grid.r_max:g}")
     chart = assemble(table, b, eta, cutoffs)
-    (p_vals, p1_vals), p2_vals = chart.values(), chart.p2()
-    (p_db, p_de), (p1_db, p1_de), (p2_db, p2_de) = (chart.derivs(k)
-                                                    for k in range(3))
+    vals = [*chart.values(), chart.p2()]
+    derivs = [chart.derivs(k) for k in range(3)]
     if t4_dir is not None:
         chi0, slope0 = _cutoff(y, beta, 0.5) if chart.cut else (1.0, 0.0)
         t4 = beta**4 * t4_dir.values
-        p2_vals = p2_vals + chi0 * t4
-        p2_db = (p2_db + chi0 * 4.0 * beta**2 * b * t4_dir.values
-                 + slope0 * b * t4)
-        p2_de = (p2_de + chi0 * 4.0 * beta**2 * eta * t4_dir.values
-                 + slope0 * eta * t4)
-    P = RadialField(m, p_vals, grid, decay=float(m + 2))
-    P1, P2 = RadialField(m + 1, p1_vals, grid), RadialField(m + 2, p2_vals, grid)
+        vals[2] = vals[2] + chi0 * t4
+        derivs[2] = [d + chi0 * 4.0 * beta**2 * c * t4_dir.values
+                     + slope0 * c * t4 for d, c in zip(derivs[2], (b, eta))]
+    fields = [RadialField(m + k, v, grid) for k, v in enumerate(vals)]
+    p, p1, p2 = vals
 
     p3b, p3e = p3(m, b, eta)
     b_s = -(b**2 + eta**2) - p3b
     eta_s = -p3e
-
-    a_theta = GA.gauge_fields(P)
-    dens01 = np.real(np.conj(p_vals) * p1_vals)
-    i_tail = G.backward(grid, dens01, 1)
+    a_theta = GA.gauge_fields(fields[0])
+    i_tail = G.backward(grid, np.real(np.conj(p) * p1), 1)
     i0 = float(i_tail[0])
     gamma_s = -(m + 1) * eta - i0
 
-    def lam_k(fld, k):
-        return G.scale_gen(fld, s=-float(k)).values
-
-    d_star_p1 = G.d_minus(P1, a_theta).values
-    lhs0 = (b_s * p_db + eta_s * p_de
-            + b * lam_k(P, 0) + 1j * gamma_s * p_vals
-            + 1j * d_star_p1 + 1j * i_tail * p_vals)
-    psi = -1j * lhs0
-
-    a_star_p2 = G.d_minus(P2, a_theta).values
-    lhs1 = (b_s * p1_db + eta_s * p1_de
-            + b * lam_k(P1, 1) + 1j * gamma_s * p1_vals
-            + 1j * a_star_p2 + 1j * i_tail * p1_vals)
-    psi1 = -1j * lhs1
-
-    vtd = (m + 2 + a_theta) ** 2 + 0.5 * y**2 * np.abs(p_vals) ** 2
-    htd_p2 = (-G.d_dr(grid, p2_vals, 2) - G.d_dr(grid, p2_vals, 1) / y
-              + vtd / y**2 * p2_vals)
-    lhs2 = (b_s * p2_db + eta_s * p2_de
-            + b * lam_k(P2, 2) + 1j * gamma_s * p2_vals
-            + 1j * htd_p2 + 1j * i_tail * p2_vals
-            - 1j * np.conj(p_vals) * p1_vals**2)
-    psi2 = -1j * lhs2
-
-    psi_f = RadialField(m, psi, grid)
-    psi1_f = RadialField(m + 1, psi1, grid)
-    psi2_f = RadialField(m + 2, psi2, grid)
-
-    local_sup = {R: float(np.max(np.abs(psi[y <= R]))) for R in _SUP_RADII}
-    psi1_l1 = float(G.integrate_samples(grid, np.abs(psi1) / y**2))
-
-    return ResidualReport(
-        psi_local_sup=local_sup, psi1_weighted_L1=psi1_l1,
-        psi2_L2=G.l2(psi2_f), psi2_H1=G.hdot1(psi2_f), phase_corr=i0,
-        fields={"Psi": psi_f, "Psi1": psi1_f, "Psi2": psi2_f})
+    vtd = (m + 2 + a_theta) ** 2 + 0.5 * y**2 * np.abs(p) ** 2
+    ops = [G.d_minus(f, a_theta).values for f in fields[1:]] + [
+        -G.d_dr(grid, p2, 2) - G.d_dr(grid, p2, 1) / y + vtd / y**2 * p2]
+    psis = []
+    for k, (f, (d_b, d_eta), op) in enumerate(zip(fields, derivs, ops)):
+        lhs = (b_s * d_b + eta_s * d_eta + b * G.scale_gen(f, s=-k).values
+               + 1j * gamma_s * f.values + 1j * op + 1j * i_tail * f.values)
+        if k == 2:
+            lhs = lhs - 1j * np.conj(p) * p1**2
+        psis.append(RadialField(m + k, -1j * lhs, grid))
+    return (*psis, i0)
 
 
 def taylor_deviations(table: TTable, b: float, eta: float) -> dict:
@@ -566,7 +531,7 @@ def quartic_coefficient(m: int, grid: Grid, direction: tuple[float, float],
     f4 = np.zeros(grid.n, dtype=complex)
     for s, weight in zip(s_values, pinv[_FIT_DEGREES.index(4)]):
         f4 += weight * residuals(table, s * db, s * de, t4_dir,
-                                 cutoffs=False).fields["Psi2"].values
+                                 cutoffs=False)[2].values
     return f4
 
 
@@ -576,11 +541,13 @@ def quartic_coefficient(m: int, grid: Grid, direction: tuple[float, float],
 
 def scaling_sweep(m: int, betas, direction: tuple[float, float],
                   grid: Grid, include_t4: bool = True) -> dict:
-    """Log-log slope fits of the residual norms against beta."""
+    """The residual norms at each beta (sup |Psi| on y <= 2 and 5,
+    ||Psi1/y^2||_L1, Psi2 in L2 and H1-dot, |I0 + 2(m+1) eta|) and the
+    Taylor deviations, with log-log slope fits against beta."""
     db, de = direction
     norm = math.hypot(db, de)
     db, de = db / norm, de / norm
-    table = build_t_tables(m, grid)
+    table, y = build_t_tables(m, grid), grid.r
     t4_dir = build_t4(m, grid, (db, de)) if include_t4 else None
     series: dict[str, list[float]] = {
         "psi_sup_R2": [], "psi_sup_R5": [], "psi1_L1w": [],
@@ -589,14 +556,14 @@ def scaling_sweep(m: int, betas, direction: tuple[float, float],
     }
     for beta in betas:
         b, eta = beta * db, beta * de
-        rep = residuals(table, b, eta, t4_dir)
-        series["psi_sup_R2"].append(rep.psi_local_sup[2.0])
-        series["psi_sup_R5"].append(rep.psi_local_sup[5.0])
-        series["psi1_L1w"].append(rep.psi1_weighted_L1)
-        series["psi2_L2"].append(rep.psi2_L2)
-        series["psi2_H1"].append(rep.psi2_H1)
-        series["phase_corr_dev"].append(
-            abs(rep.phase_corr + 2.0 * (m + 1) * eta))
+        psi, psi1, psi2, i0 = residuals(table, b, eta, t4_dir)
+        for name, radius in (("psi_sup_R2", 2.0), ("psi_sup_R5", 5.0)):
+            series[name].append(float(np.max(np.abs(psi.values[y <= radius]))))
+        series["psi1_L1w"].append(
+            float(G.integrate_samples(grid, np.abs(psi1.values) / y**2)))
+        series["psi2_L2"].append(G.l2(psi2))
+        series["psi2_H1"].append(G.hdot1(psi2))
+        series["phase_corr_dev"].append(abs(i0 + 2.0 * (m + 1) * eta))
         for name, val in taylor_deviations(table, b, eta).items():
             series[name].append(val)
     logb = np.log(np.asarray(betas, dtype=float))

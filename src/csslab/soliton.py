@@ -3,13 +3,13 @@
 Q(r) = sqrt(8) (m+1) r^m / (1 + r^{2m+2}) solves the Bogomol'nyi equation
 D_Q Q = 0 and has zero energy. The pseudoconformal image of the static
 orbit is S(t, r) = (1/|t|) Q(r/|t|) exp(-i r^2 / (4|t|)), blowing up at
-t = 0 with rate lambda(t) = |t|.
+t = 0 with rate lambda(t) = |t|. A point (lambda, gamma) of the orbit is two
+numbers: modulate and flat take them, and proximity_fit returns them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -24,16 +24,6 @@ class ScaleOutOfRange(ValueError):
 
 class UnsupportedIndex(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class SymmetryParams:
-    lam: float
-    gamma: float
-
-    def __post_init__(self):
-        if not (self.lam > 0):
-            raise ScaleOutOfRange(f"lambda must be positive, got {self.lam}")
 
 
 def soliton_q(m: int, grid: Grid) -> RadialField:
@@ -119,12 +109,14 @@ def sampler(f: RadialField):
     return sample
 
 
-def modulate(f: RadialField, p: SymmetryParams, tol: float = 1e-6,
+def modulate(f: RadialField, lam: float, gamma: float, tol: float = 1e-6,
              sample=None) -> RadialField:
     """f^sharp = (e^{i gamma}/lambda) f(r/lambda) resampled on f's own grid,
-    through `sample`, a sampler(f) the caller already built, or a new one."""
+    through `sample`, a sampler(f) the caller already built, or a new one.
+    A lambda that is not positive (NaN too) raises ScaleOutOfRange."""
+    if not lam > 0:
+        raise ScaleOutOfRange(f"lambda must be positive, got {lam}")
     g = f.grid
-    lam = p.lam
     if lam < 1.0 and f.decay is None:
         # content of f beyond lam * r_max is pushed off the grid; measure it
         mask = g.r > lam * g.r_max
@@ -135,13 +127,13 @@ def modulate(f: RadialField, p: SymmetryParams, tol: float = 1e-6,
                 f"scale-out-of-range: lambda={lam} drops {lost/total:.2e} of the field")
     if sample is None:
         sample = sampler(f)
-    vals = np.exp(1j * p.gamma) / lam * sample(g.r / lam)
+    vals = np.exp(1j * gamma) / lam * sample(g.r / lam)
     return RadialField(f.m, vals, g, f.decay)
 
 
-def flat(f: RadialField, p: SymmetryParams, sample=None) -> RadialField:
+def flat(f: RadialField, lam: float, gamma: float, sample=None) -> RadialField:
     """Inverse of modulate: f^flat = lambda e^{-i gamma} f(lambda r)."""
-    return modulate(f, SymmetryParams(1.0 / p.lam, -p.gamma), sample=sample)
+    return modulate(f, 1.0 / lam, -gamma, sample=sample)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +160,7 @@ def pseudoconformal(f: RadialField, t: float) -> RadialField:
     if not (t < 0):
         raise ScaleOutOfRange("transform evaluated for t < 0 only")
     lam = abs(t)
-    scaled = modulate(f, SymmetryParams(lam, 0.0))
+    scaled = modulate(f, lam, 0.0)
     phase = np.exp(1j * f.grid.r**2 / (4.0 * t))
     return RadialField(f.m, scaled.values * phase, f.grid, f.decay)
 
@@ -178,7 +170,7 @@ def pseudoconformal(f: RadialField, t: float) -> RadialField:
 
 
 def proximity_fit(u: RadialField, q: RadialField | None = None,
-                  sample=None) -> SymmetryParams:
+                  sample=None) -> tuple[float, float]:
     """Seed (lambda, gamma) for decomposition: lambda from the H1-norm ratio,
     gamma from the argument of the complex H1 pairing with Q. `sample` is
     a prebuilt sampler(u), as for modulate."""
@@ -189,12 +181,11 @@ def proximity_fit(u: RadialField, q: RadialField | None = None,
         raise ValueError("zero-field")
     lam_hat = G.hdot1(q) / nu
     # seed-quality rescale; allow a little tail loss for undeclared decays
-    ub = modulate(u, SymmetryParams(1.0 / lam_hat, 0.0), tol=1e-3,
-                  sample=sample)
+    ub = modulate(u, 1.0 / lam_hat, 0.0, tol=1e-3, sample=sample)
     g = u.grid
     du = G.d_dr(g, ub.values, 1)
     dq = G.d_dr(g, q.values, 1)
     dens = du * np.conj(dq) + (u.m / g.r) ** 2 * ub.values * np.conj(q.values)
     pair = complex(G.integrate_samples(g, dens))
     gamma_hat = math.atan2(pair.imag, pair.real) % (2.0 * math.pi)
-    return SymmetryParams(lam_hat, gamma_hat)
+    return lam_hat, gamma_hat

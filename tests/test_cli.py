@@ -25,8 +25,7 @@ from csslab import cli as CLI
 from csslab import evolve as EV
 from csslab.cli import dumps17, fmt17, main
 from csslab.grid import RadialField
-from csslab.soliton import (ScaleOutOfRange, SymmetryParams, blowup_s,
-                            modulate, soliton_q)
+from csslab.soliton import ScaleOutOfRange, blowup_s, modulate, soliton_q
 
 
 @pytest.fixture()
@@ -1039,7 +1038,7 @@ def test_evolve_manifest_counters(runner, outroot):
 def test_decompose_field_file(runner, tmp_path, outroot):
     grid = G.build_grid()
     q = soliton_q(1, grid)
-    u = modulate(q, SymmetryParams(0.8, 0.7))
+    u = modulate(q, 0.8, 0.7)
     rows = ["r,re,im"]
     for r, v in zip(grid.r, u.values):
         rows.append(f"{r:.17g},{v.real:.17g},{v.imag:.17g}")
@@ -1196,6 +1195,59 @@ def test_empty_data_file_is_a_clean_usage_error(tmp_path, verb, text, error):
     assert res.stderr.endswith(f"{error}\n")
     manifest = json.loads((tmp_path / "runs" / "e" / "manifest.json").read_text())
     assert manifest["error"].startswith("ValueError") and error in manifest["error"]
+
+
+@pytest.mark.parametrize("suite", ["identities", "inverses", "coercivity",
+                                   "morawetz"])
+def test_negative_seed_is_usage_error(tmp_path, suite):
+    # numpy's default_rng(-1) raised past the usage checks, with no manifest
+    res = _run_module(["verify", suite, "--grid", "n=256", "--seed", "-1",
+                       "--out", "vneg"], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    errors = [ln for ln in res.stderr.splitlines() if ln.startswith("Error:")]
+    assert errors == ["Error: ValueError: --seed must be non-negative, got -1"]
+    manifest = json.loads((tmp_path / "runs" / "vneg" / "manifest.json")
+                          .read_text())
+    assert "--seed must be non-negative" in manifest["error"]
+
+
+@pytest.mark.parametrize("t, lam, error", [
+    ([1.0] * 5, [0.5, 0.4, 0.3, 0.2, 0.1], "needs a strictly monotone t column"),
+    ([0.0, 0.1, 0.1, 0.2, 0.3], [0.5, 0.4, 0.3, 0.2, 0.1],
+     "needs a strictly monotone t column"),
+    ([0.0, 0.2, 0.1, 0.3, 0.4], [0.5, 0.4, 0.3, 0.2, 0.1],
+     "needs a strictly monotone t column"),
+    ([0.0, 0.1, 0.2, 0.3, 0.4], [0.5, 0.4, 0.3, 0.2, 0.0],
+     "has a lambda that is not positive"),
+    ([0.0, 0.1, 0.2, 0.3, 0.4], [0.5, -0.4, 0.3, 0.2, 0.1],
+     "has a lambda that is not positive"),
+], ids=["t-constant", "t-repeated", "t-unordered", "lambda-zero",
+        "lambda-negative"])
+def test_malformed_series_is_a_clean_usage_error(tmp_path, t, lam, error):
+    # the polyfit of report's asymptotics warned (RankWarning, or a divide
+    # by zero) and printed a meaningless fit, exiting 0
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "series.csv").write_text(
+        "t,lambda,gamma,b,eta\n" + "".join(
+            f"{ti!r},{li!r},0,0.1,0\n" for ti, li in zip(t, lam)))
+    res = _run_module(["report", "run", "--out", "e"], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "Warning" not in res.stderr and "Traceback" not in res.stderr
+    assert res.stderr.endswith(f"{error}\n")
+    manifest = json.loads((tmp_path / "runs" / "e" / "manifest.json").read_text())
+    assert manifest["error"].startswith("ValueError") and error in manifest["error"]
+
+
+def test_report_reads_a_backward_series(runner, outroot):
+    # an ode run with a decreasing window writes decreasing t
+    res = runner.invoke(main, ["ode", "--m", "1", "--eta0", "0", "--lam0",
+                               "0.05", "--b0", "-0.05", "--window", "0.075,0",
+                               "--out", "back"])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["report", str(outroot / "back")])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["n_samples"] == 262
 
 
 @pytest.mark.parametrize("args", [

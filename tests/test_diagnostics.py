@@ -19,7 +19,7 @@ from csslab import linops as L
 from csslab import modulation as MOD
 from csslab import profiles as PR
 from csslab.evolve import Monitor, SolverConfig, run
-from csslab.soliton import SymmetryParams, blowup_s, modulate
+from csslab.soliton import blowup_s, modulate
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +81,7 @@ def test_frame_scale_invariance(grid):
     u = blowup_s(1, -0.8, grid)
     d1 = MOD.decompose(u, tube_radius=0.5)
     fr1 = D.frame(d1, GA.energy_mass(u)[0])
-    u2 = modulate(u, SymmetryParams(1.15, 0.0))
+    u2 = modulate(u, 1.15, 0.0)
     d2 = MOD.decompose(u2, tube_radius=0.5)
     fr2 = D.frame(d2, GA.energy_mass(u2)[0])
     assert d2.state.lam == pytest.approx(1.15 * d1.state.lam, rel=1e-6)
@@ -226,7 +226,7 @@ def test_no_shared_array_is_written(grid, s_traj):
     before = [a.tobytes() for a in arrays]
     p = G.RadialField(1, PR.assemble(table, 0.03, 0.02).p, grid, decay=3.0)
     # beta inside the chart, then beyond it
-    for u in (modulate(p, SymmetryParams(0.9, 0.4)), blowup_s(1, -0.5, grid)):
+    for u in (modulate(p, 0.9, 0.4), blowup_s(1, -0.5, grid)):
         D.frame(MOD.decompose(u, tube_radius=0.5), 1.0)
     traj, mons = s_traj
     D.frames_along(mons, traj.series)

@@ -23,8 +23,8 @@ from csslab.modulation import (DecompResult, ModState, NotInTube,
                                build_ortho_profiles, corrected_params,
                                decompose, ode_integrate, ode_rhs)
 from csslab.profiles import GridTooSmall
-from csslab.soliton import (ScaleOutOfRange, SymmetryParams, blowup_s,
-                             modulate, q_values, soliton_q)
+from csslab.soliton import (ScaleOutOfRange, blowup_s, modulate, q_values,
+                             soliton_q)
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +96,7 @@ def test_per_grid_builds_are_shared():
 
 
 def test_second_decomposition_builds_nothing(grid):
-    u = modulate(soliton_q(1, grid), SymmetryParams(1.3, 0.7))
+    u = modulate(soliton_q(1, grid), 1.3, 0.7)
     decompose(u)
     caches = (PR.build_t_tables, build_ortho_profiles)
     misses = [f.cache_info().misses for f in caches]
@@ -114,7 +114,7 @@ def _wrap(x):
 
 def test_decompose_exact_orbit(grid):
     q = soliton_q(1, grid)
-    u = modulate(q, SymmetryParams(1.3, 0.7))
+    u = modulate(q, 1.3, 0.7)
     d = decompose(u)
     assert d.converged
     assert d.state.lam == pytest.approx(1.3, rel=1e-7)
@@ -128,7 +128,7 @@ def _synthetic_datum(grid, table, b, eta, lam, gamma, amp=1e-3):
     y = grid.r
     bump = amp * y * np.exp(-((y - 1.5) ** 2)) * (1.0 + 0.5j)
     v = RadialField(1, PR.assemble(table, b, eta).p + bump, grid, decay=3.0)
-    return modulate(v, SymmetryParams(lam, gamma))
+    return modulate(v, lam, gamma)
 
 
 def test_decompose_round_trip(grid, table1):
@@ -141,7 +141,7 @@ def test_decompose_round_trip(grid, table1):
     s1 = d1.state
     p = PR.assemble(table1, s1.b, s1.eta).p
     w = RadialField(1, p + d1.eps.values, grid, decay=3.0)
-    u2 = modulate(w, SymmetryParams(1.1, -0.3))
+    u2 = modulate(w, 1.1, -0.3)
     d2 = decompose(u2)
     assert d2.state.lam == pytest.approx(1.1, rel=1e-8)
     assert _wrap(d2.state.gamma + 0.3) == pytest.approx(0.0, abs=1e-8)
@@ -153,7 +153,7 @@ def test_decompose_round_trip(grid, table1):
 def test_decompose_equivariance(grid, table1):
     u = _synthetic_datum(grid, table1, 0.02, -0.01, 1.0, 0.2)
     d1 = decompose(u)
-    u2 = modulate(u, SymmetryParams(1.2, 0.5))
+    u2 = modulate(u, 1.2, 0.5)
     d2 = decompose(u2)
     assert d2.state.lam == pytest.approx(1.2 * d1.state.lam, rel=1e-6)
     assert _wrap(d2.state.gamma - d1.state.gamma - 0.5) == pytest.approx(0.0, abs=1e-6)
@@ -201,11 +201,11 @@ def test_virial_seed_saves_newton_iterations(grid, monkeypatch, m, t):
     # from b = 0 at the same fit Newton takes more steps to the same state
     u = blowup_s(m, t, grid)
     start, d = _cold_start(u, monkeypatch)
-    fit = MOD.proximity_fit(u, soliton_q(m, grid))
-    assert (start.lam, start.gamma, start.eta) == (fit.lam, fit.gamma, 0.0)
+    lam, gamma = MOD.proximity_fit(u, soliton_q(m, grid))
+    assert (start.lam, start.gamma, start.eta) == (lam, gamma, 0.0)
     # about (lam_fit / lam)^2 b: b at the scale of the proximity fit
     assert start.b == pytest.approx(-t, rel=0.15)
-    from_zero = decompose(u, init=ModState(fit.lam, fit.gamma, 0.0, 0.0),
+    from_zero = decompose(u, init=ModState(lam, gamma, 0.0, 0.0),
                           tube_radius=0.5)
     assert d.converged and from_zero.converged
     assert d.iterations < from_zero.iterations
@@ -230,7 +230,7 @@ def test_virial_seed_ignores_radiation_beyond_the_core(grid, monkeypatch):
 
 def test_virial_seed_is_zero_on_the_soliton(grid, monkeypatch):
     q = soliton_q(1, grid)
-    for u in (q, modulate(q, SymmetryParams(1.3, 0.7))):
+    for u in (q, modulate(q, 1.3, 0.7)):
         assert abs(_cold_start(u, monkeypatch, 0.2)[0].b) < 1e-6
 
 
@@ -290,10 +290,10 @@ def test_decompose_not_in_tube_warm(grid, monkeypatch):
 
 def test_decompose_stale_prediction_falls_back_to_the_fit(grid, monkeypatch):
     q = soliton_q(1, grid)
-    u = modulate(q, SymmetryParams(1.3, 0.7))
+    u = modulate(q, 1.3, 0.7)
     cold = decompose(u)
     stale = ModState(1.6, 0.7, 0.0, 0.0)
-    w = MOD.flat(u, SymmetryParams(stale.lam, stale.gamma))
+    w = MOD.flat(u, stale.lam, stale.gamma)
     assert G.hdot1(w.with_values(w.values - q.values)) / G.hdot1(q) > 0.2
     fits = _count_calls(monkeypatch, "proximity_fit")
     d = decompose(u, init=stale)
@@ -325,7 +325,7 @@ def _eps2_reference(u, state, table):
     P1 (assembling at (b_c, eta_c) would round beta_c just above
     CHART_BETA and factor the phase a second time)."""
     grid = u.grid
-    w = MOD.flat(u, SymmetryParams(state.lam, state.gamma))
+    w = MOD.flat(u, state.lam, state.gamma)
     a_theta = GA.gauge_fields(w)
     a_w = G.d_plus(G.d_plus(w, a_theta), a_theta)
     chart = PR.assemble(table, state.b, state.eta)
@@ -355,11 +355,10 @@ def test_eps2_is_a_w_minus_the_full_p2(grid, table1, monkeypatch, case):
         u = _synthetic_datum(grid, table1, 0.03, 0.02, 0.9, 0.4)
     elif case == "no_cutoffs":
         p = PR.assemble(table1, 0.004, 0.003, cutoffs=False).p
-        u = modulate(RadialField(1, p, grid, decay=3.0),
-                     SymmetryParams(0.9, 0.3))
+        u = modulate(RadialField(1, p, grid, decay=3.0), 0.9, 0.3)
     elif case == "beta_zero":  # Newton stops at its start, b = eta = 0
         monkeypatch.setattr(MOD, "_NEWTON_TOL", 1.0)
-        u = modulate(soliton_q(1, grid), SymmetryParams(1.1, 0.2))
+        u = modulate(soliton_q(1, grid), 1.1, 0.2)
         init = ModState(1.1, 0.2, 0.0, 0.0)
     else:
         u = blowup_s(1, -0.5, grid)
@@ -412,18 +411,17 @@ def _pinned_fields():
         return 1e-3 * c * g.r**m * np.exp(-(np.log(g.r) - x0) ** 2)
 
     def sym():
-        return SymmetryParams(rng.uniform(0.8, 1.25),
-                              rng.uniform(0.0, 2.0 * math.pi))
+        return rng.uniform(0.8, 1.25), rng.uniform(0.0, 2.0 * math.pi)
 
     yield "S(-0.5)", blowup_s(1, -0.5, grid), 0.5
     for m in (1, 2):
         q = soliton_q(m, grid)
         yield f"Q m={m}", modulate(q.with_values(q.values + bump(grid, m)),
-                                   sym()), 0.2
+                                   *sym()), 0.2
     b, eta = rng.uniform(0.02, 0.06, 2) * rng.choice([-1.0, 1.0], 2)
     p = PR.assemble(PR.build_t_tables(1, grid), b, eta).p
     yield "P m=1", modulate(RadialField(1, p + bump(grid, 1), grid, decay=3.0),
-                            sym()), 0.2
+                            *sym()), 0.2
     big = G.build_grid(1e-3, 100.0, 16384)
     s = blowup_s(1, -0.6, big)
     yield "S(-0.6) n=16384", s.with_values(s.values * (1.0 + bump(big, 0))), 0.5
@@ -567,7 +565,7 @@ def test_failed_decomposition_carries_its_iterations(grid, monkeypatch,
                                                      failure):
     # from a stale start Newton takes five pairings; the third pairing
     # fails, or the third Jacobian is singular
-    u = modulate(soliton_q(1, grid), SymmetryParams(1.3, 0.7))
+    u = modulate(soliton_q(1, grid), 1.3, 0.7)
     init = ModState(1.6, 0.7, 0.0, 0.0)
     name = "_pairings" if failure == "pairing" else "_jacobian"
     original, calls = getattr(MOD, name), []
@@ -652,8 +650,7 @@ def test_analytic_jacobian_matches_central_differences(grid, ortho1, table1,
         s = ModState(1.01, 0.05, 0.019, 0.006)
     elif case == "no_cutoffs":  # 2/beta > r_max: the chart drops the cutoffs
         p = PR.assemble(table1, 0.004, 0.003, cutoffs=False).p
-        u = modulate(RadialField(1, p, grid, decay=3.0),
-                     SymmetryParams(0.9, 0.3))
+        u = modulate(RadialField(1, p, grid, decay=3.0), 0.9, 0.3)
         s = ModState(0.91, 0.28, 0.004, 0.003)
         assert 2.0 / s.beta > grid.r_max
     else:  # beyond CHART_BETA: the phase-factored chart
@@ -873,6 +870,19 @@ def test_ode_integrate_blowup_event():
                         lam_min=1e-3)
     assert out["stop"] == "blowup-reached"
     assert out["lambda"][-1] <= 2e-3
+
+
+def test_backward_run_to_the_floor_keeps_its_samples(grid):
+    # backward in t from t0 = 0.075 the scale falls to the floor near
+    # t = 0.026; the run keeps the samples it passed before the event
+    lam_min = 1e-3
+    out = ode_integrate(1, ModState(0.05, 0.0, -0.05, 0.0), (0.075, 0.0),
+                        grid=grid, lam_min=lam_min)
+    t, t_eval = out["t"], np.linspace(0.075, 0.0, 400)
+    assert out["stop"] == "blowup-reached"
+    assert np.array_equal(t[:-1], t_eval[t_eval > t[-1]])
+    assert (np.diff(t) < 0).all() and t[0] == 0.075
+    assert out["lambda"][-1] == pytest.approx(lam_min, rel=1e-9)
 
 
 def test_cubic_rigidity_m1():

@@ -226,8 +226,8 @@ def test_cutoff_cancellation_rounding_zero(grid):
 
 
 def test_residuals_zero_params(grid, table1):
-    rep = residuals(table1, 0.0, 0.0)
-    for f in rep.fields.values():
+    *psis, _ = residuals(table1, 0.0, 0.0)
+    for f in psis:
         assert not np.any(f.values)
 
 
@@ -235,21 +235,98 @@ def test_residuals_zero_params(grid, table1):
 def test_residual_support(grid, m):
     beta = 0.04
     tab = build_t_tables(m, grid)
-    rep = residuals(tab, beta * 0.8, beta * 0.6)
+    psi, psi1, psi2, _ = residuals(tab, beta * 0.8, beta * 0.6)
     far = grid.r >= 4.0 / beta
     # Psi1, Psi2 are pure profile content: cut off exactly
-    assert not np.any(rep.fields["Psi1"].values[far])
-    assert not np.any(rep.fields["Psi2"].values[far])
+    assert not np.any(psi1.values[far])
+    assert not np.any(psi2.values[far])
     # Psi keeps the O(beta Q) far tail of the Q-equation terms, nothing more
     qf = q_values(m, grid.r[far])
-    assert np.abs(rep.fields["Psi"].values[far]).max() < 5.0 * beta * qf.max()
+    assert np.abs(psi.values[far]).max() < 5.0 * beta * qf.max()
 
 
 def test_phase_correction(grid, table1):
     for beta in (0.04, 0.02, 0.01):
         eta = 0.8 * beta
-        rep = residuals(table1, 0.6 * beta, eta)
-        assert abs(rep.phase_corr + 4.0 * eta) < 2.0 * beta**2
+        i0 = residuals(table1, 0.6 * beta, eta)[3]
+        assert abs(i0 + 4.0 * eta) < 2.0 * beta**2
+
+
+def _residuals_reference(table, b, eta, t4_dir=None, cutoffs=True):
+    """(Psi, Psi1, Psi2, I0) written out one block per profile equation:
+    the reference that residuals' one loop reproduces bit for bit."""
+    m, grid = table.m, table.grid
+    y = grid.r
+    beta = math.hypot(b, eta)
+    chart = assemble(table, b, eta, cutoffs)
+    (p_vals, p1_vals), p2_vals = chart.values(), chart.p2()
+    (p_db, p_de), (p1_db, p1_de), (p2_db, p2_de) = (chart.derivs(k)
+                                                    for k in range(3))
+    if t4_dir is not None:
+        chi0, slope0 = PR._cutoff(y, beta, 0.5) if chart.cut else (1.0, 0.0)
+        t4 = beta**4 * t4_dir.values
+        p2_vals = p2_vals + chi0 * t4
+        p2_db = (p2_db + chi0 * 4.0 * beta**2 * b * t4_dir.values
+                 + slope0 * b * t4)
+        p2_de = (p2_de + chi0 * 4.0 * beta**2 * eta * t4_dir.values
+                 + slope0 * eta * t4)
+    P = G.RadialField(m, p_vals, grid, decay=float(m + 2))
+    P1 = G.RadialField(m + 1, p1_vals, grid)
+    P2 = G.RadialField(m + 2, p2_vals, grid)
+
+    p3b, p3e = p3(m, b, eta)
+    b_s = -(b**2 + eta**2) - p3b
+    eta_s = -p3e
+
+    a_theta = GA.gauge_fields(P)
+    dens01 = np.real(np.conj(p_vals) * p1_vals)
+    i_tail = G.backward(grid, dens01, 1)
+    i0 = float(i_tail[0])
+    gamma_s = -(m + 1) * eta - i0
+
+    def lam_k(fld, k):
+        return G.scale_gen(fld, s=-float(k)).values
+
+    d_star_p1 = G.d_minus(P1, a_theta).values
+    lhs0 = (b_s * p_db + eta_s * p_de
+            + b * lam_k(P, 0) + 1j * gamma_s * p_vals
+            + 1j * d_star_p1 + 1j * i_tail * p_vals)
+    psi = -1j * lhs0
+
+    a_star_p2 = G.d_minus(P2, a_theta).values
+    lhs1 = (b_s * p1_db + eta_s * p1_de
+            + b * lam_k(P1, 1) + 1j * gamma_s * p1_vals
+            + 1j * a_star_p2 + 1j * i_tail * p1_vals)
+    psi1 = -1j * lhs1
+
+    vtd = (m + 2 + a_theta) ** 2 + 0.5 * y**2 * np.abs(p_vals) ** 2
+    htd_p2 = (-G.d_dr(grid, p2_vals, 2) - G.d_dr(grid, p2_vals, 1) / y
+              + vtd / y**2 * p2_vals)
+    lhs2 = (b_s * p2_db + eta_s * p2_de
+            + b * lam_k(P2, 2) + 1j * gamma_s * p2_vals
+            + 1j * htd_p2 + 1j * i_tail * p2_vals
+            - 1j * np.conj(p_vals) * p1_vals**2)
+    psi2 = -1j * lhs2
+    return psi, psi1, psi2, i0
+
+
+@pytest.mark.parametrize("n", [4096, 16384])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_residuals_are_the_three_blocks_bit_for_bit(n, m):
+    grid = G.build_grid() if n == 4096 else G.build_grid(1e-3, 100.0, n)
+    table = build_t_tables(m, grid)
+    t4 = build_t4(m, grid, (0.6, 0.8))
+    for t4_dir in (None, t4):
+        for cutoffs in (True, False):
+            for b, eta in ((0.024, 0.032), (0.05, 0.0), (-0.03, 0.07)):
+                *got, i0 = residuals(table, b, eta, t4_dir, cutoffs)
+                *want, want_i0 = _residuals_reference(table, b, eta, t4_dir,
+                                                      cutoffs)
+                assert [f.m for f in got] == [m, m + 1, m + 2]
+                for f, w in zip(got, want):
+                    assert (f.values.view(np.uint64) == w.view(np.uint64)).all()
+                assert (np.float64(i0).view(np.uint64)
+                        == np.float64(want_i0).view(np.uint64))
 
 
 def test_compat_defect_scalings(grid, table1):
@@ -386,8 +463,7 @@ def test_t4_matches_the_lstsq_fit(grid, m):
     table = build_t_tables(m, grid)
     rows = []
     for s in s_values:
-        rows.append(residuals(table, s, 0.0,
-                              cutoffs=False).fields["Psi2"].values)
+        rows.append(residuals(table, s, 0.0, cutoffs=False)[2].values)
     smat = np.array([[s**d for d in range(3, 9)] for s in s_values])
     f4 = np.linalg.lstsq(smat, np.array(rows), rcond=None)[0][1]
     got = PR.quartic_coefficient(m, grid, (1.0, 0.0))

@@ -12,9 +12,9 @@ import pytest
 from csslab import gauge as GA
 from csslab import grid as G
 from csslab import soliton as S
-from csslab.soliton import (ScaleOutOfRange, SymmetryParams, UnsupportedIndex,
-                            blowup_s, flat, modulate, proximity_fit,
-                            pseudoconformal, soliton_q)
+from csslab.soliton import (ScaleOutOfRange, UnsupportedIndex, blowup_s,
+                            flat, modulate, proximity_fit, pseudoconformal,
+                            soliton_q)
 
 
 def test_q_pointwise(grid):
@@ -45,23 +45,24 @@ def test_q_invalid_index(grid):
         soliton_q(0, grid)
 
 
-def test_symmetry_params_validation():
-    with pytest.raises(ScaleOutOfRange):
-        SymmetryParams(-1.0, 0.0)
-    with pytest.raises(ScaleOutOfRange):
-        SymmetryParams(0.0, 0.0)
+def test_modulate_refuses_a_scale_that_is_not_positive(grid):
+    q = soliton_q(1, grid)
+    for lam in (-1.0, 0.0, math.nan):
+        with pytest.raises(ScaleOutOfRange,
+                           match=f"lambda must be positive, got {lam}"):
+            modulate(q, lam, 0.0)
 
 
 def test_modulate_identity(grid):
     q = soliton_q(1, grid)
-    out = modulate(q, SymmetryParams(1.0, 0.0))
+    out = modulate(q, 1.0, 0.0)
     assert np.max(np.abs(out.values - q.values)) < 1e-12 * np.abs(q.values).max()
 
 
 def test_modulate_round_trip(grid):
     q = soliton_q(2, grid)
-    p = SymmetryParams(1.37, 0.9)
-    back = flat(modulate(q, p), p)
+    p = (1.37, 0.9)
+    back = flat(modulate(q, *p), *p)
     err = G.l2_samples(grid, back.values - q.values)
     assert err < 1e-8 * G.l2(q)
 
@@ -69,7 +70,7 @@ def test_modulate_round_trip(grid):
 def test_modulate_l2_invariance(grid):
     q = soliton_q(1, grid)
     for lam in (0.5, 2.0):
-        out = modulate(q, SymmetryParams(lam, 0.3))
+        out = modulate(q, lam, 0.3)
         assert G.l2(out) == pytest.approx(G.l2(q), rel=1e-7)
 
 
@@ -77,7 +78,7 @@ def test_modulate_closed_form(grid):
     # modulate(Q) must agree with sampling the closed form directly
     q = soliton_q(1, grid)
     lam, gam = 0.73, -1.1
-    out = modulate(q, SymmetryParams(lam, gam))
+    out = modulate(q, lam, gam)
     expect = np.exp(1j * gam) / lam * S.q_values(1, grid.r / lam)
     assert np.max(np.abs(out.values - expect)) < 1e-8 * np.abs(expect).max()
 
@@ -87,7 +88,7 @@ def test_modulate_scale_guard(grid):
     vals = np.ones(grid.n, dtype=complex) * grid.r / (1 + grid.r)
     f = G.RadialField(1, vals, grid)
     with pytest.raises(ScaleOutOfRange):
-        modulate(f, SymmetryParams(1e-3, 0.0))
+        modulate(f, 1e-3, 0.0)
 
 
 def test_blowup_matches_modulated_q(grid):
@@ -95,7 +96,7 @@ def test_blowup_matches_modulated_q(grid):
     t = -0.8
     q = soliton_q(1, grid)
     s = blowup_s(1, t, grid)
-    expect = modulate(q, SymmetryParams(abs(t), 0.0)).values * np.exp(
+    expect = modulate(q, abs(t), 0.0).values * np.exp(
         -1j * grid.r**2 / (4.0 * abs(t)))
     assert np.max(np.abs(s.values - expect)) < 1e-8 * np.abs(s.values).max()
 
@@ -134,10 +135,10 @@ def test_pseudoconformal_reproduces_blowup(grid):
 def test_proximity_fit_exact_orbit(grid):
     q = soliton_q(1, grid)
     for lam, gam in ((1.0, 0.0), (1.4, 0.8), (0.75, 5.9)):
-        u = modulate(q, SymmetryParams(lam, gam))
-        fit = proximity_fit(u)
-        assert fit.lam == pytest.approx(lam, rel=1e-6)
-        dg = (fit.gamma - gam) % (2.0 * math.pi)
+        u = modulate(q, lam, gam)
+        lam_hat, gamma_hat = proximity_fit(u)
+        assert lam_hat == pytest.approx(lam, rel=1e-6)
+        dg = (gamma_hat - gam) % (2.0 * math.pi)
         assert min(dg, 2.0 * math.pi - dg) < 1e-6
 
 
@@ -145,8 +146,8 @@ def test_proximity_fit_blowup(grid):
     # S(-0.5) is Q at scale 0.5 with a quadratic phase; the fit should land
     # within a few percent of the true scale
     s = blowup_s(1, -0.5, grid)
-    fit = proximity_fit(s)
-    assert abs(fit.lam - 0.5) < 0.05 * 0.5
+    lam_hat, _ = proximity_fit(s)
+    assert abs(lam_hat - 0.5) < 0.05 * 0.5
 
 
 def test_proximity_fit_zero_field(grid):
@@ -168,9 +169,9 @@ def test_prebuilt_sampler_gives_the_same_bits(grid, zeros, decay):
     f = G.RadialField(1, vals, grid, decay=decay)
     sample = S.sampler(f)
     for lam in (0.7, 1.6):
-        p = SymmetryParams(lam, 0.9)
-        for fresh, shared in ((modulate(f, p), modulate(f, p, sample=sample)),
-                              (flat(f, p), flat(f, p, sample))):
+        p = (lam, 0.9)
+        for fresh, shared in ((modulate(f, *p), modulate(f, *p, sample=sample)),
+                              (flat(f, *p), flat(f, *p, sample))):
             assert fresh.values.tobytes() == shared.values.tobytes()
     assert proximity_fit(f, sample=sample) == proximity_fit(f)
 
@@ -217,8 +218,8 @@ def test_sampler_matches_cubic_spline_bit_for_bit(n, zeros):
 def test_proximity_fit_perturbed(grid, rng):
     q = soliton_q(1, grid)
     pert = 0.01 * grid.r * np.exp(-grid.r**2) * (rng.standard_normal() + 1j)
-    u = modulate(q.with_values(q.values + pert, decay=None), SymmetryParams(1.2, 0.4))
-    fit = proximity_fit(u)
-    assert abs(fit.lam - 1.2) < 0.02 * 1.2
-    dg = (fit.gamma - 0.4) % (2.0 * math.pi)
+    u = modulate(q.with_values(q.values + pert, decay=None), 1.2, 0.4)
+    lam_hat, gamma_hat = proximity_fit(u)
+    assert abs(lam_hat - 1.2) < 0.02 * 1.2
+    dg = (gamma_hat - 0.4) % (2.0 * math.pi)
     assert min(dg, 2.0 * math.pi - dg) < 0.02
